@@ -614,16 +614,10 @@ impl AdaptiveEngine {
         }
         let mut engine = self.shared.fresh_engine()?;
         engine.set_profile(weights);
-        let expansion: Vec<String> = engine
-            .expand_str(&self.shared.source, &self.shared.file)?
-            .iter()
-            .map(|s| s.to_datum().to_string())
-            .collect();
-        // Replay generated profile points so the bytecode pass sees the
-        // same points the expansion pass saw (§4.1 determinism).
-        engine.reset_profile_points();
-        let cfgs: Vec<String> = engine
-            .expand_to_core(&self.shared.source, &self.shared.file)?
+        let compiled = engine.compile_str(&self.shared.source, &self.shared.file)?;
+        let expansion = compiled.printed();
+        let cfgs: Vec<String> = compiled
+            .cores
             .iter()
             .map(|c| canonical_form(&compile_chunk(c)))
             .collect();

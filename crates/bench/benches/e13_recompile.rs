@@ -83,20 +83,13 @@ fn weights(points: &[(SourceObject, SourceObject)], flip: bool) -> ProfileInform
 fn full_recompile(src: &str, file: &str, w: &ProfileInformation) -> (Vec<String>, Vec<String>) {
     let mut engine = Engine::new();
     engine.set_profile(w.clone());
-    let expansion: Vec<String> = engine
-        .expand_str(src, file)
-        .expect("expand")
-        .iter()
-        .map(|s| s.to_datum().to_string())
-        .collect();
-    engine.reset_profile_points();
-    let cfgs: Vec<String> = engine
-        .expand_to_core(src, file)
-        .expect("core")
+    let compiled = engine.compile_str(src, file).expect("compile");
+    let cfgs: Vec<String> = compiled
+        .cores
         .iter()
         .map(|c| canonical_form(&compile_chunk(c)))
         .collect();
-    (expansion, cfgs)
+    (compiled.printed(), cfgs)
 }
 
 fn bench_recompile(c: &mut Criterion) {

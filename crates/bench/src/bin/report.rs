@@ -327,16 +327,10 @@ fn e13() {
     for i in 0..ROUNDS {
         let mut engine = pgmp::Engine::new();
         engine.set_profile(w[i % 2].clone());
-        let _expansion: Vec<String> = engine
-            .expand_str(&src, file)
-            .unwrap()
-            .iter()
-            .map(|s| s.to_datum().to_string())
-            .collect();
-        engine.reset_profile_points();
-        let _cfgs: Vec<String> = engine
-            .expand_to_core(&src, file)
-            .unwrap()
+        let compiled = engine.compile_str(&src, file).unwrap();
+        let _expansion = compiled.printed();
+        let _cfgs: Vec<String> = compiled
+            .cores
             .iter()
             .map(|c| canonical_form(&compile_chunk(c)))
             .collect();

@@ -114,7 +114,7 @@
 //! ```
 
 use pgmp_adaptive::{AdaptiveConfig, AdaptiveEngine};
-use pgmp::{AnnotateStrategy, Engine, IncrementalConfig, IncrementalEngine};
+use pgmp::{AnnotateStrategy, Engine, IncrementalConfig, IncrementalEngine, ReuseStats};
 use pgmp_bytecode::{optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics};
 use pgmp_case_studies::{install, Lib};
 use pgmp_observe as observe;
@@ -539,6 +539,15 @@ fn apply_fleet_updates(
     Ok(())
 }
 
+/// The expander's work in one incremental compile, for the `incremental:`
+/// lines.
+fn expander_work(stats: &ReuseStats) -> String {
+    format!(
+        "{} transformer call(s), {} replay miss(es)",
+        stats.transformer_calls, stats.replay_misses
+    )
+}
+
 /// `--incremental`: the plain pipeline routed through the per-form
 /// recompilation cache. The initial compile (under `--load` weights, if
 /// any) populates the cache; every `--merge` profile then triggers an
@@ -573,14 +582,18 @@ fn run_incremental(opts: &Options, source: &str, file: &str) -> Result<(), Strin
     let mut unit = incr.compile(&weights).map_err(|e| e.to_string())?;
     if warm {
         eprintln!(
-            "incremental: initial compile reused {} of {} form(s), {} re-expanded",
-            unit.stats.reused, unit.stats.total_forms, unit.stats.reexpanded
+            "incremental: initial compile reused {} of {} form(s), {} re-expanded, {}",
+            unit.stats.reused,
+            unit.stats.total_forms,
+            unit.stats.reexpanded,
+            expander_work(&unit.stats)
         );
     } else {
         eprintln!(
-            "incremental: initial compile expanded {} form(s) under {} profile point(s)",
+            "incremental: initial compile expanded {} form(s) under {} profile point(s), {}",
             unit.stats.total_forms,
-            weights.len()
+            weights.len(),
+            expander_work(&unit.stats)
         );
     }
     for path in &opts.merge {
@@ -588,8 +601,11 @@ fn run_incremental(opts: &Options, source: &str, file: &str) -> Result<(), Strin
         weights = weights.merge(&info);
         unit = incr.compile(&weights).map_err(|e| e.to_string())?;
         eprintln!(
-            "incremental: {path}: {} of {} form(s) reused, {} re-expanded",
-            unit.stats.reused, unit.stats.total_forms, unit.stats.reexpanded
+            "incremental: {path}: {} of {} form(s) reused, {} re-expanded, {}",
+            unit.stats.reused,
+            unit.stats.total_forms,
+            unit.stats.reexpanded,
+            expander_work(&unit.stats)
         );
     }
     if opts.expand {

@@ -166,7 +166,8 @@ pub struct TwoPass {
 /// 1. load `libs`, run the program instrumented (every-expression
 ///    counters), and compute profile weights;
 /// 2. in a fresh engine with the same libraries and those weights loaded,
-///    expand the program (for inspection) and run the optimized code.
+///    compile the program once ([`Engine::compile_str`]): print its
+///    expansion for inspection and run the optimized code it compiled to.
 ///
 /// # Errors
 ///
@@ -181,17 +182,10 @@ pub fn two_pass(libs: &[Lib], program: &str, file: &str) -> Result<TwoPass, Erro
     // Pass 2: optimize.
     let mut e2 = engine_with(libs)?;
     e2.set_profile(weights.clone());
-    let expansion = e2.expand_str(program, file)?;
-    let expansion_text = expansion
-        .iter()
-        .map(|s| s.to_datum().to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
+    let compiled = e2.compile_str(program, file)?;
+    let expansion_text = compiled.printed().join("\n");
     let warnings = e2.take_warnings();
-    // Replay the generated-profile-point sequence so the evaluated compile
-    // sees the same points the expansion (and pass 1) saw.
-    e2.reset_profile_points();
-    let optimized_result = e2.run_str(program, file)?.write_string();
+    let optimized_result = e2.run_cores(&compiled.cores, file)?.write_string();
     let output = e2.take_output();
 
     Ok(TwoPass {

@@ -2,9 +2,9 @@
 
 use crate::api::{install_pgmp_api, PgmpState};
 use crate::error::Error;
-use pgmp_eval::{install_primitives, resolve_profile_slots, Interp, Value};
+use pgmp_eval::{install_primitives, resolve_profile_slots, Core, Interp, Value};
 use pgmp_observe as observe;
-use pgmp_expander::{install_expander_support, Expander};
+use pgmp_expander::{install_expander_support, Expander, Expansion};
 use pgmp_profiler::{
     CounterImpl, Counters, ProfileInformation, ProfileMode, Provenance, StoredProfile,
 };
@@ -58,6 +58,14 @@ impl Engine {
         let state = Rc::new(RefCell::new(PgmpState::new(strategy)));
         let mut expander = Expander::new();
         install_pgmp_api(&mut expander.meta, state.clone());
+        // A replay miss reruns a transformer for display only: the points
+        // it generates must not shift those of later forms.
+        let guarded = state.clone();
+        expander.set_replay_guard(Box::new(move || {
+            let saved = guarded.borrow().factory.clone();
+            let state = guarded.clone();
+            Box::new(move || state.borrow_mut().factory = saved)
+        }));
         let mut interp = Interp::new();
         install_primitives(&mut interp);
         install_expander_support(&mut interp);
@@ -217,10 +225,9 @@ impl Engine {
     }
 
     /// Resets the deterministic profile-point generator, replaying the
-    /// suffix sequence from the start — call between two compilations of
-    /// the *same* program within one session so both see identical
-    /// generated points (§4.1's determinism requirement).
-    pub fn reset_profile_points(&mut self) {
+    /// suffix sequence from the start, so every compile of a program sees
+    /// the same generated points (§4.1's determinism requirement).
+    pub(crate) fn reset_profile_points(&mut self) {
         self.state.borrow_mut().factory.reset();
     }
 
@@ -298,6 +305,18 @@ impl Engine {
         let forms = read_str(src, file)?;
         let program = self.expander.expand_program(&forms)?;
         self.warnings.extend(self.expander.take_warnings());
+        self.run_cores(&program, file)
+    }
+
+    /// Evaluates already expanded `program` (e.g. the cores of
+    /// [`Engine::compile_str`]), returning the last form's value.
+    /// Instrumentation is as in [`Engine::run_str`]; `file` names the run
+    /// in traces.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first eval error.
+    pub fn run_cores(&mut self, program: &[Rc<Core>], file: &str) -> Result<Value, Error> {
         if self.mode.is_on() {
             let counters = self.state.borrow().counters.clone();
             if counters.map_id() != 0 {
@@ -307,12 +326,12 @@ impl Engine {
                 // cached-slot vector add (dense) or beacon store
                 // (sampling).
                 let t = observe::timer();
-                for form in &program {
+                for form in program {
                     resolve_profile_slots(form, &counters);
                 }
                 if t.is_some() {
                     let mut resolved: u32 = 0;
-                    for form in &program {
+                    for form in program {
                         form.walk(&mut |n| resolved += u32::from(n.src.is_some()));
                     }
                     observe::finish(t, |duration_us| observe::EventKind::SlotResolve {
@@ -328,7 +347,7 @@ impl Engine {
         let t = observe::timer();
         let mut last = Value::Unspecified;
         let mut failure = None;
-        for form in &program {
+        for form in program {
             match self.interp.eval(form, &None) {
                 Ok(v) => last = v,
                 Err(e) => {
@@ -392,9 +411,29 @@ impl Engine {
         Ok(())
     }
 
+    /// Compiles `src` with one expansion per form: resets the profile-point
+    /// generator (so every compile of a program generates the same points),
+    /// then expands each form once, returning its [`Core`] forms together
+    /// with the printed expansion replayed from that same pass (see
+    /// [`Expander::expand_displayed`]). Evaluate the cores with
+    /// [`Engine::run_cores`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first read or expand error.
+    pub fn compile_str(&mut self, src: &str, file: &str) -> Result<Expansion, Error> {
+        let forms = read_str(src, file)?;
+        self.reset_profile_points();
+        let out = self.expander.expand_displayed(&forms)?;
+        self.warnings.extend(self.expander.take_warnings());
+        Ok(out)
+    }
+
     /// Expands `src` source-to-source: all macros eliminated, core forms
     /// kept. This is how examples and tests inspect what a profile-guided
-    /// meta-program generated.
+    /// meta-program generated; it runs every transformer itself, so it is
+    /// also the independent reference for [`Engine::compile_str`]'s printed
+    /// expansion.
     ///
     /// # Errors
     ///

@@ -24,25 +24,31 @@
 //!
 //! # Why per-form reuse is sound
 //!
+//! - **One expansion per form.** A re-expanded form goes through
+//!   [`Expander::expand_displayed`](pgmp_expander::Expander::expand_displayed):
+//!   its transformers run once, and the printed expansion is replayed from
+//!   the pass that produced its core forms.
 //! - **Profile-point determinism.** `make-profile-point` is a deterministic
-//!   function of the factory's allocation state (§4.1). Each cache entry
-//!   snapshots the factory state before and after the form's expansion;
-//!   reuse requires the current state to equal the recorded pre-state and
-//!   fast-forwards it to the recorded post-state, so a mixed reused /
-//!   re-expanded compile allocates exactly the point sequence a from-scratch
-//!   compile would.
+//!   function of the factory's allocation state (§4.1). Every compile
+//!   starts from a reset factory. Each cache entry snapshots the factory
+//!   state before and after the form's expansion; reuse requires the
+//!   current state to equal the recorded pre-state and fast-forwards it to
+//!   the recorded post-state, so a mixed reused / re-expanded compile
+//!   allocates exactly the point sequence a from-scratch compile would.
 //! - **Hygiene is invisible in outputs.** Gensym'd binders introduced by
 //!   the expander become slot indices in core forms, and marks are stripped
 //!   by `syntax->datum`; neither appears in the printed expansion or in
 //!   canonical CFGs, so reused output is textually identical to what
 //!   re-expansion under equal weights would print.
 //! - **Compile-time state.** A re-expanded form that changes meta state
-//!   (`define-syntax`, `define-for-syntax`, `begin-for-syntax`)
+//!   (`define-syntax`, `define-for-syntax`, `begin-for-syntax`, or a
+//!   transformer writing a meta global, like the §6.2 `class` registry)
 //!   conservatively invalidates every later form in the same compile
-//!   (`Expander::take_meta_dirty`). The cache assumes transformers are
-//!   otherwise *functions* of their input syntax and the profile — macros
-//!   that mutate meta state per use (rather than per definition) are
-//!   outside the cache's soundness and should be compiled from scratch.
+//!   (`Expander::take_meta_dirty`), and replays on a warm start. The cache
+//!   assumes transformers are otherwise *functions* of their input syntax
+//!   and the profile — macros that mutate meta state per use in other ways
+//!   (e.g. a meta hashtable) are outside the cache's soundness and should
+//!   be compiled from scratch.
 
 use crate::api::ProfileReadLog;
 use crate::engine::Engine;
@@ -86,6 +92,13 @@ pub struct ReuseStats {
     pub reused: usize,
     /// Forms that were (re-)expanded and recompiled.
     pub reexpanded: usize,
+    /// Transformer applications the re-expanded forms made. Each form is
+    /// expanded once per compile, so this counts each macro use once.
+    pub transformer_calls: usize,
+    /// Macro uses the printed-expansion replay reached that the Core pass
+    /// had not expanded, so their transformers ran again (expected 0; see
+    /// [`pgmp_expander::Expansion::replay_misses`]).
+    pub replay_misses: usize,
 }
 
 impl ReuseStats {
@@ -457,47 +470,20 @@ impl IncrementalEngine {
                 });
             }
 
-            let form = self.forms[i].clone();
-            let factory_pre = self.engine.factory_snapshot();
-            self.engine.begin_profile_read_log();
-            let syntax_out = self.engine.expander_mut().expand_form_to_syntax(&form)?;
-            // Replay point generation so the core pass allocates the same
-            // points the syntax pass did.
-            self.engine.restore_factory(factory_pre.clone());
-            let cores = self.engine.expander_mut().expand_form(&form)?;
-            let reads = self.engine.take_profile_read_log();
-            let factory_post = self.engine.factory_snapshot();
+            let entry = self.expand_entry(i, weights, &mut unit.stats)?;
             // A re-expanded form that changed meta state (define-syntax
             // and friends) invalidates every later form in this compile.
-            let meta = self.engine.expander_mut().take_meta_dirty();
-            if meta {
+            if entry.meta {
                 upstream_dirty = true;
             }
-
-            let chunks: Vec<Chunk> = cores.iter().map(compile_chunk).collect();
-            let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
-            let expansion: Vec<String> =
-                syntax_out.iter().map(|s| s.to_datum().to_string()).collect();
-            let profile_snapshot = reads.whole_profile.then(|| weights.clone());
-
-            unit.expansion.extend(expansion.iter().cloned());
-            unit.cores.extend(cores.iter().cloned());
-            unit.chunks.extend(chunks.iter().cloned());
-            unit.cfgs.extend(cfgs.iter().cloned());
+            unit.expansion.extend(entry.expansion.iter().cloned());
+            unit.cores.extend(entry.cores.iter().cloned());
+            unit.chunks.extend(entry.chunks.iter().cloned());
+            unit.cfgs.extend(entry.cfgs.iter().cloned());
             unit.stats.reexpanded += 1;
 
             self.unindex_entry(i);
-            self.entries[i] = Some(FormEntry {
-                reads,
-                factory_pre,
-                factory_post,
-                expansion,
-                cores,
-                chunks,
-                cfgs,
-                profile_snapshot,
-                meta,
-            });
+            self.entries[i] = Some(entry);
             self.index_entry(i);
         }
         self.last_weights = Some(weights.clone());
@@ -510,6 +496,42 @@ impl IncrementalEngine {
             }
         });
         Ok(unit)
+    }
+
+    /// Expands form `i` once under the loaded `weights` and builds its cache
+    /// entry: artifacts, the profile reads and factory states reuse is
+    /// checked against, and whether the form changed compile-time state.
+    /// The expander's work is added to `stats`.
+    fn expand_entry(
+        &mut self,
+        i: usize,
+        weights: &ProfileInformation,
+        stats: &mut ReuseStats,
+    ) -> Result<FormEntry, Error> {
+        let factory_pre = self.engine.factory_snapshot();
+        self.engine.begin_profile_read_log();
+        let expanded = self
+            .engine
+            .expander_mut()
+            .expand_displayed(std::slice::from_ref(&self.forms[i]))?;
+        let reads = self.engine.take_profile_read_log();
+        let factory_post = self.engine.factory_snapshot();
+        let meta = self.engine.expander_mut().take_meta_dirty();
+        stats.transformer_calls += expanded.transformer_calls;
+        stats.replay_misses += expanded.replay_misses;
+        let chunks: Vec<Chunk> = expanded.cores.iter().map(compile_chunk).collect();
+        let cfgs = chunks.iter().map(canonical_form).collect();
+        Ok(FormEntry {
+            profile_snapshot: reads.whole_profile.then(|| weights.clone()),
+            reads,
+            factory_pre,
+            factory_post,
+            expansion: expanded.printed(),
+            cores: expanded.cores,
+            chunks,
+            cfgs,
+            meta,
+        })
     }
 
     /// Why form `i` cannot be served from cache — the trace-event reason
@@ -731,36 +753,14 @@ impl IncrementalEngine {
             };
             if stored.meta {
                 // Replay through the real expander to re-register the
-                // transformer; artifacts are regenerated, validation data
-                // (reads, factory states) is taken from the live replay.
-                let form = self.forms[i].clone();
-                let factory_pre = self.engine.factory_snapshot();
-                self.engine.begin_profile_read_log();
-                let syntax_out = self.engine.expander_mut().expand_form_to_syntax(&form)?;
-                self.engine.restore_factory(factory_pre.clone());
-                let cores = self.engine.expander_mut().expand_form(&form)?;
-                let reads = self.engine.take_profile_read_log();
-                let factory_post = self.engine.factory_snapshot();
-                // Consumed without cascading: downstream stored artifacts
-                // were recorded under this same (fingerprint-checked) macro
-                // definition.
-                let _ = self.engine.expander_mut().take_meta_dirty();
-                let chunks: Vec<Chunk> = cores.iter().map(compile_chunk).collect();
-                let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
-                let expansion: Vec<String> =
-                    syntax_out.iter().map(|s| s.to_datum().to_string()).collect();
-                let profile_snapshot = reads.whole_profile.then(|| stored_weights.clone());
-                self.entries[i] = Some(FormEntry {
-                    reads,
-                    factory_pre,
-                    factory_post,
-                    expansion,
-                    cores,
-                    chunks,
-                    cfgs,
-                    profile_snapshot,
-                    meta: true,
-                });
+                // transformer (or re-run the expand-time registration);
+                // artifacts are regenerated, validation data (reads,
+                // factory states) is taken from the live replay. Its
+                // meta-dirty flag is consumed without cascading:
+                // downstream stored artifacts were recorded under this
+                // same (fingerprint-checked) meta state.
+                let entry = self.expand_entry(i, &stored_weights, &mut ReuseStats::default())?;
+                self.entries[i] = Some(FormEntry { meta: true, ..entry });
                 ws.replayed_meta += 1;
             } else {
                 let chunks: Vec<Chunk> = stored.cores.iter().map(compile_chunk).collect();

@@ -36,6 +36,7 @@ pub struct Interp {
     /// Value cells in slot order; `None` marks a slot reserved (e.g. by a
     /// compiled `GlobalRef` cache) before the global was bound.
     global_values: Vec<Option<Value>>,
+    global_writes: u64,
     /// Live profile counters, when instrumenting.
     pub counters: Option<Counters>,
     /// Instrumentation mode.
@@ -61,6 +62,7 @@ impl Interp {
         Interp {
             global_slots: HashMap::new(),
             global_values: Vec::new(),
+            global_writes: 0,
             counters: None,
             mode: ProfileMode::Off,
             fuel: None,
@@ -105,6 +107,14 @@ impl Interp {
     pub fn define_global(&mut self, name: Symbol, v: Value) {
         let slot = self.global_slot_or_reserve(name);
         self.global_values[slot as usize] = Some(v);
+        self.global_writes += 1;
+    }
+
+    /// How many times a global has been defined or `set!` through
+    /// [`Interp::define_global`] (which evaluation uses) — a cheap way to
+    /// tell whether running some code changed global state.
+    pub fn global_writes(&self) -> u64 {
+        self.global_writes
     }
 
     /// Looks up a global variable.

@@ -1,10 +1,14 @@
 //! Source-to-source expansion: expand every macro but keep core forms.
 //!
-//! [`Expander::expand_to_syntax`] is how tests and examples inspect what a
-//! profile-guided meta-program generated — e.g. to check that `case`
-//! produced the reordered `cond` of Figure 8. It is a display-oriented
-//! mirror of the real compilation pipeline: macros are expanded with the
-//! same transformers and hygiene machinery, but the result remains syntax.
+//! The walker here has two modes. Under [`Expander::expand_displayed`] it
+//! *replays* a Core pass: every macro use that pass expanded is replaced
+//! by the recorded output, so the printed expansion is what was compiled
+//! and no transformer runs twice. Standalone,
+//! [`Expander::expand_to_syntax`] runs the transformers itself — the
+//! display-only path tests and examples use to inspect what a
+//! profile-guided meta-program generated (e.g. that `case` produced the
+//! reordered `cond` of Figure 8), and an independent reference for the
+//! replay.
 
 use crate::cenv::{entry_for, BindKind, CEnv, Scope};
 use crate::error::ExpandError;
@@ -81,23 +85,7 @@ impl Expander {
         Ok(out)
     }
 
-    /// Source-to-source expansion of a single toplevel form (the
-    /// per-form mirror of [`Expander::expand_to_syntax`], used by the
-    /// incremental recompilation cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ExpandError`] encountered.
-    pub fn expand_form_to_syntax(
-        &mut self,
-        form: &Rc<Syntax>,
-    ) -> Result<Vec<Rc<Syntax>>, ExpandError> {
-        let mut out = Vec::new();
-        self.expand_toplevel_to_syntax(form.clone(), &mut out)?;
-        Ok(out)
-    }
-
-    fn expand_toplevel_to_syntax(
+    pub(crate) fn expand_toplevel_to_syntax(
         &mut self,
         form: Rc<Syntax>,
         out: &mut Vec<Rc<Syntax>>,
@@ -115,13 +103,11 @@ impl Expander {
                     self.expand_toplevel_to_syntax(sub.clone(), out)?;
                 }
             }
-            Some("define-syntax") => {
-                // Register the transformer; emit nothing.
-                let mut sink = Vec::new();
-                self.expand_program(&[form])?.into_iter().for_each(|c| sink.push(c));
-            }
-            Some("define-for-syntax") | Some("begin-for-syntax") => {
-                self.expand_program(&[form])?;
+            // Emit nothing; a replay's Core pass already evaluated these.
+            Some("define-syntax" | "define-for-syntax" | "begin-for-syntax") => {
+                if !self.replaying {
+                    self.expand_program(&[form])?;
+                }
             }
             _ => out.push(self.deep(&form, &env)?),
         }

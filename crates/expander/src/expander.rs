@@ -16,6 +16,41 @@ fn form_file(form: &Syntax) -> String {
         .map_or_else(|| "<none>".to_string(), |s| s.file.as_str().to_string())
 }
 
+/// The transformer applications of one Core pass, keyed by the address of
+/// each input node. An entry holds its input alive, so no other node can
+/// take that address while the record exists.
+type Recorded = HashMap<*const Syntax, (Rc<Syntax>, Rc<Syntax>)>;
+
+/// Isolates the side effects of a transformer that the display replay has
+/// to run live (a replay miss). Called before the transformer runs; the
+/// returned closure undoes what the guard protects once it has run. The
+/// engine uses it to snapshot and restore the profile-point factory, so a
+/// miss never shifts the points later forms generate.
+pub type ReplayGuard = Box<dyn Fn() -> Box<dyn FnOnce()>>;
+
+/// One expansion of a form or program: the [`Core`] forms it compiles to
+/// and the printed expansion, both from a single run of every transformer.
+#[derive(Debug, Default)]
+pub struct Expansion {
+    /// Core forms, in program order.
+    pub cores: Vec<Rc<Core>>,
+    /// The source-to-source expansion (macros gone, core forms kept), one
+    /// syntax object per emitted toplevel form.
+    pub display: Vec<Rc<Syntax>>,
+    /// Transformer applications this expansion made.
+    pub transformer_calls: usize,
+    /// Macro uses the display replay reached that the Core pass had not
+    /// expanded, so their transformers ran a second time (expected 0).
+    pub replay_misses: usize,
+}
+
+impl Expansion {
+    /// The display forms printed with `write` notation, one per form.
+    pub fn printed(&self) -> Vec<String> {
+        self.display.iter().map(|s| s.to_datum().to_string()).collect()
+    }
+}
+
 /// The macro expander.
 ///
 /// Holds the table of `define-syntax` transformers and the **meta
@@ -35,6 +70,14 @@ pub struct Expander {
     /// call; exceeding it reports an expansion loop.
     pub max_steps: usize,
     meta_dirty: bool,
+    /// Present while [`Expander::expand_displayed`] runs: what the Core
+    /// pass of the current form recorded for the display replay.
+    recorded: Option<Recorded>,
+    /// True while the display replay walks the current form.
+    pub(crate) replaying: bool,
+    replay_guard: Option<ReplayGuard>,
+    transformer_calls: usize,
+    replay_misses: usize,
 }
 
 impl Default for Expander {
@@ -57,7 +100,17 @@ impl Expander {
             steps: 0,
             max_steps: 100_000,
             meta_dirty: false,
+            recorded: None,
+            replaying: false,
+            replay_guard: None,
+            transformer_calls: 0,
+            replay_misses: 0,
         }
+    }
+
+    /// Installs the guard that isolates a replay miss (see [`ReplayGuard`]).
+    pub fn set_replay_guard(&mut self, guard: ReplayGuard) {
+        self.replay_guard = Some(guard);
     }
 
     /// Registers `transformer` (a procedure value in the meta interpreter)
@@ -96,10 +149,14 @@ impl Expander {
 
     /// Runs `transformer` on `stx` with the mark discipline: mark input,
     /// run, mark output; marks cancel on pass-through syntax.
-    pub(crate) fn apply_transformer(
+    ///
+    /// A transformer that writes a meta global (the §6.2 `class` macro
+    /// registering its class) changes compile-time state that later forms
+    /// see, exactly like `define-for-syntax`, so it sets the meta-dirty flag.
+    fn apply_transformer(
         &mut self,
         transformer: &Value,
-        stx: &Syntax,
+        stx: &Rc<Syntax>,
     ) -> Result<Rc<Syntax>, ExpandError> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -109,30 +166,69 @@ impl Expander {
             )
             .with_src(stx.source));
         }
+        self.transformer_calls += 1;
         let mark = self.fresh_mark();
         let input = stx.apply_mark(mark);
+        let writes = self.meta.global_writes();
         let out = self
             .meta
             .apply(transformer, vec![Value::Syntax(Rc::new(input))])
             .map_err(|e| ExpandError::from(e).with_src(stx.source))?;
-        match out {
-            Value::Syntax(s) => Ok(Rc::new(s.apply_mark(mark))),
-            other => Err(ExpandError::new(
-                ExpandErrorKind::BadTransformerResult,
-                format!("transformer returned {} instead of syntax", other.type_name()),
-            )
-            .with_src(stx.source)),
+        if self.meta.global_writes() != writes {
+            self.meta_dirty = true;
         }
+        let out = match out {
+            Value::Syntax(s) => Rc::new(s.apply_mark(mark)),
+            other => {
+                return Err(ExpandError::new(
+                    ExpandErrorKind::BadTransformerResult,
+                    format!("transformer returned {} instead of syntax", other.type_name()),
+                )
+                .with_src(stx.source))
+            }
+        };
+        if !self.replaying {
+            if let Some(recorded) = &mut self.recorded {
+                recorded.insert(Rc::as_ptr(stx), (stx.clone(), out.clone()));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Runs a transformer the display replay found no record for, under the
+    /// replay guard, and counts the miss.
+    fn apply_transformer_on_miss(
+        &mut self,
+        transformer: &Value,
+        stx: &Rc<Syntax>,
+    ) -> Result<Rc<Syntax>, ExpandError> {
+        self.replay_misses += 1;
+        let restore = self.replay_guard.as_ref().map(|guard| guard());
+        let out = self.apply_transformer(transformer, stx);
+        if let Some(restore) = restore {
+            restore();
+        }
+        out
     }
 
     /// Repeatedly expands macros in head position until the form is no
     /// longer a macro use. Lexical bindings shadow macros.
+    ///
+    /// During the display replay, a node the Core pass expanded is replaced
+    /// by the recorded output instead of running its transformer again.
     pub(crate) fn macroexpand_head(
         &mut self,
         mut stx: Rc<Syntax>,
         env: &CEnv,
     ) -> Result<Rc<Syntax>, ExpandError> {
         loop {
+            if self.replaying {
+                let recorded = self.recorded.as_ref().expect("replay without a record");
+                if let Some((_, out)) = recorded.get(&Rc::as_ptr(&stx)) {
+                    stx = out.clone();
+                    continue;
+                }
+            }
             let Some(elems) = stx.as_list() else {
                 return Ok(stx);
             };
@@ -148,7 +244,11 @@ impl Expander {
             let Some(t) = self.macros.get(&sym).cloned() else {
                 return Ok(stx);
             };
-            stx = self.apply_transformer(&t, &stx)?;
+            stx = if self.replaying {
+                self.apply_transformer_on_miss(&t, &stx)?
+            } else {
+                self.apply_transformer(&t, &stx)?
+            };
         }
     }
 
@@ -252,28 +352,57 @@ impl Expander {
         Ok(out)
     }
 
-    /// Expands a single toplevel form, returning the core forms it
-    /// produces (possibly several, via `begin` splicing; possibly none,
-    /// for `define-syntax` and friends).
+    /// Expands `forms` once, returning their [`Core`] forms together with
+    /// the printed expansion. A toplevel form yields any number of core
+    /// and display forms (several via `begin` splicing, none for
+    /// `define-syntax` and friends); the incremental recompilation cache
+    /// calls this one toplevel form at a time.
     ///
-    /// This is the per-form granularity the incremental recompilation
-    /// cache works at: each toplevel form is expanded (or reused)
-    /// independently.
+    /// Each form's Core pass is the only run of its transformers: it
+    /// records every application, and the display walk that follows
+    /// replays those outputs instead of calling the transformers again
+    /// (it skips `define-syntax` and the `for-syntax` forms, which the Core
+    /// pass already evaluated). Transformer side effects — generated
+    /// profile points, profile reads, expand-time registries — therefore
+    /// happen once per use, and the printed expansion is exactly what was
+    /// compiled. A macro use the replay finds no record for runs live under
+    /// the [`ReplayGuard`] and counts in [`Expansion::replay_misses`].
     ///
     /// # Errors
     ///
     /// Returns the first [`ExpandError`] encountered.
-    pub fn expand_form(&mut self, form: &Rc<Syntax>) -> Result<Vec<Rc<Core>>, ExpandError> {
-        self.steps = 0;
-        let mut out = Vec::new();
-        let t = observe::timer();
-        self.expand_toplevel_form(form.clone(), &mut out)?;
-        observe::finish(t, |duration_us| observe::EventKind::ExpandForm {
-            file: form_file(form),
-            index: 0,
-            duration_us,
-        });
+    pub fn expand_displayed(&mut self, forms: &[Rc<Syntax>]) -> Result<Expansion, ExpandError> {
+        let (calls, misses) = (self.transformer_calls, self.replay_misses);
+        let mut out = Expansion::default();
+        let result = self.expand_displayed_into(forms, &mut out);
+        self.recorded = None;
+        self.replaying = false;
+        result?;
+        out.transformer_calls = self.transformer_calls - calls;
+        out.replay_misses = self.replay_misses - misses;
         Ok(out)
+    }
+
+    fn expand_displayed_into(
+        &mut self,
+        forms: &[Rc<Syntax>],
+        out: &mut Expansion,
+    ) -> Result<(), ExpandError> {
+        self.steps = 0;
+        for (i, form) in forms.iter().enumerate() {
+            let t = observe::timer();
+            self.recorded = Some(HashMap::new());
+            self.expand_toplevel_form(form.clone(), &mut out.cores)?;
+            self.replaying = true;
+            self.expand_toplevel_to_syntax(form.clone(), &mut out.display)?;
+            self.replaying = false;
+            observe::finish(t, |duration_us| observe::EventKind::ExpandForm {
+                file: form_file(form),
+                index: i as u32,
+                duration_us,
+            });
+        }
+        Ok(())
     }
 
     fn expand_toplevel_form(

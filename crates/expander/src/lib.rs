@@ -60,6 +60,6 @@ mod template;
 
 pub use cenv::{BindKind, CEnv};
 pub use error::{ExpandError, ExpandErrorKind};
-pub use expander::Expander;
+pub use expander::{Expander, Expansion, ReplayGuard};
 pub use identity::form_hash;
 pub use support::install_expander_support;

@@ -59,17 +59,17 @@ fn main() -> Result<(), pgmp::Error> {
         }
     }
 
+    // One compile yields both the code that runs and its printed form.
     println!("\ngenerated code WITH profile data (branches swapped):");
-    for form in optimizing.expand_str(PROGRAM, "quickstart.scm")? {
-        let text = form.to_datum().to_string();
+    let compiled = optimizing.compile_str(PROGRAM, "quickstart.scm")?;
+    for text in compiled.printed() {
         if text.contains("define (classify") {
             println!("  {text}");
         }
     }
 
     // The optimized program still computes the same answer.
-    optimizing.reset_profile_points();
-    let optimized_result = optimizing.run_str(PROGRAM, "quickstart.scm")?;
+    let optimized_result = optimizing.run_cores(&compiled.cores, "quickstart.scm")?;
     println!("\noptimized run result: {optimized_result}");
     assert_eq!(result.to_string(), optimized_result.to_string());
     println!("\nok: optimization preserved behaviour");

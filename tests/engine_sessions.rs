@@ -32,20 +32,29 @@ fn set_profile_replaces_and_merge_profile_averages() {
 }
 
 #[test]
-fn reset_profile_points_replays_generated_points() {
+fn compile_str_generates_the_same_points_on_every_run() {
     let program = "
       (define-syntax (pt stx)
         (syntax-case stx ()
           [(_) #`(quote #,(datum->syntax stx
                    (format \"~a\" (make-profile-point))))]))
+      (pt)
       (pt)";
     let mut e = Engine::new();
     let first = e.run_str(program, "r.scm").unwrap().to_string();
     let second = e.run_str(program, "r.scm").unwrap().to_string();
-    assert_ne!(first, second, "same session continues the sequence");
-    e.reset_profile_points();
-    let replayed = e.run_str(program, "r.scm").unwrap().to_string();
-    assert_eq!(first, replayed, "reset replays from the start");
+    assert_ne!(first, second, "run_str continues the sequence");
+
+    let compiled = e.compile_str(program, "r.scm").unwrap();
+    let printed = compiled.printed();
+    assert_eq!(printed.len(), 2);
+    assert_ne!(printed[0], printed[1], "each use draws its own point");
+    for _ in 0..3 {
+        let again = e.compile_str(program, "r.scm").unwrap();
+        assert_eq!(again.printed(), printed, "every compile replays the sequence");
+        let value = e.run_cores(&again.cores, "r.scm").unwrap().to_string();
+        assert!(printed[1].contains(&value), "runs what it printed: {value}");
+    }
 }
 
 #[test]

@@ -51,24 +51,18 @@ fn dependent_points(src: &str, file: &str) -> Vec<(SourceObject, SourceObject)> 
         .collect()
 }
 
-/// The ground truth: a fresh engine compiling everything under `w`.
+/// The ground truth: a fresh engine compiling everything under `w`, each
+/// form expanded once.
 fn scratch_compile(src: &str, file: &str, w: &ProfileInformation) -> (Vec<String>, Vec<String>) {
     let mut engine = Engine::new();
     engine.set_profile(w.clone());
-    let expansion: Vec<String> = engine
-        .expand_str(src, file)
-        .expect("scratch expand")
-        .iter()
-        .map(|s| s.to_datum().to_string())
-        .collect();
-    engine.reset_profile_points();
-    let cfgs: Vec<String> = engine
-        .expand_to_core(src, file)
-        .expect("scratch core")
+    let compiled = engine.compile_str(src, file).expect("scratch compile");
+    let cfgs: Vec<String> = compiled
+        .cores
         .iter()
         .map(|c| canonical_form(&compile_chunk(c)))
         .collect();
-    (expansion, cfgs)
+    (compiled.printed(), cfgs)
 }
 
 proptest! {

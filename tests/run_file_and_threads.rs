@@ -3,6 +3,9 @@
 
 use pgmp::Engine;
 use pgmp_profiler::ProfileMode;
+use pgmp_rt::ShardedRegistry;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 #[test]
 fn run_file_compiles_and_attributes_source_to_the_path() {
@@ -42,14 +45,17 @@ fn run_file_profile_cycle() {
 
 #[test]
 fn rt_counters_are_thread_safe() {
-    // The Rust-side runtime must tolerate concurrent hits (the registry is
-    // a mutex over a map); counts must not be lost.
-    pgmp_rt::enable_profiling();
+    // The Rust-side runtime's registry must tolerate concurrent hits
+    // (lock-striped atomics); counts must not be lost. The test counts into
+    // its own registry handle, so no other test's use of the process-global
+    // registry or enabled flag can disturb it.
+    let registry = Arc::new(ShardedRegistry::<String>::new());
     let threads: Vec<_> = (0..8)
         .map(|_| {
-            std::thread::spawn(|| {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    pgmp_rt::hit("threaded-point");
+                    registry.increment("threaded-point");
                 }
             })
         })
@@ -57,25 +63,26 @@ fn rt_counters_are_thread_safe() {
     for t in threads {
         t.join().unwrap();
     }
-    pgmp_rt::disable_profiling();
-    assert_eq!(pgmp_rt::count("threaded-point"), 8 * 1000);
+    assert_eq!(registry.count("threaded-point"), 8 * 1000);
 }
 
 #[test]
 fn rt_weights_snapshot_under_concurrent_writes_is_consistent() {
-    pgmp_rt::enable_profiling();
-    let writer = std::thread::spawn(|| {
+    let registry = Arc::new(ShardedRegistry::<String>::new());
+    let writing = Arc::clone(&registry);
+    let writer = std::thread::spawn(move || {
         for _ in 0..2000 {
-            pgmp_rt::hit("snapshot-writer");
+            writing.increment("snapshot-writer");
         }
     });
     // Snapshots taken mid-write parse and stay in range.
     for _ in 0..20 {
-        let w = pgmp_rt::snapshot_weights();
+        let counts: HashMap<String, u64> = registry.snapshot().into_iter().collect();
+        let w = pgmp_rt::Weights::from_counts(&counts);
         let text = w.to_profile_string();
         let back = pgmp_rt::Weights::parse(&text).unwrap();
         assert_eq!(back, w);
     }
     writer.join().unwrap();
-    pgmp_rt::disable_profiling();
+    assert_eq!(registry.count("snapshot-writer"), 2000);
 }
