@@ -1,24 +1,23 @@
 //! E17 bench — direct-threaded VM dispatch: flat code streams vs. the
-//! block-walking reference engine, and the effect of profile-guided
+//! tree-walking interpreter, and the effect of profile-guided
 //! superinstruction fusion.
 //!
-//! Four engines on the same dispatch-heavy workload (deep call recursion
+//! Three engines on the same dispatch-heavy workload (deep call recursion
 //! plus a tight counting loop — every iteration is calls, branches, and
 //! constant pushes, so dispatch cost dominates):
 //!
 //! - tree-walk: the source-level interpreter (the reference semantics);
-//! - vm-match: the VM walking the block/`Terminator` form (`DispatchMode::Match`);
-//! - vm-flat: the same chunks lowered to contiguous fixed-size op streams
-//!   executed by index (`DispatchMode::Flat`, the default);
+//! - vm-flat: the chunks lowered to contiguous fixed-size op streams
+//!   executed by index;
 //! - vm-flat-fused: flat dispatch with the superinstruction plan mined
 //!   from a profiled run of this very workload (`FusionPlan::mine`).
 //!
-//! Expectation (EXPERIMENTS.md E17): flat ≥ 2x match, fused ≥ flat.
+//! Expectation (EXPERIMENTS.md E17): flat ≥ 2x tree-walk, fused ≥ flat.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::Engine;
 use pgmp_bench::workloads::fib_program;
-use pgmp_bytecode::{compile_chunk, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm};
+use pgmp_bytecode::{compile_chunk, BlockCounters, Chunk, FusionPlan, Vm};
 
 fn dispatch_workload() -> String {
     format!(
@@ -48,21 +47,15 @@ fn bench_vm_dispatch(c: &mut Criterion) {
         b.iter(|| e.run_str(&program, "e17.scm").expect("run"))
     });
 
-    for (name, dispatch) in [
-        ("vm-match", DispatchMode::Match),
-        ("vm-flat", DispatchMode::Flat),
-    ] {
-        group.bench_function(name, |b| {
-            let (mut e, chunks) = compiled(&program);
-            let mut vm = Vm::new();
-            vm.dispatch = dispatch;
-            b.iter(|| {
-                for chunk in &chunks {
-                    vm.run_chunk(e.interp_mut(), chunk).expect("run");
-                }
-            })
-        });
-    }
+    group.bench_function("vm-flat", |b| {
+        let (mut e, chunks) = compiled(&program);
+        let mut vm = Vm::new();
+        b.iter(|| {
+            for chunk in &chunks {
+                vm.run_chunk(e.interp_mut(), chunk).expect("run");
+            }
+        })
+    });
 
     group.bench_function("vm-flat-fused", |b| {
         let (mut e, chunks) = compiled(&program);

@@ -32,15 +32,6 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
     });
 
-    // Same instrumentation through the legacy hash-keyed counter backend:
-    // the baseline the dense slot-indexed representation replaced.
-    group.bench_function("chez-style-every-expression-hash", |b| {
-        let mut e = Engine::new();
-        e.set_counter_impl(CounterImpl::Hash);
-        e.set_instrumentation(ProfileMode::EveryExpression);
-        b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
-    });
-
     // Sampling backend: each profile point costs one relaxed beacon store;
     // the sampler thread ticks at the default rate in the background. The
     // target frontier (E18 maps it fully) is ≤1.05× the uninstrumented
@@ -78,7 +69,7 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(annotated, "a.scm").expect("run"))
     });
 
-    // VM-mode block counting, dense vs hash: every basic block bumps a
+    // VM-mode block counting per backend: every basic block bumps a
     // counter, so the backend's per-hit cost dominates the delta.
     group.bench_function("vm-block-uninstrumented", |b| {
         let mut e = Engine::new();
@@ -93,7 +84,6 @@ fn bench_overhead(c: &mut Criterion) {
     });
     for (name, kind) in [
         ("vm-block-counters-dense", CounterImpl::Dense),
-        ("vm-block-counters-hash", CounterImpl::Hash),
         ("vm-block-counters-sampling", CounterImpl::Sampling),
     ] {
         group.bench_function(name, |b| {

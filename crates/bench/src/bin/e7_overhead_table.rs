@@ -45,12 +45,6 @@ fn main() {
         e.set_instrumentation(ProfileMode::EveryExpression);
         time_runs(|| e.run_str(&program, "e7.scm").map(|_| ()).expect("run"), reps)
     };
-    let every_hash = {
-        let mut e = Engine::new();
-        e.set_counter_impl(CounterImpl::Hash);
-        e.set_instrumentation(ProfileMode::EveryExpression);
-        time_runs(|| e.run_str(&program, "e7.scm").map(|_| ()).expect("run"), reps)
-    };
     let every_sampling = {
         let mut e = Engine::new();
         e.set_counter_impl(CounterImpl::Sampling);
@@ -111,7 +105,6 @@ fn main() {
     };
     let vm_base = vm_run(None);
     let vm_dense = vm_run(Some(BlockCounters::with_impl(CounterImpl::Dense)));
-    let vm_hash = vm_run(Some(BlockCounters::with_impl(CounterImpl::Hash)));
     let vm_sampling = vm_run(Some(BlockCounters::with_impl(CounterImpl::Sampling)));
 
     println!("§4.4 profiling overhead (fib workload; interpreter substrate)");
@@ -124,12 +117,6 @@ fn main() {
         "Chez model: every-expression counters",
         every,
         every.as_secs_f64() / base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "  ... with legacy hash-keyed counters",
-        every_hash,
-        every_hash.as_secs_f64() / base.as_secs_f64()
     );
     println!(
         "{:<44} {:>10.2?} {:>9.2}x",
@@ -169,23 +156,11 @@ fn main() {
     );
     println!(
         "{:<44} {:>10.2?} {:>9.2}x",
-        "VM: per-block counters (hash-keyed)",
-        vm_hash,
-        vm_hash.as_secs_f64() / vm_base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
         "VM: per-block beacon (sampling, 997 Hz)",
         vm_sampling,
         vm_sampling.as_secs_f64() / vm_base.as_secs_f64()
     );
     println!("----------------------------------------------------------------------");
-    let added = |t: Duration, b: Duration| (t.as_secs_f64() / b.as_secs_f64() - 1.0).max(1e-9);
-    println!(
-        "dense vs hash: interp overhead cut {:.1}x, VM overhead cut {:.1}x",
-        added(every_hash, base) / added(every, base),
-        added(vm_hash, vm_base) / added(vm_dense, vm_base)
-    );
     let pct = |t: Duration, b: Duration| (t.as_secs_f64() / b.as_secs_f64() - 1.0) * 100.0;
     println!(
         "sampling vs dense: added interp overhead {:+.1}% vs {:+.1}%, VM {:+.1}% vs {:+.1}%",

@@ -151,7 +151,7 @@ fn e7() {
     use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
     use pgmp_profiler::{CounterImpl, ProfileMode};
 
-    header("E7 (section 4.4): instrumentation overhead, dense vs hash vs sampling");
+    header("E7 (section 4.4): instrumentation overhead, dense vs sampling");
     let program = fib_program(16);
 
     let interp = |kind: Option<CounterImpl>| {
@@ -164,7 +164,6 @@ fn e7() {
     };
     let base = interp(None);
     let dense = interp(Some(CounterImpl::Dense));
-    let hash = interp(Some(CounterImpl::Hash));
     let sampling = interp(Some(CounterImpl::Sampling));
 
     let vm = |kind: Option<CounterImpl>| {
@@ -188,7 +187,6 @@ fn e7() {
     };
     let vm_base = vm(None);
     let vm_dense = vm(Some(CounterImpl::Dense));
-    let vm_hash = vm(Some(CounterImpl::Hash));
     let vm_sampling = vm(Some(CounterImpl::Sampling));
 
     let ratio = |t: Duration, b: Duration| t.as_secs_f64() / b.as_secs_f64();
@@ -196,21 +194,14 @@ fn e7() {
     println!("  paper:    Chez's every-expression counting costs ~9% at run time;");
     println!("            the claim assumes counter bumps are cheap.");
     println!(
-        "  interp:   every-expression dense {:.2}x, hash {:.2}x, sampling {:.2}x over uninstrumented",
+        "  interp:   every-expression dense {:.2}x, sampling {:.2}x over uninstrumented",
         ratio(dense, base),
-        ratio(hash, base),
         ratio(sampling, base)
     );
     println!(
-        "  vm:       per-block dense {:.2}x, hash {:.2}x, sampling {:.2}x over uninstrumented",
+        "  vm:       per-block dense {:.2}x, sampling {:.2}x over uninstrumented",
         ratio(vm_dense, vm_base),
-        ratio(vm_hash, vm_base),
         ratio(vm_sampling, vm_base)
-    );
-    println!(
-        "  measured: dense slots cut the added overhead {:.1}x (interp), {:.1}x (vm) vs hash",
-        added(hash, base) / added(dense, base),
-        added(vm_hash, vm_base) / added(vm_dense, vm_base)
     );
     println!(
         "  measured: the sampling beacon cuts it another {:.1}x (interp), {:.1}x (vm) vs dense",

@@ -1,15 +1,14 @@
 //! Block-level profile counters.
 //!
-//! Like the source-level [`pgmp_profiler::Counters`], the registry has
-//! several representations. The default **dense** backend assigns each
-//! registered chunk a contiguous base in one `Vec<Cell<u64>>` — the VM
-//! resolves the base once per activation and block entry becomes a vector
-//! bump. The legacy **hash** backend (one `(chunk, block)` hash per entry)
-//! survives behind [`CounterImpl::Hash`] as the e7 baseline and for
-//! interop. The **sampling** backend reuses the dense base assignment but
-//! block entry only publishes a current-position beacon (one relaxed
-//! store); a decoupled [`pgmp_profiler::Sampler`] thread turns periodic
-//! beacon reads into estimated counts (see `pgmp_profiler::sampling`).
+//! Like the source-level [`pgmp_profiler::Counters`], the registry is
+//! slot-indexed: each registered chunk owns a contiguous range of dense
+//! indexes, which the VM resolves once per activation, so block entry
+//! touches one index and hashes nothing. Two backends store the counts
+//! behind that one layout. The **dense** backend counts exactly in a
+//! `Vec<Cell<u64>>`. The **sampling** backend only publishes a
+//! current-position beacon on block entry (one relaxed store); a decoupled
+//! [`pgmp_profiler::Sampler`] thread turns periodic beacon reads into
+//! estimated counts (see `pgmp_profiler::sampling`).
 
 use pgmp_profiler::{CounterImpl, Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
 use std::cell::{Cell, RefCell};
@@ -17,31 +16,11 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Base index returned by [`BlockCounters::register_chunk`] when the
-/// registry is hash-keyed (or registration otherwise has no dense base);
-/// callers seeing this fall back to keyed increments.
-pub const NO_BASE: u32 = u32::MAX;
-
 #[derive(Debug)]
-enum Backend {
-    Dense {
-        /// chunk id → (base, block count) in `counts`.
-        bases: RefCell<HashMap<u32, (u32, u32)>>,
-        counts: RefCell<Vec<Cell<u64>>>,
-        /// Counts for `(chunk, block)` hits outside any registered range —
-        /// keyed increments to chunks nobody registered (tests, ad-hoc
-        /// tooling) still land somewhere.
-        overflow: RefCell<HashMap<(u32, u32), u64>>,
-    },
-    Hash {
-        counts: RefCell<HashMap<(u32, u32), u64>>,
-    },
+enum Store {
+    /// Exact counts, one cell per dense index.
+    Dense(RefCell<Vec<Cell<u64>>>),
     Sampling {
-        /// chunk id → (base, block count), exactly like the dense layout;
-        /// the *tallies* live in `shared` instead of a `Cell` vector.
-        bases: RefCell<HashMap<u32, (u32, u32)>>,
-        /// Next free dense index (the sampling analogue of `counts.len()`).
-        next: Cell<u32>,
         /// Beacon + estimated tallies, shared with the sampler.
         shared: Arc<SamplingShared>,
         /// Owns the sampler thread; `None` in manual (test) mode. Dropping
@@ -50,6 +29,15 @@ enum Backend {
         /// Configured tick rate (0 in manual mode).
         hz: u32,
     },
+}
+
+#[derive(Debug)]
+struct Inner {
+    /// chunk id → (base, block count): the chunk's range of dense indexes.
+    bases: RefCell<HashMap<u32, (u32, u32)>>,
+    /// Next free dense index.
+    next: Cell<u32>,
+    store: Store,
 }
 
 /// Execution counts per `(chunk, block)` — the block-level analogue of the
@@ -66,7 +54,7 @@ enum Backend {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockCounters {
-    backend: Rc<Backend>,
+    inner: Rc<Inner>,
 }
 
 impl Default for BlockCounters {
@@ -78,7 +66,7 @@ impl Default for BlockCounters {
 impl BlockCounters {
     /// Creates an empty dense registry.
     pub fn new() -> BlockCounters {
-        BlockCounters::with_impl(CounterImpl::Dense)
+        BlockCounters::with_store(Store::Dense(RefCell::new(Vec::new())))
     }
 
     /// Creates an empty registry with an explicit representation. A
@@ -87,18 +75,7 @@ impl BlockCounters {
     /// the rate.
     pub fn with_impl(kind: CounterImpl) -> BlockCounters {
         match kind {
-            CounterImpl::Dense => BlockCounters {
-                backend: Rc::new(Backend::Dense {
-                    bases: RefCell::new(HashMap::new()),
-                    counts: RefCell::new(Vec::new()),
-                    overflow: RefCell::new(HashMap::new()),
-                }),
-            },
-            CounterImpl::Hash => BlockCounters {
-                backend: Rc::new(Backend::Hash {
-                    counts: RefCell::new(HashMap::new()),
-                }),
-            },
+            CounterImpl::Dense => BlockCounters::new(),
             CounterImpl::Sampling => BlockCounters::with_sampling(DEFAULT_SAMPLE_HZ),
         }
     }
@@ -119,32 +96,37 @@ impl BlockCounters {
     fn sampling_with(hz: u32, spawn: bool) -> BlockCounters {
         let shared = Arc::new(SamplingShared::new());
         let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
+        BlockCounters::with_store(Store::Sampling {
+            shared,
+            sampler,
+            hz,
+        })
+    }
+
+    fn with_store(store: Store) -> BlockCounters {
         BlockCounters {
-            backend: Rc::new(Backend::Sampling {
+            inner: Rc::new(Inner {
                 bases: RefCell::new(HashMap::new()),
                 next: Cell::new(0),
-                shared,
-                sampler,
-                hz,
+                store,
             }),
         }
     }
 
     /// The representation behind this registry.
     pub fn impl_kind(&self) -> CounterImpl {
-        match &*self.backend {
-            Backend::Dense { .. } => CounterImpl::Dense,
-            Backend::Hash { .. } => CounterImpl::Hash,
-            Backend::Sampling { .. } => CounterImpl::Sampling,
+        match &self.inner.store {
+            Store::Dense(_) => CounterImpl::Dense,
+            Store::Sampling { .. } => CounterImpl::Sampling,
         }
     }
 
     /// The configured sampler rate, when this is a sampling registry
     /// (0 in manual mode; `None` on exact registries).
     pub fn sample_hz(&self) -> Option<u32> {
-        match &*self.backend {
-            Backend::Sampling { hz, .. } => Some(*hz),
-            _ => None,
+        match &self.inner.store {
+            Store::Sampling { hz, .. } => Some(*hz),
+            Store::Dense(_) => None,
         }
     }
 
@@ -153,8 +135,8 @@ impl BlockCounters {
     /// registries).
     pub fn has_sampler_thread(&self) -> bool {
         matches!(
-            &*self.backend,
-            Backend::Sampling {
+            &self.inner.store,
+            Store::Sampling {
                 sampler: Some(_),
                 ..
             }
@@ -163,16 +145,16 @@ impl BlockCounters {
 
     /// The shared sampling state, when this is a sampling registry.
     pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
-        match &*self.backend {
-            Backend::Sampling { shared, .. } => Some(shared.clone()),
-            _ => None,
+        match &self.inner.store {
+            Store::Sampling { shared, .. } => Some(shared.clone()),
+            Store::Dense(_) => None,
         }
     }
 
     /// Takes one sample immediately (test/benchmark hook); no-op on exact
     /// registries.
     pub fn sample_now(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.inner.store {
             shared.sample_now();
         }
     }
@@ -182,46 +164,70 @@ impl BlockCounters {
     /// exact registries.
     #[inline]
     pub fn park(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.inner.store {
             shared.park();
         }
     }
 
-    /// Registers chunk `chunk` with `blocks` basic blocks and returns the
-    /// base index of its counter range; idempotent (re-registration returns
-    /// the existing base). The VM registers once per activation, after
-    /// which each block entry is [`BlockCounters::increment_at`] — a vector
-    /// bump, no hashing. Returns [`NO_BASE`] on a hash-keyed registry.
-    pub fn register_chunk(&self, chunk: u32, blocks: u32) -> u32 {
-        match &*self.backend {
-            Backend::Dense { bases, counts, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some((base, n)) = bases.get(&chunk) {
-                    if blocks <= *n {
-                        return *base;
-                    }
-                }
-                let mut counts = counts.borrow_mut();
-                let base = counts.len() as u32;
-                let new_len = counts.len() + blocks as usize;
-                counts.resize(new_len, Cell::new(0));
-                bases.insert(chunk, (base, blocks));
-                base
+    /// Count at dense index `idx` (estimated, on a sampling registry).
+    fn get(&self, idx: u32) -> u64 {
+        match &self.inner.store {
+            Store::Dense(counts) => counts.borrow()[idx as usize].get(),
+            Store::Sampling { shared, .. } => shared.tallies().get(idx),
+        }
+    }
+
+    /// Adds `n` at dense index `idx`, exactly on both backends.
+    fn add(&self, idx: u32, n: u64) {
+        match &self.inner.store {
+            Store::Dense(counts) => {
+                let counts = counts.borrow();
+                let c = &counts[idx as usize];
+                c.set(c.get().saturating_add(n));
             }
-            Backend::Hash { .. } => NO_BASE,
-            Backend::Sampling { bases, next, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some((base, n)) = bases.get(&chunk) {
-                    if blocks <= *n {
-                        return *base;
-                    }
-                }
-                let base = next.get();
-                next.set(base + blocks);
-                bases.insert(chunk, (base, blocks));
-                base
+            Store::Sampling { shared, .. } => shared.tallies().add(idx, n),
+        }
+    }
+
+    /// Moves the count at dense index `idx` out, leaving zero.
+    fn take(&self, idx: u32) -> u64 {
+        match &self.inner.store {
+            Store::Dense(counts) => counts.borrow()[idx as usize].replace(0),
+            Store::Sampling { shared, .. } => shared.tallies().take(idx),
+        }
+    }
+
+    /// Registers chunk `chunk` with `blocks` basic blocks and returns the
+    /// base index of its counter range; idempotent (re-registration with
+    /// no more blocks returns the existing base). Registering more blocks
+    /// than before moves the chunk to a fresh, larger range, carrying its
+    /// counts along. The VM registers once per activation, after which
+    /// each block entry is [`BlockCounters::increment_at`] — one index op,
+    /// no hashing.
+    pub fn register_chunk(&self, chunk: u32, blocks: u32) -> u32 {
+        let old = self.inner.bases.borrow().get(&chunk).copied();
+        if let Some((base, n)) = old {
+            if blocks <= n {
+                return base;
             }
         }
+        let base = self.inner.next.get();
+        self.inner.next.set(base + blocks);
+        if let Store::Dense(counts) = &self.inner.store {
+            counts
+                .borrow_mut()
+                .resize((base + blocks) as usize, Cell::new(0));
+        }
+        if let Some((old_base, n)) = old {
+            for b in 0..n {
+                let c = self.take(old_base + b);
+                if c > 0 {
+                    self.add(base + b, c);
+                }
+            }
+        }
+        self.inner.bases.borrow_mut().insert(chunk, (base, blocks));
+        base
     }
 
     /// Records entry into the block at `base + block`: a saturating counter
@@ -232,119 +238,39 @@ impl BlockCounters {
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry, or (dense only) an out-of-range
-    /// index.
+    /// Panics (dense only) on an out-of-range index.
     #[inline]
     pub fn increment_at(&self, base: u32, block: u32) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
+        match &self.inner.store {
+            Store::Dense(counts) => {
                 let counts = counts.borrow();
                 let c = &counts[(base + block) as usize];
                 c.set(c.get().saturating_add(1));
             }
-            Backend::Hash { .. } => {
-                panic!("BlockCounters::increment_at on a hash-keyed registry")
-            }
-            Backend::Sampling { shared, .. } => shared.publish(0, base + block),
+            Store::Sampling { shared, .. } => shared.publish(0, base + block),
         }
     }
 
-    /// Adds one to block `block` of chunk `chunk` (keyed interop path).
+    /// Records entry into block `block` of chunk `chunk` (keyed path for
+    /// tests and tooling). A chunk nobody registered gets its range here.
     pub fn increment(&self, chunk: u32, block: u32) {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let in_range = bases
-                    .borrow()
-                    .get(&chunk)
-                    .filter(|(_, n)| block < *n)
-                    .map(|(base, _)| base + block);
-                match in_range {
-                    Some(idx) => {
-                        let counts = counts.borrow();
-                        let c = &counts[idx as usize];
-                        c.set(c.get().saturating_add(1));
-                    }
-                    None => {
-                        let mut overflow = overflow.borrow_mut();
-                        let c = overflow.entry((chunk, block)).or_insert(0);
-                        *c = c.saturating_add(1);
-                    }
-                }
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let c = counts.entry((chunk, block)).or_insert(0);
-                *c = c.saturating_add(1);
-            }
-            Backend::Sampling { shared, .. } => {
-                // Keyed entries publish the beacon too; a chunk nobody
-                // registered gets a dense range lazily so the sample has a
-                // slot to land in (a sampling registry has no keyed
-                // overflow — estimates only exist per dense slot).
-                let base = self.register_chunk(chunk, block + 1);
-                shared.publish(chunk, base + block);
-            }
-        }
+        let base = self.register_chunk(chunk, block + 1);
+        self.increment_at(base, block);
     }
 
     /// Execution count of a block (0 if never executed).
     pub fn count(&self, chunk: u32, block: u32) -> u64 {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                if let Some(idx) = bases
-                    .borrow()
-                    .get(&chunk)
-                    .filter(|(_, n)| block < *n)
-                    .map(|(base, _)| base + block)
-                {
-                    counts.borrow()[idx as usize].get()
-                } else {
-                    overflow
-                        .borrow()
-                        .get(&(chunk, block))
-                        .copied()
-                        .unwrap_or(0)
-                }
-            }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .get(&(chunk, block))
-                .copied()
-                .unwrap_or(0),
-            Backend::Sampling { bases, shared, .. } => bases
-                .borrow()
-                .get(&chunk)
-                .filter(|(_, n)| block < *n)
-                .map(|(base, _)| shared.tallies().get(base + block))
-                .unwrap_or(0),
+        let base = self.inner.bases.borrow().get(&chunk).copied();
+        match base {
+            Some((base, n)) if block < n => self.get(base + block),
+            _ => 0,
         }
     }
 
     /// Number of blocks with a nonzero count (estimated count, on a
     /// sampling registry).
     pub fn len(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense {
-                counts, overflow, ..
-            } => {
-                counts.borrow().iter().filter(|c| c.get() > 0).count()
-                    + overflow.borrow().values().filter(|c| **c > 0).count()
-            }
-            Backend::Hash { counts } => {
-                counts.borrow().values().filter(|c| **c > 0).count()
-            }
-            Backend::Sampling { next, shared, .. } => (0..next.get())
-                .filter(|i| shared.tallies().get(*i) > 0)
-                .count(),
-        }
+        (0..self.inner.next.get()).filter(|&i| self.get(i) > 0).count()
     }
 
     /// True if no blocks were counted.
@@ -352,20 +278,16 @@ impl BlockCounters {
         self.len() == 0
     }
 
-    /// Zeroes every counter. On a dense registry chunk registrations (and
-    /// therefore activation-cached bases) stay valid.
+    /// Zeroes every counter. Chunk registrations (and therefore
+    /// activation-cached bases) stay valid.
     pub fn clear(&self) {
-        match &*self.backend {
-            Backend::Dense {
-                counts, overflow, ..
-            } => {
+        match &self.inner.store {
+            Store::Dense(counts) => {
                 for c in counts.borrow().iter() {
                     c.set(0);
                 }
-                overflow.borrow_mut().clear();
             }
-            Backend::Hash { counts } => counts.borrow_mut().clear(),
-            Backend::Sampling { shared, .. } => shared.tallies().clear(),
+            Store::Sampling { shared, .. } => shared.tallies().clear(),
         }
     }
 
@@ -377,163 +299,39 @@ impl BlockCounters {
     /// pairs.
     ///
     /// If `new` already has counts of its own, the remapped counts are
-    /// added to them (old's dense range, if any, is folded into keyed
-    /// overflow entries). No-op when `old == new` or `old` was never seen.
+    /// added to them. No-op when `old == new` or `old` was never seen.
     pub fn remap_chunk(&self, old: u32, new: u32) {
         if old == new {
             return;
         }
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let mut bases = bases.borrow_mut();
-                if let Some(entry) = bases.remove(&old) {
-                    use std::collections::hash_map::Entry;
-                    match bases.entry(new) {
-                        Entry::Vacant(v) => {
-                            v.insert(entry);
-                        }
-                        Entry::Occupied(o) => {
-                            // `new` has its own dense range; add old's
-                            // counts into it (in-range blocks must live in
-                            // the dense slots — `count` never consults
-                            // overflow for them) and abandon the old range.
-                            let (new_base, new_n) = *o.get();
-                            let counts = counts.borrow();
-                            let (base, n) = entry;
-                            let mut ov = overflow.borrow_mut();
-                            for b in 0..n {
-                                let cell = &counts[(base + b) as usize];
-                                let c = cell.get();
-                                if c > 0 {
-                                    if b < new_n {
-                                        let dst = &counts[(new_base + b) as usize];
-                                        dst.set(dst.get().saturating_add(c));
-                                    } else {
-                                        let e = ov.entry((new, b)).or_insert(0);
-                                        *e = e.saturating_add(c);
-                                    }
-                                }
-                                cell.set(0);
-                            }
-                        }
-                    }
-                }
-                let new_reg = bases.get(&new).copied();
-                let mut ov = overflow.borrow_mut();
-                let moved: Vec<(u32, u64)> = ov
-                    .iter()
-                    .filter(|((c, _), _)| *c == old)
-                    .map(|((_, b), v)| (*b, *v))
-                    .collect();
-                ov.retain(|(c, _), _| *c != old);
-                for (b, v) in moved {
-                    match new_reg {
-                        Some((nb, nn)) if b < nn => {
-                            let counts = counts.borrow();
-                            let dst = &counts[(nb + b) as usize];
-                            dst.set(dst.get().saturating_add(v));
-                        }
-                        _ => {
-                            let e = ov.entry((new, b)).or_insert(0);
-                            *e = e.saturating_add(v);
-                        }
-                    }
-                }
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let moved: Vec<(u32, u64)> = counts
-                    .iter()
-                    .filter(|((c, _), _)| *c == old)
-                    .map(|((_, b), v)| (*b, *v))
-                    .collect();
-                counts.retain(|(c, _), _| *c != old);
-                for (b, v) in moved {
-                    let e = counts.entry((new, b)).or_insert(0);
-                    *e = e.saturating_add(v);
-                }
-            }
-            Backend::Sampling { bases, shared, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some(entry) = bases.remove(&old) {
-                    use std::collections::hash_map::Entry;
-                    match bases.entry(new) {
-                        Entry::Vacant(v) => {
-                            v.insert(entry);
-                        }
-                        Entry::Occupied(o) => {
-                            // Fold old's estimated tallies into new's dense
-                            // range; blocks beyond new's range have no slot
-                            // on a sampling registry (no keyed overflow) and
-                            // their estimates are dropped.
-                            let (new_base, new_n) = *o.get();
-                            let (base, n) = entry;
-                            let tallies = shared.tallies();
-                            for b in 0..n.min(new_n) {
-                                let c = tallies.take(base + b);
-                                if c > 0 {
-                                    tallies.add(new_base + b, c);
-                                }
-                            }
-                            for b in new_n..n {
-                                tallies.take(base + b);
-                            }
-                        }
-                    }
-                }
+        let Some((base, n)) = self.inner.bases.borrow_mut().remove(&old) else {
+            return;
+        };
+        if !self.inner.bases.borrow().contains_key(&new) {
+            self.inner.bases.borrow_mut().insert(new, (base, n));
+            return;
+        }
+        for b in 0..n {
+            let c = self.take(base + b);
+            if c > 0 {
+                let dst = self.register_chunk(new, b + 1);
+                self.add(dst + b, c);
             }
         }
     }
 
     /// Snapshot of all nonzero counts.
     pub fn snapshot(&self) -> HashMap<(u32, u32), u64> {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let counts = counts.borrow();
-                let mut out: HashMap<(u32, u32), u64> = overflow
-                    .borrow()
-                    .iter()
-                    .filter(|(_, c)| **c > 0)
-                    .map(|(k, c)| (*k, *c))
-                    .collect();
-                for (chunk, (base, n)) in bases.borrow().iter() {
-                    for b in 0..*n {
-                        let c = counts[(base + b) as usize].get();
-                        if c > 0 {
-                            out.insert((*chunk, b), c);
-                        }
-                    }
+        let mut out = HashMap::new();
+        for (chunk, (base, n)) in self.inner.bases.borrow().iter() {
+            for b in 0..*n {
+                let c = self.get(base + b);
+                if c > 0 {
+                    out.insert((*chunk, b), c);
                 }
-                out
-            }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .iter()
-                .filter(|(_, c)| **c > 0)
-                .map(|(k, c)| (*k, *c))
-                .collect(),
-            Backend::Sampling { bases, shared, .. } => {
-                let tallies = shared.tallies();
-                let mut out = HashMap::new();
-                for (chunk, (base, n)) in bases.borrow().iter() {
-                    for b in 0..*n {
-                        let c = tallies.get(base + b);
-                        if c > 0 {
-                            out.insert((*chunk, b), c);
-                        }
-                    }
-                }
-                out
             }
         }
+        out
     }
 }
 
@@ -541,31 +339,22 @@ impl BlockCounters {
 mod tests {
     use super::*;
 
-    fn both() -> [BlockCounters; 2] {
-        [
-            BlockCounters::with_impl(CounterImpl::Dense),
-            BlockCounters::with_impl(CounterImpl::Hash),
-        ]
-    }
-
     #[test]
     fn clones_share_state() {
-        for a in both() {
-            let b = a.clone();
-            b.increment(1, 2);
-            assert_eq!(a.count(1, 2), 1);
-            assert_eq!(a.len(), 1);
-        }
+        let a = BlockCounters::new();
+        let b = a.clone();
+        b.increment(1, 2);
+        assert_eq!(a.count(1, 2), 1);
+        assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn clear_resets() {
-        for a in both() {
-            a.increment(0, 0);
-            a.clear();
-            assert!(a.is_empty());
-            assert_eq!(a.count(0, 0), 0);
-        }
+        let a = BlockCounters::new();
+        a.increment(0, 0);
+        a.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.count(0, 0), 0);
     }
 
     #[test]
@@ -595,52 +384,67 @@ mod tests {
     }
 
     #[test]
-    fn hash_registry_reports_no_base() {
-        let c = BlockCounters::with_impl(CounterImpl::Hash);
-        assert_eq!(c.register_chunk(0, 4), NO_BASE);
-        c.increment(0, 1);
-        assert_eq!(c.count(0, 1), 1);
+    fn growing_a_registration_keeps_its_counts() {
+        let c = BlockCounters::new();
+        c.increment(0, 1); // lazily registers blocks 0..=1
+        let base = c.register_chunk(0, 4);
+        c.increment_at(base, 3);
+        assert_eq!(c.count(0, 1), 1, "moved with the range");
+        assert_eq!(c.count(0, 3), 1);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn remap_carries_counts_to_the_new_id() {
-        for c in both() {
-            c.register_chunk(4, 2);
-            c.increment(4, 0);
-            c.increment(4, 1);
-            c.increment(4, 1);
-            c.increment(4, 9); // overflow on dense, keyed on hash
-            c.remap_chunk(4, 40);
-            assert_eq!(c.count(4, 0), 0, "old id is empty");
-            assert_eq!(c.count(40, 0), 1);
-            assert_eq!(c.count(40, 1), 2);
-            assert_eq!(c.count(40, 9), 1);
-        }
+        let c = BlockCounters::new();
+        c.register_chunk(4, 2);
+        c.increment(4, 0);
+        c.increment(4, 1);
+        c.increment(4, 1);
+        c.increment(4, 9); // beyond the registration: the range grows
+        c.remap_chunk(4, 40);
+        assert_eq!(c.count(4, 0), 0, "old id is empty");
+        assert_eq!(c.count(40, 0), 1);
+        assert_eq!(c.count(40, 1), 2);
+        assert_eq!(c.count(40, 9), 1);
     }
 
     #[test]
     fn remap_merges_into_existing_counts() {
-        for c in both() {
-            c.register_chunk(1, 2);
-            c.register_chunk(2, 2);
-            c.increment(1, 0);
-            c.increment(2, 0);
-            c.increment(2, 1);
-            c.remap_chunk(1, 2);
-            assert_eq!(c.count(2, 0), 2, "counts are summed");
-            assert_eq!(c.count(2, 1), 1);
-            assert_eq!(c.count(1, 0), 0);
-        }
+        let c = BlockCounters::new();
+        c.register_chunk(1, 3);
+        c.register_chunk(2, 2);
+        c.increment(1, 0);
+        c.increment(1, 2);
+        c.increment(2, 0);
+        c.increment(2, 1);
+        c.remap_chunk(1, 2);
+        assert_eq!(c.count(2, 0), 2, "counts are summed");
+        assert_eq!(c.count(2, 1), 1);
+        assert_eq!(c.count(2, 2), 1, "the target range grows to fit");
+        assert_eq!(c.count(1, 0), 0);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]
     fn remap_of_unknown_or_identical_ids_is_a_noop() {
-        for c in both() {
-            c.increment(5, 0);
-            c.remap_chunk(9, 10);
-            c.remap_chunk(5, 5);
-            assert_eq!(c.count(5, 0), 1);
+        let c = BlockCounters::new();
+        c.increment(5, 0);
+        c.remap_chunk(9, 10);
+        c.remap_chunk(5, 5);
+        assert_eq!(c.count(5, 0), 1);
+    }
+
+    #[test]
+    fn snapshot_matches_a_keyed_model() {
+        let c = BlockCounters::new();
+        c.register_chunk(1, 4);
+        let mut model: HashMap<(u32, u32), u64> = HashMap::new();
+        for (chunk, block) in [(1, 0), (1, 3), (2, 5), (1, 0), (2, 1)] {
+            c.increment(chunk, block);
+            *model.entry((chunk, block)).or_insert(0) += 1;
         }
+        assert_eq!(c.snapshot(), model);
     }
 
     #[test]
@@ -700,16 +504,5 @@ mod tests {
         assert_eq!(c.sample_hz(), Some(499));
         assert!(c.has_sampler_thread());
         assert!(c.sampling_shared().is_some());
-    }
-
-    #[test]
-    fn dense_and_hash_snapshot_identically() {
-        let [dense, hash] = both();
-        dense.register_chunk(1, 4);
-        for (chunk, block) in [(1, 0), (1, 3), (2, 5), (1, 0)] {
-            dense.increment(chunk, block);
-            hash.increment(chunk, block);
-        }
-        assert_eq!(dense.snapshot(), hash.snapshot());
     }
 }

@@ -12,7 +12,7 @@
 //! [`lower_chunk`] converts a chunk (in its current block layout order)
 //! into a [`FlatChunk`]. Jump ops carry the resolved target `pc` *and* the
 //! target block id plus a precomputed fall-through flag, so block-counter
-//! bumps and [`crate::VmMetrics`] are bit-identical with the match-loop VM.
+//! bumps and [`crate::VmMetrics`] follow the block graph's own edges.
 //! Superinstruction fusion (see [`crate::fuse`]) happens here, guided by a
 //! [`FusionPlan`]; it never crosses a block boundary, so the lowering is
 //! sound whenever the source chunk is.

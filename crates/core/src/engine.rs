@@ -87,10 +87,9 @@ impl Engine {
     }
 
     /// Selects the counter representation for this session's instrumented
-    /// runs: dense slot-indexed (the default), the legacy hash-keyed
-    /// baseline, or statistical sampling (beacon + sampler thread at
-    /// [`pgmp_profiler::DEFAULT_SAMPLE_HZ`]; use [`Engine::set_sampling`]
-    /// to pick the rate). Replaces the session counters, so call it before
+    /// runs: dense slot-indexed (the default) or statistical sampling
+    /// (beacon + sampler thread at [`pgmp_profiler::DEFAULT_SAMPLE_HZ`];
+    /// use [`Engine::set_sampling`] to pick the rate). Replaces the session counters, so call it before
     /// the first instrumented run.
     pub fn set_counter_impl(&mut self, kind: CounterImpl) {
         self.state.borrow_mut().counters = Counters::with_impl(kind);
@@ -168,8 +167,7 @@ impl Engine {
     /// Writes this session's weights to `path` in profile format **v2**,
     /// carrying the dense slot table alongside the weights so a future
     /// process can preload its counter registry and skip re-interning
-    /// (see `docs/PROFILE_FORMAT.md`). Sessions using the hash counter
-    /// backend have no slot table; the v2 file then carries weights only.
+    /// (see `docs/PROFILE_FORMAT.md`).
     ///
     /// # Errors
     ///
@@ -181,7 +179,7 @@ impl Engine {
                 Some(hz) => Provenance::Sampled { hz },
                 None => Provenance::Exact,
             };
-            (st.counters.slot_table(), provenance)
+            (Some(st.counters.slot_table()), provenance)
         };
         StoredProfile::v2(self.current_weights(), slots)
             .with_provenance(provenance)
@@ -217,7 +215,6 @@ impl Engine {
                         st.counters = Counters::with_slot_table_sampling(table, hz);
                     }
                 }
-                CounterImpl::Hash => {}
             }
         }
         self.set_profile(stored.info);
@@ -484,23 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_counter_impl_counts_like_dense() {
-        let program = "(define (f n) (* n n)) (f 2) (f 3) (f 4)";
-        let mut dense = Engine::new();
-        assert_eq!(dense.counter_impl(), CounterImpl::Dense);
-        dense.set_instrumentation(ProfileMode::EveryExpression);
-        dense.run_str(program, "ci.scm").unwrap();
-
-        let mut hash = Engine::new();
-        hash.set_counter_impl(CounterImpl::Hash);
-        assert_eq!(hash.counter_impl(), CounterImpl::Hash);
-        hash.set_instrumentation(ProfileMode::EveryExpression);
-        hash.run_str(program, "ci.scm").unwrap();
-
-        assert_eq!(dense.counters().snapshot(), hash.counters().snapshot());
-    }
-
-    #[test]
     fn uninstrumented_run_counts_nothing() {
         let mut e = Engine::new();
         e.run_str("(define (f) 'x) (f)", "t.scm").unwrap();
@@ -714,7 +694,7 @@ mod tests {
         assert_eq!(warm.counter_impl(), CounterImpl::Sampling);
         assert_eq!(warm.counters().sample_hz(), Some(500), "rate survives preload");
         assert!(
-            warm.counters().slot_table().is_some_and(|t| !t.is_empty()),
+            !warm.counters().slot_table().is_empty(),
             "slot table preloaded into the sampling registry"
         );
     }

@@ -110,12 +110,9 @@ impl Core {
 /// carries a source object, caching it on the node. After this, an
 /// instrumented run against `counters` never takes the resolve path — the
 /// point is "resolved at instrumentation time", and every bump is a vector
-/// index. No-op for hash-keyed registries (map id 0).
+/// index.
 pub fn resolve_profile_slots(root: &Core, counters: &Counters) {
     let map_id = counters.map_id();
-    if map_id == 0 {
-        return;
-    }
     root.walk(&mut |node| {
         if let Some(src) = node.src {
             if node.cached_slot(map_id).is_none() {

@@ -365,14 +365,9 @@ impl Interp {
 /// dense counters, one relaxed beacon store on sampling counters; the first
 /// hit per node resolves and caches the slot, unless
 /// [`crate::resolve_profile_slots`] already did so at instrumentation time.
-/// Hash-keyed registries fall back to the legacy keyed increment.
 #[inline]
 fn bump(counters: &Counters, expr: &Core, src: SourceObject) {
     let map_id = counters.map_id();
-    if map_id == 0 {
-        counters.increment(src);
-        return;
-    }
     let slot = match expr.cached_slot(map_id) {
         Some(slot) => slot,
         None => {

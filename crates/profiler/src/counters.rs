@@ -1,15 +1,13 @@
 //! Live profile counters and per-run datasets.
 //!
-//! Three representations live behind the same [`Counters`] handle:
+//! Two representations live behind the same [`Counters`] handle, both
+//! slot-indexed:
 //!
 //! - **Dense** (the default): each profile point is resolved once — at
 //!   instrumentation time — to a stable `u32` slot in a [`SlotMap`], and a
 //!   bump is an unsynchronized `Vec<Cell<u64>>` index. This is the cost
 //!   model the paper assumes ("a profile point compiles down to a plain
 //!   counter increment").
-//! - **Hash**: the legacy `HashMap<SourceObject, u64>` keyed by profile
-//!   point, kept as an interop view and as the baseline the e7 overhead
-//!   experiment measures against.
 //! - **Sampling**: the always-on backend. A profiled event publishes a
 //!   current-position beacon (one relaxed atomic store, see
 //!   [`crate::sampling`]); a decoupled sampler thread ticking at a
@@ -21,7 +19,7 @@
 //!   oracle rely on; only the hot-path [`Counters::record_hit`] trades
 //!   exactness for ~zero mutator overhead.
 //!
-//! All three snapshot into the same [`Dataset`], so weight normalization,
+//! Both snapshot into the same [`Dataset`], so weight normalization,
 //! dataset merging, and `store-profile`/`load-profile` are unchanged.
 
 use crate::sampling::{Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
@@ -39,8 +37,6 @@ pub enum CounterImpl {
     /// Dense slot-indexed counters (resolve once, then vector bumps).
     #[default]
     Dense,
-    /// Legacy hash-keyed counters (one `SourceObject` hash per bump).
-    Hash,
     /// Statistical sampling: hot-path events publish a position beacon
     /// (one relaxed store) and a sampler estimates counts from it.
     Sampling,
@@ -52,19 +48,18 @@ impl std::str::FromStr for CounterImpl {
     fn from_str(s: &str) -> Result<CounterImpl, String> {
         match s {
             "dense" => Ok(CounterImpl::Dense),
-            "hash" => Ok(CounterImpl::Hash),
             "sampling" => Ok(CounterImpl::Sampling),
             other => Err(format!(
-                "unknown counter impl `{other}` (dense|hash|sampling)"
+                "unknown counter impl `{other}` (dense|sampling)"
             )),
         }
     }
 }
 
-/// Process-global id generator for dense maps. Ids start at 1 so that 0
-/// can mean both "hash-keyed registry" and "unresolved cache entry" — a
-/// slot cached on an AST node under map id `m` is valid only against the
-/// `Counters` whose [`Counters::map_id`] is exactly `m`.
+/// Process-global id generator for slot maps. Ids start at 1 so that 0
+/// means "unresolved cache entry" — a slot cached on an AST node under map
+/// id `m` is valid only against the `Counters` whose [`Counters::map_id`]
+/// is exactly `m`.
 static NEXT_MAP_ID: AtomicU32 = AtomicU32::new(1);
 
 #[derive(Debug)]
@@ -76,9 +71,6 @@ enum Backend {
         /// Per-slot count as of the last [`Counters::take_delta`], the
         /// baseline the next delta is computed against.
         reported: RefCell<Vec<u64>>,
-    },
-    Hash {
-        counts: RefCell<HashMap<SourceObject, u64>>,
     },
     Sampling {
         map_id: u32,
@@ -141,9 +133,6 @@ impl Counters {
                 slots: RefCell::new(SlotMap::new()),
                 counts: RefCell::new(Vec::new()),
                 reported: RefCell::new(Vec::new()),
-            },
-            CounterImpl::Hash => Backend::Hash {
-                counts: RefCell::new(HashMap::new()),
             },
             CounterImpl::Sampling => {
                 return Counters::with_sampling(DEFAULT_SAMPLE_HZ);
@@ -209,15 +198,15 @@ impl Counters {
         Counters::sampling_with(table, hz, true)
     }
 
-    /// A snapshot of the slot table (`None` for hash-keyed registries).
-    /// This is what a v2 profile file persists so the next process can
-    /// skip re-interning.
-    pub fn slot_table(&self) -> Option<SlotMap> {
+    /// A snapshot of the slot table. This is what a v2 profile file
+    /// persists so the next process can skip re-interning.
+    pub fn slot_table(&self) -> SlotMap {
+        self.slots().clone()
+    }
+
+    fn slots(&self) -> std::cell::Ref<'_, SlotMap> {
         match &*self.backend {
-            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => {
-                Some(slots.borrow().clone())
-            }
-            Backend::Hash { .. } => None,
+            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => slots.borrow(),
         }
     }
 
@@ -225,19 +214,17 @@ impl Counters {
     pub fn impl_kind(&self) -> CounterImpl {
         match &*self.backend {
             Backend::Dense { .. } => CounterImpl::Dense,
-            Backend::Hash { .. } => CounterImpl::Hash,
             Backend::Sampling { .. } => CounterImpl::Sampling,
         }
     }
 
-    /// Identity of this registry's slot map, or 0 for hash-keyed
-    /// registries. A slot id is only meaningful together with the map id it
-    /// was resolved under; callers caching slots must revalidate against
-    /// this before using [`Counters::add_slot`].
+    /// Identity of this registry's slot map (never 0). A slot id is only
+    /// meaningful together with the map id it was resolved under; callers
+    /// caching slots must revalidate against this before using
+    /// [`Counters::add_slot`].
     pub fn map_id(&self) -> u32 {
         match &*self.backend {
             Backend::Dense { map_id, .. } | Backend::Sampling { map_id, .. } => *map_id,
-            Backend::Hash { .. } => 0,
         }
     }
 
@@ -286,10 +273,6 @@ impl Counters {
     /// resolution. Stable: the same point always maps to the same slot for
     /// the lifetime of the registry (clearing counts does not disturb
     /// slots).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hash-keyed registry — check `map_id() != 0` first.
     pub fn resolve(&self, p: SourceObject) -> u32 {
         match &*self.backend {
             Backend::Dense { slots, counts, .. } => {
@@ -301,9 +284,6 @@ impl Counters {
                 slot
             }
             Backend::Sampling { slots, .. } => slots.borrow_mut().resolve(p),
-            Backend::Hash { .. } => {
-                panic!("Counters::resolve on a hash-keyed registry (map_id 0)")
-            }
         }
     }
 
@@ -312,7 +292,7 @@ impl Counters {
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics (dense) if `slot` was never resolved.
     #[inline]
     pub fn add_slot(&self, slot: u32, n: u64) {
         match &*self.backend {
@@ -322,9 +302,6 @@ impl Counters {
                 c.set(c.get().saturating_add(n));
             }
             Backend::Sampling { shared, .. } => shared.tallies().add(slot, n),
-            Backend::Hash { .. } => {
-                panic!("Counters::add_slot on a hash-keyed registry (map_id 0)")
-            }
         }
     }
 
@@ -336,7 +313,7 @@ impl Counters {
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics (dense) if `slot` was never resolved.
     #[inline]
     pub fn record_hit(&self, slot: u32) {
         match &*self.backend {
@@ -346,9 +323,6 @@ impl Counters {
                 c.set(c.get().saturating_add(1));
             }
             Backend::Sampling { map_id, shared, .. } => shared.publish(*map_id, slot),
-            Backend::Hash { .. } => {
-                panic!("Counters::record_hit on a hash-keyed registry (map_id 0)")
-            }
         }
     }
 
@@ -367,26 +341,20 @@ impl Counters {
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics (dense) if `slot` was never resolved.
     pub fn count_slot(&self, slot: u32) -> u64 {
         match &*self.backend {
             Backend::Dense { counts, .. } => counts.borrow()[slot as usize].get(),
             Backend::Sampling { shared, .. } => shared.tallies().get(slot),
-            Backend::Hash { .. } => {
-                panic!("Counters::count_slot on a hash-keyed registry (map_id 0)")
-            }
         }
     }
 
-    /// Number of slots resolved so far (0 for hash-keyed registries).
-    /// Unlike [`Counters::len`], this counts *instrumented* points, not
-    /// *executed* ones, and is unaffected by [`Counters::clear`] — tests
-    /// use it to assert that cached code replays without re-resolution.
+    /// Number of slots resolved so far. Unlike [`Counters::len`], this
+    /// counts *instrumented* points, not *executed* ones, and is unaffected
+    /// by [`Counters::clear`] — tests use it to assert that cached code
+    /// replays without re-resolution.
     pub fn resolved_slots(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => slots.borrow().len(),
-            Backend::Hash { .. } => 0,
-        }
+        self.slots().len()
     }
 
     /// Adds one to the counter for profile point `p`, saturating at
@@ -401,32 +369,14 @@ impl Counters {
     /// adaptive loop can genuinely exhaust a `u64` on a hot point, and a
     /// wrapped counter would silently invert every weight derived from it.
     pub fn add(&self, p: SourceObject, n: u64) {
-        match &*self.backend {
-            Backend::Dense { .. } | Backend::Sampling { .. } => {
-                let slot = self.resolve(p);
-                self.add_slot(slot, n);
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let c = counts.entry(p).or_insert(0);
-                *c = c.saturating_add(n);
-            }
-        }
+        let slot = self.resolve(p);
+        self.add_slot(slot, n);
     }
 
     /// Current count for `p` (0 if never incremented).
     pub fn count(&self, p: SourceObject) -> u64 {
-        match &*self.backend {
-            Backend::Dense { slots, counts, .. } => match slots.borrow().get(p) {
-                Some(slot) => counts.borrow()[slot as usize].get(),
-                None => 0,
-            },
-            Backend::Sampling { slots, shared, .. } => match slots.borrow().get(p) {
-                Some(slot) => shared.tallies().get(slot),
-                None => 0,
-            },
-            Backend::Hash { counts } => counts.borrow().get(&p).copied().unwrap_or(0),
-        }
+        let slot = self.slots().get(p);
+        slot.map_or(0, |slot| self.count_slot(slot))
     }
 
     /// Number of profile points with a nonzero count.
@@ -439,7 +389,6 @@ impl Counters {
                 let n = slots.borrow().len() as u32;
                 (0..n).filter(|&s| shared.tallies().get(s) > 0).count()
             }
-            Backend::Hash { counts } => counts.borrow().values().filter(|c| **c > 0).count(),
         }
     }
 
@@ -448,9 +397,9 @@ impl Counters {
         self.len() == 0
     }
 
-    /// Zeroes all counters. On a dense registry the slot assignment is
-    /// preserved, so slot ids cached on AST nodes or embedded in bytecode
-    /// stay valid across profile resets.
+    /// Zeroes all counters. The slot assignment is preserved, so slot ids
+    /// cached on AST nodes or embedded in bytecode stay valid across
+    /// profile resets.
     pub fn clear(&self) {
         match &*self.backend {
             Backend::Dense { counts, .. } => {
@@ -459,7 +408,6 @@ impl Counters {
                 }
             }
             Backend::Sampling { shared, .. } => shared.tallies().clear(),
-            Backend::Hash { counts } => counts.borrow_mut().clear(),
         }
     }
 
@@ -472,10 +420,6 @@ impl Counters {
     ///
     /// A [`Counters::clear`] between deltas rebases the baseline silently
     /// (counts that went *down* report nothing rather than underflowing).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hash-keyed registry — check `map_id() != 0` first.
     pub fn take_delta(&self) -> Vec<(u32, u64)> {
         match &*self.backend {
             Backend::Dense {
@@ -518,15 +462,12 @@ impl Counters {
                 }
                 delta
             }
-            Backend::Hash { .. } => {
-                panic!("Counters::take_delta on a hash-keyed registry (map_id 0)")
-            }
         }
     }
 
     /// Snapshots the current counts into an immutable [`Dataset`]. Points
-    /// with a zero count are omitted, so dense and hash registries fed the
-    /// same increments snapshot to *identical* datasets.
+    /// with a zero count are omitted, so dense and sampling registries fed
+    /// the same exact adds snapshot to *identical* datasets.
     pub fn snapshot(&self) -> Dataset {
         let counts = match &*self.backend {
             Backend::Dense { slots, counts, .. } => {
@@ -547,12 +488,6 @@ impl Counters {
                     .map(|(i, c)| (slots.point(i), c))
                     .collect()
             }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .iter()
-                .filter(|(_, c)| **c > 0)
-                .map(|(p, c)| (*p, *c))
-                .collect(),
         };
         Dataset { counts }
     }
@@ -622,13 +557,9 @@ mod tests {
 
     /// One registry per backend. The sampling one is manually driven (no
     /// thread): with no `record_hit`/`sample_now` in sight its keyed and
-    /// slot APIs must behave exactly like the exact backends.
-    fn all_impls() -> [Counters; 3] {
-        [
-            Counters::with_impl(CounterImpl::Dense),
-            Counters::with_impl(CounterImpl::Hash),
-            Counters::sampling_manual(),
-        ]
+    /// slot APIs must behave exactly like the dense backend.
+    fn all_impls() -> [Counters; 2] {
+        [Counters::new(), Counters::sampling_manual()]
     }
 
     #[test]
@@ -694,15 +625,9 @@ mod tests {
         }
     }
 
-    /// The two slot-indexed backends: same slot/take_delta surface, exact
-    /// vs estimated storage.
-    fn slotted() -> [Counters; 2] {
-        [Counters::new(), Counters::sampling_manual()]
-    }
-
     #[test]
     fn dense_slots_survive_clear() {
-        for c in slotted() {
+        for c in all_impls() {
             let s0 = c.resolve(p(0));
             let s1 = c.resolve(p(1));
             c.add_slot(s0, 3);
@@ -718,7 +643,7 @@ mod tests {
 
     #[test]
     fn slot_and_keyed_apis_agree() {
-        for c in slotted() {
+        for c in all_impls() {
             let s = c.resolve(p(9));
             c.add_slot(s, 4);
             c.increment(p(9));
@@ -734,19 +659,16 @@ mod tests {
         assert_ne!(a.map_id(), b.map_id());
         assert_ne!(a.map_id(), 0);
         assert_ne!(Counters::sampling_manual().map_id(), 0);
-        assert_eq!(Counters::with_impl(CounterImpl::Hash).map_id(), 0);
         assert_eq!(a.map_id(), a.clone().map_id(), "clones share the map");
     }
 
     #[test]
     fn all_backends_snapshot_identically() {
-        let [dense, hash, sampling] = all_impls();
+        let [dense, sampling] = all_impls();
         for (point, n) in [(p(0), 2), (p(7), 1), (p(0), 3), (p(2), 5)] {
             dense.add(point, n);
-            hash.add(point, n);
             sampling.add(point, n);
         }
-        assert_eq!(dense.snapshot(), hash.snapshot());
         assert_eq!(dense.snapshot(), sampling.snapshot());
     }
 
@@ -755,8 +677,7 @@ mod tests {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
         let s1 = c.resolve(p(1));
-        let table = c.slot_table().unwrap();
-        let warm = Counters::with_slot_table(table);
+        let warm = Counters::with_slot_table(c.slot_table());
         assert_eq!(warm.resolved_slots(), 2, "slots preloaded");
         assert!(warm.is_empty(), "counts start at zero");
         assert_eq!(warm.resolve(p(0)), s0, "same slot ids as the saver");
@@ -764,12 +685,11 @@ mod tests {
         warm.add_slot(s1, 3);
         assert_eq!(warm.count(p(1)), 3);
         assert_ne!(warm.map_id(), c.map_id(), "fresh map id");
-        assert!(Counters::with_impl(CounterImpl::Hash).slot_table().is_none());
     }
 
     #[test]
     fn take_delta_partitions_hits_exactly() {
-        for c in slotted() {
+        for c in all_impls() {
             let s0 = c.resolve(p(0));
             let s1 = c.resolve(p(1));
             c.add_slot(s0, 5);
@@ -788,7 +708,7 @@ mod tests {
 
     #[test]
     fn take_delta_rebases_after_clear() {
-        for c in slotted() {
+        for c in all_impls() {
             let s = c.resolve(p(0));
             c.add_slot(s, 10);
             assert_eq!(c.take_delta(), vec![(s, 10)]);
@@ -841,8 +761,7 @@ mod tests {
     fn sampling_preloaded_slot_table_skips_interning() {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
-        let table = c.slot_table().unwrap();
-        let warm = Counters::with_slot_table_sampling(table, 101);
+        let warm = Counters::with_slot_table_sampling(c.slot_table(), 101);
         assert_eq!(warm.resolved_slots(), 1, "slots preloaded");
         assert_eq!(warm.resolve(p(0)), s0, "same slot ids as the saver");
         assert_eq!(warm.impl_kind(), CounterImpl::Sampling);

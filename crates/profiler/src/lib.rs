@@ -6,8 +6,8 @@
 //!   while a program runs instrumented. Dense slot-indexed by default: a
 //!   [`SlotMap`] interns each profile point ([`pgmp_syntax::SourceObject`])
 //!   to a stable `u32` slot at instrumentation time, so a bump is a plain
-//!   vector index instead of a hash; the legacy hash-keyed representation
-//!   survives behind [`CounterImpl::Hash`] as an interop/baseline view;
+//!   vector index instead of a hash ([`CounterImpl::Dense`], exact, or
+//!   [`CounterImpl::Sampling`], estimated from position samples);
 //! - [`Dataset`] — a snapshot of counters from one profiled run;
 //! - [`ProfileInformation`] — **profile weights** in `[0,1]`, computed from
 //!   one or more datasets and merged by weighted averaging exactly as

@@ -1,8 +1,8 @@
 //! Property-based equivalence oracle: the dense slot-indexed counter
-//! backend, the legacy hash-keyed backend, and the sampling backend's
-//! *exact surface* are observationally identical. Any interleaving of
-//! increments, bulk adds, slot-cached bumps, and clears produces the same
-//! counts and the same [`Dataset`] snapshot from every representation.
+//! backend and the sampling backend's *exact surface* both behave like a
+//! plain `HashMap<SourceObject, u64>` model kept inside the test. Any
+//! interleaving of increments, bulk adds, slot-cached bumps, and clears
+//! produces the model's counts and the model's [`Dataset`] snapshot.
 //!
 //! Only [`Counters::record_hit`] diverges between backends (dense counts,
 //! sampling publishes a beacon) — everything else, including `add_slot`,
@@ -10,32 +10,31 @@
 //! what lets sampled estimates flow through §3.2 merging, the v2 store,
 //! and fleet deltas unchanged.
 
-use pgmp_profiler::{CounterImpl, Counters, Dataset};
+use pgmp_profiler::{Counters, Dataset};
 use pgmp_syntax::SourceObject;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn point(n: u32) -> SourceObject {
     SourceObject::new("oracle.scm", n, n + 1)
 }
 
-/// The three registries under comparison. The sampling one is manually
-/// driven (no sampler thread), so its exact ops are fully deterministic.
-fn all() -> [Counters; 3] {
-    [
-        Counters::with_impl(CounterImpl::Dense),
-        Counters::with_impl(CounterImpl::Hash),
-        Counters::sampling_manual(),
-    ]
+/// The two registries under test. The sampling one is manually driven (no
+/// sampler thread), so its exact ops are fully deterministic.
+fn all() -> [Counters; 2] {
+    [Counters::new(), Counters::sampling_manual()]
 }
+
+/// The reference model: one saturating count per point.
+type Model = HashMap<SourceObject, u64>;
 
 /// One step of the randomized workload.
 #[derive(Clone, Debug)]
 enum Op {
     Increment(u32),
     Add(u32, u64),
-    /// Bump through the dense slot API where available (resolve + add_slot
-    /// on slotted registries, keyed add on the hash registry) — the paths
-    /// must be indistinguishable.
+    /// Bump through the dense slot API (resolve + add_slot) — the path
+    /// must be indistinguishable from a keyed add.
     SlotAdd(u32, u64),
     Clear,
 }
@@ -57,75 +56,67 @@ fn apply(c: &Counters, op: &Op) {
         Op::Increment(p) => c.increment(point(p)),
         Op::Add(p, n) => c.add(point(p), n),
         Op::SlotAdd(p, n) => {
-            // map_id != 0 means the registry hands out dense slots —
-            // dense and sampling both do.
-            if c.map_id() != 0 {
-                let slot = c.resolve(point(p));
-                c.add_slot(slot, n);
-            } else {
-                c.add(point(p), n);
-            }
+            let slot = c.resolve(point(p));
+            c.add_slot(slot, n);
         }
         Op::Clear => c.clear(),
     }
 }
 
+fn apply_model(m: &mut Model, op: &Op) {
+    let mut bump = |p: u32, n: u64| {
+        let c = m.entry(point(p)).or_insert(0);
+        *c = c.saturating_add(n);
+    };
+    match *op {
+        Op::Increment(p) => bump(p, 1),
+        Op::Add(p, n) | Op::SlotAdd(p, n) => bump(p, n),
+        Op::Clear => m.clear(),
+    }
+}
+
+fn model_dataset(m: &Model) -> Dataset {
+    m.iter().filter(|(_, c)| **c > 0).map(|(p, c)| (*p, *c)).collect()
+}
+
 proptest! {
-    /// All three backends agree on every observable — per-point counts,
-    /// population size, and the full snapshot — after any op sequence.
+    /// Both backends agree with the model on every observable — per-point
+    /// counts, population size, and the full snapshot — after any op
+    /// sequence.
     #[test]
-    fn backends_are_observationally_equal(
+    fn backends_match_the_model(
         ops in proptest::collection::vec(op(), 0..80),
     ) {
-        let [dense, hash, sampling] = all();
+        let mut model = Model::new();
         for op in &ops {
-            apply(&dense, op);
-            apply(&hash, op);
-            apply(&sampling, op);
+            apply_model(&mut model, op);
         }
-        for other in [&hash, &sampling] {
+        for c in all() {
+            for op in &ops {
+                apply(&c, op);
+            }
             for p in 0..12 {
                 prop_assert_eq!(
-                    dense.count(point(p)),
-                    other.count(point(p)),
-                    "point {} on {:?}", p, other.impl_kind()
+                    c.count(point(p)),
+                    model.get(&point(p)).copied().unwrap_or(0),
+                    "point {} on {:?}", p, c.impl_kind()
                 );
             }
-            prop_assert_eq!(dense.len(), other.len());
-            prop_assert_eq!(dense.is_empty(), other.is_empty());
-            prop_assert_eq!(dense.snapshot(), other.snapshot());
-        }
-    }
-
-    /// Snapshots round-trip through the dataset pipeline identically:
-    /// feeding every backend the same dataset reproduces it.
-    #[test]
-    fn absorbed_datasets_round_trip(
-        counts in proptest::collection::vec((0u32..16, 1u64..500), 0..32),
-    ) {
-        let expected: Dataset = {
-            let mut m = std::collections::HashMap::new();
-            for (p, c) in &counts {
-                *m.entry(point(*p)).or_insert(0u64) += c;
-            }
-            m.into_iter().collect()
-        };
-        for c in all() {
-            for (p, n) in &counts {
-                c.add(point(*p), *n);
-            }
-            prop_assert_eq!(c.snapshot(), expected.clone(), "{:?}", c.impl_kind());
+            let expected = model_dataset(&model);
+            prop_assert_eq!(c.len(), expected.len());
+            prop_assert_eq!(c.is_empty(), expected.is_empty());
+            prop_assert_eq!(c.snapshot(), expected);
         }
     }
 
     /// Slot ids are stable across clears for the registry's whole
-    /// lifetime, on both slotted backends: whatever ops ran in between,
+    /// lifetime, on both backends: whatever ops ran in between,
     /// re-resolving a point always yields its original slot.
     #[test]
     fn slots_stay_stable_under_any_workload(
         ops in proptest::collection::vec(op(), 0..60),
     ) {
-        for c in [Counters::new(), Counters::sampling_manual()] {
+        for c in all() {
             let pinned: Vec<u32> = (0..4).map(|p| c.resolve(point(p))).collect();
             for op in &ops {
                 apply(&c, op);
@@ -136,15 +127,14 @@ proptest! {
         }
     }
 
-    /// `take_delta` partitions hits identically on both slotted backends,
-    /// across clears (which rebase the reported baseline) and re-keying.
+    /// `take_delta` partitions hits identically on both backends, across
+    /// clears (which rebase the reported baseline) and re-keying.
     #[test]
-    fn take_delta_agrees_across_slotted_backends(
+    fn take_delta_agrees_across_backends(
         ops in proptest::collection::vec(op(), 0..60),
         cut in 0usize..60,
     ) {
-        let dense = Counters::new();
-        let sampling = Counters::sampling_manual();
+        let [dense, sampling] = all();
         let cut = cut.min(ops.len());
         for op in &ops[..cut] {
             apply(&dense, op);
