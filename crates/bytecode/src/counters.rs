@@ -11,6 +11,7 @@
 //! estimated counts (see `pgmp_profiler::sampling`).
 
 use pgmp_profiler::{CounterImpl, Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
+use pgmp_syntax::FnvHashMap;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -34,7 +35,8 @@ enum Store {
 #[derive(Debug)]
 struct Inner {
     /// chunk id → (base, block count): the chunk's range of dense indexes.
-    bases: RefCell<HashMap<u32, (u32, u32)>>,
+    /// Read on every VM activation while profiling, so FNV-keyed.
+    bases: RefCell<FnvHashMap<u32, (u32, u32)>>,
     /// Next free dense index.
     next: Cell<u32>,
     store: Store,
@@ -106,7 +108,7 @@ impl BlockCounters {
     fn with_store(store: Store) -> BlockCounters {
         BlockCounters {
             inner: Rc::new(Inner {
-                bases: RefCell::new(HashMap::new()),
+                bases: RefCell::new(FnvHashMap::default()),
                 next: Cell::new(0),
                 store,
             }),

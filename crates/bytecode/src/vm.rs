@@ -18,8 +18,8 @@ use crate::flat::{self, FlatChunk, JumpTarget, Op};
 use crate::fuse::FusionPlan;
 use pgmp_eval::{Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value};
 use pgmp_observe as observe;
+use pgmp_syntax::{FnvHashMap, SourceObject};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Sentinel for an unresolved entry in a chunk's global-slot cache.
@@ -111,6 +111,32 @@ struct FlatEntry {
     globals: Rc<[Cell<u32>]>,
 }
 
+/// Slots in [`FlatIc`] (a power of two).
+const IC_SLOTS: usize = 64;
+
+/// Direct-mapped cache of flat lowerings in front of the lambda map,
+/// indexed by `LambdaDef` pointer bits: a closure call that hits it does
+/// no hashing, and call sites alternating between a few callees (method
+/// dispatch, visitors) keep all of them resident where a one-entry cache
+/// would thrash.
+struct FlatIc(Box<[Option<(usize, FlatEntry)>]>);
+
+impl Default for FlatIc {
+    fn default() -> FlatIc {
+        FlatIc(vec![None; IC_SLOTS].into_boxed_slice())
+    }
+}
+
+impl FlatIc {
+    /// The slot for def pointer `key`: a multiplicative spread of the
+    /// pointer, so neighbouring allocations land in different slots.
+    #[inline]
+    fn slot(key: usize) -> usize {
+        let spread = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (spread >> (64 - IC_SLOTS.trailing_zeros())) as usize
+    }
+}
+
 /// The bytecode virtual machine.
 ///
 /// Owns its chunk/lowering caches and borrows an [`Interp`] per run for
@@ -118,20 +144,19 @@ struct FlatEntry {
 /// higher-order natives. See the crate-level example.
 #[derive(Default)]
 pub struct Vm {
-    chunk_cache: HashMap<usize, Rc<Chunk>>,
+    chunk_cache: FnvHashMap<usize, Rc<Chunk>>,
     /// Flat lowerings of lambda chunks, keyed like `chunk_cache` by the
     /// `LambdaDef` pointer; invalidated by `set_fusion`/`relayout_cached`.
-    flat_lambda_cache: HashMap<usize, FlatEntry>,
-    /// One-entry inline cache in front of `flat_lambda_cache`: calls in a
-    /// loop are overwhelmingly monomorphic, so the common closure call
-    /// skips the hash lookup entirely.
-    last_flat: Option<(usize, FlatEntry)>,
+    flat_lambda_cache: FnvHashMap<usize, FlatEntry>,
+    /// Direct-mapped cache in front of `flat_lambda_cache`, invalidated
+    /// with it.
+    flat_ic: FlatIc,
     /// Flat lowerings of toplevel chunks passed to [`Vm::run_chunk`],
     /// keyed by chunk id and revalidated against [`flat::layout_sig`]
     /// (callers may re-lay-out a chunk without changing its id).
-    flat_cache: HashMap<u32, FlatEntry>,
+    flat_cache: FnvHashMap<u32, FlatEntry>,
     /// Per-chunk global-slot caches, keyed by chunk id.
-    global_caches: HashMap<u32, Rc<[Cell<u32>]>>,
+    global_caches: FnvHashMap<u32, Rc<[Cell<u32>]>>,
     /// Block-level profile counters, when enabled.
     pub block_counters: Option<BlockCounters>,
     /// Execution statistics for the current/most recent run.
@@ -158,7 +183,7 @@ impl Vm {
         if plan != self.fusion {
             self.fusion = plan;
             self.flat_lambda_cache.clear();
-            self.last_flat = None;
+            self.flat_ic = FlatIc::default();
             self.flat_cache.clear();
         }
     }
@@ -227,7 +252,7 @@ impl Vm {
             *chunk = Rc::new(crate::layout::optimize_layout(chunk, counters));
         }
         self.flat_lambda_cache.clear();
-        self.last_flat = None;
+        self.flat_ic = FlatIc::default();
     }
 
     fn chunk_for(&mut self, def: &Rc<LambdaDef>) -> Rc<Chunk> {
@@ -241,11 +266,12 @@ impl Vm {
     }
 
     /// The flat lowering of a lambda's chunk (with its global-slot cache),
-    /// cached by def pointer behind a one-entry inline cache. Also
+    /// cached by def pointer behind the direct-mapped [`FlatIc`]. Also
     /// populates `chunk_cache`, which layout/CFG consumers read.
     fn flat_for(&mut self, def: &Rc<LambdaDef>) -> FlatEntry {
         let key = Rc::as_ptr(def) as usize;
-        if let Some((k, entry)) = &self.last_flat {
+        let slot = FlatIc::slot(key);
+        if let Some((k, entry)) = &self.flat_ic.0[slot] {
             if *k == key {
                 return entry.clone();
             }
@@ -261,7 +287,7 @@ impl Vm {
                 entry
             }
         };
-        self.last_flat = Some((key, entry.clone()));
+        self.flat_ic.0[slot] = Some((key, entry.clone()));
         entry
     }
 
@@ -458,11 +484,9 @@ impl Vm {
                         stack.push(v);
                         continue;
                     }
-                    let args = stack.split_off(stack.len() - argc as usize);
-                    let callee = stack.pop().expect("stack underflow");
                     let src = cur.code.srcs[src as usize];
                     self.call_value(
-                        interp, callee, args, src, &mut stack, &mut saved, &mut cur, m, counters,
+                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
                     )?;
                 }
                 Op::Pop => {
@@ -521,10 +545,10 @@ impl Vm {
                             None
                         }
                         None => {
-                            let args = stack.split_off(stack.len() - argc as usize);
-                            let callee = stack.pop().expect("stack underflow");
                             let src = cur.code.srcs[src as usize];
-                            self.tail_call_value(interp, callee, args, src, &mut cur, m, counters)?
+                            self.tail_call_value(
+                                interp, argc, src, &mut stack, &mut cur, m, counters,
+                            )?
                         }
                     };
                     if let Some(v) = flow {
@@ -572,11 +596,9 @@ impl Vm {
                         stack.push(v);
                         continue;
                     }
-                    let args = stack.split_off(stack.len() - argc as usize);
-                    let callee = stack.pop().expect("stack underflow");
                     let src = cur.code.srcs[src as usize];
                     self.call_value(
-                        interp, callee, args, src, &mut stack, &mut saved, &mut cur, m, counters,
+                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
                     )?;
                 }
                 Op::ImmCall { pool, argc, src } => {
@@ -588,11 +610,9 @@ impl Vm {
                         stack.push(v);
                         continue;
                     }
-                    let args = stack.split_off(stack.len() - argc as usize);
-                    let callee = stack.pop().expect("stack underflow");
                     let src = cur.code.srcs[src as usize];
                     self.call_value(
-                        interp, callee, args, src, &mut stack, &mut saved, &mut cur, m, counters,
+                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
                     )?;
                 }
                 Op::ImmBranch { target } => {
@@ -620,15 +640,15 @@ impl Vm {
         }
     }
 
-    /// Non-tail call dispatch for the flat engine: natives apply inline,
-    /// closures push the current activation and enter their flat code.
+    /// Non-tail call dispatch for the flat engine, with `[callee, args…]`
+    /// on top of `stack`: closures push the current activation and enter
+    /// their flat code; anything else applies in place.
     #[allow(clippy::too_many_arguments)]
     fn call_value(
         &mut self,
         interp: &mut Interp,
-        callee: Value,
-        args: Vec<Value>,
-        src: Option<pgmp_syntax::SourceObject>,
+        argc: u16,
+        src: Option<SourceObject>,
         stack: &mut Vec<Value>,
         saved: &mut Vec<FlatActivation>,
         cur: &mut FlatActivation,
@@ -636,56 +656,77 @@ impl Vm {
         counters: &Option<BlockCounters>,
     ) -> Result<(), EvalError> {
         m.calls += 1;
-        match callee {
-            Value::Native(_) => {
-                let v = interp.apply(&callee, args).map_err(|e| e.with_src(src))?;
-                stack.push(v);
-            }
-            Value::Closure(c) => {
-                let frame = bind_closure_frame(&c, args).map_err(|e| e.with_src(src))?;
-                let key = Rc::as_ptr(&c.def) as usize;
-                let entry = self.flat_for(&c.def);
-                let next = self.flat_activation(entry, key, Some(frame));
-                saved.push(std::mem::replace(cur, next));
-                enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
-            }
-            other => return Err(EvalError::type_error("procedure", &other).with_src(src)),
+        let at = stack.len() - 1 - argc as usize;
+        if !matches!(stack[at], Value::Closure(_)) {
+            let v = apply_in_place(interp, stack, at).map_err(|e| e.with_src(src))?;
+            stack.push(v);
+            return Ok(());
         }
+        let (c, frame) = pop_closure_frame(stack, at).map_err(|e| e.with_src(src))?;
+        let entry = self.flat_for(&c.def);
+        let next = self.flat_activation(entry, Rc::as_ptr(&c.def) as usize, Some(frame));
+        saved.push(std::mem::replace(cur, next));
+        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         Ok(())
     }
 
     /// Tail call dispatch for the flat engine. Returns `Some(v)` when the
-    /// callee was a native (the value must flow to the caller's saved
+    /// callee was not a closure (the value must flow to the caller's saved
     /// activation or out of the run); `None` when a closure replaced the
     /// current activation.
     #[allow(clippy::too_many_arguments)]
     fn tail_call_value(
         &mut self,
         interp: &mut Interp,
-        callee: Value,
-        args: Vec<Value>,
-        src: Option<pgmp_syntax::SourceObject>,
+        argc: u16,
+        src: Option<SourceObject>,
+        stack: &mut Vec<Value>,
         cur: &mut FlatActivation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
     ) -> Result<Option<Value>, EvalError> {
         m.calls += 1;
-        match callee {
-            Value::Native(_) => {
-                let v = interp.apply(&callee, args).map_err(|e| e.with_src(src))?;
-                Ok(Some(v))
-            }
-            Value::Closure(c) => {
-                let frame = bind_closure_frame(&c, args).map_err(|e| e.with_src(src))?;
-                let key = Rc::as_ptr(&c.def) as usize;
-                let entry = self.flat_for(&c.def);
-                *cur = self.flat_activation(entry, key, Some(frame));
-                enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
-                Ok(None)
-            }
-            other => Err(EvalError::type_error("procedure", &other).with_src(src)),
+        let at = stack.len() - 1 - argc as usize;
+        if !matches!(stack[at], Value::Closure(_)) {
+            let v = apply_in_place(interp, stack, at).map_err(|e| e.with_src(src))?;
+            return Ok(Some(v));
         }
+        let (c, frame) = pop_closure_frame(stack, at).map_err(|e| e.with_src(src))?;
+        let entry = self.flat_for(&c.def);
+        *cur = self.flat_activation(entry, Rc::as_ptr(&c.def) as usize, Some(frame));
+        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+        Ok(None)
     }
+}
+
+/// Applies the non-closure callee at `stack[at]` to the arguments above
+/// it. A native reads them as a slice of the operand stack — no argument
+/// `Vec` — and callee and arguments are popped whether or not the call
+/// succeeded. Natives and type errors share [`Interp::apply`] with the
+/// tree walker.
+fn apply_in_place(
+    interp: &mut Interp,
+    stack: &mut Vec<Value>,
+    at: usize,
+) -> Result<Value, EvalError> {
+    let out = interp.apply(&stack[at], &stack[at + 1..]);
+    stack.truncate(at);
+    out
+}
+
+/// Pops the closure at `stack[at]` and the arguments above it, binding the
+/// arguments as its fresh frame (the split-off tail becomes the frame's
+/// slots, so the call allocates the frame and nothing else).
+fn pop_closure_frame(
+    stack: &mut Vec<Value>,
+    at: usize,
+) -> Result<(Rc<Closure>, Rc<Frame>), EvalError> {
+    let args = stack.split_off(at + 1);
+    let Some(Value::Closure(c)) = stack.pop() else {
+        unreachable!("caller checked for a closure")
+    };
+    let frame = c.bind_frame(args)?;
+    Ok((c, frame))
 }
 
 /// Records entry into a block against the register-resident
@@ -779,23 +820,4 @@ fn quick_call(stack: &mut Vec<Value>, argc: u16) -> Option<Value> {
     };
     stack.truncate(n - (argc as usize + 1));
     Some(result)
-}
-
-fn bind_closure_frame(c: &Closure, mut args: Vec<Value>) -> Result<Rc<Frame>, EvalError> {
-    let required = c.def.params as usize;
-    let name = c.def.name.map(|n| n.as_str()).unwrap_or("#<procedure>");
-    if c.def.variadic {
-        if args.len() < required {
-            return Err(EvalError::arity(
-                name,
-                &format!("at least {required}"),
-                args.len(),
-            ));
-        }
-        let rest = Value::list(args.split_off(required));
-        args.push(rest);
-    } else if args.len() != required {
-        return Err(EvalError::arity(name, &required.to_string(), args.len()));
-    }
-    Ok(Frame::new(args, c.env.clone()))
 }

@@ -3,9 +3,10 @@
 use pgmp_bytecode::{
     canonical_form, compile_chunk, optimize_layout, BlockCounters, Chunk, FusionPlan, Vm, VmMetrics,
 };
-use pgmp_eval::{install_primitives, Interp, Value};
+use pgmp_eval::{install_primitives, EvalError, EvalErrorKind, Interp, Value};
 use pgmp_expander::{install_expander_support, Expander};
 use pgmp_reader::read_str;
+use pgmp_syntax::SourceObject;
 
 fn fresh_interp() -> Interp {
     let mut interp = Interp::new();
@@ -146,6 +147,103 @@ fn vm_unbound_variable_errors() {
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
     assert!(vm.run_core(&mut interp, &program[0]).is_err());
+}
+
+/// Runs `src` form by form in both executors (the VM under each fusion
+/// plan), each with a fresh interpreter, and returns the first error
+/// each raised: tree walker first.
+fn first_errors(src: &str) -> Vec<EvalError> {
+    let forms = read_str(src, "t.scm").unwrap();
+    let mut exp = Expander::new();
+    let program = exp.expand_program(&forms).unwrap();
+    let mut interp = fresh_interp();
+    let tree = program.iter().find_map(|f| interp.eval(f, &None).err());
+    let mut errors = vec![tree.expect("tree walker raised no error")];
+    for fusion in [FusionPlan::none(), FusionPlan::all()] {
+        let mut interp = fresh_interp();
+        let mut vm = Vm::new();
+        vm.set_fusion(fusion);
+        let err = program.iter().find_map(|f| vm.run_core(&mut interp, f).err());
+        errors.push(err.expect("VM raised no error"));
+    }
+    errors
+}
+
+/// The source object of the first occurrence of `needle` in `src`.
+fn span_of(src: &str, needle: &str) -> SourceObject {
+    let at = src.find(needle).expect("needle in source") as u32;
+    SourceObject::new("t.scm", at, at + needle.len() as u32)
+}
+
+#[test]
+fn closure_arity_errors_name_the_procedure() {
+    for (src, message) in [
+        ("(define (f x) x) (f 1 2)", "f: expected 1 arguments, got 2"),
+        // Tail and non-tail calls from inside a VM activation.
+        ("(define (f x) x) (define (g) (f)) (g)", "f: expected 1 arguments, got 0"),
+        ("(define (f x) x) (define (g) (+ 1 (f 1 2))) (g)", "f: expected 1 arguments, got 2"),
+        ("(define (f a . r) a) (define (g) (list (f))) (g)", "f: expected at least 1 arguments, got 0"),
+        ("(define f (lambda (x) x)) (define (g) (f)) (g)", "f: expected 1 arguments, got 0"),
+        ("(define (g h) (list (h 1 2))) (g (lambda (x) x))", "#<procedure>: expected 1 arguments, got 2"),
+        ("(define (g h) (h)) (g (lambda (a . r) a))", "#<procedure>: expected at least 1 arguments, got 0"),
+    ] {
+        for err in first_errors(src) {
+            assert_eq!(err.kind, EvalErrorKind::Arity, "{src}");
+            assert_eq!(err.message, message, "{src}");
+        }
+    }
+}
+
+#[test]
+fn native_errors_carry_the_call_site() {
+    for (src, site, kind) in [
+        ("(define (g p) (+ 1 (car p))) (g 5)", "(car p)", EvalErrorKind::Type),
+        ("(define (g p) (car p)) (g 5)", "(car p)", EvalErrorKind::Type),
+        ("(define (g p) (list (car p p))) (g 5)", "(car p p)", EvalErrorKind::Arity),
+        ("(define (g p) (cdr)) (g 5)", "(cdr)", EvalErrorKind::Arity),
+        ("(define (g) (list 1 (vector-ref (vector 1 2) 7))) (g)", "(vector-ref (vector 1 2) 7)", EvalErrorKind::Runtime),
+        ("(define (g p) (list (p 1))) (g 5)", "(p 1)", EvalErrorKind::Type),
+    ] {
+        let errors = first_errors(src);
+        for err in &errors {
+            assert_eq!(err.kind, kind, "{src}");
+            assert_eq!(err.src, Some(span_of(src, site)), "{src}: {err}");
+            assert_eq!(err.message, errors[0].message, "{src}");
+        }
+    }
+}
+
+#[test]
+fn executors_run_on_after_a_native_error() {
+    // The second form fails inside `deep` with `list`'s earlier operands
+    // still pending on the operand stack; the forms after it must run
+    // as if nothing had happened.
+    let src = "(define (deep x) (list 1 2 (vector-ref (vector) x)))
+               (list 'a (deep 3))
+               (define (sum n acc) (if (= n 0) acc (sum (- n 1) (+ acc n))))
+               (list (sum 10 0) (cons 1 2) (deep-ok))";
+    let src = format!("(define (deep-ok) (car (list 7 8))) {src}");
+    let forms = read_str(&src, "t.scm").unwrap();
+    let mut exp = Expander::new();
+    let program = exp.expand_program(&forms).unwrap();
+    let mut interp = fresh_interp();
+    let tree: Vec<bool> = program.iter().map(|f| interp.eval(f, &None).is_ok()).collect();
+    assert_eq!(tree, [true, true, false, true, true]);
+    let tree_last = interp.eval(program.last().unwrap(), &None).unwrap();
+    assert_eq!(tree_last.write_string(), "(55 (1 . 2) 7)");
+    for fusion in [FusionPlan::none(), FusionPlan::all()] {
+        let mut interp = fresh_interp();
+        let mut vm = Vm::new();
+        vm.set_fusion(fusion);
+        let mut last = Value::Unspecified;
+        for (form, ok) in program.iter().zip(&tree) {
+            match vm.run_core(&mut interp, form) {
+                Ok(v) => last = v,
+                Err(e) => assert!(!ok, "VM failed where the tree walker did not: {e}"),
+            }
+        }
+        assert_eq!(last.write_string(), "(55 (1 . 2) 7)");
+    }
 }
 
 #[test]

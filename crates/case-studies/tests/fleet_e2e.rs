@@ -343,7 +343,7 @@ fn merged_fleet_traces_form_one_causal_timeline() {
         "expected handshake + delta + apply edges, got {}",
         merged.cross_edges
     );
-    let pos = |pred: &dyn Fn(&TraceEvent) -> bool| merged.events.iter().position(|e| pred(e));
+    let pos = |pred: &dyn Fn(&TraceEvent) -> bool| merged.events.iter().position(pred);
 
     // Handshake: the daemon greeted the writer before the writer's
     // fleet_connect (it only fires after reading the Ack).

@@ -235,8 +235,7 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
         Ok(Value::list(
             entries
                 .into_iter()
-                .map(|(p, w)| Value::cons(Value::Source(p), Value::Float(w)))
-                .collect(),
+                .map(|(p, w)| Value::cons(Value::Source(p), Value::Float(w))),
         ))
     });
 
@@ -358,7 +357,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     fn stx(src: &str) -> Rc<Syntax> {

@@ -988,7 +988,7 @@ mod tests {
             .iter()
             .find(|s| s.contains("rare"))
             .unwrap();
-        assert!(unit.expansion.iter().any(|s| &s == &hot));
+        assert!(unit.expansion.iter().any(|s| s == hot));
     }
 
     #[test]

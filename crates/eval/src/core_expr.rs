@@ -184,6 +184,21 @@ pub enum CoreKind {
     DefineGlobal(Symbol, Rc<Core>),
 }
 
+impl CoreKind {
+    /// True for leaves: constants and variable references, which evaluate
+    /// without evaluating a subexpression.
+    #[inline]
+    pub(crate) fn is_leaf(&self) -> bool {
+        matches!(
+            self,
+            CoreKind::Const(_)
+                | CoreKind::SyntaxConst(_)
+                | CoreKind::LocalRef { .. }
+                | CoreKind::GlobalRef(_)
+        )
+    }
+}
+
 /// A compiled `lambda`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LambdaDef {

@@ -2,6 +2,7 @@
 
 use pgmp_syntax::SourceObject;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// An error raised during evaluation.
 ///
@@ -9,14 +10,37 @@ use std::fmt;
 /// errors in macro-generated code still point at a source location — the
 /// property §4.1 notes as a benefit of deriving generated profile points
 /// from base source objects.
+///
+/// One pointer wide: the fields live behind a `Box` (read and written
+/// through `Deref`/`DerefMut`), so `Result<Value, EvalError>` is two
+/// words and every `eval` and native returns in registers. Errors are
+/// rare; the allocation is paid only when one is raised.
 #[derive(Clone, Debug, PartialEq)]
-pub struct EvalError {
+pub struct EvalError(Box<EvalErrorInfo>);
+
+/// The fields of an [`EvalError`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct EvalErrorInfo {
     /// What went wrong.
     pub kind: EvalErrorKind,
     /// Human-readable description.
     pub message: String,
     /// Where, if known.
     pub src: Option<SourceObject>,
+}
+
+impl Deref for EvalError {
+    type Target = EvalErrorInfo;
+
+    fn deref(&self) -> &EvalErrorInfo {
+        &self.0
+    }
+}
+
+impl DerefMut for EvalError {
+    fn deref_mut(&mut self) -> &mut EvalErrorInfo {
+        &mut self.0
+    }
 }
 
 /// Classification of evaluation errors.
@@ -39,11 +63,11 @@ pub enum EvalErrorKind {
 impl EvalError {
     /// Creates an error of `kind` with `message` and no location.
     pub fn new(kind: EvalErrorKind, message: impl Into<String>) -> EvalError {
-        EvalError {
+        EvalError(Box::new(EvalErrorInfo {
             kind,
             message: message.into(),
             src: None,
-        }
+        }))
     }
 
     /// Attaches a source location if one is not already present.
@@ -91,6 +115,14 @@ mod tests {
         let e = EvalError::new(EvalErrorKind::Unbound, "unbound variable x")
             .with_src(Some(SourceObject::new("f.scm", 3, 4)));
         assert_eq!(e.to_string(), "unbound variable x (at f.scm:3-4)");
+    }
+
+    #[test]
+    fn eval_results_are_two_words() {
+        // A boxed error lets `Result<Value, EvalError>` reuse `Value`'s
+        // niche: it stays the size of a `Value` and returns in registers.
+        assert_eq!(std::mem::size_of::<EvalError>(), 8);
+        assert_eq!(std::mem::size_of::<Result<crate::value::Value, EvalError>>(), 16);
     }
 
     #[test]

@@ -5,9 +5,12 @@ use crate::env::Frame;
 use crate::error::{EvalError, EvalErrorKind};
 use crate::value::{Closure, Native, NativeFn, Value};
 use pgmp_profiler::{Counters, ProfileMode};
-use pgmp_syntax::{SourceObject, Symbol};
-use std::collections::HashMap;
+use pgmp_syntax::{FnvHashMap, SourceObject, Symbol};
 use std::rc::Rc;
+
+/// Longest argument list a tree-walked native call passes from a stack
+/// array rather than a `Vec`.
+const STACK_ARGS: usize = 4;
 
 /// The interpreter: global environment, profiling hooks, output sink, and
 /// an optional fuel budget.
@@ -31,8 +34,9 @@ pub struct Interp {
     /// Global variables, slot-indexed: the map interns a name to a stable
     /// index into `global_values`. Redefinition overwrites the value in
     /// place, so a resolved global slot (e.g. cached by the VM per chunk)
-    /// stays valid for the lifetime of the interpreter.
-    global_slots: HashMap<Symbol, u32>,
+    /// stays valid for the lifetime of the interpreter. FNV-keyed: the
+    /// tree walker looks a name up here on every global reference.
+    global_slots: FnvHashMap<Symbol, u32>,
     /// Value cells in slot order; `None` marks a slot reserved (e.g. by a
     /// compiled `GlobalRef` cache) before the global was bound.
     global_values: Vec<Option<Value>>,
@@ -60,7 +64,7 @@ impl Interp {
     /// the global environment.
     pub fn new() -> Interp {
         Interp {
-            global_slots: HashMap::new(),
+            global_slots: FnvHashMap::default(),
             global_values: Vec::new(),
             global_writes: 0,
             counters: None,
@@ -118,6 +122,7 @@ impl Interp {
     }
 
     /// Looks up a global variable.
+    #[inline]
     pub fn global(&self, name: Symbol) -> Option<&Value> {
         let slot = *self.global_slots.get(&name)?;
         self.global_values[slot as usize].as_ref()
@@ -167,7 +172,7 @@ impl Interp {
         name: &'static str,
         min_args: usize,
         max_args: Option<usize>,
-        f: impl Fn(&mut Interp, Vec<Value>) -> Result<Value, EvalError> + 'static,
+        f: impl Fn(&mut Interp, &[Value]) -> Result<Value, EvalError> + 'static,
     ) {
         let native = Native {
             name,
@@ -212,7 +217,21 @@ impl Interp {
     ///
     /// Returns an [`EvalError`] for unbound variables, arity and type
     /// errors, user `error` calls, and fuel exhaustion.
+    #[inline]
     pub fn eval(&mut self, expr: &Rc<Core>, env: &Option<Rc<Frame>>) -> Result<Value, EvalError> {
+        // Leaves (most argument and operator positions) answer here,
+        // inlined into every recursive call site, before the node and
+        // environment are cloned into the loop's registers, unless a fuel
+        // step or an every-expression bump is owed first.
+        if expr.kind.is_leaf() && self.fuel.is_none() && self.mode != ProfileMode::EveryExpression
+        {
+            return self.eval_leaf(expr, env);
+        }
+        self.eval_loop(expr, env)
+    }
+
+    /// [`Interp::eval`]'s trampoline: runs tail positions in place.
+    fn eval_loop(&mut self, expr: &Rc<Core>, env: &Option<Rc<Frame>>) -> Result<Value, EvalError> {
         let mut expr = expr.clone();
         let mut env = env.clone();
         loop {
@@ -223,23 +242,10 @@ impl Interp {
                 }
             }
             match &expr.kind {
-                CoreKind::Const(d) => return Ok(Value::from_datum(d)),
-                CoreKind::SyntaxConst(s) => return Ok(Value::Syntax(s.clone())),
-                CoreKind::LocalRef { depth, index } => {
-                    let frame = env
-                        .as_ref()
-                        .expect("local reference outside any frame — expander bug");
-                    return Ok(frame.get(*depth, *index));
-                }
-                CoreKind::GlobalRef(name) => {
-                    return self.global(*name).cloned().ok_or_else(|| {
-                        EvalError::new(
-                            EvalErrorKind::Unbound,
-                            format!("unbound variable `{name}`"),
-                        )
-                        .with_src(expr.src)
-                    });
-                }
+                CoreKind::Const(_)
+                | CoreKind::SyntaxConst(_)
+                | CoreKind::LocalRef { .. }
+                | CoreKind::GlobalRef(_) => return self.eval_leaf(&expr, &env),
                 CoreKind::SetLocal {
                     depth,
                     index,
@@ -312,25 +318,31 @@ impl Interp {
                         }
                     }
                     let f = self.eval(func, &env)?;
+                    let Value::Closure(c) = f else {
+                        // Natives borrow their arguments: a short argument
+                        // list evaluates into a stack array, so the common
+                        // native call allocates nothing.
+                        let out = if args.len() <= STACK_ARGS {
+                            let mut argv = [const { Value::Unspecified }; STACK_ARGS];
+                            for (slot, a) in argv.iter_mut().zip(args) {
+                                *slot = self.eval(a, &env)?;
+                            }
+                            self.apply(&f, &argv[..args.len()])
+                        } else {
+                            let argv: Vec<Value> = args
+                                .iter()
+                                .map(|a| self.eval(a, &env))
+                                .collect::<Result<_, _>>()?;
+                            self.apply(&f, &argv)
+                        };
+                        return out.map_err(|e| e.with_src(expr.src));
+                    };
                     let mut argv = Vec::with_capacity(args.len());
                     for a in args {
                         argv.push(self.eval(a, &env)?);
                     }
-                    match f {
-                        Value::Native(n) => {
-                            check_native_arity(&n, argv.len()).map_err(|e| e.with_src(expr.src))?;
-                            return (n.f)(self, argv).map_err(|e| e.with_src(expr.src));
-                        }
-                        Value::Closure(c) => {
-                            let frame = bind_args(&c, argv).map_err(|e| e.with_src(expr.src))?;
-                            env = Some(frame);
-                            expr = c.def.body.clone();
-                        }
-                        other => {
-                            return Err(EvalError::type_error("procedure", &other)
-                                .with_src(expr.src));
-                        }
-                    }
+                    env = Some(c.bind_frame(argv).map_err(|e| e.with_src(expr.src))?);
+                    expr = c.def.body.clone();
                 }
             }
         }
@@ -344,19 +356,44 @@ impl Interp {
     ///
     /// Returns an [`EvalError`] if `f` is not a procedure or its body
     /// fails.
-    pub fn apply(&mut self, f: &Value, args: Vec<Value>) -> Result<Value, EvalError> {
+    pub fn apply(&mut self, f: &Value, args: &[Value]) -> Result<Value, EvalError> {
         match f {
             Value::Native(n) => {
                 check_native_arity(n, args.len())?;
                 (n.f)(self, args)
             }
             Value::Closure(c) => {
-                let frame = bind_args(c, args)?;
+                let frame = c.bind_frame(args.to_vec())?;
                 self.eval(&c.def.body, &Some(frame))
             }
             other => Err(EvalError::type_error("procedure", other)),
         }
     }
+
+    /// Evaluates a leaf (see [`CoreKind::is_leaf`]): a constant or a
+    /// variable reference, which owes no fuel step or counter bump of its
+    /// own beyond what [`Interp::eval`] already charged.
+    #[inline(always)]
+    fn eval_leaf(&self, expr: &Core, env: &Option<Rc<Frame>>) -> Result<Value, EvalError> {
+        match &expr.kind {
+            CoreKind::Const(d) => Ok(Value::from_datum(d)),
+            CoreKind::SyntaxConst(s) => Ok(Value::Syntax(s.clone())),
+            CoreKind::LocalRef { depth, index } => Ok(env
+                .as_ref()
+                .expect("local reference outside any frame — expander bug")
+                .get(*depth, *index)),
+            CoreKind::GlobalRef(name) => match self.global(*name) {
+                Some(v) => Ok(v.clone()),
+                None => Err(unbound(*name, expr.src)),
+            },
+            _ => unreachable!("eval_leaf on a non-leaf"),
+        }
+    }
+}
+
+#[cold]
+fn unbound(name: Symbol, src: Option<SourceObject>) -> EvalError {
+    EvalError::new(EvalErrorKind::Unbound, format!("unbound variable `{name}`")).with_src(src)
 }
 
 /// Records one hit of `expr`'s profile point. Slotted registries take the
@@ -391,25 +428,6 @@ fn check_native_arity(n: &Native, got: usize) -> Result<(), EvalError> {
         };
         Err(EvalError::arity(n.name, &expected, got))
     }
-}
-
-fn bind_args(c: &Closure, mut args: Vec<Value>) -> Result<Rc<Frame>, EvalError> {
-    let required = c.def.params as usize;
-    let name = c
-        .def
-        .name
-        .map(|n| n.as_str())
-        .unwrap_or("#<procedure>");
-    if c.def.variadic {
-        if args.len() < required {
-            return Err(EvalError::arity(name, &format!("at least {required}"), args.len()));
-        }
-        let rest = Value::list(args.split_off(required));
-        args.push(rest);
-    } else if args.len() != required {
-        return Err(EvalError::arity(name, &required.to_string(), args.len()));
-    }
-    Ok(Frame::new(args, c.env.clone()))
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub use serialize::{
     core_from_datum, core_from_datum_with, core_to_datum, core_to_datum_with, StringTable,
 };
 pub use env::Frame;
-pub use error::{EvalError, EvalErrorKind};
+pub use error::{EvalError, EvalErrorInfo, EvalErrorKind};
 pub use interp::Interp;
 pub use prims::{install_primitives, value_to_syntax};
 pub use value::{Closure, HashKey, Native, NativeFn, PairCell, QuickOp, Value};

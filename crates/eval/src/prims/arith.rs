@@ -76,10 +76,10 @@ fn compare_chain(args: &[Value], ok: fn(std::cmp::Ordering) -> bool) -> Result<V
 
 pub(super) fn install(interp: &mut Interp) {
     interp.define_native("+", 0, None, |_, args| {
-        fold_nums("+", &args, i64::checked_add, |a, b| a + b, Num::Int(0))
+        fold_nums("+", args, i64::checked_add, |a, b| a + b, Num::Int(0))
     });
     interp.define_native("*", 0, None, |_, args| {
-        fold_nums("*", &args, i64::checked_mul, |a, b| a * b, Num::Int(1))
+        fold_nums("*", args, i64::checked_mul, |a, b| a * b, Num::Int(1))
     });
     interp.define_native("-", 1, None, |_, args| {
         if args.len() == 1 {
@@ -153,19 +153,19 @@ pub(super) fn install(interp: &mut Interp) {
         Ok(Value::Int(if r != 0 && (r < 0) != (b < 0) { r + b } else { r }))
     });
     interp.define_native("=", 2, None, |_, args| {
-        compare_chain(&args, |o| o == std::cmp::Ordering::Equal)
+        compare_chain(args, |o| o == std::cmp::Ordering::Equal)
     });
     interp.define_native("<", 2, None, |_, args| {
-        compare_chain(&args, |o| o == std::cmp::Ordering::Less)
+        compare_chain(args, |o| o == std::cmp::Ordering::Less)
     });
     interp.define_native(">", 2, None, |_, args| {
-        compare_chain(&args, |o| o == std::cmp::Ordering::Greater)
+        compare_chain(args, |o| o == std::cmp::Ordering::Greater)
     });
     interp.define_native("<=", 2, None, |_, args| {
-        compare_chain(&args, |o| o != std::cmp::Ordering::Greater)
+        compare_chain(args, |o| o != std::cmp::Ordering::Greater)
     });
     interp.define_native(">=", 2, None, |_, args| {
-        compare_chain(&args, |o| o != std::cmp::Ordering::Less)
+        compare_chain(args, |o| o != std::cmp::Ordering::Less)
     });
     interp.define_native("abs", 1, Some(1), |_, args| match want_num(&args[0])? {
         Num::Int(n) => Ok(Value::Int(
@@ -322,7 +322,7 @@ mod tests {
         let mut i = Interp::new();
         install_primitives(&mut i);
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     #[test]
@@ -411,13 +411,13 @@ mod tests {
         install_primitives(&mut i);
         let seed = i.global(Symbol::intern("random-seed!")).cloned().unwrap();
         let random = i.global(Symbol::intern("random")).cloned().unwrap();
-        i.apply(&seed, vec![Value::Int(42)]).unwrap();
+        i.apply(&seed, &[Value::Int(42)]).unwrap();
         let a: Vec<String> = (0..5)
-            .map(|_| i.apply(&random, vec![Value::Int(100)]).unwrap().to_string())
+            .map(|_| i.apply(&random, &[Value::Int(100)]).unwrap().to_string())
             .collect();
-        i.apply(&seed, vec![Value::Int(42)]).unwrap();
+        i.apply(&seed, &[Value::Int(42)]).unwrap();
         let b: Vec<String> = (0..5)
-            .map(|_| i.apply(&random, vec![Value::Int(100)]).unwrap().to_string())
+            .map(|_| i.apply(&random, &[Value::Int(100)]).unwrap().to_string())
             .collect();
         assert_eq!(a, b);
     }

@@ -48,13 +48,13 @@ fn format_directives(fmt: &str, args: &[Value]) -> Result<String, EvalError> {
 }
 
 pub(super) fn install(interp: &mut Interp) {
-    interp.define_native("apply", 2, None, |interp, mut args| {
-        let f = args.remove(0);
-        want_procedure(&f)?;
-        let last = args.pop().expect("arity checked");
-        let mut call_args = args;
-        call_args.extend(want_list(&last)?);
-        interp.apply(&f, call_args)
+    interp.define_native("apply", 2, None, |interp, args| {
+        let (f, rest) = args.split_first().expect("arity checked");
+        let (last, spread) = rest.split_last().expect("arity checked");
+        want_procedure(f)?;
+        let mut call_args = spread.to_vec();
+        call_args.extend(want_list(last)?);
+        interp.apply(f, &call_args)
     });
     interp.define_native("procedure?", 1, Some(1), |_, args| {
         Ok(Value::Bool(args[0].is_procedure()))
@@ -143,7 +143,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     #[test]

@@ -3,13 +3,13 @@
 use crate::error::EvalError;
 use crate::interp::Interp;
 use crate::value::{HashKey, Value};
+use pgmp_syntax::FnvHashMap;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-fn want_hash(v: &Value) -> Result<Rc<RefCell<HashMap<HashKey, Value>>>, EvalError> {
+fn want_hash(v: &Value) -> Result<&RefCell<FnvHashMap<HashKey, Value>>, EvalError> {
     match v {
-        Value::Hash(h) => Ok(h.clone()),
+        Value::Hash(h) => Ok(h),
         other => Err(EvalError::type_error("hashtable", other)),
     }
 }
@@ -22,7 +22,7 @@ fn want_key(v: &Value) -> Result<HashKey, EvalError> {
 pub(super) fn install(interp: &mut Interp) {
     for name in ["make-eq-hashtable", "make-equal-hashtable", "make-hashtable"] {
         interp.define_native(name, 0, Some(2), |_, _| {
-            Ok(Value::Hash(Rc::new(RefCell::new(HashMap::new()))))
+            Ok(Value::Hash(Rc::new(RefCell::new(FnvHashMap::default()))))
         });
     }
     interp.define_native("hashtable?", 1, Some(1), |_, args| {
@@ -71,7 +71,7 @@ pub(super) fn install(interp: &mut Interp) {
             .map(|(k, v)| (k.to_value().write_string(), Value::cons(k.to_value(), v.clone())))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(Value::list(entries.into_iter().map(|(_, v)| v).collect()))
+        Ok(Value::list(entries.into_iter().map(|(_, v)| v)))
     });
     // (hashtable-update! ht key proc default)
     interp.define_native("hashtable-update!", 4, Some(4), |interp, args| {
@@ -79,7 +79,7 @@ pub(super) fn install(interp: &mut Interp) {
         let k = want_key(&args[1])?;
         let proc = args[2].clone();
         let cur = h.borrow().get(&k).cloned().unwrap_or_else(|| args[3].clone());
-        let new = interp.apply(&proc, vec![cur])?;
+        let new = interp.apply(&proc, &[cur])?;
         h.borrow_mut().insert(k, new);
         Ok(Value::Unspecified)
     });
@@ -101,7 +101,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     fn sym(s: &str) -> Value {

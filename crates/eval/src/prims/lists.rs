@@ -6,9 +6,9 @@ use crate::interp::Interp;
 use crate::value::{Native, Value};
 use std::rc::Rc;
 
-fn want_pair(v: &Value) -> Result<Rc<crate::value::PairCell>, EvalError> {
+fn want_pair(v: &Value) -> Result<&Rc<crate::value::PairCell>, EvalError> {
     match v {
-        Value::Pair(p) => Ok(p.clone()),
+        Value::Pair(p) => Ok(p),
         other => Err(EvalError::type_error("pair", other)),
     }
 }
@@ -45,10 +45,8 @@ fn merge_sort(
 }
 
 pub(super) fn install(interp: &mut Interp) {
-    interp.define_native("cons", 2, Some(2), |_, mut args| {
-        let cdr = args.pop().expect("arity");
-        let car = args.pop().expect("arity");
-        Ok(Value::cons(car, cdr))
+    interp.define_native("cons", 2, Some(2), |_, args| {
+        Ok(Value::cons(args[0].clone(), args[1].clone()))
     });
     interp.define_native("car", 1, Some(1), |_, args| {
         Ok(want_pair(&args[0])?.car.borrow().clone())
@@ -58,25 +56,26 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("cadr", 1, Some(1), |_, args| {
         let cdr = want_pair(&args[0])?.cdr.borrow().clone();
-        Ok(want_pair(&cdr)?.car.borrow().clone())
+        let cadr = want_pair(&cdr)?.car.borrow().clone();
+        Ok(cadr)
     });
     interp.define_native("cddr", 1, Some(1), |_, args| {
         let cdr = want_pair(&args[0])?.cdr.borrow().clone();
-        Ok(want_pair(&cdr)?.cdr.borrow().clone())
+        let cddr = want_pair(&cdr)?.cdr.borrow().clone();
+        Ok(cddr)
     });
     interp.define_native("caddr", 1, Some(1), |_, args| {
         let cdr = want_pair(&args[0])?.cdr.borrow().clone();
         let cddr = want_pair(&cdr)?.cdr.borrow().clone();
-        Ok(want_pair(&cddr)?.car.borrow().clone())
+        let caddr = want_pair(&cddr)?.car.borrow().clone();
+        Ok(caddr)
     });
-    interp.define_native("set-car!", 2, Some(2), |_, mut args| {
-        let v = args.pop().expect("arity");
-        *want_pair(&args[0])?.car.borrow_mut() = v;
+    interp.define_native("set-car!", 2, Some(2), |_, args| {
+        *want_pair(&args[0])?.car.borrow_mut() = args[1].clone();
         Ok(Value::Unspecified)
     });
-    interp.define_native("set-cdr!", 2, Some(2), |_, mut args| {
-        let v = args.pop().expect("arity");
-        *want_pair(&args[0])?.cdr.borrow_mut() = v;
+    interp.define_native("set-cdr!", 2, Some(2), |_, args| {
+        *want_pair(&args[0])?.cdr.borrow_mut() = args[1].clone();
         Ok(Value::Unspecified)
     });
     interp.define_native("pair?", 1, Some(1), |_, args| {
@@ -88,7 +87,7 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("list?", 1, Some(1), |_, args| {
         Ok(Value::Bool(args[0].list_elems().is_some()))
     });
-    interp.define_native("list", 0, None, |_, args| Ok(Value::list(args)));
+    interp.define_native("list", 0, None, |_, args| Ok(Value::list(args.iter().cloned())));
     interp.define_native("length", 1, Some(1), |_, args| {
         Ok(Value::Int(want_list(&args[0])?.len() as i64))
     });
@@ -135,7 +134,7 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("take", 2, Some(2), |_, args| {
         let elems = want_list(&args[0])?;
         let n = want_index(&args[1])?;
-        Ok(Value::list(elems.into_iter().take(n).collect()))
+        Ok(Value::list(elems.into_iter().take(n)))
     });
     interp.define_native("list-copy", 1, Some(1), |_, args| {
         Ok(Value::list(want_list(&args[0])?))
@@ -151,7 +150,7 @@ pub(super) fn install(interp: &mut Interp) {
             None => 1,
         };
         Ok(Value::list(
-            (0..n).map(|i| Value::Int(start + i * step)).collect(),
+            (0..n).map(|i| Value::Int(start + i * step)),
         ))
     });
 
@@ -176,17 +175,17 @@ pub(super) fn install(interp: &mut Interp) {
         for entry in want_list(&args[1])? {
             let p = want_pair(&entry)?;
             if eq(&p.car.borrow(), &args[0]) {
-                return Ok(Value::Pair(p));
+                return Ok(Value::Pair(p.clone()));
             }
         }
         Ok(Value::Bool(false))
     }
-    interp.define_native("memq", 2, Some(2), |_, args| mem(&args, Value::eqv));
-    interp.define_native("memv", 2, Some(2), |_, args| mem(&args, Value::eqv));
-    interp.define_native("member", 2, Some(2), |_, args| mem(&args, Value::equal));
-    interp.define_native("assq", 2, Some(2), |_, args| ass(&args, Value::eqv));
-    interp.define_native("assv", 2, Some(2), |_, args| ass(&args, Value::eqv));
-    interp.define_native("assoc", 2, Some(2), |_, args| ass(&args, Value::equal));
+    interp.define_native("memq", 2, Some(2), |_, args| mem(args, Value::eqv));
+    interp.define_native("memv", 2, Some(2), |_, args| mem(args, Value::eqv));
+    interp.define_native("member", 2, Some(2), |_, args| mem(args, Value::equal));
+    interp.define_native("assq", 2, Some(2), |_, args| ass(args, Value::eqv));
+    interp.define_native("assv", 2, Some(2), |_, args| ass(args, Value::eqv));
+    interp.define_native("assoc", 2, Some(2), |_, args| ass(args, Value::equal));
 
     interp.define_native("map", 2, None, |interp, args| {
         let f = args[0].clone();
@@ -199,7 +198,7 @@ pub(super) fn install(interp: &mut Interp) {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let row: Vec<Value> = lists.iter().map(|l| l[i].clone()).collect();
-            out.push(interp.apply(&f, row)?);
+            out.push(interp.apply(&f, &row)?);
         }
         Ok(Value::list(out))
     });
@@ -213,7 +212,7 @@ pub(super) fn install(interp: &mut Interp) {
         let n = lists.iter().map(Vec::len).min().unwrap_or(0);
         for i in 0..n {
             let row: Vec<Value> = lists.iter().map(|l| l[i].clone()).collect();
-            interp.apply(&f, row)?;
+            interp.apply(&f, &row)?;
         }
         Ok(Value::Unspecified)
     });
@@ -222,7 +221,7 @@ pub(super) fn install(interp: &mut Interp) {
         want_procedure(&f)?;
         let mut out = Vec::new();
         for e in want_list(&args[1])? {
-            if interp.apply(&f, vec![e.clone()])?.is_truthy() {
+            if interp.apply(&f, std::slice::from_ref(&e))?.is_truthy() {
                 out.push(e);
             }
         }
@@ -233,7 +232,7 @@ pub(super) fn install(interp: &mut Interp) {
         want_procedure(&f)?;
         let mut acc = args[1].clone();
         for e in want_list(&args[2])? {
-            acc = interp.apply(&f, vec![acc, e])?;
+            acc = interp.apply(&f, &[acc, e])?;
         }
         Ok(acc)
     });
@@ -242,7 +241,7 @@ pub(super) fn install(interp: &mut Interp) {
         want_procedure(&f)?;
         let mut acc = args[1].clone();
         for e in want_list(&args[2])?.into_iter().rev() {
-            acc = interp.apply(&f, vec![e, acc])?;
+            acc = interp.apply(&f, &[e, acc])?;
         }
         Ok(acc)
     });
@@ -252,7 +251,7 @@ pub(super) fn install(interp: &mut Interp) {
         let less = args[1].clone();
         want_procedure(&less)?;
         let sorted = merge_sort(interp, items, &|interp, a, b| {
-            Ok(interp.apply(&less, vec![a.clone(), b.clone()])?.is_truthy())
+            Ok(interp.apply(&less, &[a.clone(), b.clone()])?.is_truthy())
         })?;
         Ok(Value::list(sorted))
     });
@@ -264,26 +263,25 @@ pub(super) fn install(interp: &mut Interp) {
         want_procedure(&less)?;
         want_procedure(&key)?;
         let sorted = merge_sort(interp, items, &|interp, a, b| {
-            let ka = interp.apply(&key, vec![a.clone()])?;
-            let kb = interp.apply(&key, vec![b.clone()])?;
-            Ok(interp.apply(&less, vec![ka, kb])?.is_truthy())
+            let ka = interp.apply(&key, std::slice::from_ref(a))?;
+            let kb = interp.apply(&key, std::slice::from_ref(b))?;
+            Ok(interp.apply(&less, &[ka, kb])?.is_truthy())
         })?;
         Ok(Value::list(sorted))
     });
     // (curry f a …) — partial application, as used in Figure 6.
-    interp.define_native("curry", 1, None, |_, mut args| {
-        let f = args.remove(0);
-        want_procedure(&f)?;
-        let pre = args;
+    interp.define_native("curry", 1, None, |_, args| {
+        let f = want_procedure(&args[0])?.clone();
+        let pre = args[1..].to_vec();
         let native = Native {
             name: "curried",
             min_args: 0,
             max_args: None,
             quick: None,
-            f: Box::new(move |interp: &mut Interp, more: Vec<Value>| {
+            f: Box::new(move |interp: &mut Interp, more: &[Value]| {
                 let mut all = pre.clone();
-                all.extend(more);
-                interp.apply(&f, all)
+                all.extend_from_slice(more);
+                interp.apply(&f, &all)
             }),
         };
         Ok(Value::Native(Rc::new(native)))
@@ -304,11 +302,11 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     fn ints(ns: &[i64]) -> Value {
-        Value::list(ns.iter().map(|n| Value::Int(*n)).collect())
+        Value::list(ns.iter().map(|n| Value::Int(*n)))
     }
 
     #[test]
@@ -401,7 +399,7 @@ mod tests {
         with_interp(|i| {
             let plus = i.global(Symbol::intern("+")).cloned().unwrap();
             let add10 = call(i, "curry", vec![plus, Value::Int(10)]).unwrap();
-            let v = i.apply(&add10, vec![Value::Int(5)]).unwrap();
+            let v = i.apply(&add10, &[Value::Int(5)]).unwrap();
             assert_eq!(v.to_string(), "15");
         });
     }

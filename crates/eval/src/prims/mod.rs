@@ -31,7 +31,7 @@ use crate::value::Value;
 /// let mut interp = Interp::new();
 /// install_primitives(&mut interp);
 /// let plus = interp.global(Symbol::intern("+")).cloned().unwrap();
-/// let v = interp.apply(&plus, vec![Value::Int(2), Value::Int(3)])?;
+/// let v = interp.apply(&plus, &[Value::Int(2), Value::Int(3)])?;
 /// assert_eq!(v.to_string(), "5");
 /// # Ok::<(), pgmp_eval::EvalError>(())
 /// ```

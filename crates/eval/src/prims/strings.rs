@@ -35,7 +35,7 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("string-append", 0, None, |_, args| {
         let mut out = String::new();
-        for a in &args {
+        for a in args {
             out.push_str(&want_string(a)?);
         }
         Ok(Value::string(&out))
@@ -65,7 +65,7 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("string->list", 1, Some(1), |_, args| {
         Ok(Value::list(
-            want_string(&args[0])?.chars().map(Value::Char).collect(),
+            want_string(&args[0])?.chars().map(Value::Char),
         ))
     });
     interp.define_native("list->string", 1, Some(1), |_, args| {
@@ -88,7 +88,7 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("string", 0, None, |_, args| {
         let mut out = String::new();
-        for a in &args {
+        for a in args {
             out.push(want_char(a)?);
         }
         Ok(Value::string(&out))
@@ -164,7 +164,7 @@ mod tests {
         let mut i = Interp::new();
         install_primitives(&mut i);
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub(super) fn install(interp: &mut Interp) {
         let s = want_syntax(&args[0])?;
         match s.as_list() {
             Some(elems) => Ok(Value::list(
-                elems.iter().map(|e| Value::Syntax(e.clone())).collect(),
+                elems.iter().map(|e| Value::Syntax(e.clone())),
             )),
             None => Ok(Value::Bool(false)),
         }
@@ -149,7 +149,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     fn stx(src: &str) -> Value {

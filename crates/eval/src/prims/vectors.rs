@@ -7,9 +7,9 @@ use crate::value::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn want_vector(v: &Value) -> Result<Rc<RefCell<Vec<Value>>>, EvalError> {
+fn want_vector(v: &Value) -> Result<&RefCell<Vec<Value>>, EvalError> {
     match v {
-        Value::Vector(v) => Ok(v.clone()),
+        Value::Vector(v) => Ok(v),
         other => Err(EvalError::type_error("vector", other)),
     }
 }
@@ -19,7 +19,7 @@ pub(super) fn install(interp: &mut Interp) {
         Ok(Value::Bool(matches!(args[0], Value::Vector(_))))
     });
     interp.define_native("vector", 0, None, |_, args| {
-        Ok(Value::Vector(Rc::new(RefCell::new(args))))
+        Ok(Value::Vector(Rc::new(RefCell::new(args.to_vec()))))
     });
     interp.define_native("make-vector", 1, Some(2), |_, args| {
         let n = want_index(&args[0])?;
@@ -72,7 +72,7 @@ pub(super) fn install(interp: &mut Interp) {
         let snapshot = v.borrow().clone();
         let mut out = Vec::with_capacity(snapshot.len());
         for e in snapshot {
-            out.push(interp.apply(&f, vec![e])?);
+            out.push(interp.apply(&f, &[e])?);
         }
         Ok(Value::Vector(Rc::new(RefCell::new(out))))
     });
@@ -82,7 +82,7 @@ pub(super) fn install(interp: &mut Interp) {
         let v = want_vector(&args[1])?;
         let snapshot = v.borrow().clone();
         for e in snapshot {
-            interp.apply(&f, vec![e])?;
+            interp.apply(&f, &[e])?;
         }
         Ok(Value::Unspecified)
     });
@@ -104,7 +104,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     #[test]

@@ -4,25 +4,26 @@ use crate::core_expr::LambdaDef;
 use crate::env::Frame;
 use crate::error::EvalError;
 use crate::interp::Interp;
-use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
+use pgmp_syntax::{Datum, FnvHashMap, SourceObject, Symbol, Syntax};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
 /// Signature of a native (Rust-implemented) primitive.
 ///
 /// Natives receive the interpreter so higher-order primitives (`apply`,
-/// `map`, `sort`, …) can call back into evaluation.
-pub type NativeFn = dyn Fn(&mut Interp, Vec<Value>) -> Result<Value, EvalError>;
+/// `map`, `sort`, …) can call back into evaluation, and borrow their
+/// arguments: the VM passes a slice of its operand stack, so a native call
+/// allocates nothing. A native that keeps an argument clones it.
+pub type NativeFn = dyn Fn(&mut Interp, &[Value]) -> Result<Value, EvalError>;
 
 /// Identity of a primitive whose exact-integer case the bytecode VM may
-/// execute inline ("quickening"), skipping the boxed call and its argument
-/// `Vec`. The fast path covers *only* fixnum operands with an in-range
-/// result; every other shape — floats, type errors, overflow, unusual
-/// arity — falls back to `f`, so observable semantics stay defined by the
-/// closure alone. The differential oracle in the bytecode crate holds the
-/// two paths to the same answers.
+/// execute inline ("quickening"), skipping the boxed call. The fast path
+/// covers *only* fixnum operands with an in-range result; every other
+/// shape — floats, type errors, overflow, unusual arity — falls back to
+/// `f`, so observable semantics stay defined by the closure alone. The
+/// differential oracle in the bytecode crate holds the two paths to the
+/// same answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuickOp {
     /// `(+ a b)` — checked add.
@@ -96,6 +97,35 @@ pub struct Closure {
     pub def: Rc<LambdaDef>,
     /// Captured lexical environment.
     pub env: Option<Rc<Frame>>,
+}
+
+impl Closure {
+    /// Binds `args` as the slots of a fresh frame under the captured
+    /// environment — the one closure-entry step both executors share. A
+    /// variadic closure collects the surplus into a list in its last slot.
+    ///
+    /// # Errors
+    ///
+    /// An arity error naming the procedure (`#<procedure>` when
+    /// anonymous). The name is looked up only on this path, so a call
+    /// never touches the symbol table.
+    pub fn bind_frame(&self, mut args: Vec<Value>) -> Result<Rc<Frame>, EvalError> {
+        let required = self.def.params as usize;
+        let arity_error = |expected: String, got: usize| {
+            let name = self.def.name.map_or("#<procedure>", |n| n.as_str());
+            EvalError::arity(name, &expected, got)
+        };
+        if self.def.variadic {
+            if args.len() < required {
+                return Err(arity_error(format!("at least {required}"), args.len()));
+            }
+            let rest = Value::list(args.drain(required..));
+            args.push(rest);
+        } else if args.len() != required {
+            return Err(arity_error(required.to_string(), args.len()));
+        }
+        Ok(Frame::new(args, self.env.clone()))
+    }
 }
 
 /// A mutable cons cell.
@@ -176,7 +206,7 @@ pub enum Value {
     /// Mutable vector.
     Vector(Rc<RefCell<Vec<Value>>>),
     /// Mutable hashtable.
-    Hash(Rc<RefCell<HashMap<HashKey, Value>>>),
+    Hash(Rc<RefCell<FnvHashMap<HashKey, Value>>>),
     /// User-defined procedure.
     Closure(Rc<Closure>),
     /// Native primitive.
@@ -202,8 +232,14 @@ impl Value {
         Value::Str(Rc::new(RefCell::new(s.to_owned())))
     }
 
-    /// Builds a proper list.
-    pub fn list(elems: Vec<Value>) -> Value {
+    /// Builds a proper list of `elems`, in order. Any double-ended
+    /// iterator will do, so a list built from a slice or a drained range
+    /// needs no intermediate `Vec`.
+    pub fn list<I>(elems: I) -> Value
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: DoubleEndedIterator,
+    {
         let mut acc = Value::Nil;
         for e in elems.into_iter().rev() {
             acc = Value::cons(e, acc);

@@ -172,7 +172,7 @@ impl Expander {
         let writes = self.meta.global_writes();
         let out = self
             .meta
-            .apply(transformer, vec![Value::Syntax(Rc::new(input))])
+            .apply(transformer, &[Value::Syntax(Rc::new(input))])
             .map_err(|e| ExpandError::from(e).with_src(stx.source))?;
         if self.meta.global_writes() != writes {
             self.meta_dirty = true;

@@ -10,75 +10,55 @@
 //! Hygiene marks are *excluded*: reader output carries no marks, and the
 //! cache keys forms as read, before any expansion.
 
-use pgmp_syntax::{Datum, Syntax, SyntaxBody};
+use pgmp_syntax::{Datum, FnvHasher, Syntax, SyntaxBody};
+use std::hash::Hasher;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(FNV_PRIME);
-    }
-
-    fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        // Length-prefix so ("ab","c") and ("a","bc") differ.
-        self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
-    }
+fn put_u64(h: &mut FnvHasher, v: u64) {
+    // Fixed little-endian, so fingerprints agree across platforms.
+    h.write(&v.to_le_bytes());
 }
 
-fn hash_datum(h: &mut Fnv, d: &Datum) {
+fn put_str(h: &mut FnvHasher, s: &str) {
+    // Length-prefix so ("ab","c") and ("a","bc") differ.
+    put_u64(h, s.len() as u64);
+    h.write(s.as_bytes());
+}
+
+fn hash_datum(h: &mut FnvHasher, d: &Datum) {
     match d {
-        Datum::Nil => h.byte(0),
+        Datum::Nil => h.write_u8(0),
         Datum::Bool(b) => {
-            h.byte(1);
-            h.byte(*b as u8);
+            h.write_u8(1);
+            h.write_u8(*b as u8);
         }
         Datum::Int(i) => {
-            h.byte(2);
-            h.u64(*i as u64);
+            h.write_u8(2);
+            put_u64(h, *i as u64);
         }
         Datum::Float(f) => {
-            h.byte(3);
-            h.u64(f.to_bits());
+            h.write_u8(3);
+            put_u64(h, f.to_bits());
         }
         Datum::Char(c) => {
-            h.byte(4);
-            h.u64(*c as u64);
+            h.write_u8(4);
+            put_u64(h, *c as u64);
         }
         Datum::Str(s) => {
-            h.byte(5);
-            h.str(s);
+            h.write_u8(5);
+            put_str(h, s);
         }
         Datum::Sym(s) => {
-            h.byte(6);
-            h.str(s.as_str());
+            h.write_u8(6);
+            put_str(h, s.as_str());
         }
         Datum::Pair(p) => {
-            h.byte(7);
+            h.write_u8(7);
             hash_datum(h, &p.0);
             hash_datum(h, &p.1);
         }
         Datum::Vector(v) => {
-            h.byte(8);
-            h.u64(v.len() as u64);
+            h.write_u8(8);
+            put_u64(h, v.len() as u64);
             for e in v.iter() {
                 hash_datum(h, e);
             }
@@ -86,39 +66,39 @@ fn hash_datum(h: &mut Fnv, d: &Datum) {
     }
 }
 
-fn hash_node(h: &mut Fnv, stx: &Syntax) {
+fn hash_node(h: &mut FnvHasher, stx: &Syntax) {
     match stx.source {
         Some(src) => {
-            h.byte(1);
-            h.str(src.file.as_str());
-            h.u64(src.bfp as u64);
-            h.u64(src.efp as u64);
+            h.write_u8(1);
+            put_str(h, src.file.as_str());
+            put_u64(h, src.bfp as u64);
+            put_u64(h, src.efp as u64);
         }
-        None => h.byte(0),
+        None => h.write_u8(0),
     }
     match &stx.body {
         SyntaxBody::Atom(d) => {
-            h.byte(10);
+            h.write_u8(10);
             hash_datum(h, d);
         }
         SyntaxBody::List(elems) => {
-            h.byte(11);
-            h.u64(elems.len() as u64);
+            h.write_u8(11);
+            put_u64(h, elems.len() as u64);
             for e in elems {
                 hash_node(h, e);
             }
         }
         SyntaxBody::Improper(elems, tail) => {
-            h.byte(12);
-            h.u64(elems.len() as u64);
+            h.write_u8(12);
+            put_u64(h, elems.len() as u64);
             for e in elems {
                 hash_node(h, e);
             }
             hash_node(h, tail);
         }
         SyntaxBody::Vector(elems) => {
-            h.byte(13);
-            h.u64(elems.len() as u64);
+            h.write_u8(13);
+            put_u64(h, elems.len() as u64);
             for e in elems {
                 hash_node(h, e);
             }
@@ -129,9 +109,9 @@ fn hash_node(h: &mut Fnv, stx: &Syntax) {
 /// Fingerprints a top-level form for cache keying: structure, atoms, and
 /// source positions, ignoring hygiene marks.
 pub fn form_hash(stx: &Syntax) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = FnvHasher::default();
     hash_node(&mut h, stx);
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

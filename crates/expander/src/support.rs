@@ -43,7 +43,7 @@ pub fn install_expander_support(interp: &mut Interp) {
         Ok(Value::Syntax(Rc::new(value_to_syntax(&ctx, &args[1])?)))
     });
     // (%list v ...) ; shadow-proof `list`
-    interp.define_native("%list", 0, None, |_, args| Ok(Value::list(args)));
+    interp.define_native("%list", 0, None, |_, args| Ok(Value::list(args.iter().cloned())));
     // (%append l ... tail) ; shadow-proof `append`, last argument passed through
     interp.define_native("%append", 0, None, |_, args| {
         let Some((last, init)) = args.split_last() else {
@@ -84,7 +84,7 @@ pub fn install_expander_support(interp: &mut Interp) {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let row: Vec<Value> = lists.iter().map(|l| l[i].clone()).collect();
-            out.push(interp.apply(&f, row)?);
+            out.push(interp.apply(&f, &row)?);
         }
         Ok(Value::list(out))
     });
@@ -139,7 +139,7 @@ mod tests {
 
     fn call(i: &mut Interp, name: &str, args: Vec<Value>) -> Result<Value, EvalError> {
         let f = i.global(Symbol::intern(name)).cloned().unwrap();
-        i.apply(&f, args)
+        i.apply(&f, &args)
     }
 
     #[test]

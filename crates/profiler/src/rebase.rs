@@ -36,9 +36,10 @@ use crate::slots::SlotMap;
 use crate::store::StoredProfile;
 use pgmp_observe as observe;
 use pgmp_reader::read_str;
-use pgmp_syntax::{SourceObject, Symbol, Syntax, SyntaxBody};
+use pgmp_syntax::{FnvHasher, SourceObject, Symbol, Syntax, SyntaxBody};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::Hasher;
 use std::rc::Rc;
 
 /// Tuning knobs for the matcher. The defaults are the normative values
@@ -171,9 +172,6 @@ impl fmt::Display for RebaseError {
 
 impl std::error::Error for RebaseError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Position-independent structural fingerprint of a form: FNV over its
 /// printed datum (structure and atoms; offsets, file names, and hygiene
 /// marks excluded). This is deliberately the opposite trade-off from
@@ -182,12 +180,9 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// must collide so LCS can align them.
 pub fn struct_hash(stx: &Syntax) -> u64 {
     let printed = stx.to_datum().to_string();
-    let mut h = FNV_OFFSET;
-    for b in printed.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = FnvHasher::default();
+    h.write(printed.as_bytes());
+    h.finish()
 }
 
 /// Longest common subsequence over two fingerprint sequences, returned

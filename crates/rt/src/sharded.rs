@@ -24,42 +24,15 @@
 //! registry; `drain` moves every counter out, guaranteeing each hit lands
 //! in exactly one drain — the property epoch-based aggregation needs.
 
+use pgmp_syntax::{FnvHashMap, FnvHasher};
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-/// FNV-1a, as a [`Hasher`]: tiny, allocation-free, and much cheaper than
-/// SipHash for the short keys profile points have. Not DoS-resistant, which
-/// is fine: keys are program source locations, not attacker input.
-#[derive(Clone, Copy, Debug)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> FnvHasher {
-        FnvHasher(0xcbf29ce484222325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for b in bytes {
-            h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
-
 struct Shard<K> {
-    map: RwLock<HashMap<K, AtomicU64, FnvBuild>>,
+    map: RwLock<FnvHashMap<K, AtomicU64>>,
 }
 
 impl<K> Default for Shard<K> {

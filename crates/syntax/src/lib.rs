@@ -10,6 +10,8 @@
 //! - [`Syntax`] — syntax objects: datum structure annotated with source
 //!   objects and hygiene [`MarkSet`]s, the values that meta-programs
 //!   manipulate;
+//! - [`FnvHasher`] — the workspace's one fast hasher, for maps keyed by
+//!   program-internal values and for persisted fingerprints;
 //! - a writer (`Display` impls) used both for error messages and for the
 //!   textual profile-data format.
 //!
@@ -27,12 +29,14 @@
 //! ```
 
 mod datum;
+mod hash;
 mod intern;
 mod mark;
 mod source;
 mod syntax;
 
 pub use datum::Datum;
+pub use hash::{FnvHashMap, FnvHasher};
 pub use intern::Symbol;
 pub use mark::{Mark, MarkSet};
 pub use source::{SourceFactory, SourceObject};

@@ -156,9 +156,9 @@ fn store_profile_round_trip() {
     let path = dir.join("rust.pgmp");
     pgmp_rt::enable_profiling();
     for _ in 0..4 {
-        profile!("e10-store-hot", ());
+        profile!("e10-store-hot", {});
     }
-    profile!("e10-store-cold", ());
+    profile!("e10-store-cold", {});
     pgmp_rt::disable_profiling();
     pgmp_rt::store_profile(&path).unwrap();
     let w = pgmp_rt::Weights::load(&path).unwrap();
