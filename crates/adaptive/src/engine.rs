@@ -1,6 +1,5 @@
 //! The adaptive driver: epochs → drift → re-optimization, continuously.
 
-use crate::counters::ShardedCounters;
 use crate::drift::{drift, DriftMetric};
 use crate::rolling::RollingProfile;
 use pgmp::{Engine, Error, IncrementalConfig, IncrementalEngine};
@@ -10,7 +9,7 @@ use pgmp_bytecode::{
 };
 use pgmp_eval::{EvalError, EvalErrorKind};
 use pgmp_observe as observe;
-use pgmp_profiler::{ProfileInformation, ProfileMode};
+use pgmp_profiler::{ProfileInformation, ProfileMode, ShardedCounters};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -47,13 +46,6 @@ pub struct AdaptiveConfig {
     /// Epochs to skip drift detection after a re-optimization, bounding
     /// the recompile rate under sustained drift. `0` disables.
     pub cooldown_epochs: u64,
-    /// Write-coalescing buffer capacity (distinct points) for worker-side
-    /// counter merges: `0` (the default) writes straight to the shared
-    /// registry; `n > 0` batches through a [`crate::CountersWriter`] that
-    /// flushes at `n` distinct buffered points and, at the latest, when
-    /// the collection unit ends — so every hit is visible to the next
-    /// epoch drain. Flush statistics via [`AdaptiveHandle::flush_stats`].
-    pub coalesce: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -68,7 +60,6 @@ impl Default for AdaptiveConfig {
             epsilon: 0.0,
             hysteresis_epochs: 1,
             cooldown_epochs: 0,
-            coalesce: 0,
         }
     }
 }
@@ -117,11 +108,6 @@ pub struct EpochReport {
     pub streak: u32,
     /// Epochs of post-re-optimization cooldown remaining.
     pub cooldown: u32,
-    /// Coalescing-writer buffer flushes performed during this epoch.
-    pub flush_writes: u64,
-    /// Counter hits merged away by coalescing during this epoch (hits
-    /// absorbed into local buffers minus distinct slot writes pushed).
-    pub flush_merged: u64,
 }
 
 struct AggState {
@@ -153,9 +139,6 @@ struct Shared {
     file: String,
     setup: Option<Setup>,
     counters: ShardedCounters,
-    /// [`AdaptiveConfig::coalesce`], copied here so worker-side handles
-    /// can batch without holding the whole config.
-    coalesce: usize,
     program: RwLock<Arc<CompiledProgram>>,
     agg: Mutex<AggState>,
     pending: Mutex<Option<ProfileInformation>>,
@@ -227,28 +210,10 @@ impl AdaptiveHandle {
         &self.shared.counters
     }
 
-    /// Merges one instrumented run's dataset into the shared registry,
-    /// through a coalescing writer when [`AdaptiveConfig::coalesce`] is on.
+    /// Merges one instrumented run's dataset into the shared registry:
+    /// one atomic add per point.
     pub fn absorb(&self, dataset: &pgmp_profiler::Dataset) {
-        if self.shared.coalesce > 0 {
-            let mut w = self.shared.counters.writer(self.shared.coalesce);
-            for (p, c) in dataset.iter() {
-                if c > 0 {
-                    w.add(p, c);
-                }
-            }
-            // Dropping the writer flushes the tail, so the merge is fully
-            // visible before absorb returns.
-        } else {
-            self.shared.counters.absorb(dataset);
-        }
-    }
-
-    /// Cumulative flush statistics of the coalescing writers used by
-    /// [`AdaptiveHandle::absorb`]/[`AdaptiveHandle::collect_run`] (all
-    /// zero when [`AdaptiveConfig::coalesce`] is 0).
-    pub fn flush_stats(&self) -> pgmp_rt::FlushStatsSnapshot {
-        self.shared.counters.flush_stats()
+        self.shared.counters.absorb(dataset);
     }
 
     /// The program generation currently being served. The returned `Arc`
@@ -359,11 +324,6 @@ pub struct AdaptiveEngine {
     /// VM-serving state ([`AdaptiveEngine::enable_vm_serving`]); `None`
     /// until enabled. Requires the incremental path.
     serving: Option<VmServing>,
-    /// Cumulative flush stats at the end of the previous [`tick`], so each
-    /// epoch reports per-epoch deltas.
-    ///
-    /// [`tick`]: AdaptiveEngine::tick
-    last_flush: pgmp_rt::FlushStatsSnapshot,
 }
 
 impl AdaptiveEngine {
@@ -412,7 +372,6 @@ impl AdaptiveEngine {
             file: file.to_owned(),
             setup,
             counters: ShardedCounters::new(),
-            coalesce: config.coalesce,
             program: RwLock::new(placeholder),
             agg: Mutex::new(AggState {
                 rolling: RollingProfile::new(config.decay),
@@ -442,7 +401,6 @@ impl AdaptiveEngine {
             shared,
             incremental,
             serving: None,
-            last_flush: pgmp_rt::FlushStatsSnapshot::default(),
         };
         let gen0 = engine.compile(ProfileInformation::empty(), 0)?;
         *engine
@@ -754,12 +712,6 @@ impl AdaptiveEngine {
             self.reoptimize(step.weights.clone())?;
             reoptimized = true;
         }
-        let flush = self.shared.counters.flush_stats();
-        let merged_total = flush.buffered_hits.saturating_sub(flush.flushed_slots);
-        let last_merged = self
-            .last_flush
-            .buffered_hits
-            .saturating_sub(self.last_flush.flushed_slots);
         let report = EpochReport {
             epoch: step.epoch,
             hits: step.hits,
@@ -769,10 +721,7 @@ impl AdaptiveEngine {
             generation: self.current_program().generation,
             streak: step.streak,
             cooldown: step.cooldown,
-            flush_writes: flush.flushes.saturating_sub(self.last_flush.flushes),
-            flush_merged: merged_total.saturating_sub(last_merged),
         };
-        self.last_flush = flush;
         self.publish_epoch_metrics(&report);
         observe::finish(t, |duration_us| observe::EventKind::Epoch {
             epoch: report.epoch,
@@ -783,8 +732,10 @@ impl AdaptiveEngine {
             generation: report.generation,
             streak: report.streak,
             cooldown: report.cooldown,
-            flush_writes: report.flush_writes,
-            flush_merged: report.flush_merged,
+            // The trace schema keeps the write-batching fields; no writer
+            // batches, so they are always 0.
+            flush_writes: 0,
+            flush_merged: 0,
             duration_us,
         });
         Ok(report)
@@ -798,8 +749,6 @@ impl AdaptiveEngine {
         let m = observe::metrics();
         m.counter_add("adaptive.epochs", 1);
         m.counter_add("adaptive.hits", report.hits);
-        m.counter_add("adaptive.flush_writes", report.flush_writes);
-        m.counter_add("adaptive.flush_merged", report.flush_merged);
         if report.fired {
             m.counter_add("adaptive.fired", 1);
         }

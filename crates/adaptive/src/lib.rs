@@ -4,14 +4,13 @@
 //! benchmark suite, store the counts, recompile. This crate closes that
 //! loop *while the system runs*:
 //!
-//! - [`ShardedCounters`] — a `Send + Sync` counter registry keyed by
-//!   interned profile points ([`pgmp_syntax::SourceObject`]). Points are
-//!   interned once to dense slots; bumps are lock-free relaxed atomics on
-//!   a [`pgmp_rt::AtomicSlotArray`], and write-heavy workers can batch
-//!   through a [`CountersWriter`]. Many worker threads bump it
-//!   concurrently; snapshots come out as the existing
-//!   [`pgmp_profiler::Dataset`], so the paper's weight normalization and
-//!   dataset-merge machinery applies unchanged.
+//! - Concurrent collection into one [`pgmp_profiler::ShardedCounters`]:
+//!   a `Send + Sync` counter registry keyed by interned profile points
+//!   ([`pgmp_syntax::SourceObject`]), with lock-free relaxed atomic bumps
+//!   on dense slots. Many worker threads feed it concurrently; epoch
+//!   drains come out as the existing [`pgmp_profiler::Dataset`], so the
+//!   paper's weight normalization and dataset-merge machinery applies
+//!   unchanged.
 //! - [`RollingProfile`] — epoch aggregation with exponential decay, so
 //!   weights track *recent* behavior and stale traffic patterns age out.
 //! - [`DriftDetector`] / [`drift`] — L1 or total-variation distance
@@ -31,13 +30,11 @@
 //! only the concurrency substrate around it, mirroring how the paper
 //! layers PGMP on an unmodified Chez Scheme.
 
-mod counters;
 mod drift;
 mod engine;
 mod rolling;
 mod snapshot;
 
-pub use counters::{CountersWriter, ShardedCounters};
 pub use drift::{drift, DriftDetector, DriftMetric, DriftReading, HysteresisDetector};
 pub use engine::{
     AdaptiveConfig, AdaptiveEngine, AdaptiveHandle, AggregatorGuard, CompiledProgram, EpochReport,

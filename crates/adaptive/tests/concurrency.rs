@@ -2,9 +2,7 @@
 //! snapshots is order-independent, and concurrent increments are never
 //! lost.
 
-use pgmp_adaptive::ShardedCounters;
-use pgmp_profiler::Dataset;
-use pgmp_rt::ShardedRegistry;
+use pgmp_profiler::{Dataset, ShardedCounters};
 use pgmp_syntax::SourceObject;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -42,7 +40,7 @@ proptest! {
         // Absorb the per-shard datasets in a permuted order.
         datasets.rotate_left(rotate % shards);
 
-        let counters = ShardedCounters::with_shards(4);
+        let counters = ShardedCounters::new();
         for d in &datasets {
             counters.absorb(d);
         }
@@ -133,45 +131,49 @@ fn concurrent_drain_partitions_every_hit() {
     );
 }
 
-/// Concurrent equivalence oracle: the dense slot-indexed registry and the
-/// lock-striped hash registry it replaced agree on every per-point count
-/// after identical concurrent workloads.
+/// Concurrent equivalence oracle: after a concurrent workload, the dense
+/// slot-indexed registry holds, point by point, what a sequential
+/// `HashMap<SourceObject, u64>` replay of the same adds holds.
 #[test]
-fn dense_registry_agrees_with_lock_striped_oracle() {
+fn dense_registry_agrees_with_sequential_model() {
     const THREADS: u64 = 6;
     const PER_THREAD: u64 = 5_000;
     const POINTS: u64 = 11;
 
+    let add = |t: u64, i: u64| (point(((t * 3 + i) % POINTS) as u32), 1 + (t + i) % 4);
     let dense = ShardedCounters::new();
-    let oracle: ShardedRegistry<SourceObject> = ShardedRegistry::new();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let dense = dense.clone();
-            let oracle = &oracle;
             s.spawn(move || {
                 for i in 0..PER_THREAD {
-                    let p = point(((t * 3 + i) % POINTS) as u32);
-                    let n = 1 + (t + i) % 4;
+                    let (p, n) = add(t, i);
                     dense.add(p, n);
-                    oracle.add(&p, n);
                 }
             });
         }
     });
+    let mut model: HashMap<SourceObject, u64> = HashMap::new();
+    for t in 0..THREADS {
+        for i in 0..PER_THREAD {
+            let (p, n) = add(t, i);
+            *model.entry(p).or_insert(0) += n;
+        }
+    }
     for raw in 0..POINTS {
         let p = point(raw as u32);
-        assert_eq!(dense.count(p), oracle.count(&p), "point {raw}");
+        assert_eq!(dense.count(p), model[&p], "point {raw}");
     }
     let dense_total: u64 = dense.snapshot().iter().map(|(_, c)| c).sum();
-    let oracle_total: u64 = oracle.snapshot().iter().map(|(_, c)| c).sum();
-    assert_eq!(dense_total, oracle_total);
+    assert_eq!(dense_total, model.values().sum::<u64>());
 }
 
-/// Per-thread coalescing writers lose nothing: once every writer has
-/// flushed (here: dropped), the registry holds exactly the hits issued,
-/// and the flush statistics account for all of them.
+/// Per-thread buffering loses nothing: each worker sums its hits into a
+/// dataset of its own and absorbs it once, as `AdaptiveHandle::absorb`
+/// does with a run's dataset; the registry then holds exactly the hits
+/// issued.
 #[test]
-fn coalescing_writers_preserve_every_hit() {
+fn per_thread_datasets_preserve_every_hit() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10_000;
     const POINTS: u64 = 9;
@@ -181,23 +183,20 @@ fn coalescing_writers_preserve_every_hit() {
         for t in 0..THREADS {
             let c = counters.clone();
             s.spawn(move || {
-                // Capacity above the point count, so every point's hits
-                // coalesce locally and only flush at capacity/drop.
-                let mut w = c.writer(16);
+                let mut local: HashMap<SourceObject, u64> = HashMap::new();
                 for i in 0..PER_THREAD {
-                    w.increment(point(((t + i) % POINTS) as u32));
+                    *local.entry(point(((t + i) % POINTS) as u32)).or_insert(0) += 1;
                 }
-                // drop flushes the tail
+                c.absorb(&local.into_iter().collect());
             });
         }
     });
     let total: u64 = counters.snapshot().iter().map(|(_, c)| c).sum();
-    assert_eq!(total, THREADS * PER_THREAD, "coalescing lost hits");
-    let stats = counters.flush_stats();
-    assert_eq!(stats.buffered_hits, THREADS * PER_THREAD);
-    assert!(stats.flushes > 0);
-    assert!(
-        stats.flushed_slots < stats.buffered_hits,
-        "coalescing should collapse many hits per flushed slot"
-    );
+    assert_eq!(total, THREADS * PER_THREAD, "per-thread absorbs lost hits");
+    for raw in 0..POINTS {
+        let expected: u64 = (0..THREADS)
+            .map(|t| (0..PER_THREAD).filter(|i| (t + i) % POINTS == raw).count() as u64)
+            .sum();
+        assert_eq!(counters.count(point(raw as u32)), expected, "point {raw}");
+    }
 }

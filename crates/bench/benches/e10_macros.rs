@@ -1,6 +1,8 @@
 //! E10 bench — the Rust proc-macro implementation: arm order chosen by a
-//! (fixture) profile vs. source order, plus the cost of the `hit`
-//! instrumentation when profiling is disabled.
+//! (fixture) profile vs. source order, plus the cost of one hit, disabled
+//! and enabled, through `pgmp_rt::hit(&str)` (which looks the name up on
+//! every call) and through the cached `static` [`pgmp_rt::Point`] the
+//! macros generate.
 //!
 //! The fixture `profiles/skewed.pgmp` (relative to this crate) marks arm
 //! #3 as the hottest, inverting the source order.
@@ -71,6 +73,8 @@ fn bench_hit_overhead(c: &mut Criterion) {
     group.bench_function("hit-enabled", |b| {
         b.iter(|| pgmp_rt::hit(black_box("bench-point")))
     });
+    static POINT: pgmp_rt::Point = pgmp_rt::Point::new("bench-point");
+    group.bench_function("point-enabled", |b| b.iter(|| black_box(&POINT).hit()));
     pgmp_rt::disable_profiling();
     group.finish();
 }

@@ -1,6 +1,6 @@
-//! E12 bench — concurrent profile collection: the adaptive subsystem's
-//! lock-striped [`ShardedCounters`] vs. the obvious `Mutex<HashMap>`
-//! registry, under 1/2/4/8 threads of counter traffic.
+//! E12 bench — concurrent profile collection: the dense atomic
+//! [`ShardedCounters`] vs. the obvious `Mutex<HashMap>` registry, under
+//! 1/2/4/8 threads of counter traffic.
 //!
 //! Claim under test: sharding keeps aggregate increment throughput scaling
 //! with threads, where a single mutex serializes every hit (target: ≥ 4×
@@ -11,14 +11,14 @@
 //! degenerates to per-op overhead (where the two designs are within ~15%
 //! of each other; see `DESIGN.md`).
 //!
-//! A second pair benchmarks the proc-macro runtime registry this PR
-//! replaced: the seed's global `Mutex<HashMap<String, u64>>` — which
-//! allocated a `String` per hit — against `pgmp-rt`'s sharded registry,
-//! which takes `&str` and allocates only on first sight of a point.
+//! A second pair benchmarks the proc-macro runtime: the seed's global
+//! `Mutex<HashMap<String, u64>>` — which allocated a `String` per hit —
+//! against the hit the `pgmp-macros` instrumentation generates, a
+//! `static` [`pgmp_rt::Point`] that caches its slot in `pgmp-rt`'s global
+//! registry and then adds to it without hashing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pgmp_adaptive::ShardedCounters;
-use pgmp_profiler::Dataset;
+use pgmp_profiler::{Dataset, ShardedCounters};
 use pgmp_syntax::SourceObject;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -128,17 +128,19 @@ fn bench_concurrent_counters(c: &mut Criterion) {
     }
     group.finish();
 
-    // The proc-macro runtime pair: string-keyed profile points.
-    let names: Vec<String> = (0..POINTS).map(|i| format!("bench::arm#{i}")).collect();
-    let hammer_str = |iters: u64, threads: usize, hit: &(dyn Fn(&str) + Sync)| {
+    // The proc-macro runtime pair: string-named profile points. `hit`
+    // takes the index of the point to count.
+    let names: Vec<&'static str> = (0..POINTS)
+        .map(|i| &*Box::leak(format!("bench::arm#{i}").into_boxed_str()))
+        .collect();
+    let hammer_str = |iters: u64, threads: usize, hit: &(dyn Fn(usize) + Sync)| {
         let start = Instant::now();
         for _ in 0..iters {
             std::thread::scope(|s| {
                 for t in 0..threads {
-                    let names = &names;
                     s.spawn(move || {
                         for i in 0..HITS_PER_THREAD {
-                            hit(&names[(i as usize + t) % POINTS]);
+                            hit((i as usize + t) % POINTS);
                         }
                     });
                 }
@@ -146,17 +148,18 @@ fn bench_concurrent_counters(c: &mut Criterion) {
         }
         start.elapsed()
     };
+    let macro_points: Vec<pgmp_rt::Point> = names.iter().map(|n| pgmp_rt::Point::new(n)).collect();
+    pgmp_rt::enable_profiling();
     let mut group = c.benchmark_group("e12_rt_registry");
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("sharded-str", threads),
             &threads,
             |b, &threads| {
-                let reg: pgmp_rt::ShardedRegistry<String> = pgmp_rt::ShardedRegistry::new();
                 b.iter_custom(|iters| {
-                    let d = hammer_str(iters, threads, &|p| reg.increment(p));
-                    black_box(reg.snapshot());
-                    reg.clear();
+                    let d = hammer_str(iters, threads, &|i| macro_points[i].hit());
+                    black_box(pgmp_rt::registry().snapshot());
+                    pgmp_rt::reset();
                     d
                 });
             },
@@ -167,7 +170,7 @@ fn bench_concurrent_counters(c: &mut Criterion) {
             |b, &threads| {
                 let reg = SeedRtRegistry::default();
                 b.iter_custom(|iters| {
-                    let d = hammer_str(iters, threads, &|p| reg.hit(p));
+                    let d = hammer_str(iters, threads, &|i| reg.hit(names[i]));
                     black_box(reg.counts.lock().unwrap().len());
                     reg.counts.lock().unwrap().clear();
                     d

@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::Engine;
 use pgmp_bench::workloads::fib_program;
-use pgmp_profiler::{CounterImpl, Counters};
+use pgmp_profiler::{CounterImpl, Counters, SlotStore};
 use std::collections::HashMap;
 
 /// Deterministic LCG (same constants as the convergence oracle) for the
@@ -74,7 +74,7 @@ fn sampled_weights(
         .collect();
     let total: u64 = targets.iter().sum();
     let mut emitted = vec![0u64; targets.len()];
-    let c = Counters::sampling_manual();
+    let c = Counters::with_store(SlotStore::sampling_manual());
     let slots: Vec<u32> = points.iter().map(|p| c.resolve(*p)).collect();
     let mut lcg = Lcg(42);
     let mut countdown = 1u64;
@@ -92,7 +92,7 @@ fn sampled_weights(
         c.record_hit(slots[best]);
         countdown -= 1;
         if countdown == 0 {
-            c.sample_now();
+            c.store().sample_now();
             countdown = if mean_gap <= 1 {
                 1
             } else {

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::{AnnotateStrategy, Engine};
 use pgmp_bench::workloads::fib_program;
 use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-use pgmp_profiler::{CounterImpl, ProfileMode};
+use pgmp_profiler::{CounterImpl, ProfileMode, SlotStore};
 
 fn bench_overhead(c: &mut Criterion) {
     let program = fib_program(16);
@@ -91,7 +91,7 @@ fn bench_overhead(c: &mut Criterion) {
             let core = e.expand_to_core(&program, "e7.scm").expect("expand");
             let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
             let mut vm = Vm::new();
-            vm.set_block_profiling(BlockCounters::with_impl(kind));
+            vm.set_block_profiling(BlockCounters::with_store(SlotStore::new(kind)));
             b.iter(|| {
                 for chunk in &chunks {
                     vm.run_chunk(e.interp_mut(), chunk).expect("run");

@@ -15,7 +15,7 @@
 use pgmp::{AnnotateStrategy, Engine};
 use pgmp_bench::workloads::fib_program;
 use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-use pgmp_profiler::{CounterImpl, ProfileMode};
+use pgmp_profiler::{CounterImpl, ProfileMode, SlotStore};
 use std::time::{Duration, Instant};
 
 fn time_runs(mut f: impl FnMut(), reps: u32) -> Duration {
@@ -104,8 +104,9 @@ fn main() {
         t0.elapsed() / reps
     };
     let vm_base = vm_run(None);
-    let vm_dense = vm_run(Some(BlockCounters::with_impl(CounterImpl::Dense)));
-    let vm_sampling = vm_run(Some(BlockCounters::with_impl(CounterImpl::Sampling)));
+    let vm_dense = vm_run(Some(BlockCounters::new()));
+    let vm_sampling =
+        vm_run(Some(BlockCounters::with_store(SlotStore::new(CounterImpl::Sampling))));
 
     println!("§4.4 profiling overhead (fib workload; interpreter substrate)");
     println!("======================================================================");

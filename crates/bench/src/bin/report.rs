@@ -149,7 +149,7 @@ fn e6() {
 fn e7() {
     use pgmp_bench::workloads::fib_program;
     use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-    use pgmp_profiler::{CounterImpl, ProfileMode};
+    use pgmp_profiler::{CounterImpl, ProfileMode, SlotStore};
 
     header("E7 (section 4.4): instrumentation overhead, dense vs sampling");
     let program = fib_program(16);
@@ -172,7 +172,7 @@ fn e7() {
         let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
         let mut vm = Vm::new();
         if let Some(kind) = kind {
-            vm.set_block_profiling(BlockCounters::with_impl(kind));
+            vm.set_block_profiling(BlockCounters::with_store(SlotStore::new(kind)));
         }
         for chunk in &chunks {
             vm.run_chunk(e.interp_mut(), chunk).expect("warmup");

@@ -1,36 +1,16 @@
 //! Block-level profile counters.
 //!
 //! Like the source-level [`pgmp_profiler::Counters`], the registry is
-//! slot-indexed: each registered chunk owns a contiguous range of dense
-//! indexes, which the VM resolves once per activation, so block entry
-//! touches one index and hashes nothing. Two backends store the counts
-//! behind that one layout. The **dense** backend counts exactly in a
-//! `Vec<Cell<u64>>`. The **sampling** backend only publishes a
-//! current-position beacon on block entry (one relaxed store); a decoupled
-//! [`pgmp_profiler::Sampler`] thread turns periodic beacon reads into
-//! estimated counts (see `pgmp_profiler::sampling`).
+//! slot-indexed and keeps its counts in a [`pgmp_profiler::SlotStore`],
+//! dense or sampling. Only the keying differs: each registered chunk owns
+//! a contiguous range of store indexes, which the VM resolves once per
+//! activation, so block entry touches one index and hashes nothing.
 
-use pgmp_profiler::{CounterImpl, Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
+use pgmp_profiler::SlotStore;
 use pgmp_syntax::FnvHashMap;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
-
-#[derive(Debug)]
-enum Store {
-    /// Exact counts, one cell per dense index.
-    Dense(RefCell<Vec<Cell<u64>>>),
-    Sampling {
-        /// Beacon + estimated tallies, shared with the sampler.
-        shared: Arc<SamplingShared>,
-        /// Owns the sampler thread; `None` in manual (test) mode. Dropping
-        /// the last clone of the registry stops and joins the thread.
-        sampler: Option<Sampler>,
-        /// Configured tick rate (0 in manual mode).
-        hz: u32,
-    },
-}
 
 #[derive(Debug)]
 struct Inner {
@@ -39,7 +19,7 @@ struct Inner {
     bases: RefCell<FnvHashMap<u32, (u32, u32)>>,
     /// Next free dense index.
     next: Cell<u32>,
-    store: Store,
+    store: SlotStore,
 }
 
 /// Execution counts per `(chunk, block)` — the block-level analogue of the
@@ -68,44 +48,11 @@ impl Default for BlockCounters {
 impl BlockCounters {
     /// Creates an empty dense registry.
     pub fn new() -> BlockCounters {
-        BlockCounters::with_store(Store::Dense(RefCell::new(Vec::new())))
+        BlockCounters::with_store(SlotStore::default())
     }
 
-    /// Creates an empty registry with an explicit representation. A
-    /// sampling registry spawns its sampler thread at
-    /// [`DEFAULT_SAMPLE_HZ`]; use [`BlockCounters::with_sampling`] to pick
-    /// the rate.
-    pub fn with_impl(kind: CounterImpl) -> BlockCounters {
-        match kind {
-            CounterImpl::Dense => BlockCounters::new(),
-            CounterImpl::Sampling => BlockCounters::with_sampling(DEFAULT_SAMPLE_HZ),
-        }
-    }
-
-    /// Creates an empty sampling registry with a sampler thread ticking at
-    /// `hz`.
-    pub fn with_sampling(hz: u32) -> BlockCounters {
-        BlockCounters::sampling_with(hz, true)
-    }
-
-    /// Creates a sampling registry with *no* sampler thread; tests and
-    /// benchmarks drive it deterministically via
-    /// [`BlockCounters::sample_now`].
-    pub fn sampling_manual() -> BlockCounters {
-        BlockCounters::sampling_with(0, false)
-    }
-
-    fn sampling_with(hz: u32, spawn: bool) -> BlockCounters {
-        let shared = Arc::new(SamplingShared::new());
-        let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
-        BlockCounters::with_store(Store::Sampling {
-            shared,
-            sampler,
-            hz,
-        })
-    }
-
-    fn with_store(store: Store) -> BlockCounters {
+    /// Creates an empty registry counting into `store`.
+    pub fn with_store(store: SlotStore) -> BlockCounters {
         BlockCounters {
             inner: Rc::new(Inner {
                 bases: RefCell::new(FnvHashMap::default()),
@@ -115,88 +62,10 @@ impl BlockCounters {
         }
     }
 
-    /// The representation behind this registry.
-    pub fn impl_kind(&self) -> CounterImpl {
-        match &self.inner.store {
-            Store::Dense(_) => CounterImpl::Dense,
-            Store::Sampling { .. } => CounterImpl::Sampling,
-        }
-    }
-
-    /// The configured sampler rate, when this is a sampling registry
-    /// (0 in manual mode; `None` on exact registries).
-    pub fn sample_hz(&self) -> Option<u32> {
-        match &self.inner.store {
-            Store::Sampling { hz, .. } => Some(*hz),
-            Store::Dense(_) => None,
-        }
-    }
-
-    /// True when a wall-clock sampler thread is attached to this registry
-    /// (always false for exact registries and manually driven sampling
-    /// registries).
-    pub fn has_sampler_thread(&self) -> bool {
-        matches!(
-            &self.inner.store,
-            Store::Sampling {
-                sampler: Some(_),
-                ..
-            }
-        )
-    }
-
-    /// The shared sampling state, when this is a sampling registry.
-    pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
-        match &self.inner.store {
-            Store::Sampling { shared, .. } => Some(shared.clone()),
-            Store::Dense(_) => None,
-        }
-    }
-
-    /// Takes one sample immediately (test/benchmark hook); no-op on exact
-    /// registries.
-    pub fn sample_now(&self) {
-        if let Store::Sampling { shared, .. } = &self.inner.store {
-            shared.sample_now();
-        }
-    }
-
-    /// Parks the sampling beacon so samples taken while no profiled code
-    /// runs (VM run exited, blocking native) attribute nothing; no-op on
-    /// exact registries.
-    #[inline]
-    pub fn park(&self) {
-        if let Store::Sampling { shared, .. } = &self.inner.store {
-            shared.park();
-        }
-    }
-
-    /// Count at dense index `idx` (estimated, on a sampling registry).
-    fn get(&self, idx: u32) -> u64 {
-        match &self.inner.store {
-            Store::Dense(counts) => counts.borrow()[idx as usize].get(),
-            Store::Sampling { shared, .. } => shared.tallies().get(idx),
-        }
-    }
-
-    /// Adds `n` at dense index `idx`, exactly on both backends.
-    fn add(&self, idx: u32, n: u64) {
-        match &self.inner.store {
-            Store::Dense(counts) => {
-                let counts = counts.borrow();
-                let c = &counts[idx as usize];
-                c.set(c.get().saturating_add(n));
-            }
-            Store::Sampling { shared, .. } => shared.tallies().add(idx, n),
-        }
-    }
-
-    /// Moves the count at dense index `idx` out, leaving zero.
-    fn take(&self, idx: u32) -> u64 {
-        match &self.inner.store {
-            Store::Dense(counts) => counts.borrow()[idx as usize].replace(0),
-            Store::Sampling { shared, .. } => shared.tallies().take(idx),
-        }
+    /// The store holding this registry's counts: its kind, sampling state
+    /// and beacon.
+    pub fn store(&self) -> &SlotStore {
+        &self.inner.store
     }
 
     /// Registers chunk `chunk` with `blocks` basic blocks and returns the
@@ -215,16 +84,13 @@ impl BlockCounters {
         }
         let base = self.inner.next.get();
         self.inner.next.set(base + blocks);
-        if let Store::Dense(counts) = &self.inner.store {
-            counts
-                .borrow_mut()
-                .resize((base + blocks) as usize, Cell::new(0));
-        }
+        let store = &self.inner.store;
+        store.grow((base + blocks) as usize);
         if let Some((old_base, n)) = old {
             for b in 0..n {
-                let c = self.take(old_base + b);
+                let c = store.take(old_base + b);
                 if c > 0 {
-                    self.add(base + b, c);
+                    store.add(base + b, c);
                 }
             }
         }
@@ -243,14 +109,7 @@ impl BlockCounters {
     /// Panics (dense only) on an out-of-range index.
     #[inline]
     pub fn increment_at(&self, base: u32, block: u32) {
-        match &self.inner.store {
-            Store::Dense(counts) => {
-                let counts = counts.borrow();
-                let c = &counts[(base + block) as usize];
-                c.set(c.get().saturating_add(1));
-            }
-            Store::Sampling { shared, .. } => shared.publish(0, base + block),
-        }
+        self.inner.store.hit(base + block);
     }
 
     /// Records entry into block `block` of chunk `chunk` (keyed path for
@@ -264,7 +123,7 @@ impl BlockCounters {
     pub fn count(&self, chunk: u32, block: u32) -> u64 {
         let base = self.inner.bases.borrow().get(&chunk).copied();
         match base {
-            Some((base, n)) if block < n => self.get(base + block),
+            Some((base, n)) if block < n => self.inner.store.get(base + block),
             _ => 0,
         }
     }
@@ -272,7 +131,9 @@ impl BlockCounters {
     /// Number of blocks with a nonzero count (estimated count, on a
     /// sampling registry).
     pub fn len(&self) -> usize {
-        (0..self.inner.next.get()).filter(|&i| self.get(i) > 0).count()
+        (0..self.inner.next.get())
+            .filter(|&i| self.inner.store.get(i) > 0)
+            .count()
     }
 
     /// True if no blocks were counted.
@@ -283,14 +144,7 @@ impl BlockCounters {
     /// Zeroes every counter. Chunk registrations (and therefore
     /// activation-cached bases) stay valid.
     pub fn clear(&self) {
-        match &self.inner.store {
-            Store::Dense(counts) => {
-                for c in counts.borrow().iter() {
-                    c.set(0);
-                }
-            }
-            Store::Sampling { shared, .. } => shared.tallies().clear(),
-        }
+        self.inner.store.clear();
     }
 
     /// Re-keys every counter of chunk `old` under chunk id `new`,
@@ -314,10 +168,10 @@ impl BlockCounters {
             return;
         }
         for b in 0..n {
-            let c = self.take(base + b);
+            let c = self.inner.store.take(base + b);
             if c > 0 {
                 let dst = self.register_chunk(new, b + 1);
-                self.add(dst + b, c);
+                self.inner.store.add(dst + b, c);
             }
         }
     }
@@ -327,7 +181,7 @@ impl BlockCounters {
         let mut out = HashMap::new();
         for (chunk, (base, n)) in self.inner.bases.borrow().iter() {
             for b in 0..*n {
-                let c = self.get(base + b);
+                let c = self.inner.store.get(base + b);
                 if c > 0 {
                     out.insert((*chunk, b), c);
                 }
@@ -340,6 +194,7 @@ impl BlockCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgmp_profiler::CounterImpl;
 
     #[test]
     fn clones_share_state() {
@@ -451,20 +306,20 @@ mod tests {
 
     #[test]
     fn sampling_registry_estimates_from_beacon_samples() {
-        let c = BlockCounters::sampling_manual();
-        assert_eq!(c.impl_kind(), CounterImpl::Sampling);
-        assert_eq!(c.sample_hz(), Some(0));
-        assert!(!c.has_sampler_thread(), "manual mode has no sampler thread");
+        let c = BlockCounters::with_store(SlotStore::sampling_manual());
+        assert_eq!(c.store().impl_kind(), CounterImpl::Sampling);
+        assert_eq!(c.store().sample_hz(), Some(0));
+        assert!(!c.store().has_sampler_thread(), "manual mode has no sampler thread");
         let base = c.register_chunk(2, 4);
         c.increment_at(base, 1);
         assert_eq!(c.count(2, 1), 0, "publishing alone tallies nothing");
-        c.sample_now();
-        c.sample_now();
+        c.store().sample_now();
+        c.store().sample_now();
         assert_eq!(c.count(2, 1), 2);
         assert_eq!(c.len(), 1);
         assert_eq!(c.snapshot(), HashMap::from([((2, 1), 2)]));
-        c.park();
-        c.sample_now();
+        c.store().park();
+        c.store().sample_now();
         assert_eq!(c.count(2, 1), 2, "parked beacon attributes nothing");
         c.clear();
         assert!(c.is_empty());
@@ -473,38 +328,38 @@ mod tests {
 
     #[test]
     fn sampling_keyed_increment_lazily_registers() {
-        let c = BlockCounters::sampling_manual();
+        let c = BlockCounters::with_store(SlotStore::sampling_manual());
         c.increment(9, 3);
-        c.sample_now();
+        c.store().sample_now();
         assert_eq!(c.count(9, 3), 1);
         // Keyed entries to the now-registered chunk land in the same slots.
         c.increment(9, 3);
-        c.sample_now();
+        c.store().sample_now();
         assert_eq!(c.count(9, 3), 2);
     }
 
     #[test]
     fn sampling_remap_moves_and_merges_estimates() {
-        let c = BlockCounters::sampling_manual();
+        let c = BlockCounters::with_store(SlotStore::sampling_manual());
         let base = c.register_chunk(4, 2);
         c.increment_at(base, 1);
-        c.sample_now();
+        c.store().sample_now();
         c.remap_chunk(4, 40);
         assert_eq!(c.count(4, 1), 0, "old id is empty");
         assert_eq!(c.count(40, 1), 1);
         // Remapping onto a chunk with counts of its own sums them.
         let other = c.register_chunk(5, 2);
         c.increment_at(other, 1);
-        c.sample_now();
+        c.store().sample_now();
         c.remap_chunk(5, 40);
         assert_eq!(c.count(40, 1), 2);
     }
 
     #[test]
     fn sampling_with_thread_reports_rate() {
-        let c = BlockCounters::with_sampling(499);
-        assert_eq!(c.sample_hz(), Some(499));
-        assert!(c.has_sampler_thread());
-        assert!(c.sampling_shared().is_some());
+        let c = BlockCounters::with_store(SlotStore::sampling(499));
+        assert_eq!(c.store().sample_hz(), Some(499));
+        assert!(c.store().has_sampler_thread());
+        assert!(c.store().sampling_shared().is_some());
     }
 }

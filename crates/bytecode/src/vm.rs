@@ -217,7 +217,7 @@ impl Vm {
         // The run is over: park the sampling beacon (no-op on exact
         // registries) so samples taken between runs attribute nothing.
         if let Some(counters) = &self.block_counters {
-            counters.park();
+            counters.store().park();
         }
         let m = observe::metrics();
         m.gauge_set("vm.fallthrough_ratio", self.metrics.fallthrough_ratio());

@@ -53,11 +53,6 @@
 //!                                re-optimization (default 0)
 //!   --no-incremental             adaptive: recompile from scratch on drift
 //!                                instead of using the per-form cache
-//!   --coalesce <n>               adaptive: buffer worker counter merges in
-//!                                thread-local coalescing writers of n
-//!                                distinct points, flushed at the latest at
-//!                                the epoch boundary; prints per-epoch
-//!                                flush statistics (0 = off, the default)
 //!
 //!   --dispatch flat              run --incremental / --adaptive programs
 //!                                on the VM's flat code streams
@@ -145,7 +140,6 @@ struct Options {
     hysteresis: u32,
     cooldown: u64,
     adaptive_incremental: bool,
-    coalesce: usize,
     dispatch: bool,
     fuse: bool,
     vm_metrics: bool,
@@ -166,7 +160,7 @@ fn usage() -> ! {
          \u{20}               [--incremental [--save-state F] [--load-state F]]\n\
          \u{20}               [--adaptive [--epochs N] [--threads N] [--epoch-ms MS]\n\
          \u{20}               [--drift-threshold T] [--decay D] [--hysteresis N]\n\
-         \u{20}               [--cooldown N] [--no-incremental] [--coalesce N]]\n\
+         \u{20}               [--cooldown N] [--no-incremental]]\n\
          \u{20}               [--dispatch flat] [--fuse] [--vm-metrics]\n\
          \u{20}               [--publish SOCKET] [--subscribe SOCKET]\n\
          \u{20}               [--trace OUT.jsonl] [--metrics] [--metrics-out F]\n\
@@ -228,7 +222,6 @@ fn parse_args() -> Options {
         hysteresis: 1,
         cooldown: 0,
         adaptive_incremental: true,
-        coalesce: 0,
         dispatch: false,
         fuse: false,
         vm_metrics: false,
@@ -272,7 +265,6 @@ fn parse_args() -> Options {
             "--hysteresis" => opts.hysteresis = parse_num(args.next()),
             "--cooldown" => opts.cooldown = parse_num(args.next()),
             "--no-incremental" => opts.adaptive_incremental = false,
-            "--coalesce" => opts.coalesce = parse_num(args.next()),
             "--dispatch" => match args.next().as_deref() {
                 Some("flat") => opts.dispatch = true,
                 _ => usage(),
@@ -344,7 +336,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
         incremental: opts.adaptive_incremental,
         hysteresis_epochs: opts.hysteresis,
         cooldown_epochs: opts.cooldown,
-        coalesce: opts.coalesce,
         ..AdaptiveConfig::default()
     };
     let libs = opts.libs.clone();
@@ -440,12 +431,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
             reuse,
             reg.gauge("adaptive.generation").unwrap_or(report.generation as f64) as u64,
         );
-        if opts.coalesce > 0 {
-            eprintln!(
-                "adaptive: epoch {} coalescing: {} flush(es) merged {} buffered hit(s)",
-                report.epoch, report.flush_writes, report.flush_merged,
-            );
-        }
         if vm_serving {
             // One unit of VM-served traffic per epoch; the line reports
             // this epoch's window (deltas), not cumulative totals.
@@ -675,7 +660,7 @@ fn publish_counters(engine: &Engine, socket: &str) -> Result<(), String> {
     let delta = counters.take_delta();
     // A sampling registry's estimates carry their rate to the daemon,
     // which records `sampled@hz` provenance on the canonical profile.
-    let sampled_hz = counters.sample_hz().unwrap_or(0);
+    let sampled_hz = counters.store().sample_hz().unwrap_or(0);
     let mut publisher =
         pgmp_profiled::Publisher::connect_with_provenance(socket, &table, 64, sampled_hz)
             .map_err(|e| format!("{socket}: {e}"))?;

@@ -6,7 +6,7 @@ use pgmp_eval::{install_primitives, resolve_profile_slots, Core, Interp, Value};
 use pgmp_observe as observe;
 use pgmp_expander::{install_expander_support, Expander, Expansion};
 use pgmp_profiler::{
-    CounterImpl, Counters, ProfileInformation, ProfileMode, Provenance, StoredProfile,
+    CounterImpl, Counters, ProfileInformation, ProfileMode, Provenance, SlotStore, StoredProfile,
 };
 use pgmp_reader::read_str;
 use pgmp_syntax::Syntax;
@@ -92,27 +92,27 @@ impl Engine {
     /// use [`Engine::set_sampling`] to pick the rate). Replaces the session counters, so call it before
     /// the first instrumented run.
     pub fn set_counter_impl(&mut self, kind: CounterImpl) {
-        self.state.borrow_mut().counters = Counters::with_impl(kind);
+        self.state.borrow_mut().counters = Counters::with_store(SlotStore::new(kind));
     }
 
     /// Switches this session to sampling counters with a sampler thread
     /// ticking at `hz`. Subsequent instrumented runs cost one relaxed
     /// beacon store per profile point; weights are estimated from samples.
     pub fn set_sampling(&mut self, hz: u32) {
-        self.state.borrow_mut().counters = Counters::with_sampling(hz);
+        self.state.borrow_mut().counters = Counters::with_store(SlotStore::sampling(hz));
     }
 
     /// Replaces the session counter registry wholesale. This is the
     /// embedding hook for registries the convenience setters cannot build
     /// — e.g. a manually driven sampling registry
-    /// ([`Counters::sampling_manual`]) in deterministic tests.
+    /// ([`SlotStore::sampling_manual`]) in deterministic tests.
     pub fn set_counters(&mut self, counters: Counters) {
         self.state.borrow_mut().counters = counters;
     }
 
     /// The counter representation behind this session's registry.
     pub fn counter_impl(&self) -> CounterImpl {
-        self.state.borrow().counters.impl_kind()
+        self.state.borrow().counters.store().impl_kind()
     }
 
     /// Replaces the loaded profile information (what meta-programs see).
@@ -175,7 +175,7 @@ impl Engine {
     pub fn store_profile_v2(&self, path: impl AsRef<Path>) -> Result<(), Error> {
         let (slots, provenance) = {
             let st = self.state.borrow();
-            let provenance = match st.counters.sample_hz() {
+            let provenance = match st.counters.store().sample_hz() {
                 Some(hz) => Provenance::Sampled { hz },
                 None => Provenance::Exact,
             };
@@ -201,20 +201,18 @@ impl Engine {
     pub fn load_profile_with_slots(&mut self, path: impl AsRef<Path>) -> Result<u32, Error> {
         let stored = StoredProfile::load_file(path)?;
         if let Some(table) = stored.slots {
-            match self.counter_impl() {
-                CounterImpl::Dense => {
-                    self.state.borrow_mut().counters = Counters::with_slot_table(table);
-                }
-                CounterImpl::Sampling => {
-                    // Preserve the session's sampler rate; only a registry
-                    // with a live sampler thread is replaced (a manually
-                    // driven one keeps its deterministic test harness).
-                    let mut st = self.state.borrow_mut();
-                    if st.counters.has_sampler_thread() {
-                        let hz = st.counters.sample_hz().unwrap_or(0);
-                        st.counters = Counters::with_slot_table_sampling(table, hz);
-                    }
-                }
+            let mut st = self.state.borrow_mut();
+            let store = st.counters.store();
+            // Preserve the session's sampler rate; only a sampling registry
+            // with a live sampler thread is replaced (a manually driven one
+            // keeps its deterministic test harness).
+            let fresh = match store.sample_hz() {
+                None => Some(SlotStore::default()),
+                Some(hz) if store.has_sampler_thread() => Some(SlotStore::sampling(hz)),
+                Some(_) => None,
+            };
+            if let Some(fresh) = fresh {
+                st.counters = Counters::with_slot_table(table, fresh);
             }
         }
         self.set_profile(stored.info);
@@ -357,8 +355,8 @@ impl Engine {
         // between-run samples attribute nothing, and publish sampler totals
         // into the metrics registry at this boundary.
         if let Some(counters) = &self.interp.counters {
-            counters.park();
-            if let Some(shared) = counters.sampling_shared() {
+            counters.store().park();
+            if let Some(shared) = counters.store().sampling_shared() {
                 shared.publish_metrics();
             }
         }
@@ -592,8 +590,8 @@ mod tests {
         // exact — every call to (sample!) tallies whatever profile point
         // the interpreter entered last.
         let mut e = Engine::new();
-        let counters = Counters::sampling_manual();
-        let shared = counters.sampling_shared().unwrap();
+        let counters = Counters::with_store(SlotStore::sampling_manual());
+        let shared = counters.store().sampling_shared().unwrap();
         e.set_counters(counters);
         assert_eq!(e.counter_impl(), CounterImpl::Sampling);
         e.set_instrumentation(ProfileMode::EveryExpression);
@@ -617,8 +615,8 @@ mod tests {
         // taken while it sleeps attribute nothing instead of inflating the
         // profile point that happened to be entered last.
         let mut e = Engine::new();
-        let counters = Counters::sampling_manual();
-        let shared = counters.sampling_shared().unwrap();
+        let counters = Counters::with_store(SlotStore::sampling_manual());
+        let shared = counters.store().sampling_shared().unwrap();
         e.set_counters(counters);
         e.set_instrumentation(ProfileMode::EveryExpression);
         let s = shared.clone();
@@ -692,7 +690,7 @@ mod tests {
         warm.set_sampling(500);
         warm.load_profile_with_slots(&path).unwrap();
         assert_eq!(warm.counter_impl(), CounterImpl::Sampling);
-        assert_eq!(warm.counters().sample_hz(), Some(500), "rate survives preload");
+        assert_eq!(warm.counters().store().sample_hz(), Some(500), "rate survives preload");
         assert!(
             !warm.counters().slot_table().is_empty(),
             "slot table preloaded into the sampling registry"

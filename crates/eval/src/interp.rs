@@ -96,7 +96,7 @@ impl Interp {
     #[inline]
     pub fn park_profiling(&self) {
         if let Some(counters) = &self.counters {
-            counters.park();
+            counters.store().park();
         }
     }
 

@@ -8,8 +8,9 @@
 //! - **profile points** are string names (`"site#index"`), generated
 //!   deterministically from a site label and the arm's source position —
 //!   the same determinism `make-profile-point` guarantees;
-//! - **`annotate-expr`** is the instrumentation these macros insert:
-//!   `pgmp_rt::hit("…")` calls;
+//! - **`annotate-expr`** is the instrumentation these macros insert: a
+//!   `static` [`pgmp_rt::Point`] per point, hit where the point executes
+//!   (it resolves its counter slot once, so later hits hash nothing);
 //! - **`profile-query`** is a profile file read *at macro expansion time*
 //!   (the `profile "path"` clause, or the `PGMP_PROFILE_PATH` environment
 //!   variable), parsed with [`pgmp_rt::Weights`];
@@ -34,7 +35,7 @@
 //!
 //! Without a profile the arms keep their source order; with one, they are
 //! sorted hottest-first (the `else` arm always stays last). Each arm body
-//! is instrumented with `pgmp_rt::hit("parse#i")` where `i` is the arm's
+//! is instrumented with the point `"parse#i"` where `i` is the arm's
 //! *source* index, so counts stay attached to the same arm across
 //! reordered builds — exactly the profile-point stability §3.1 requires.
 
@@ -139,6 +140,14 @@ fn load_weights(path: Option<&str>) -> pgmp_rt::Weights {
     pgmp_rt::Weights::load(resolved).unwrap_or_else(|_| pgmp_rt::Weights::empty())
 }
 
+/// The instrumentation for one profile point: a block holding the point's
+/// `static`, which caches its counter slot, and the hit itself.
+fn hit_code(point: &str) -> String {
+    format!(
+        "{{ static POINT: ::pgmp_rt::Point = ::pgmp_rt::Point::new({point:?}); POINT.hit(); }}"
+    )
+}
+
 struct Arm {
     /// Condition tokens (absent for the `else` arm).
     cond: Option<String>,
@@ -226,15 +235,15 @@ fn exclusive_cond_impl(input: TokenStream) -> Result<TokenStream, String> {
         let kw = if i == 0 { "if" } else { "else if" };
         let cond = arm.cond.as_ref().expect("non-else arm");
         out.push_str(&format!(
-            "{kw} {cond} {{ ::pgmp_rt::hit({point:?}); {body} }} ",
-            point = format!("{site}#{}", arm.index),
+            "{kw} {cond} {{ {hit} {body} }} ",
+            hit = hit_code(&format!("{site}#{}", arm.index)),
             body = arm.body,
         ));
     }
     match else_arm {
         Some(arm) => out.push_str(&format!(
-            "else {{ ::pgmp_rt::hit({point:?}); {body} }} ",
-            point = format!("{site}#else"),
+            "else {{ {hit} {body} }} ",
+            hit = hit_code(&format!("{site}#else")),
             body = arm.body,
         )),
         None => out.push_str(
@@ -272,7 +281,7 @@ fn profile_impl(input: TokenStream) -> Result<TokenStream, String> {
     if rest.trim().is_empty() {
         return Err("expected an expression after the point name".into());
     }
-    format!("{{ ::pgmp_rt::hit({point:?}); {rest} }}")
+    format!("{{ {} {rest} }}", hit_code(&point))
         .parse()
         .map_err(|e| format!("generated code failed to parse: {e}"))
 }
@@ -306,7 +315,7 @@ fn static_weight_impl(input: TokenStream) -> Result<TokenStream, String> {
 }
 
 /// `#[profiled]` — instruments a function: its body is preceded by a
-/// `pgmp_rt::hit("fn:<name>")`, giving per-function counters like GHC
+/// hit of the point `"fn:<name>"`, giving per-function counters like GHC
 /// cost-centres (§5.1's default granularity).
 #[proc_macro_attribute]
 pub fn profiled(_attr: TokenStream, item: TokenStream) -> TokenStream {
@@ -342,8 +351,8 @@ fn profiled_impl(item: TokenStream) -> Result<TokenStream, String> {
         .collect::<TokenStream>()
         .to_string();
     format!(
-        "{signature} {{ ::pgmp_rt::hit({point:?}); {body} }}",
-        point = format!("fn:{name}"),
+        "{signature} {{ {hit} {body} }}",
+        hit = hit_code(&format!("fn:{name}")),
         body = body.stream(),
     )
     .parse()

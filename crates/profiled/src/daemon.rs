@@ -40,7 +40,7 @@ use crate::wire::{self, Ack, EpochUpdate, Frame, Hello, Role, WireError};
 use pgmp_adaptive::{drift, DriftMetric};
 use pgmp_observe as observe;
 use pgmp_profiler::{Dataset, ProfileInformation, Provenance, SlotMap, StoredProfile};
-use pgmp_rt::AtomicSlotArray;
+use pgmp_profiler::AtomicSlotArray;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};

@@ -5,7 +5,7 @@
 //! deltas** — `(slot, u64)` pairs under the v2 dense slot table, no
 //! strings on the hot path — over a local Unix-domain socket to a single
 //! daemon. The daemon folds every process's stream into a per-dataset
-//! [`pgmp_rt::AtomicSlotArray`], periodically merges all datasets with
+//! [`pgmp_profiler::AtomicSlotArray`], periodically merges all datasets with
 //! the paper's §3.2 dataset-weighted average, writes the canonical
 //! [`pgmp_profiler::StoredProfile`] v2 atomically, and broadcasts each
 //! merge epoch (merged weights plus L1/total-variation fleet drift) to

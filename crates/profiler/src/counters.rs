@@ -1,23 +1,25 @@
 //! Live profile counters and per-run datasets.
 //!
-//! Two representations live behind the same [`Counters`] handle, both
-//! slot-indexed:
+//! A [`Counters`] registry interns each profile point once — at
+//! instrumentation time — to a stable `u32` slot in a [`SlotMap`], and
+//! keeps the counts in a [`SlotStore`]. The store is the one dense/sampling
+//! counter substrate of the single-threaded side; the VM's block counters
+//! (`pgmp_bytecode::BlockCounters`) key the same store by chunk instead of
+//! by point. A store counts in one of two ways:
 //!
-//! - **Dense** (the default): each profile point is resolved once — at
-//!   instrumentation time — to a stable `u32` slot in a [`SlotMap`], and a
-//!   bump is an unsynchronized `Vec<Cell<u64>>` index. This is the cost
-//!   model the paper assumes ("a profile point compiles down to a plain
-//!   counter increment").
+//! - **Dense** (the default): a bump is an unsynchronized
+//!   `Vec<Cell<u64>>` index. This is the cost model the paper assumes ("a
+//!   profile point compiles down to a plain counter increment").
 //! - **Sampling**: the always-on backend. A profiled event publishes a
 //!   current-position beacon (one relaxed atomic store, see
 //!   [`crate::sampling`]); a decoupled sampler thread ticking at a
 //!   configurable rate reads the beacon and accumulates *estimated*
 //!   tallies into the same slot space, so weights are statistical
-//!   estimates rather than exact counts. Direct keyed/slot adds
-//!   ([`Counters::add`], [`Counters::add_slot`]) still land exactly,
-//!   which is what dataset absorption, merging, and the equivalence
-//!   oracle rely on; only the hot-path [`Counters::record_hit`] trades
-//!   exactness for ~zero mutator overhead.
+//!   estimates rather than exact counts. Direct adds ([`SlotStore::add`],
+//!   hence [`Counters::add`] and [`Counters::add_slot`]) still land
+//!   exactly, which is what dataset absorption, merging, and the
+//!   equivalence oracle rely on; only the hot-path [`SlotStore::hit`]
+//!   trades exactness for ~zero mutator overhead.
 //!
 //! Both snapshot into the same [`Dataset`], so weight normalization,
 //! dataset merging, and `store-profile`/`load-profile` are unchanged.
@@ -31,7 +33,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Which counter representation a [`Counters`] registry uses.
+/// Which way a [`SlotStore`] counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CounterImpl {
     /// Dense slot-indexed counters (resolve once, then vector bumps).
@@ -56,31 +58,16 @@ impl std::str::FromStr for CounterImpl {
     }
 }
 
-/// Process-global id generator for slot maps. Ids start at 1 so that 0
-/// means "unresolved cache entry" — a slot cached on an AST node under map
-/// id `m` is valid only against the `Counters` whose [`Counters::map_id`]
-/// is exactly `m`.
-static NEXT_MAP_ID: AtomicU32 = AtomicU32::new(1);
-
 #[derive(Debug)]
-enum Backend {
-    Dense {
-        map_id: u32,
-        slots: RefCell<SlotMap>,
-        counts: RefCell<Vec<Cell<u64>>>,
-        /// Per-slot count as of the last [`Counters::take_delta`], the
-        /// baseline the next delta is computed against.
-        reported: RefCell<Vec<u64>>,
-    },
+enum Store {
+    /// Exact counts, one cell per slot.
+    Dense(RefCell<Vec<Cell<u64>>>),
     Sampling {
-        map_id: u32,
-        slots: RefCell<SlotMap>,
         /// Beacon + estimated tallies, shared with the sampler.
         shared: Arc<SamplingShared>,
-        /// Per-slot tally as of the last [`Counters::take_delta`].
-        reported: RefCell<Vec<u64>>,
-        /// Wall-clock sampler thread; `None` when tests/benches drive
-        /// [`Counters::sample_now`] deterministically instead.
+        /// Owns the wall-clock sampler thread; `None` when tests and
+        /// benches drive [`SlotStore::sample_now`] deterministically.
+        /// Dropping the store stops and joins the thread.
         sampler: Option<Sampler>,
         /// Nominal tick rate (0 when manually driven) — recorded as
         /// `sampled@hz` provenance when the profile is stored.
@@ -88,11 +75,228 @@ enum Backend {
     },
 }
 
+/// Slot-indexed count storage, dense or sampled — what a single-threaded
+/// registry keeps its counts in. The registry owns the keying (points to
+/// slots, chunks to ranges); the store only sees dense `u32` indexes.
+///
+/// A dense store must cover an index ([`SlotStore::grow`])
+/// before it is bumped or read; a sampling store covers every index.
+#[derive(Debug)]
+pub struct SlotStore {
+    store: Store,
+}
+
+impl Default for SlotStore {
+    fn default() -> SlotStore {
+        SlotStore::new(CounterImpl::Dense)
+    }
+}
+
+impl SlotStore {
+    /// An empty store of the given kind. A sampling store gets a
+    /// wall-clock sampler at [`DEFAULT_SAMPLE_HZ`]; use
+    /// [`SlotStore::sampling`] to pick the rate.
+    pub fn new(kind: CounterImpl) -> SlotStore {
+        match kind {
+            CounterImpl::Dense => SlotStore {
+                store: Store::Dense(RefCell::new(Vec::new())),
+            },
+            CounterImpl::Sampling => SlotStore::sampling(DEFAULT_SAMPLE_HZ),
+        }
+    }
+
+    /// A sampling store whose sampler thread ticks at `hz`.
+    pub fn sampling(hz: u32) -> SlotStore {
+        SlotStore::sampling_with(hz, true)
+    }
+
+    /// A sampling store with *no* sampler thread: tests and benchmarks
+    /// call [`SlotStore::sample_now`] to take each sample
+    /// deterministically.
+    pub fn sampling_manual() -> SlotStore {
+        SlotStore::sampling_with(0, false)
+    }
+
+    fn sampling_with(hz: u32, spawn: bool) -> SlotStore {
+        let shared = Arc::new(SamplingShared::new());
+        let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
+        SlotStore {
+            store: Store::Sampling {
+                shared,
+                sampler,
+                hz,
+            },
+        }
+    }
+
+    /// How this store counts.
+    pub fn impl_kind(&self) -> CounterImpl {
+        match &self.store {
+            Store::Dense(_) => CounterImpl::Dense,
+            Store::Sampling { .. } => CounterImpl::Sampling,
+        }
+    }
+
+    /// The nominal sampler rate: `Some(hz)` for sampling stores (0 when
+    /// manually driven), `None` for dense ones. This is what a stored
+    /// profile records as `sampled@hz` provenance.
+    pub fn sample_hz(&self) -> Option<u32> {
+        match &self.store {
+            Store::Sampling { hz, .. } => Some(*hz),
+            Store::Dense(_) => None,
+        }
+    }
+
+    /// True when a wall-clock sampler thread is attached (always false
+    /// for dense and manually driven stores).
+    pub fn has_sampler_thread(&self) -> bool {
+        matches!(
+            &self.store,
+            Store::Sampling {
+                sampler: Some(_),
+                ..
+            }
+        )
+    }
+
+    /// The beacon/tally state shared with the sampler (`None` for dense
+    /// stores). Exposed for boundary-time metric publication and for
+    /// tests that inspect tick/hit/miss accounting.
+    pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
+        match &self.store {
+            Store::Sampling { shared, .. } => Some(shared.clone()),
+            Store::Dense(_) => None,
+        }
+    }
+
+    /// Takes one sample deterministically (no-op on dense stores). Pairs
+    /// with [`SlotStore::sampling_manual`] in tests and benchmarks.
+    pub fn sample_now(&self) {
+        if let Store::Sampling { shared, .. } = &self.store {
+            shared.sample_now();
+        }
+    }
+
+    /// Clears the published position beacon (no-op on dense stores).
+    /// Called on run exit and around blocking waits so the sampler never
+    /// attributes idle time to the last-executed profile point.
+    #[inline]
+    pub fn park(&self) {
+        if let Store::Sampling { shared, .. } = &self.store {
+            shared.park();
+        }
+    }
+
+    /// Makes a dense store cover indexes `0..len`, new ones at zero
+    /// (no-op on sampling stores and when already covered).
+    pub fn grow(&self, len: usize) {
+        if let Store::Dense(counts) = &self.store {
+            let mut counts = counts.borrow_mut();
+            if counts.len() < len {
+                counts.resize(len, Cell::new(0));
+            }
+        }
+    }
+
+    /// Records one hot-path event at `idx`: a saturating bump on a dense
+    /// store, one relaxed beacon store on a sampling store (the sampler
+    /// supplies the estimated count).
+    ///
+    /// # Panics
+    ///
+    /// Panics (dense) if `idx` is not covered.
+    #[inline]
+    pub fn hit(&self, idx: u32) {
+        match &self.store {
+            Store::Dense(counts) => {
+                let counts = counts.borrow();
+                let c = &counts[idx as usize];
+                c.set(c.get().saturating_add(1));
+            }
+            Store::Sampling { shared, .. } => shared.publish(idx),
+        }
+    }
+
+    /// Adds `n` at `idx`, exactly on both kinds, saturating at
+    /// `u64::MAX`: a long-running adaptive loop can genuinely exhaust a
+    /// `u64` on a hot point, and a wrapped counter would silently invert
+    /// every weight derived from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics (dense) if `idx` is not covered.
+    #[inline]
+    pub fn add(&self, idx: u32, n: u64) {
+        match &self.store {
+            Store::Dense(counts) => {
+                let counts = counts.borrow();
+                let c = &counts[idx as usize];
+                c.set(c.get().saturating_add(n));
+            }
+            Store::Sampling { shared, .. } => shared.tallies().add(idx, n),
+        }
+    }
+
+    /// Count at `idx` (estimated, on a sampling store).
+    ///
+    /// # Panics
+    ///
+    /// Panics (dense) if `idx` is not covered.
+    pub fn get(&self, idx: u32) -> u64 {
+        match &self.store {
+            Store::Dense(counts) => counts.borrow()[idx as usize].get(),
+            Store::Sampling { shared, .. } => shared.tallies().get(idx),
+        }
+    }
+
+    /// Moves the count at `idx` out, leaving zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics (dense) if `idx` is not covered.
+    pub fn take(&self, idx: u32) -> u64 {
+        match &self.store {
+            Store::Dense(counts) => counts.borrow()[idx as usize].replace(0),
+            Store::Sampling { shared, .. } => shared.tallies().take(idx),
+        }
+    }
+
+    /// Zeroes every count. Coverage is kept, so indexes cached by callers
+    /// stay valid.
+    pub fn clear(&self) {
+        match &self.store {
+            Store::Dense(counts) => {
+                for c in counts.borrow().iter() {
+                    c.set(0);
+                }
+            }
+            Store::Sampling { shared, .. } => shared.tallies().clear(),
+        }
+    }
+}
+
+/// Process-global id generator for slot maps. Ids start at 1 so that 0
+/// means "unresolved cache entry" — a slot cached on an AST node under map
+/// id `m` is valid only against the `Counters` whose [`Counters::map_id`]
+/// is exactly `m`.
+static NEXT_MAP_ID: AtomicU32 = AtomicU32::new(1);
+
+#[derive(Debug)]
+struct Inner {
+    map_id: u32,
+    slots: RefCell<SlotMap>,
+    store: SlotStore,
+    /// Per-slot count as of the last [`Counters::take_delta`], the
+    /// baseline the next delta is computed against.
+    reported: RefCell<Vec<u64>>,
+}
+
 /// The live counter registry for one profiled execution.
 ///
 /// A `Counters` handle is cheaply cloneable and shared: the engine hands one
 /// to the evaluator, which bumps counters as annotated expressions execute,
-/// and later snapshots it into a [`Dataset`].
+/// and later snapshots it into a [`Dataset`]. It interns points to slots;
+/// the counts live in its [`SlotStore`] ([`Counters::store`]).
 ///
 /// # Example
 ///
@@ -107,7 +311,7 @@ enum Backend {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Counters {
-    backend: Rc<Backend>,
+    inner: Rc<Inner>,
 }
 
 impl Default for Counters {
@@ -117,105 +321,47 @@ impl Default for Counters {
 }
 
 impl Counters {
-    /// Creates an empty dense slot-indexed registry.
+    /// Creates an empty dense registry.
     pub fn new() -> Counters {
-        Counters::with_impl(CounterImpl::Dense)
+        Counters::with_store(SlotStore::default())
     }
 
-    /// Creates an empty registry with an explicit representation. A
-    /// sampling registry gets a wall-clock sampler at
-    /// [`DEFAULT_SAMPLE_HZ`]; use [`Counters::with_sampling`] to pick the
-    /// rate.
-    pub fn with_impl(kind: CounterImpl) -> Counters {
-        let backend = match kind {
-            CounterImpl::Dense => Backend::Dense {
-                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
-                slots: RefCell::new(SlotMap::new()),
-                counts: RefCell::new(Vec::new()),
-                reported: RefCell::new(Vec::new()),
-            },
-            CounterImpl::Sampling => {
-                return Counters::with_sampling(DEFAULT_SAMPLE_HZ);
-            }
-        };
-        Counters {
-            backend: Rc::new(backend),
-        }
+    /// Creates an empty registry counting into `store`.
+    pub fn with_store(store: SlotStore) -> Counters {
+        Counters::with_slot_table(SlotMap::new(), store)
     }
 
-    /// Creates a sampling registry whose sampler thread ticks at `hz`.
-    pub fn with_sampling(hz: u32) -> Counters {
-        Counters::sampling_with(SlotMap::new(), hz, true)
-    }
-
-    /// Creates a sampling registry with *no* sampler thread: tests and
-    /// benchmarks call [`Counters::sample_now`] to take each sample
-    /// deterministically.
-    pub fn sampling_manual() -> Counters {
-        Counters::sampling_with(SlotMap::new(), 0, false)
-    }
-
-    fn sampling_with(table: SlotMap, hz: u32, spawn: bool) -> Counters {
-        let shared = Arc::new(SamplingShared::new());
-        let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
-        Counters {
-            backend: Rc::new(Backend::Sampling {
-                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
-                slots: RefCell::new(table),
-                shared,
-                reported: RefCell::new(Vec::new()),
-                sampler,
-                hz,
-            }),
-        }
-    }
-
-    /// Creates a dense registry whose slot map is preloaded from `table`
-    /// (as reloaded from a v2 profile file, see
-    /// [`crate::StoredProfile`]): every point in `table` already has its
-    /// slot, with all counts zero, so instrumentation that re-resolves the
-    /// same points does no interning work and gets identical slot ids.
+    /// Creates a registry whose slot map is preloaded from `table` (as
+    /// reloaded from a v2 profile file, see [`crate::StoredProfile`]):
+    /// every point in `table` already has its slot, with all counts zero,
+    /// so instrumentation that re-resolves the same points does no
+    /// interning work and gets identical slot ids.
     ///
     /// The registry still gets a fresh [`Counters::map_id`] — slot caches
     /// packed against the *saving* process's map id are revalidated, not
     /// trusted.
-    pub fn with_slot_table(table: SlotMap) -> Counters {
-        let counts = vec![Cell::new(0); table.len()];
+    pub fn with_slot_table(table: SlotMap, store: SlotStore) -> Counters {
+        store.grow(table.len());
         Counters {
-            backend: Rc::new(Backend::Dense {
+            inner: Rc::new(Inner {
                 map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
                 slots: RefCell::new(table),
-                counts: RefCell::new(counts),
+                store,
                 reported: RefCell::new(Vec::new()),
             }),
         }
     }
 
-    /// The sampling analog of [`Counters::with_slot_table`]: slots
-    /// preloaded from a v2 profile file, tallies zero, sampler ticking at
-    /// `hz`.
-    pub fn with_slot_table_sampling(table: SlotMap, hz: u32) -> Counters {
-        Counters::sampling_with(table, hz, true)
+    /// The store holding this registry's counts: its kind, sampling state
+    /// and beacon.
+    pub fn store(&self) -> &SlotStore {
+        &self.inner.store
     }
 
     /// A snapshot of the slot table. This is what a v2 profile file
     /// persists so the next process can skip re-interning.
     pub fn slot_table(&self) -> SlotMap {
-        self.slots().clone()
-    }
-
-    fn slots(&self) -> std::cell::Ref<'_, SlotMap> {
-        match &*self.backend {
-            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => slots.borrow(),
-        }
-    }
-
-    /// The representation behind this registry.
-    pub fn impl_kind(&self) -> CounterImpl {
-        match &*self.backend {
-            Backend::Dense { .. } => CounterImpl::Dense,
-            Backend::Sampling { .. } => CounterImpl::Sampling,
-        }
+        self.inner.slots.borrow().clone()
     }
 
     /// Identity of this registry's slot map (never 0). A slot id is only
@@ -223,50 +369,7 @@ impl Counters {
     /// caching slots must revalidate against this before using
     /// [`Counters::add_slot`].
     pub fn map_id(&self) -> u32 {
-        match &*self.backend {
-            Backend::Dense { map_id, .. } | Backend::Sampling { map_id, .. } => *map_id,
-        }
-    }
-
-    /// The nominal sampler rate: `Some(hz)` for sampling registries (0
-    /// when manually driven), `None` for exact backends. This is what a
-    /// stored profile records as `sampled@hz` provenance.
-    pub fn sample_hz(&self) -> Option<u32> {
-        match &*self.backend {
-            Backend::Sampling { hz, .. } => Some(*hz),
-            _ => None,
-        }
-    }
-
-    /// The beacon/tally state shared with the sampler (`None` for exact
-    /// backends). Exposed for boundary-time metric publication and for
-    /// tests that inspect tick/hit/miss accounting.
-    pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
-        match &*self.backend {
-            Backend::Sampling { shared, .. } => Some(shared.clone()),
-            _ => None,
-        }
-    }
-
-    /// Takes one sample deterministically (no-op on exact backends).
-    /// Pairs with [`Counters::sampling_manual`] in tests and benchmarks.
-    pub fn sample_now(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
-            shared.sample_now();
-        }
-    }
-
-    /// True when a wall-clock sampler thread is attached to this registry
-    /// (always false for exact backends and manually driven sampling
-    /// registries).
-    pub fn has_sampler_thread(&self) -> bool {
-        matches!(
-            &*self.backend,
-            Backend::Sampling {
-                sampler: Some(_),
-                ..
-            }
-        )
+        self.inner.map_id
     }
 
     /// Resolves profile point `p` to its dense slot, interning it on first
@@ -274,17 +377,9 @@ impl Counters {
     /// the lifetime of the registry (clearing counts does not disturb
     /// slots).
     pub fn resolve(&self, p: SourceObject) -> u32 {
-        match &*self.backend {
-            Backend::Dense { slots, counts, .. } => {
-                let slot = slots.borrow_mut().resolve(p);
-                let mut counts = counts.borrow_mut();
-                if counts.len() <= slot as usize {
-                    counts.resize(slot as usize + 1, Cell::new(0));
-                }
-                slot
-            }
-            Backend::Sampling { slots, .. } => slots.borrow_mut().resolve(p),
-        }
+        let slot = self.inner.slots.borrow_mut().resolve(p);
+        self.inner.store.grow(slot as usize + 1);
+        slot
     }
 
     /// Adds `n` to the counter in `slot`, saturating at `u64::MAX`. The
@@ -295,45 +390,20 @@ impl Counters {
     /// Panics (dense) if `slot` was never resolved.
     #[inline]
     pub fn add_slot(&self, slot: u32, n: u64) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
-                let counts = counts.borrow();
-                let c = &counts[slot as usize];
-                c.set(c.get().saturating_add(n));
-            }
-            Backend::Sampling { shared, .. } => shared.tallies().add(slot, n),
-        }
+        self.inner.store.add(slot, n);
     }
 
     /// Records one hot-path hit in `slot` — the per-event operation the
-    /// instrumented interpreter emits. On exact backends this *counts*
-    /// the hit ([`Counters::add_slot`] by one); on the sampling backend it
-    /// only *publishes* the position beacon (one relaxed store) and the
-    /// sampler supplies the estimated count.
+    /// instrumented interpreter emits ([`SlotStore::hit`]): it *counts*
+    /// on a dense store and only *publishes* the position beacon on a
+    /// sampling one.
     ///
     /// # Panics
     ///
     /// Panics (dense) if `slot` was never resolved.
     #[inline]
     pub fn record_hit(&self, slot: u32) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
-                let counts = counts.borrow();
-                let c = &counts[slot as usize];
-                c.set(c.get().saturating_add(1));
-            }
-            Backend::Sampling { map_id, shared, .. } => shared.publish(*map_id, slot),
-        }
-    }
-
-    /// Clears the published position beacon (no-op on exact backends).
-    /// Called on run exit and around blocking waits so the sampler never
-    /// attributes idle time to the last-executed profile point.
-    #[inline]
-    pub fn park(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
-            shared.park();
-        }
+        self.inner.store.hit(slot);
     }
 
     /// Current count in `slot` (the slot-indexed dual of
@@ -343,10 +413,7 @@ impl Counters {
     ///
     /// Panics (dense) if `slot` was never resolved.
     pub fn count_slot(&self, slot: u32) -> u64 {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => counts.borrow()[slot as usize].get(),
-            Backend::Sampling { shared, .. } => shared.tallies().get(slot),
-        }
+        self.inner.store.get(slot)
     }
 
     /// Number of slots resolved so far. Unlike [`Counters::len`], this
@@ -354,7 +421,7 @@ impl Counters {
     /// by [`Counters::clear`] — tests use it to assert that cached code
     /// replays without re-resolution.
     pub fn resolved_slots(&self) -> usize {
-        self.slots().len()
+        self.inner.slots.borrow().len()
     }
 
     /// Adds one to the counter for profile point `p`, saturating at
@@ -363,11 +430,8 @@ impl Counters {
         self.add(p, 1);
     }
 
-    /// Adds `n` to the counter for profile point `p`.
-    ///
-    /// Saturates at `u64::MAX` rather than wrapping: a long-running
-    /// adaptive loop can genuinely exhaust a `u64` on a hot point, and a
-    /// wrapped counter would silently invert every weight derived from it.
+    /// Adds `n` to the counter for profile point `p`, saturating at
+    /// `u64::MAX`.
     pub fn add(&self, p: SourceObject, n: u64) {
         let slot = self.resolve(p);
         self.add_slot(slot, n);
@@ -375,21 +439,14 @@ impl Counters {
 
     /// Current count for `p` (0 if never incremented).
     pub fn count(&self, p: SourceObject) -> u64 {
-        let slot = self.slots().get(p);
+        let slot = self.inner.slots.borrow().get(p);
         slot.map_or(0, |slot| self.count_slot(slot))
     }
 
     /// Number of profile points with a nonzero count.
     pub fn len(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
-                counts.borrow().iter().filter(|c| c.get() > 0).count()
-            }
-            Backend::Sampling { slots, shared, .. } => {
-                let n = slots.borrow().len() as u32;
-                (0..n).filter(|&s| shared.tallies().get(s) > 0).count()
-            }
-        }
+        let n = self.resolved_slots() as u32;
+        (0..n).filter(|&s| self.count_slot(s) > 0).count()
     }
 
     /// True iff nothing has been counted.
@@ -401,14 +458,7 @@ impl Counters {
     /// cached on AST nodes or embedded in bytecode stay valid across
     /// profile resets.
     pub fn clear(&self) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
-                for c in counts.borrow().iter() {
-                    c.set(0);
-                }
-            }
-            Backend::Sampling { shared, .. } => shared.tallies().clear(),
-        }
+        self.inner.store.clear();
     }
 
     /// Extracts the counts accrued since the previous `take_delta` as
@@ -416,80 +466,36 @@ impl Counters {
     /// each hit appears in exactly one delta. Slots whose count did not
     /// grow are omitted. This is the publisher-side extraction the fleet
     /// daemon's wire format consumes: no strings, no hashing, one pass
-    /// over the dense counter vector.
+    /// over the dense slots.
     ///
     /// A [`Counters::clear`] between deltas rebases the baseline silently
     /// (counts that went *down* report nothing rather than underflowing).
     pub fn take_delta(&self) -> Vec<(u32, u64)> {
-        match &*self.backend {
-            Backend::Dense {
-                counts, reported, ..
-            } => {
-                let counts = counts.borrow();
-                let mut reported = reported.borrow_mut();
-                if reported.len() < counts.len() {
-                    reported.resize(counts.len(), 0);
-                }
-                let mut delta = Vec::new();
-                for (i, c) in counts.iter().enumerate() {
-                    let current = c.get();
-                    let base = reported[i];
-                    if current > base {
-                        delta.push((i as u32, current - base));
-                    }
-                    reported[i] = current;
-                }
-                delta
+        let mut reported = self.inner.reported.borrow_mut();
+        reported.resize(self.resolved_slots(), 0);
+        let mut delta = Vec::new();
+        for (i, base) in reported.iter_mut().enumerate() {
+            let current = self.count_slot(i as u32);
+            if current > *base {
+                delta.push((i as u32, current - *base));
             }
-            Backend::Sampling {
-                slots,
-                shared,
-                reported,
-                ..
-            } => {
-                let n = slots.borrow().len();
-                let mut reported = reported.borrow_mut();
-                if reported.len() < n {
-                    reported.resize(n, 0);
-                }
-                let mut delta = Vec::new();
-                for (i, base) in reported.iter_mut().enumerate() {
-                    let current = shared.tallies().get(i as u32);
-                    if current > *base {
-                        delta.push((i as u32, current - *base));
-                    }
-                    *base = current;
-                }
-                delta
-            }
+            *base = current;
         }
+        delta
     }
 
     /// Snapshots the current counts into an immutable [`Dataset`]. Points
     /// with a zero count are omitted, so dense and sampling registries fed
     /// the same exact adds snapshot to *identical* datasets.
     pub fn snapshot(&self) -> Dataset {
-        let counts = match &*self.backend {
-            Backend::Dense { slots, counts, .. } => {
-                let slots = slots.borrow();
-                counts
-                    .borrow()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.get() > 0)
-                    .map(|(i, c)| (slots.point(i as u32), c.get()))
-                    .collect()
-            }
-            Backend::Sampling { slots, shared, .. } => {
-                let slots = slots.borrow();
-                (0..slots.len() as u32)
-                    .map(|i| (i, shared.tallies().get(i)))
-                    .filter(|(_, c)| *c > 0)
-                    .map(|(i, c)| (slots.point(i), c))
-                    .collect()
-            }
-        };
-        Dataset { counts }
+        let slots = self.inner.slots.borrow();
+        slots
+            .points()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (*p, self.count_slot(i as u32)))
+            .filter(|(_, c)| *c > 0)
+            .collect()
     }
 }
 
@@ -559,7 +565,7 @@ mod tests {
     /// thread): with no `record_hit`/`sample_now` in sight its keyed and
     /// slot APIs must behave exactly like the dense backend.
     fn all_impls() -> [Counters; 2] {
-        [Counters::new(), Counters::sampling_manual()]
+        [Counters::new(), Counters::with_store(SlotStore::sampling_manual())]
     }
 
     #[test]
@@ -658,7 +664,7 @@ mod tests {
         let b = Counters::new();
         assert_ne!(a.map_id(), b.map_id());
         assert_ne!(a.map_id(), 0);
-        assert_ne!(Counters::sampling_manual().map_id(), 0);
+        assert_ne!(Counters::with_store(SlotStore::sampling_manual()).map_id(), 0);
         assert_eq!(a.map_id(), a.clone().map_id(), "clones share the map");
     }
 
@@ -677,7 +683,7 @@ mod tests {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
         let s1 = c.resolve(p(1));
-        let warm = Counters::with_slot_table(c.slot_table());
+        let warm = Counters::with_slot_table(c.slot_table(), SlotStore::default());
         assert_eq!(warm.resolved_slots(), 2, "slots preloaded");
         assert!(warm.is_empty(), "counts start at zero");
         assert_eq!(warm.resolve(p(0)), s0, "same slot ids as the saver");
@@ -721,31 +727,31 @@ mod tests {
 
     #[test]
     fn record_hit_publishes_instead_of_counting() {
-        let c = Counters::sampling_manual();
+        let c = Counters::with_store(SlotStore::sampling_manual());
         let s0 = c.resolve(p(0));
         let s1 = c.resolve(p(1));
         c.record_hit(s0);
         assert_eq!(c.count_slot(s0), 0, "a hit alone tallies nothing");
-        c.sample_now();
-        c.sample_now();
+        c.store().sample_now();
+        c.store().sample_now();
         assert_eq!(c.count_slot(s0), 2, "each sample tallies the beacon");
         c.record_hit(s1);
-        c.sample_now();
+        c.store().sample_now();
         assert_eq!(c.count_slot(s0), 2);
         assert_eq!(c.count_slot(s1), 1);
-        let shared = c.sampling_shared().unwrap();
+        let shared = c.store().sampling_shared().unwrap();
         assert_eq!(shared.stats(), (3, 3, 0));
     }
 
     #[test]
     fn park_stops_attribution() {
-        let c = Counters::sampling_manual();
+        let c = Counters::with_store(SlotStore::sampling_manual());
         let s = c.resolve(p(0));
         c.record_hit(s);
-        c.park();
-        c.sample_now();
+        c.store().park();
+        c.store().sample_now();
         assert_eq!(c.count_slot(s), 0, "parked beacon attributes nothing");
-        assert_eq!(c.sampling_shared().unwrap().stats(), (1, 0, 1));
+        assert_eq!(c.store().sampling_shared().unwrap().stats(), (1, 0, 1));
     }
 
     #[test]
@@ -761,12 +767,13 @@ mod tests {
     fn sampling_preloaded_slot_table_skips_interning() {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
-        let warm = Counters::with_slot_table_sampling(c.slot_table(), 101);
+        let warm = Counters::with_slot_table(c.slot_table(), SlotStore::sampling(101));
         assert_eq!(warm.resolved_slots(), 1, "slots preloaded");
         assert_eq!(warm.resolve(p(0)), s0, "same slot ids as the saver");
-        assert_eq!(warm.impl_kind(), CounterImpl::Sampling);
-        assert_eq!(warm.sample_hz(), Some(101));
-        assert_eq!(Counters::new().sample_hz(), None);
+        assert_eq!(warm.store().impl_kind(), CounterImpl::Sampling);
+        assert_eq!(warm.store().sample_hz(), Some(101));
+        assert!(warm.store().has_sampler_thread());
+        assert_eq!(Counters::new().store().sample_hz(), None);
     }
 
     #[test]

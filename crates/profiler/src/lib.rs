@@ -3,11 +3,15 @@
 //! This crate implements the profiling side of the paper's design (§3):
 //!
 //! - [`Counters`] — the live counter registry, incremented by the evaluator
-//!   while a program runs instrumented. Dense slot-indexed by default: a
-//!   [`SlotMap`] interns each profile point ([`pgmp_syntax::SourceObject`])
-//!   to a stable `u32` slot at instrumentation time, so a bump is a plain
-//!   vector index instead of a hash ([`CounterImpl::Dense`], exact, or
-//!   [`CounterImpl::Sampling`], estimated from position samples);
+//!   while a program runs instrumented. A [`SlotMap`] interns each profile
+//!   point ([`pgmp_syntax::SourceObject`]) to a stable `u32` slot at
+//!   instrumentation time, and the counts live in a [`SlotStore`], so a
+//!   bump is a plain vector index instead of a hash ([`CounterImpl::Dense`],
+//!   exact, or [`CounterImpl::Sampling`], estimated from position samples);
+//! - [`ShardedCounters`] — the `Send + Sync` registry many threads count
+//!   into at once, on an [`AtomicSlotArray`]: the adaptive engine's epoch
+//!   sink and the process-global registry of the proc-macro runtime
+//!   `pgmp-rt`;
 //! - [`Dataset`] — a snapshot of counters from one profiled run;
 //! - [`ProfileInformation`] — **profile weights** in `[0,1]`, computed from
 //!   one or more datasets and merged by weighted averaging exactly as
@@ -44,6 +48,7 @@
 //! assert_eq!(merged.weight(spam), (1.0 + 10.0 / 100.0) / 2.0);
 //! ```
 
+mod concurrent;
 mod counters;
 mod info;
 pub mod rebase;
@@ -51,7 +56,8 @@ pub mod sampling;
 mod slots;
 mod store;
 
-pub use counters::{CounterImpl, Counters, Dataset};
+pub use concurrent::{AtomicSlotArray, ShardedCounters};
+pub use counters::{CounterImpl, Counters, Dataset, SlotStore};
 pub use rebase::{
     rebase, MatchTier, RebaseConfig, RebaseError, RebaseOutcome, RebaseReport, RebaseResult,
 };

@@ -1,6 +1,7 @@
-//! Statistical sampling support for [`crate::Counters`] and the VM's
-//! block counters: a *current-position beacon* plus a sampler that turns
-//! periodic reads of it into estimated hit counts.
+//! Statistical sampling support for [`crate::SlotStore`], the store
+//! behind both [`crate::Counters`] and the VM's block counters: a
+//! *current-position beacon* plus a sampler that turns periodic reads of it
+//! into estimated hit counts.
 //!
 //! Exact counters pay one counter update per profiled event; always-on
 //! production profiling cannot afford that (E7: 1.45× interp overhead
@@ -20,20 +21,16 @@
 //! - `0` — *idle*: no profiled code is running (run exited, or a blocking
 //!   native parked the beacon). Ticks that land here count as `missed`
 //!   and attribute nothing.
-//! - otherwise — `(identity << 32) | (slot + 1)`: the low half is the
-//!   dense slot currently executing, biased by one so slot 0 is
-//!   distinguishable from idle; the high half carries the publisher's
-//!   identity (the interpreter's `map_id`, the VM's chunk id) for
-//!   debuggability. The sampler only consumes the low half — the shared
-//!   state is private to one registry, so identity mismatches cannot
-//!   occur by construction.
+//! - otherwise — `slot + 1`: the dense slot currently executing, biased
+//!   by one so slot 0 is distinguishable from idle. The shared state is
+//!   private to one store, so the slot needs no publisher identity.
 //!
 //! All beacon accesses are `Relaxed`: a torn or stale read costs at most
 //! one misattributed sample, which the estimator model absorbs (see
 //! DESIGN.md §4h).
 
 use pgmp_observe::{emit, metrics, EventKind};
-use pgmp_rt::AtomicSlotArray;
+use crate::AtomicSlotArray;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,9 +79,8 @@ impl SamplingShared {
     /// Publishes the current position: one relaxed store, the entire
     /// per-event cost of the sampling backend.
     #[inline]
-    pub fn publish(&self, identity: u32, slot: u32) {
-        self.beacon
-            .store(((identity as u64) << 32) | (slot as u64 + 1), Ordering::Relaxed);
+    pub fn publish(&self, slot: u32) {
+        self.beacon.store(slot as u64 + 1, Ordering::Relaxed);
     }
 
     /// Clears the published position so samples taken while the publisher
@@ -102,8 +98,7 @@ impl SamplingShared {
     /// the auto-rate policy's input signal.
     pub fn sample_now(&self) -> bool {
         self.ticks.fetch_add(1, Ordering::Relaxed);
-        let word = self.beacon.load(Ordering::Relaxed);
-        let biased = word & 0xFFFF_FFFF;
+        let biased = self.beacon.load(Ordering::Relaxed);
         if biased == 0 {
             self.missed.fetch_add(1, Ordering::Relaxed);
             false
@@ -304,7 +299,7 @@ mod tests {
     #[test]
     fn published_slot_zero_is_distinguishable_from_idle() {
         let s = SamplingShared::new();
-        s.publish(7, 0);
+        s.publish(0);
         s.sample_now();
         assert_eq!(s.stats(), (1, 1, 0));
         assert_eq!(s.tallies().get(0), 1);
@@ -313,7 +308,7 @@ mod tests {
     #[test]
     fn park_clears_the_position() {
         let s = SamplingShared::new();
-        s.publish(7, 3);
+        s.publish(3);
         s.sample_now();
         s.park();
         s.sample_now();
@@ -403,7 +398,7 @@ mod tests {
             "sampler never backed off while idle"
         );
         // Publish a position: the next tick hits and re-arms the rate.
-        shared.publish(1, 2);
+        shared.publish(2);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while sampler.effective_hz() != 50_000 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
@@ -418,7 +413,7 @@ mod tests {
     #[test]
     fn sampler_thread_ticks_and_stops() {
         let shared = Arc::new(SamplingShared::new());
-        shared.publish(1, 5);
+        shared.publish(5);
         let sampler = Sampler::spawn(shared.clone(), 10_000);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while shared.stats().0 == 0 && std::time::Instant::now() < deadline {

@@ -17,7 +17,7 @@
 //!    EPSILON of the exact weight, and any two slots whose exact weights
 //!    differ by more than 2·EPSILON keep their relative order.
 
-use pgmp_profiler::Counters;
+use pgmp_profiler::{Counters, SlotStore};
 use pgmp_syntax::SourceObject;
 use proptest::prelude::*;
 
@@ -73,7 +73,7 @@ impl Lcg {
 /// whenever the jittered countdown expires. `mean_gap` = 1 samples after
 /// every hit (the stride-1 anchor); larger gaps model a real rate.
 fn run_sampled(events: &[u32], slots: &[u32], mean_gap: u64, seed: u64) -> Counters {
-    let c = Counters::sampling_manual();
+    let c = Counters::with_store(SlotStore::sampling_manual());
     let resolved: Vec<u32> = slots.iter().map(|s| c.resolve(point(*s))).collect();
     let mut lcg = Lcg(seed);
     let mut countdown = 1u64;
@@ -81,7 +81,7 @@ fn run_sampled(events: &[u32], slots: &[u32], mean_gap: u64, seed: u64) -> Count
         c.record_hit(resolved[e as usize]);
         countdown -= 1;
         if countdown == 0 {
-            c.sample_now();
+            c.store().sample_now();
             countdown = if mean_gap <= 1 {
                 1
             } else {

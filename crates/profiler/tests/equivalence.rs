@@ -10,7 +10,7 @@
 //! what lets sampled estimates flow through §3.2 merging, the v2 store,
 //! and fleet deltas unchanged.
 
-use pgmp_profiler::{Counters, Dataset};
+use pgmp_profiler::{Counters, Dataset, SlotStore};
 use pgmp_syntax::SourceObject;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -22,7 +22,7 @@ fn point(n: u32) -> SourceObject {
 /// The two registries under test. The sampling one is manually driven (no
 /// sampler thread), so its exact ops are fully deterministic.
 fn all() -> [Counters; 2] {
-    [Counters::new(), Counters::sampling_manual()]
+    [Counters::new(), Counters::with_store(SlotStore::sampling_manual())]
 }
 
 /// The reference model: one saturating count per point.
@@ -99,7 +99,7 @@ proptest! {
                 prop_assert_eq!(
                     c.count(point(p)),
                     model.get(&point(p)).copied().unwrap_or(0),
-                    "point {} on {:?}", p, c.impl_kind()
+                    "point {} on {:?}", p, c.store().impl_kind()
                 );
             }
             let expected = model_dataset(&model);

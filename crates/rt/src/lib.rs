@@ -5,16 +5,18 @@
 //! meta-programming systems (Chez Scheme and Racket). This workspace does
 //! the same: the main implementation is the embedded Scheme-like system
 //! (`pgmp` crate); the second is Rust's own meta-programming system —
-//! procedural macros (`pgmp-macros`), with this crate as the profiler
-//! substrate.
+//! procedural macros (`pgmp-macros`), with this crate as their run time.
 //!
-//! Profile points are string names; counters live in a process-global
-//! [`ShardedRegistry`] — lock-striped atomics, so concurrent threads can
-//! count without serializing on one mutex (the substrate `pgmp-adaptive`
-//! reuses for online profile collection). Profiles are stored in the same
-//! textual format as the main system (point names play the role of
-//! filenames, with zero spans), so the two implementations' profile files
-//! are mutually readable.
+//! Both implementations count on the same substrate, `pgmp-profiler`.
+//! Profile points here are string names; the point named `n` is the
+//! source object `SourceObject::new(n, 0, 0)`, and counters live in one
+//! process-global [`pgmp_profiler::ShardedCounters`] ([`registry`]), so
+//! concurrent threads count with lock-free atomic adds. The code the
+//! macros generate caches each point's slot in a `static` [`Point`]: after
+//! its first hit, a hit hashes nothing. Profiles are read and written by
+//! `pgmp-profiler`'s store, in the same textual format as the main system
+//! (point names play the role of filenames, with zero spans), so the two
+//! implementations' profile files are mutually readable.
 //!
 //! # Example
 //!
@@ -32,15 +34,11 @@
 //! assert!((w.weight("demo#1") - 1.0 / 3.0).abs() < 1e-12);
 //! ```
 
-mod sharded;
-mod slots;
-
-pub use pgmp_syntax::FnvHasher;
-pub use sharded::ShardedRegistry;
-pub use slots::{AtomicSlotArray, CoalescingWriter, FlushStats, FlushStatsSnapshot};
-
+use pgmp_profiler::{
+    write_atomic, Dataset, ProfileInformation, ProfileStoreError, ShardedCounters, StoredProfile,
+};
+use pgmp_syntax::{SourceObject, Symbol};
 use std::collections::HashMap;
-use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -48,9 +46,14 @@ use std::sync::OnceLock;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-global counter registry the generated instrumentation hits.
-pub fn registry() -> &'static ShardedRegistry<String> {
-    static REGISTRY: OnceLock<ShardedRegistry<String>> = OnceLock::new();
-    REGISTRY.get_or_init(ShardedRegistry::new)
+pub fn registry() -> &'static ShardedCounters {
+    static REGISTRY: OnceLock<ShardedCounters> = OnceLock::new();
+    REGISTRY.get_or_init(ShardedCounters::new)
+}
+
+/// The source object standing for the point named `name`.
+fn point(name: &str) -> SourceObject {
+    SourceObject::new(name, 0, 0)
 }
 
 /// Turns counting on. Off by default: profile points introduce only a
@@ -66,58 +69,85 @@ pub fn disable_profiling() {
 }
 
 /// Whether [`hit`] currently counts.
+#[inline]
 pub fn profiling_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Increments `point`'s counter when profiling is enabled. Generated by
-/// the `pgmp-macros` instrumentation.
+/// A profile point named at compile time, as the `pgmp-macros`
+/// instrumentation generates it: one `static` per point, which resolves
+/// its name to a [`registry`] slot on the first counted hit and keeps it.
+/// Slots survive [`reset`], so a cached slot stays valid for the life of
+/// the process.
+#[derive(Debug)]
+pub struct Point {
+    name: &'static str,
+    slot: OnceLock<u32>,
+}
+
+impl Point {
+    /// The point named `name`; counts into the same counter as
+    /// [`hit`]`(name)`.
+    pub const fn new(name: &'static str) -> Point {
+        Point {
+            name,
+            slot: OnceLock::new(),
+        }
+    }
+
+    /// Counts one hit when profiling is enabled. After the first counted
+    /// hit this is two relaxed loads and one saturating atomic add.
+    #[inline]
+    pub fn hit(&self) {
+        if profiling_enabled() {
+            self.count();
+        }
+    }
+
+    /// The enabled half of [`Point::hit`], kept out of line so the
+    /// disabled check inlined into every instrumented site stays one load
+    /// and one branch.
+    #[cold]
+    #[inline(never)]
+    fn count(&self) {
+        let slot = *self
+            .slot
+            .get_or_init(|| registry().resolve(point(self.name)));
+        registry().add_slot(slot, 1);
+    }
+}
+
+/// Increments `name`'s counter when profiling is enabled; this form looks
+/// the point up on every call, where a [`Point`] looks it up once.
 ///
 /// Saturates at `u64::MAX` rather than wrapping: a long-running adaptive
 /// loop can genuinely exhaust a `u64` on a hot point, and a wrapped counter
 /// would silently invert every weight computed from it.
 #[inline]
-pub fn hit(point: &str) {
+pub fn hit(name: &str) {
     if profiling_enabled() {
-        registry().increment(point);
+        registry().increment(point(name));
     }
 }
 
-/// Current count of `point`.
-pub fn count(point: &str) -> u64 {
-    registry().count(point)
+/// Current count of the point `name`.
+pub fn count(name: &str) -> u64 {
+    registry().count(point(name))
 }
 
-/// Zeroes all counters (does not change the enabled flag).
+/// Zeroes all counters (does not change the enabled flag). Slots cached
+/// by [`Point`]s stay valid.
 pub fn reset() {
     registry().clear();
 }
 
 /// Profile weights in `[0, 1]`, normalized by the hottest point of the
-/// dataset — the paper's §3.2 abstraction.
+/// dataset — the paper's §3.2 abstraction — queried by point name. This
+/// is a by-name view over `pgmp-profiler`'s [`ProfileInformation`], which
+/// also does the reading, writing and §3.2 merging.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Weights {
-    weights: HashMap<String, f64>,
-    dataset_count: usize,
-}
-
-/// Error parsing a stored profile.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParseProfileError {
-    /// What was wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseProfileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed profile: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseProfileError {}
-
-fn malformed(m: impl Into<String>) -> ParseProfileError {
-    ParseProfileError { message: m.into() }
+    info: ProfileInformation,
 }
 
 impl Weights {
@@ -128,180 +158,66 @@ impl Weights {
 
     /// Builds weights from raw counts (one dataset).
     pub fn from_counts(counts: &HashMap<String, u64>) -> Weights {
-        let max = counts.values().copied().max().unwrap_or(0);
-        let weights = counts
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    if max == 0 { 0.0 } else { *v as f64 / max as f64 },
-                )
-            })
-            .collect();
+        let dataset: Dataset = counts.iter().map(|(k, c)| (point(k), *c)).collect();
         Weights {
-            weights,
-            dataset_count: 1,
+            info: ProfileInformation::from_dataset(&dataset),
         }
     }
 
-    /// The weight of `point`, `0.0` when unknown.
-    pub fn weight(&self, point: &str) -> f64 {
-        self.weights.get(point).copied().unwrap_or(0.0)
+    /// The weight of the point `name`, `0.0` when unknown. A file written
+    /// by the main system may hold several points with one file name (one
+    /// per span); the name's weight is then the largest of theirs.
+    pub fn weight(&self, name: &str) -> f64 {
+        let file = Symbol::intern(name);
+        self.info
+            .iter()
+            .filter(|(p, _)| p.file == file)
+            .fold(0.0, |max, (_, w)| f64::max(max, w))
     }
 
     /// True when no dataset has been incorporated.
     pub fn is_empty(&self) -> bool {
-        self.dataset_count == 0
+        self.info.is_empty()
     }
 
     /// Number of datasets summarized.
     pub fn dataset_count(&self) -> usize {
-        self.dataset_count
+        self.info.dataset_count()
     }
 
     /// Merges by dataset-weighted averaging (Figure 3 of the paper).
     pub fn merge(&self, other: &Weights) -> Weights {
-        if self.dataset_count == 0 {
-            return other.clone();
-        }
-        if other.dataset_count == 0 {
-            return self.clone();
-        }
-        let n1 = self.dataset_count as f64;
-        let n2 = other.dataset_count as f64;
-        let total = n1 + n2;
-        let mut weights = HashMap::new();
-        for (k, w) in &self.weights {
-            let w2 = other.weights.get(k).copied().unwrap_or(0.0);
-            weights.insert(k.clone(), (w * n1 + w2 * n2) / total);
-        }
-        for (k, w2) in &other.weights {
-            weights
-                .entry(k.clone())
-                .or_insert_with(|| w2 * n2 / total);
-        }
         Weights {
-            weights,
-            dataset_count: self.dataset_count + other.dataset_count,
+            info: self.info.merge(&other.info),
         }
     }
 
-    /// Serializes in the shared textual format.
+    /// Serializes in the shared textual format (version 1).
     pub fn to_profile_string(&self) -> String {
-        let mut entries: Vec<(&String, &f64)> = self.weights.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        let mut out = String::from("(pgmp-profile\n  (version 1)\n");
-        out.push_str(&format!("  (datasets {})\n", self.dataset_count));
-        for (k, w) in entries {
-            out.push_str(&format!("  (point {:?} 0 0 {:?})\n", k, w));
-        }
-        out.push(')');
-        out
+        self.info.store_to_string()
     }
 
-    /// Parses the shared textual format (a small hand-rolled reader so
-    /// this crate stays dependency-free for proc-macro consumption).
+    /// Parses the shared textual format, either version.
     ///
     /// # Errors
     ///
-    /// Returns [`ParseProfileError`] on any structural problem or weight
+    /// Returns [`ProfileStoreError`] on any structural problem or weight
     /// outside `[0, 1]`.
-    pub fn parse(text: &str) -> Result<Weights, ParseProfileError> {
-        let toks = tokenize(text)?;
-        let mut pos = 0usize;
-        expect(&toks, &mut pos, "(")?;
-        expect_word(&toks, &mut pos, "pgmp-profile")?;
-        let mut weights = HashMap::new();
-        let mut dataset_count = 1usize;
-        loop {
-            match toks.get(pos).map(String::as_str) {
-                Some(")") => break,
-                Some("(") => {
-                    pos += 1;
-                    let tag = next(&toks, &mut pos)?;
-                    match tag.as_str() {
-                        "version" => {
-                            let v = next(&toks, &mut pos)?;
-                            if v != "1" && v != "2" {
-                                return Err(malformed(format!("unsupported version {v}")));
-                            }
-                        }
-                        "datasets" => {
-                            let v = next(&toks, &mut pos)?;
-                            dataset_count = v
-                                .parse()
-                                .map_err(|_| malformed(format!("bad dataset count {v}")))?;
-                        }
-                        "point" => {
-                            let name = next(&toks, &mut pos)?;
-                            let name = name
-                                .strip_prefix('"')
-                                .and_then(|n| n.strip_suffix('"'))
-                                .ok_or_else(|| malformed("point name must be a string"))?
-                                .to_owned();
-                            let _bfp = next(&toks, &mut pos)?;
-                            let _efp = next(&toks, &mut pos)?;
-                            let w: f64 = next(&toks, &mut pos)?
-                                .parse()
-                                .map_err(|_| malformed("bad weight"))?;
-                            if !(0.0..=1.0).contains(&w) {
-                                return Err(malformed(format!("weight {w} outside [0,1]")));
-                            }
-                            weights.insert(name, w);
-                        }
-                        // v2 slot-table entries: this crate keys weights by
-                        // point name, so the slot index is skipped; a slot
-                        // entry's trailing weight (if present) is recorded
-                        // under the name like a `point` entry's.
-                        "slots" => {
-                            let v = next(&toks, &mut pos)?;
-                            v.parse::<usize>()
-                                .map_err(|_| malformed(format!("bad slot count {v}")))?;
-                        }
-                        "slot" => {
-                            let _index = next(&toks, &mut pos)?;
-                            let name = next(&toks, &mut pos)?;
-                            let name = name
-                                .strip_prefix('"')
-                                .and_then(|n| n.strip_suffix('"'))
-                                .ok_or_else(|| malformed("slot name must be a string"))?
-                                .to_owned();
-                            let _bfp = next(&toks, &mut pos)?;
-                            let _efp = next(&toks, &mut pos)?;
-                            if toks.get(pos).map(String::as_str) != Some(")") {
-                                let w: f64 = next(&toks, &mut pos)?
-                                    .parse()
-                                    .map_err(|_| malformed("bad weight"))?;
-                                if !(0.0..=1.0).contains(&w) {
-                                    return Err(malformed(format!("weight {w} outside [0,1]")));
-                                }
-                                weights.insert(name, w);
-                            }
-                        }
-                        other => return Err(malformed(format!("unknown entry `{other}`"))),
-                    }
-                    expect(&toks, &mut pos, ")")?;
-                }
-                Some(other) => return Err(malformed(format!("unexpected token `{other}`"))),
-                None => return Err(malformed("unexpected end of profile")),
-            }
-        }
+    pub fn parse(text: &str) -> Result<Weights, ProfileStoreError> {
         Ok(Weights {
-            weights,
-            dataset_count,
+            info: StoredProfile::load_from_str(text)?.info,
         })
     }
 
-    /// Loads and parses a profile file.
+    /// Loads and parses a profile file. Emits no trace events, so a macro
+    /// expanding inside the compiler stays silent.
     ///
     /// # Errors
     ///
-    /// I/O errors are reported as [`ParseProfileError`]s with the OS
-    /// message.
-    pub fn load(path: impl AsRef<Path>) -> Result<Weights, ParseProfileError> {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| malformed(format!("{}: {e}", path.as_ref().display())))?;
-        Weights::parse(&text)
+    /// Returns [`ProfileStoreError::Io`] when the file cannot be read and
+    /// the errors of [`Weights::parse`] otherwise.
+    pub fn load(path: impl AsRef<Path>) -> Result<Weights, ProfileStoreError> {
+        Weights::parse(&std::fs::read_to_string(path)?)
     }
 
     /// Writes the profile to `path` atomically: temp file in the same
@@ -312,35 +228,16 @@ impl Weights {
     ///
     /// Returns the underlying I/O error.
     pub fn store(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let path = path.as_ref();
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-            _ => std::path::PathBuf::from("."),
-        };
-        let base = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "profile".to_owned());
-        let tmp = dir.join(format!(".{base}.tmp.{}", std::process::id()));
-        let write = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_profile_string().as_bytes())?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if write.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        write
+        write_atomic(path, &self.to_profile_string())
     }
 }
 
 /// Snapshots the live counters into [`Weights`] (what `store-profile`
 /// writes).
 pub fn snapshot_weights() -> Weights {
-    let counts: HashMap<String, u64> = registry().snapshot().into_iter().collect();
-    Weights::from_counts(&counts)
+    Weights {
+        info: ProfileInformation::from_dataset(&registry().snapshot()),
+    }
 }
 
 /// Stores the live counters' weights to `path` — Figure 4's
@@ -351,67 +248,6 @@ pub fn snapshot_weights() -> Weights {
 /// Returns the underlying I/O error.
 pub fn store_profile(path: impl AsRef<Path>) -> std::io::Result<()> {
     snapshot_weights().store(path)
-}
-
-fn tokenize(text: &str) -> Result<Vec<String>, ParseProfileError> {
-    let mut out = Vec::new();
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '(' => out.push("(".to_owned()),
-            ')' => out.push(")".to_owned()),
-            '"' => {
-                let mut s = String::from('"');
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\\') => match chars.next() {
-                            Some(e) => s.push(e),
-                            None => return Err(malformed("unterminated string escape")),
-                        },
-                        Some(c) => s.push(c),
-                        None => return Err(malformed("unterminated string")),
-                    }
-                }
-                s.push('"');
-                out.push(s);
-            }
-            c if c.is_whitespace() => {}
-            c => {
-                let mut s = String::from(c);
-                while let Some(&n) = chars.peek() {
-                    if n.is_whitespace() || n == '(' || n == ')' {
-                        break;
-                    }
-                    s.push(n);
-                    chars.next();
-                }
-                out.push(s);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn next(toks: &[String], pos: &mut usize) -> Result<String, ParseProfileError> {
-    let t = toks
-        .get(*pos)
-        .ok_or_else(|| malformed("unexpected end of profile"))?;
-    *pos += 1;
-    Ok(t.clone())
-}
-
-fn expect(toks: &[String], pos: &mut usize, want: &str) -> Result<(), ParseProfileError> {
-    let t = next(toks, pos)?;
-    if t == want {
-        Ok(())
-    } else {
-        Err(malformed(format!("expected `{want}`, found `{t}`")))
-    }
-}
-
-fn expect_word(toks: &[String], pos: &mut usize, want: &str) -> Result<(), ParseProfileError> {
-    expect(toks, pos, want)
 }
 
 #[cfg(test)]
@@ -511,5 +347,13 @@ mod tests {
         assert_eq!(w.weight("hot.scm"), 1.0);
         assert_eq!(w.weight("cold.scm"), 0.0, "weightless slot entry");
         assert_eq!(w.weight("extra.scm"), 0.25);
+    }
+
+    #[test]
+    fn name_weight_is_the_largest_of_its_spans() {
+        let text = "(pgmp-profile (version 1) (datasets 1) \
+                    (point \"f.scm\" 0 4 0.25) (point \"f.scm\" 5 9 1.0) \
+                    (point \"f.scm\" 10 12 0.5))";
+        assert_eq!(Weights::parse(text).unwrap().weight("f.scm"), 1.0);
     }
 }

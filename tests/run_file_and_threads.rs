@@ -2,10 +2,9 @@
 //! runtime.
 
 use pgmp::Engine;
-use pgmp_profiler::ProfileMode;
-use pgmp_rt::ShardedRegistry;
+use pgmp_profiler::{ProfileMode, ShardedCounters};
+use pgmp_syntax::SourceObject;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 #[test]
 fn run_file_compiles_and_attributes_source_to_the_path() {
@@ -46,16 +45,18 @@ fn run_file_profile_cycle() {
 #[test]
 fn rt_counters_are_thread_safe() {
     // The Rust-side runtime's registry must tolerate concurrent hits
-    // (lock-striped atomics); counts must not be lost. The test counts into
-    // its own registry handle, so no other test's use of the process-global
-    // registry or enabled flag can disturb it.
-    let registry = Arc::new(ShardedRegistry::<String>::new());
+    // (lock-free atomics); counts must not be lost. The test counts into a
+    // registry of its own, of the type the runtime's global one is, so no
+    // other test's use of the process-global registry or enabled flag can
+    // disturb it.
+    let registry = ShardedCounters::new();
+    let point = SourceObject::new("threaded-point", 0, 0);
     let threads: Vec<_> = (0..8)
         .map(|_| {
-            let registry = Arc::clone(&registry);
+            let registry = registry.clone();
             std::thread::spawn(move || {
                 for _ in 0..1000 {
-                    registry.increment("threaded-point");
+                    registry.increment(point);
                 }
             })
         })
@@ -63,26 +64,31 @@ fn rt_counters_are_thread_safe() {
     for t in threads {
         t.join().unwrap();
     }
-    assert_eq!(registry.count("threaded-point"), 8 * 1000);
+    assert_eq!(registry.count(point), 8 * 1000);
 }
 
 #[test]
 fn rt_weights_snapshot_under_concurrent_writes_is_consistent() {
-    let registry = Arc::new(ShardedRegistry::<String>::new());
-    let writing = Arc::clone(&registry);
+    let registry = ShardedCounters::new();
+    let point = SourceObject::new("snapshot-writer", 0, 0);
+    let writing = registry.clone();
     let writer = std::thread::spawn(move || {
         for _ in 0..2000 {
-            writing.increment("snapshot-writer");
+            writing.increment(point);
         }
     });
     // Snapshots taken mid-write parse and stay in range.
     for _ in 0..20 {
-        let counts: HashMap<String, u64> = registry.snapshot().into_iter().collect();
+        let counts: HashMap<String, u64> = registry
+            .snapshot()
+            .iter()
+            .map(|(p, c)| (p.file.to_string(), c))
+            .collect();
         let w = pgmp_rt::Weights::from_counts(&counts);
         let text = w.to_profile_string();
         let back = pgmp_rt::Weights::parse(&text).unwrap();
         assert_eq!(back, w);
     }
     writer.join().unwrap();
-    assert_eq!(registry.count("snapshot-writer"), 2000);
+    assert_eq!(registry.count(point), 2000);
 }
