@@ -1,73 +1,49 @@
-//! Profile drift: how far current behavior has moved from the behavior the
-//! code was last optimized under.
+//! The drift detector: decides, epoch by epoch, whether current behavior
+//! has moved far enough from the behavior the running code was last
+//! optimized under to be worth a re-optimization.
 
-use pgmp_profiler::ProfileInformation;
-use pgmp_syntax::SourceObject;
-use std::collections::HashSet;
+use pgmp_profiler::{drift, DriftMetric, ProfileInformation};
 
-/// Distance measure between two weight vectors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DriftMetric {
-    /// Plain L1 distance over the union of profile points:
-    /// `Σ |w_a(p) − w_b(p)|`. Unbounded above (grows with the number of
-    /// points that moved), which makes it useful for absolute "how much
-    /// churn" telemetry.
-    L1,
-    /// Total-variation distance: each weight vector is normalized to a
-    /// probability distribution over its points, and the result is
-    /// `½ Σ |P_a(p) − P_b(p)| ∈ [0, 1]`. Scale-free, so one threshold
-    /// works across programs of very different sizes; `1.0` means the two
-    /// profiles share no mass (e.g. one side is empty and the other is
-    /// not).
-    #[default]
-    TotalVariation,
-}
+/// The distance the detector measures: total variation, scale-free, so one
+/// threshold works across programs of very different sizes.
+const METRIC: DriftMetric = DriftMetric::TotalVariation;
 
-fn union_points(a: &ProfileInformation, b: &ProfileInformation) -> HashSet<SourceObject> {
-    a.iter().map(|(p, _)| p).chain(b.iter().map(|(p, _)| p)).collect()
-}
+/// Epochs that drained fewer total hits than this cannot arm the detector:
+/// an idle system decaying toward an empty profile is not behavior change
+/// worth recompiling for.
+const MIN_EPOCH_HITS: u64 = 1;
 
-/// Distance from `a` to `b` under `metric`. Symmetric; 0.0 when both are
-/// empty.
-pub fn drift(a: &ProfileInformation, b: &ProfileInformation, metric: DriftMetric) -> f64 {
-    match metric {
-        DriftMetric::L1 => union_points(a, b)
-            .into_iter()
-            .map(|p| (a.weight(p) - b.weight(p)).abs())
-            .sum(),
-        DriftMetric::TotalVariation => {
-            let mass = |w: &ProfileInformation| w.iter().map(|(_, x)| x).sum::<f64>();
-            let (ma, mb) = (mass(a), mass(b));
-            match (ma > 0.0, mb > 0.0) {
-                (false, false) => 0.0,
-                (true, false) | (false, true) => 1.0,
-                (true, true) => {
-                    0.5 * union_points(a, b)
-                        .into_iter()
-                        .map(|p| (a.weight(p) / ma - b.weight(p) / mb).abs())
-                        .sum::<f64>()
-                }
-            }
-        }
-    }
-}
-
-/// What one drift observation concluded.
+/// What one epoch's observation concluded.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriftReading {
-    /// The measured distance.
+    /// The measured distance from the baseline.
     pub value: f64,
-    /// Whether it crossed the detector's threshold.
+    /// Whether the detector fired.
     pub fired: bool,
+    /// Consecutive over-threshold epochs after this observation.
+    pub streak: u32,
+    /// Epochs of post-re-optimization cooldown remaining.
+    pub cooldown: u32,
 }
 
 /// Compares live weights against the weights the running code was last
-/// optimized under, and fires when the distance crosses a threshold.
+/// optimized under (the baseline), with flap damping.
+///
+/// An epoch is *over* when its weights are more than `threshold` away from
+/// the baseline (total-variation distance) and it drained at least one
+/// hit. The detector fires once `hysteresis` consecutive epochs are over,
+/// and it skips detection for `cooldown` epochs after each
+/// [`rebase`](DriftDetector::rebase).
+///
+/// A workload hovering *at* the threshold would otherwise fire on every
+/// noise spike, and each firing is a full re-optimization plus a program
+/// swap. Hysteresis demands sustained drift; the cooldown bounds the
+/// re-optimization rate even when drift genuinely persists.
 ///
 /// # Example
 ///
 /// ```
-/// use pgmp_adaptive::{DriftDetector, DriftMetric};
+/// use pgmp_adaptive::DriftDetector;
 /// use pgmp_profiler::{Dataset, ProfileInformation};
 /// use pgmp_syntax::SourceObject;
 ///
@@ -76,36 +52,40 @@ pub struct DriftReading {
 /// let hot_p = ProfileInformation::from_dataset(&[(p, 90), (q, 10)].into_iter().collect::<Dataset>());
 /// let hot_q = ProfileInformation::from_dataset(&[(p, 10), (q, 90)].into_iter().collect::<Dataset>());
 ///
-/// let mut detector = DriftDetector::new(DriftMetric::TotalVariation, 0.2);
+/// // Threshold 0.2, two consecutive drifting epochs, no cooldown.
+/// let mut detector = DriftDetector::new(0.2, 2, 0);
 /// detector.rebase(hot_p.clone());
-/// assert!(!detector.observe(&hot_p).fired);
-/// assert!(detector.observe(&hot_q).fired);
+/// assert!(!detector.observe(&hot_p, 100).fired);
+/// assert!(!detector.observe(&hot_q, 100).fired, "first spike: armed, not fired");
+/// assert!(detector.observe(&hot_q, 100).fired, "sustained drift fires");
 /// ```
 #[derive(Clone, Debug)]
 pub struct DriftDetector {
-    metric: DriftMetric,
     threshold: f64,
+    hysteresis: u32,
+    cooldown: u64,
     baseline: ProfileInformation,
+    streak: u32,
+    cooldown_left: u64,
 }
 
 impl DriftDetector {
     /// A detector with an empty baseline (any nonempty profile reads as
-    /// full drift under [`DriftMetric::TotalVariation`]).
-    pub fn new(metric: DriftMetric, threshold: f64) -> DriftDetector {
-        assert!(threshold >= 0.0, "threshold must be nonnegative");
+    /// full drift). `hysteresis` consecutive over-threshold epochs fire it
+    /// (values ≤ 1 fire on the first); `cooldown` epochs are skipped after
+    /// each rebase (0 disables the cooldown).
+    pub fn new(threshold: f64, hysteresis: u32, cooldown: u64) -> DriftDetector {
         DriftDetector {
-            metric,
             threshold,
+            hysteresis: hysteresis.max(1),
+            cooldown,
             baseline: ProfileInformation::empty(),
+            streak: 0,
+            cooldown_left: 0,
         }
     }
 
-    /// The metric in use.
-    pub fn metric(&self) -> DriftMetric {
-        self.metric
-    }
-
-    /// The firing threshold.
+    /// The drift value above which an epoch counts as over.
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
@@ -115,109 +95,52 @@ impl DriftDetector {
         &self.baseline
     }
 
-    /// Measures drift of `current` from the baseline.
-    pub fn observe(&self, current: &ProfileInformation) -> DriftReading {
-        let value = drift(current, &self.baseline, self.metric);
+    /// The raw distance of `current` from the baseline, without damping
+    /// and without touching the detector's state.
+    pub fn measure(&self, current: &ProfileInformation) -> f64 {
+        drift(current, &self.baseline, METRIC)
+    }
+
+    /// Observes one epoch: `current` is the live weights and `hits` the
+    /// counter hits the epoch drained. Within a cooldown the epoch only
+    /// counts the cooldown down; otherwise an over-threshold epoch extends
+    /// the streak and any other epoch resets it.
+    pub fn observe(&mut self, current: &ProfileInformation, hits: u64) -> DriftReading {
+        let value = self.measure(current);
+        let fired = if self.cooldown_left > 0 {
+            self.cooldown_left -= 1;
+            false
+        } else {
+            if value > self.threshold && hits >= MIN_EPOCH_HITS {
+                self.streak += 1;
+            } else {
+                self.streak = 0;
+            }
+            self.streak >= self.hysteresis
+        };
         DriftReading {
             value,
-            fired: value > self.threshold,
+            fired,
+            streak: self.streak,
+            cooldown: u32::try_from(self.cooldown_left).unwrap_or(u32::MAX),
         }
     }
 
     /// Replaces the baseline — called right after re-optimizing, with the
-    /// weights the new code was compiled under.
+    /// weights the new code was compiled under — and starts the cooldown.
     pub fn rebase(&mut self, new_baseline: ProfileInformation) {
         self.baseline = new_baseline;
-    }
-}
-
-/// A [`DriftDetector`] with flap damping: it fires only after the raw
-/// threshold has been exceeded for `consecutive` epochs in a row, and then
-/// not again until `cooldown` further observations have passed.
-///
-/// A workload hovering *at* the threshold makes the raw detector fire on
-/// every noise spike, and each firing is a full re-optimization plus a
-/// program swap. Hysteresis demands sustained drift; the cooldown bounds
-/// the re-optimization rate even when drift genuinely persists.
-///
-/// # Example
-///
-/// ```
-/// use pgmp_adaptive::{DriftMetric, HysteresisDetector};
-/// use pgmp_profiler::{Dataset, ProfileInformation};
-/// use pgmp_syntax::SourceObject;
-///
-/// let p = SourceObject::new("h.scm", 0, 1);
-/// let q = SourceObject::new("h.scm", 2, 3);
-/// let hot_q = ProfileInformation::from_dataset(&[(p, 10), (q, 90)].into_iter().collect::<Dataset>());
-///
-/// // Require two consecutive over-threshold epochs.
-/// let mut det = HysteresisDetector::new(DriftMetric::TotalVariation, 0.2, 2, 0);
-/// assert!(!det.observe(&hot_q).fired, "first spike: armed, not fired");
-/// assert!(det.observe(&hot_q).fired, "sustained drift fires");
-/// ```
-#[derive(Clone, Debug)]
-pub struct HysteresisDetector {
-    inner: DriftDetector,
-    consecutive: u32,
-    cooldown: u64,
-    streak: u32,
-    cooldown_left: u64,
-}
-
-impl HysteresisDetector {
-    /// A damped detector: `consecutive` over-threshold epochs arm it
-    /// (values ≤ 1 behave like the raw detector), `cooldown` observations
-    /// are skipped after each firing (0 disables the cooldown).
-    pub fn new(
-        metric: DriftMetric,
-        threshold: f64,
-        consecutive: u32,
-        cooldown: u64,
-    ) -> HysteresisDetector {
-        HysteresisDetector {
-            inner: DriftDetector::new(metric, threshold),
-            consecutive: consecutive.max(1),
-            cooldown,
-            streak: 0,
-            cooldown_left: 0,
-        }
-    }
-
-    /// The weights the code was last optimized under.
-    pub fn baseline(&self) -> &ProfileInformation {
-        self.inner.baseline()
-    }
-
-    /// Measures drift of `current` from the baseline; `fired` is set only
-    /// when the raw threshold has been exceeded for the configured number
-    /// of consecutive observations and no cooldown is pending.
-    pub fn observe(&mut self, current: &ProfileInformation) -> DriftReading {
-        let raw = self.inner.observe(current);
-        if self.cooldown_left > 0 {
-            self.cooldown_left -= 1;
-            return DriftReading {
-                value: raw.value,
-                fired: false,
-            };
-        }
-        if raw.fired {
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-        }
-        DriftReading {
-            value: raw.value,
-            fired: self.streak >= self.consecutive,
-        }
-    }
-
-    /// Replaces the baseline after re-optimizing and starts the cooldown
-    /// window.
-    pub fn rebase(&mut self, new_baseline: ProfileInformation) {
-        self.inner.rebase(new_baseline);
         self.streak = 0;
         self.cooldown_left = self.cooldown;
+    }
+
+    /// Replaces the baseline with one restored from a previous process and
+    /// clears the streak and the cooldown: they damp within-process
+    /// oscillation and mean nothing across a restart.
+    pub fn restore(&mut self, baseline: ProfileInformation) {
+        self.baseline = baseline;
+        self.streak = 0;
+        self.cooldown_left = 0;
     }
 }
 
@@ -225,6 +148,10 @@ impl HysteresisDetector {
 mod tests {
     use super::*;
     use pgmp_profiler::Dataset;
+    use pgmp_syntax::SourceObject;
+
+    /// Hits of a busy epoch: enough to pass the min-hits gate.
+    const HITS: u64 = 100;
 
     fn p(n: u32) -> SourceObject {
         SourceObject::new("drift.scm", n, n + 1)
@@ -232,56 +159,6 @@ mod tests {
 
     fn info(entries: &[(u32, u64)]) -> ProfileInformation {
         ProfileInformation::from_dataset(&entries.iter().map(|(i, c)| (p(*i), *c)).collect::<Dataset>())
-    }
-
-    #[test]
-    fn identical_profiles_have_zero_drift() {
-        let w = info(&[(0, 5), (1, 10)]);
-        assert_eq!(drift(&w, &w, DriftMetric::L1), 0.0);
-        assert_eq!(drift(&w, &w, DriftMetric::TotalVariation), 0.0);
-    }
-
-    #[test]
-    fn both_empty_is_zero_one_empty_is_full() {
-        let empty = ProfileInformation::empty();
-        let w = info(&[(0, 5)]);
-        assert_eq!(drift(&empty, &empty, DriftMetric::TotalVariation), 0.0);
-        assert_eq!(drift(&w, &empty, DriftMetric::TotalVariation), 1.0);
-        assert_eq!(drift(&empty, &w, DriftMetric::TotalVariation), 1.0);
-    }
-
-    #[test]
-    fn metrics_are_symmetric() {
-        let a = info(&[(0, 10), (1, 3)]);
-        let b = info(&[(1, 10), (2, 4)]);
-        for m in [DriftMetric::L1, DriftMetric::TotalVariation] {
-            assert!((drift(&a, &b, m) - drift(&b, &a, m)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn tv_is_bounded_and_scale_free() {
-        let a = info(&[(0, 100), (1, 1)]);
-        let b = info(&[(0, 1_000_000), (1, 10_000)]);
-        let d = drift(&a, &b, DriftMetric::TotalVariation);
-        assert!((0.0..=1.0).contains(&d));
-        // Same shape at different scales: tiny distance.
-        assert!(d < 1e-9, "scale alone should not register as drift: {d}");
-    }
-
-    #[test]
-    fn disjoint_profiles_are_maximally_distant_under_tv() {
-        let a = info(&[(0, 10)]);
-        let b = info(&[(1, 10)]);
-        let d = drift(&a, &b, DriftMetric::TotalVariation);
-        assert!((d - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn l1_counts_absolute_weight_movement() {
-        let a = info(&[(0, 10), (1, 5)]); // weights 1.0, 0.5
-        let b = info(&[(0, 10), (1, 10)]); // weights 1.0, 1.0
-        assert!((drift(&a, &b, DriftMetric::L1) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -293,23 +170,22 @@ mod tests {
         let spike = info(&[(0, 55), (1, 45)]); // TV ≈ 0.35, over 0.3
         let calm = info(&[(0, 85), (1, 15)]); // TV ≈ 0.05, under 0.3
 
-        let raw = DriftDetector::new(DriftMetric::TotalVariation, 0.3);
-        let mut damped = HysteresisDetector::new(DriftMetric::TotalVariation, 0.3, 2, 0);
-        let mut raw2 = raw.clone();
-        raw2.rebase(baseline.clone());
+        let mut raw = DriftDetector::new(0.3, 1, 0);
+        let mut damped = DriftDetector::new(0.3, 2, 0);
+        raw.rebase(baseline.clone());
         damped.rebase(baseline.clone());
 
         let mut raw_firings = 0;
         let mut damped_firings = 0;
         for _ in 0..5 {
-            if raw2.observe(&spike).fired {
+            if raw.observe(&spike, HITS).fired {
                 raw_firings += 1;
             }
-            raw2.observe(&calm);
-            if damped.observe(&spike).fired {
+            raw.observe(&calm, HITS);
+            if damped.observe(&spike, HITS).fired {
                 damped_firings += 1;
             }
-            damped.observe(&calm);
+            damped.observe(&calm, HITS);
         }
         assert_eq!(raw_firings, 5, "raw detector flaps on every spike");
         assert_eq!(damped_firings, 0, "hysteresis rides out isolated spikes");
@@ -317,63 +193,80 @@ mod tests {
 
     #[test]
     fn sustained_drift_still_fires_through_hysteresis() {
-        let mut det = HysteresisDetector::new(DriftMetric::TotalVariation, 0.3, 3, 0);
+        let mut det = DriftDetector::new(0.3, 3, 0);
         det.rebase(info(&[(0, 90), (1, 10)]));
         let shifted = info(&[(0, 10), (1, 90)]);
-        assert!(!det.observe(&shifted).fired);
-        assert!(!det.observe(&shifted).fired);
-        let reading = det.observe(&shifted);
+        assert!(!det.observe(&shifted, HITS).fired);
+        assert!(!det.observe(&shifted, HITS).fired);
+        let reading = det.observe(&shifted, HITS);
         assert!(reading.fired, "third consecutive epoch fires");
         assert!(reading.value > 0.3);
     }
 
     #[test]
     fn cooldown_suppresses_immediate_refire() {
-        let mut det = HysteresisDetector::new(DriftMetric::TotalVariation, 0.3, 1, 2);
+        let mut det = DriftDetector::new(0.3, 1, 2);
         let baseline = info(&[(0, 90), (1, 10)]);
         det.rebase(baseline.clone());
         // rebase arms the cooldown (it models a fresh deploy): ride it out
         // with steady traffic first.
-        assert!(!det.observe(&baseline).fired);
-        assert!(!det.observe(&baseline).fired);
+        assert!(!det.observe(&baseline, HITS).fired);
+        assert!(!det.observe(&baseline, HITS).fired);
         let shifted = info(&[(0, 10), (1, 90)]);
-        assert!(det.observe(&shifted).fired);
+        assert!(det.observe(&shifted, HITS).fired);
         // Re-optimized: rebase onto the new behavior, cooldown starts.
         det.rebase(shifted.clone());
         // Behavior shifts again immediately — but we just swapped code.
         let back = info(&[(0, 90), (1, 10)]);
-        assert!(!det.observe(&back).fired, "within cooldown");
-        assert!(!det.observe(&back).fired, "within cooldown");
-        assert!(det.observe(&back).fired, "cooldown expired, drift persists");
+        assert!(!det.observe(&back, HITS).fired, "within cooldown");
+        assert!(!det.observe(&back, HITS).fired, "within cooldown");
+        assert!(det.observe(&back, HITS).fired, "cooldown expired, drift persists");
     }
 
     #[test]
     fn hysteresis_of_one_matches_raw_detector() {
         let baseline = info(&[(0, 90), (1, 10)]);
         let wild = info(&[(0, 10), (1, 90)]);
-        let mut raw = DriftDetector::new(DriftMetric::TotalVariation, 0.3);
-        raw.rebase(baseline.clone());
-        let mut damped = HysteresisDetector::new(DriftMetric::TotalVariation, 0.3, 1, 0);
-        damped.rebase(baseline);
-        assert_eq!(raw.observe(&wild).fired, damped.observe(&wild).fired);
-        assert_eq!(
-            raw.observe(&wild).value,
-            damped.observe(&wild).value
-        );
+        let mut det = DriftDetector::new(0.3, 1, 0);
+        det.rebase(baseline);
+        let raw = det.measure(&wild);
+        let reading = det.observe(&wild, HITS);
+        assert_eq!(raw > 0.3, reading.fired);
+        assert_eq!(raw, reading.value);
     }
 
     #[test]
     fn detector_fires_only_past_threshold() {
-        let mut det = DriftDetector::new(DriftMetric::TotalVariation, 0.3);
+        let mut det = DriftDetector::new(0.3, 1, 0);
         det.rebase(info(&[(0, 90), (1, 10)]));
         let mild = info(&[(0, 80), (1, 20)]);
         let wild = info(&[(0, 10), (1, 90)]);
-        assert!(!det.observe(&mild).fired);
-        let reading = det.observe(&wild);
+        assert!(!det.observe(&mild, HITS).fired);
+        let reading = det.observe(&wild, HITS);
         assert!(reading.fired);
         assert!(reading.value > 0.3);
         // Rebasing onto the new behavior silences the detector.
         det.rebase(wild.clone());
-        assert!(!det.observe(&wild).fired);
+        assert!(!det.observe(&wild, HITS).fired);
+    }
+
+    #[test]
+    fn zero_hit_epochs_never_arm_the_streak() {
+        // An idle epoch reads the decayed profile, which may sit far from
+        // the baseline; without hits it must neither fire nor arm.
+        let mut det = DriftDetector::new(0.3, 2, 0);
+        det.rebase(info(&[(0, 90), (1, 10)]));
+        let shifted = info(&[(0, 10), (1, 90)]);
+        for _ in 0..3 {
+            let reading = det.observe(&shifted, 0);
+            assert!(reading.value > 0.3);
+            assert!(!reading.fired);
+            assert_eq!(reading.streak, 0, "an idle epoch armed the streak");
+        }
+        assert_eq!(det.observe(&shifted, HITS).streak, 1);
+        // An idle epoch between two busy ones breaks the streak.
+        assert_eq!(det.observe(&shifted, 0).streak, 0);
+        assert!(!det.observe(&shifted, HITS).fired);
+        assert!(det.observe(&shifted, HITS).fired);
     }
 }

@@ -1,44 +1,24 @@
 //! The adaptive driver: epochs → drift → re-optimization, continuously.
 
-use crate::drift::{drift, DriftMetric};
+use crate::drift::DriftDetector;
 use crate::rolling::RollingProfile;
 use pgmp::{Engine, Error, IncrementalConfig, IncrementalEngine};
 use pgmp_bytecode::{
-    canonical_form, compile_chunk, optimize_layout, BlockCounters, Chunk, DispatchMode,
-    FusionPlan, Vm, VmMetrics,
+    optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics,
 };
 use pgmp_eval::{EvalError, EvalErrorKind};
 use pgmp_observe as observe;
 use pgmp_profiler::{ProfileInformation, ProfileMode, ShardedCounters};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{Arc, RwLock};
 
 /// Tuning knobs for the adaptive loop.
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Wall-clock pacing of the background aggregator (ignored by
-    /// synchronous [`AdaptiveEngine::tick`], which the caller paces).
-    pub epoch: Duration,
     /// Per-epoch exponential decay of the rolling profile, in `[0, 1]`:
     /// `1.0` never forgets, `0.0` keeps only the latest epoch.
     pub decay: f64,
     /// Drift value above which re-optimization triggers.
     pub drift_threshold: f64,
-    /// Distance measure for drift.
-    pub metric: DriftMetric,
-    /// Epochs that drained fewer total hits than this cannot fire the
-    /// detector — an idle system decaying toward an empty profile is not
-    /// behavior change worth recompiling for.
-    pub min_epoch_hits: u64,
-    /// Re-optimize through the per-form incremental cache
-    /// ([`pgmp::IncrementalEngine`]): only forms whose consulted weights
-    /// changed re-expand. Disable to recompile from scratch each time
-    /// (useful as a baseline; the adaptive loop is otherwise identical).
-    pub incremental: bool,
-    /// Per-point weight drift the incremental cache tolerates before
-    /// re-expanding a form (see [`pgmp::IncrementalConfig::epsilon`]).
-    pub epsilon: f64,
     /// Number of *consecutive* over-threshold epochs required before the
     /// drift detector fires. `1` (the default) fires immediately; higher
     /// values ride out single-epoch noise spikes.
@@ -51,13 +31,8 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> AdaptiveConfig {
         AdaptiveConfig {
-            epoch: Duration::from_millis(250),
             decay: 0.5,
             drift_threshold: 0.15,
-            metric: DriftMetric::TotalVariation,
-            min_epoch_hits: 1,
-            incremental: true,
-            epsilon: 0.0,
             hysteresis_epochs: 1,
             cooldown_epochs: 0,
         }
@@ -82,7 +57,7 @@ pub struct CompiledProgram {
     /// optimized under.
     pub optimized_under_points: usize,
     /// Top-level forms served from the incremental cache when this
-    /// generation was compiled (0 for from-scratch compiles).
+    /// generation was compiled (their consulted weights did not change).
     pub reused_forms: usize,
     /// Top-level forms (re-)expanded when this generation was compiled.
     pub reexpanded_forms: usize,
@@ -110,40 +85,13 @@ pub struct EpochReport {
     pub cooldown: u32,
 }
 
-struct AggState {
-    rolling: RollingProfile,
-    /// Weights the current program generation was optimized under.
-    baseline: ProfileInformation,
-    epoch: u64,
-    /// Consecutive over-threshold epochs (hysteresis accumulator; see
-    /// [`crate::HysteresisDetector`] for the standalone form).
-    streak: u32,
-    /// Epochs left in the post-re-optimization cooldown window.
-    cooldown_left: u64,
-}
-
-struct EpochStep {
-    epoch: u64,
-    hits: u64,
-    drift: f64,
-    fired: bool,
-    streak: u32,
-    cooldown: u32,
-    weights: ProfileInformation,
-}
-
-/// State shared between the engine thread, worker threads, and the
-/// background aggregator.
+/// State shared between the engine thread and worker threads.
 struct Shared {
     source: String,
     file: String,
     setup: Option<Setup>,
     counters: ShardedCounters,
     program: RwLock<Arc<CompiledProgram>>,
-    agg: Mutex<AggState>,
-    pending: Mutex<Option<ProfileInformation>>,
-    drift_pending: AtomicBool,
-    reoptimizations: AtomicU64,
 }
 
 impl Shared {
@@ -154,46 +102,6 @@ impl Shared {
             setup(&mut engine)?;
         }
         Ok(engine)
-    }
-
-    /// The aggregation half of an epoch: drain, decay, measure drift.
-    /// Runs on either the engine thread (`tick`) or the background
-    /// aggregator; re-optimization itself always happens on the engine
-    /// thread because `pgmp::Engine` is single-threaded.
-    ///
-    /// Firing is damped: the raw threshold must be exceeded for
-    /// [`AdaptiveConfig::hysteresis_epochs`] consecutive eligible epochs,
-    /// and never within [`AdaptiveConfig::cooldown_epochs`] of the last
-    /// re-optimization.
-    fn epoch_step(&self, config: &AdaptiveConfig) -> EpochStep {
-        let epoch_data = self.counters.drain();
-        let hits: u64 = epoch_data.iter().map(|(_, c)| c).sum();
-        let mut agg = self.agg.lock().expect("adaptive aggregation state poisoned");
-        agg.epoch += 1;
-        agg.rolling.absorb(&epoch_data);
-        let weights = agg.rolling.weights();
-        let value = drift(&weights, &agg.baseline, config.metric);
-        let over = value > config.drift_threshold && hits >= config.min_epoch_hits;
-        let fired = if agg.cooldown_left > 0 {
-            agg.cooldown_left -= 1;
-            false
-        } else {
-            if over {
-                agg.streak += 1;
-            } else {
-                agg.streak = 0;
-            }
-            agg.streak >= config.hysteresis_epochs.max(1)
-        };
-        EpochStep {
-            epoch: agg.epoch,
-            hits,
-            drift: value,
-            fired,
-            streak: agg.streak,
-            cooldown: agg.cooldown_left as u32,
-            weights,
-        }
     }
 }
 
@@ -224,22 +132,6 @@ impl AdaptiveHandle {
             .read()
             .expect("adaptive program cell poisoned")
             .clone()
-    }
-
-    /// Generation number currently being served.
-    pub fn generation(&self) -> u64 {
-        self.current_program().generation
-    }
-
-    /// Number of re-optimizations performed so far.
-    pub fn reoptimizations(&self) -> u64 {
-        self.shared.reoptimizations.load(Ordering::Relaxed)
-    }
-
-    /// True when the background aggregator has detected drift and a call
-    /// to [`AdaptiveEngine::poll_reoptimize`] would recompile.
-    pub fn drift_pending(&self) -> bool {
-        self.shared.drift_pending.load(Ordering::Relaxed)
     }
 
     /// Runs the program once, instrumented, in a fresh engine, and merges
@@ -290,39 +182,47 @@ struct VmServing {
     fuse: bool,
 }
 
+impl VmServing {
+    /// Runs the serving generation's top-level chunks against the
+    /// incremental engine's interpreter (where the serving globals live),
+    /// returning the last chunk's value, printed.
+    fn run_chunks(&mut self, incremental: &mut IncrementalEngine) -> Result<String, Error> {
+        let interp = incremental.engine_mut().interp_mut();
+        let mut last = String::from("#<unspecified>");
+        for chunk in &self.chunks {
+            last = self.vm.run_chunk(interp, chunk)?.write_string();
+        }
+        Ok(last)
+    }
+}
+
 /// The online driver that closes the paper's loop.
 ///
 /// The paper's workflow (§4.3) is offline: instrument, run, store,
 /// recompile. `AdaptiveEngine` runs the same machinery continuously:
 ///
 /// 1. worker threads feed a [`ShardedCounters`] registry (directly, or by
-///    absorbing instrumented runs — see [`AdaptiveEngine::collect_run`]);
-/// 2. each epoch, the registry is drained into a [`RollingProfile`]
-///    (exponential decay, so old behavior ages out) —
-///    [`crate::RollingProfile`];
-/// 3. the current rolling weights are compared against the weights the
-///    serving program was optimized under ([`crate::DriftDetector`]
-///    semantics, inlined here);
-/// 4. on drift, the program is re-expanded and bytecode-compiled through a
-///    fresh [`pgmp::Engine`] with the new weights, and the resulting
-///    [`CompiledProgram`] is atomically swapped in for readers.
+///    absorbing instrumented runs — see [`AdaptiveHandle::collect_run`]);
+/// 2. each [`tick`](AdaptiveEngine::tick) drains the registry into a
+///    [`RollingProfile`] (exponential decay, so old behavior ages out);
+/// 3. a [`DriftDetector`] compares the rolling weights against the weights
+///    the serving program was optimized under;
+/// 4. when it fires, the program is recompiled through the per-form
+///    incremental cache ([`pgmp::IncrementalEngine`]) under the new
+///    weights, and the resulting [`CompiledProgram`] is atomically swapped
+///    in for readers.
 ///
-/// `pgmp::Engine` itself is single-threaded, so compilation happens on
-/// whichever thread owns the `AdaptiveEngine`; everything workers touch
-/// ([`AdaptiveHandle`]) is `Send + Sync`. Epochs can be driven
-/// synchronously with [`tick`](AdaptiveEngine::tick) (deterministic —
-/// what tests and the CLI use) or from a background thread with
-/// [`spawn_aggregator`](AdaptiveEngine::spawn_aggregator) +
-/// [`poll_reoptimize`](AdaptiveEngine::poll_reoptimize).
+/// `pgmp::Engine` itself is single-threaded, so epochs and compilation run
+/// on whichever thread owns the `AdaptiveEngine`, which paces them; all
+/// that workers touch ([`AdaptiveHandle`]) is `Send + Sync`.
 pub struct AdaptiveEngine {
-    config: AdaptiveConfig,
     shared: Arc<Shared>,
-    /// The persistent per-form cache used by the incremental re-optimize
-    /// path (`None` when [`AdaptiveConfig::incremental`] is off). Lives on
-    /// the engine (not in [`Shared`]): compilation is single-threaded.
-    incremental: Option<IncrementalEngine>,
+    rolling: RollingProfile,
+    detector: DriftDetector,
+    /// The persistent per-form cache every (re)compile goes through.
+    incremental: IncrementalEngine,
     /// VM-serving state ([`AdaptiveEngine::enable_vm_serving`]); `None`
-    /// until enabled. Requires the incremental path.
+    /// until enabled.
     serving: Option<VmServing>,
 }
 
@@ -373,47 +273,31 @@ impl AdaptiveEngine {
             setup,
             counters: ShardedCounters::new(),
             program: RwLock::new(placeholder),
-            agg: Mutex::new(AggState {
-                rolling: RollingProfile::new(config.decay),
-                baseline: ProfileInformation::empty(),
-                epoch: 0,
-                streak: 0,
-                cooldown_left: 0,
-            }),
-            pending: Mutex::new(None),
-            drift_pending: AtomicBool::new(false),
-            reoptimizations: AtomicU64::new(0),
         });
-        let incremental = if config.incremental {
-            Some(IncrementalEngine::with_engine(
-                shared.fresh_engine()?,
-                source,
-                file,
-                IncrementalConfig {
-                    epsilon: config.epsilon,
-                },
-            )?)
-        } else {
-            None
-        };
+        let incremental = IncrementalEngine::with_engine(
+            shared.fresh_engine()?,
+            source,
+            file,
+            IncrementalConfig::default(),
+        )?;
         let mut engine = AdaptiveEngine {
-            config,
+            rolling: RollingProfile::new(config.decay),
+            detector: DriftDetector::new(
+                config.drift_threshold,
+                config.hysteresis_epochs,
+                config.cooldown_epochs,
+            ),
             shared,
             incremental,
             serving: None,
         };
-        let gen0 = engine.compile(ProfileInformation::empty(), 0)?;
+        let gen0 = engine.compile(&ProfileInformation::empty(), 0)?;
         *engine
             .shared
             .program
             .write()
             .expect("adaptive program cell poisoned") = gen0;
         Ok(engine)
-    }
-
-    /// The loop configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// A `Send + Sync` handle for worker threads.
@@ -456,40 +340,19 @@ impl AdaptiveEngine {
     ///
     /// # Errors
     ///
-    /// Fails when [`AdaptiveConfig::incremental`] is off — serving depends
-    /// on the cache keeping chunk ids stable for reused forms — and
-    /// propagates compile/run errors.
+    /// Propagates compile/run errors.
     pub fn enable_vm_serving(&mut self, _dispatch: DispatchMode, fuse: bool) -> Result<(), Error> {
-        if self.incremental.is_none() {
-            return Err(Error::Eval(EvalError::new(
-                EvalErrorKind::Runtime,
-                "VM serving requires the incremental re-optimization path \
-                 (AdaptiveConfig::incremental)",
-            )));
-        }
-        let weights = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            agg.baseline.clone()
-        };
-        let unit = self
-            .incremental
-            .as_mut()
-            .expect("checked above")
-            .compile(&weights)?;
+        let unit = self.incremental.compile(self.detector.baseline())?;
         let counters = BlockCounters::new();
         let mut vm = Vm::new();
         vm.set_block_profiling(counters.clone());
-        self.serving = Some(VmServing {
+        let serving = self.serving.insert(VmServing {
             vm,
             counters,
             chunks: unit.chunks,
             fuse,
         });
-        self.run_serving_chunks()?;
+        serving.run_chunks(&mut self.incremental)?;
         Ok(())
     }
 
@@ -511,25 +374,17 @@ impl AdaptiveEngine {
     /// Fails unless serving is enabled; propagates expansion and runtime
     /// errors.
     pub fn vm_serve_run(&mut self, driver: Option<&str>) -> Result<String, Error> {
-        if self.serving.is_none() {
+        let Some(serving) = self.serving.as_mut() else {
             return Err(Error::Eval(EvalError::new(
                 EvalErrorKind::Runtime,
                 "vm_serve_run before enable_vm_serving",
             )));
-        }
-        let mut last = self.run_serving_chunks()?;
+        };
+        let mut last = serving.run_chunks(&mut self.incremental)?;
         if let Some(src) = driver {
-            let incr = self
-                .incremental
-                .as_mut()
-                .expect("VM serving requires the incremental path");
-            let cores = incr.engine_mut().expand_to_core(src, "adaptive-vm-driver.scm")?;
-            let serving = self.serving.as_mut().expect("checked above");
-            let incr = self
-                .incremental
-                .as_mut()
-                .expect("VM serving requires the incremental path");
-            let interp = incr.engine_mut().interp_mut();
+            let engine = self.incremental.engine_mut();
+            let cores = engine.expand_to_core(src, "adaptive-vm-driver.scm")?;
+            let interp = engine.interp_mut();
             for core in &cores {
                 last = serving.vm.run_core(interp, core)?.write_string();
             }
@@ -544,55 +399,33 @@ impl AdaptiveEngine {
         self.serving.as_ref().map(|s| s.vm.metrics)
     }
 
-    /// Compiles the program under `weights` (expansion + bytecode), off
-    /// to the side; does not swap. Incremental when configured: only
-    /// forms whose recorded profile reads changed re-expand.
+    /// Compiles the program under `weights` (expansion + bytecode) through
+    /// the incremental cache, off to the side; does not swap. Only forms
+    /// whose recorded profile reads changed re-expand.
     fn compile(
         &mut self,
-        weights: ProfileInformation,
+        weights: &ProfileInformation,
         generation: u64,
     ) -> Result<Arc<CompiledProgram>, Error> {
-        let optimized_under_points = weights.len();
-        if let Some(incr) = self.incremental.as_mut() {
-            let unit = incr.compile(&weights)?;
-            if let Some(serving) = self.serving.as_mut() {
-                // Hand the new generation's chunks to the serving VM;
-                // reused forms keep their chunk ids, so the counters
-                // collected under the previous generation still apply.
-                serving.chunks = unit.chunks;
-            }
-            return Ok(Arc::new(CompiledProgram {
-                generation,
-                expansion: unit.expansion,
-                cfgs: unit.cfgs,
-                optimized_under_points,
-                reused_forms: unit.stats.reused,
-                reexpanded_forms: unit.stats.reexpanded,
-            }));
+        let unit = self.incremental.compile(weights)?;
+        if let Some(serving) = self.serving.as_mut() {
+            // Hand the new generation's chunks to the serving VM; reused
+            // forms keep their chunk ids, so the counters collected under
+            // the previous generation still apply.
+            serving.chunks = unit.chunks;
         }
-        let mut engine = self.shared.fresh_engine()?;
-        engine.set_profile(weights);
-        let compiled = engine.compile_str(&self.shared.source, &self.shared.file)?;
-        let expansion = compiled.printed();
-        let cfgs: Vec<String> = compiled
-            .cores
-            .iter()
-            .map(|c| canonical_form(&compile_chunk(c)))
-            .collect();
-        let reexpanded_forms = expansion.len();
         Ok(Arc::new(CompiledProgram {
             generation,
-            expansion,
-            cfgs,
-            optimized_under_points,
-            reused_forms: 0,
-            reexpanded_forms,
+            expansion: unit.expansion,
+            cfgs: unit.cfgs,
+            optimized_under_points: weights.len(),
+            reused_forms: unit.stats.reused,
+            reexpanded_forms: unit.stats.reexpanded,
         }))
     }
 
     /// Recompiles under `weights` and atomically swaps the new generation
-    /// in; the drift baseline moves to `weights` and the cooldown window
-    /// (if configured) starts.
+    /// in; the detector rebases onto `weights` (starting its cooldown).
     ///
     /// # Errors
     ///
@@ -601,7 +434,7 @@ impl AdaptiveEngine {
     fn reoptimize(&mut self, weights: ProfileInformation) -> Result<Arc<CompiledProgram>, Error> {
         let t = observe::timer();
         let next_gen = self.current_program().generation + 1;
-        let program = self.compile(weights.clone(), next_gen)?;
+        let program = self.compile(&weights, next_gen)?;
         let swap_us = {
             // A plain clock, not an observe span: the swap is interior
             // to the reoptimize span and reported as its `swap_us`.
@@ -621,17 +454,7 @@ impl AdaptiveEngine {
             duration_us,
             swap_us,
         });
-        {
-            let mut agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            agg.baseline = weights;
-            agg.streak = 0;
-            agg.cooldown_left = self.config.cooldown_epochs;
-        }
-        self.shared.reoptimizations.fetch_add(1, Ordering::Relaxed);
+        self.detector.rebase(weights);
         self.relayout_serving(next_gen)?;
         Ok(program)
     }
@@ -672,33 +495,13 @@ impl AdaptiveEngine {
             duration_us,
         });
         observe::metrics().counter_add("vm.layout_reoptimizations", 1);
-        self.run_serving_chunks()?;
+        serving.run_chunks(&mut self.incremental)?;
         Ok(())
     }
 
-    /// Runs the serving generation's top-level chunks on the serving VM
-    /// against the incremental engine's interpreter (where the serving
-    /// globals live), returning the last chunk's value, printed.
-    fn run_serving_chunks(&mut self) -> Result<String, Error> {
-        let serving = self
-            .serving
-            .as_mut()
-            .expect("run_serving_chunks without serving state");
-        let incr = self
-            .incremental
-            .as_mut()
-            .expect("VM serving requires the incremental path");
-        let interp = incr.engine_mut().interp_mut();
-        let mut last = String::from("#<unspecified>");
-        for chunk in &serving.chunks {
-            last = serving.vm.run_chunk(interp, chunk)?.write_string();
-        }
-        Ok(last)
-    }
-
     /// Runs one epoch synchronously: drain counters into the rolling
-    /// profile, measure drift, and — if the detector fires — recompile and
-    /// swap within this call.
+    /// profile, let the drift detector observe the new weights, and — if
+    /// it fires — recompile and swap within this call.
     ///
     /// # Errors
     ///
@@ -706,21 +509,23 @@ impl AdaptiveEngine {
     /// fail.
     pub fn tick(&mut self) -> Result<EpochReport, Error> {
         let t = observe::timer();
-        let step = self.shared.epoch_step(&self.config);
-        let mut reoptimized = false;
-        if step.fired {
-            self.reoptimize(step.weights.clone())?;
-            reoptimized = true;
+        let epoch_data = self.shared.counters.drain();
+        let hits: u64 = epoch_data.iter().map(|(_, c)| c).sum();
+        self.rolling.absorb(&epoch_data);
+        let weights = self.rolling.weights();
+        let reading = self.detector.observe(&weights, hits);
+        if reading.fired {
+            self.reoptimize(weights)?;
         }
         let report = EpochReport {
-            epoch: step.epoch,
-            hits: step.hits,
-            drift: step.drift,
-            fired: step.fired,
-            reoptimized,
+            epoch: self.rolling.epochs(),
+            hits,
+            drift: reading.value,
+            fired: reading.fired,
+            reoptimized: reading.fired,
             generation: self.current_program().generation,
-            streak: step.streak,
-            cooldown: step.cooldown,
+            streak: reading.streak,
+            cooldown: reading.cooldown,
         };
         self.publish_epoch_metrics(&report);
         observe::finish(t, |duration_us| observe::EventKind::Epoch {
@@ -768,71 +573,6 @@ impl AdaptiveEngine {
         }
     }
 
-    /// Starts the epoch-based background aggregator: every
-    /// [`AdaptiveConfig::epoch`], it drains the counters, updates the
-    /// rolling profile, and measures drift on its own thread. When drift
-    /// fires it *flags* rather than recompiles (the engine is
-    /// single-threaded); the owning thread observes the flag via
-    /// [`AdaptiveHandle::drift_pending`] and recompiles with
-    /// [`AdaptiveEngine::poll_reoptimize`].
-    pub fn spawn_aggregator(&self) -> AggregatorGuard {
-        let shared = self.shared.clone();
-        let config = self.config.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let join = std::thread::spawn(move || {
-            let mut epochs = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
-                // Sleep in slices so stop() is prompt even for long epochs.
-                let mut remaining = config.epoch;
-                while !remaining.is_zero() && !stop_flag.load(Ordering::Relaxed) {
-                    let slice = remaining.min(Duration::from_millis(10));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                let step = shared.epoch_step(&config);
-                epochs += 1;
-                if step.fired {
-                    *shared.pending.lock().expect("adaptive pending cell poisoned") =
-                        Some(step.weights);
-                    shared.drift_pending.store(true, Ordering::Release);
-                }
-            }
-            epochs
-        });
-        AggregatorGuard {
-            stop,
-            join: Some(join),
-        }
-    }
-
-    /// Consumes a pending drift flag from the background aggregator:
-    /// recompiles under the flagged weights and swaps. Returns the new
-    /// program, or `None` when no drift was pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-optimization errors (the flag is consumed either
-    /// way; the next drifting epoch will re-raise it).
-    pub fn poll_reoptimize(&mut self) -> Result<Option<Arc<CompiledProgram>>, Error> {
-        if !self.shared.drift_pending.swap(false, Ordering::Acquire) {
-            return Ok(None);
-        }
-        let weights = self
-            .shared
-            .pending
-            .lock()
-            .expect("adaptive pending cell poisoned")
-            .take();
-        match weights {
-            Some(w) => self.reoptimize(w).map(Some),
-            None => Ok(None),
-        }
-    }
-
     /// Applies a *fleet* profile — the canonical merged weights pushed by
     /// a `pgmp-profiled` epoch broadcast — as a drift source: measures
     /// drift of `weights` against the weights this engine's serving
@@ -845,41 +585,27 @@ impl AdaptiveEngine {
     /// noise, while a broadcast is already one merged observation over
     /// the whole fleet (the daemon's merge cadence is the damping).
     ///
+    /// `daemon_inst` and `epoch` are the broadcast's correlation ids: the
+    /// daemon's [`pgmp_observe::instance_id`] and merge epoch from the
+    /// `EpochUpdate` frame. The `fleet_apply` trace event carries them —
+    /// the join key `pgmp-trace merge` uses to order this process's
+    /// re-optimization after the exact daemon merge that caused it. Zero
+    /// ids (a v1 daemon, or no daemon at all) still record the local
+    /// decision; they just cannot be joined.
+    ///
     /// # Errors
     ///
     /// Propagates re-optimization errors; on failure the old generation
     /// keeps serving and the baseline is unchanged.
-    pub fn apply_fleet_profile(
-        &mut self,
-        weights: &ProfileInformation,
-    ) -> Result<Option<Arc<CompiledProgram>>, Error> {
-        self.apply_fleet_epoch(weights, 0, 0)
-    }
-
-    /// [`AdaptiveEngine::apply_fleet_profile`], stamped with the
-    /// broadcast's correlation ids: the daemon's
-    /// [`pgmp_observe::instance_id`] and merge epoch from the
-    /// `EpochUpdate` frame. Emits a `fleet_apply` trace event carrying
-    /// them — the join key `pgmp-trace merge` uses to order this
-    /// process's re-optimization after the exact daemon merge that
-    /// caused it. Zero ids (a v1 daemon, or no daemon at all) still
-    /// record the local decision; they just cannot be joined.
     pub fn apply_fleet_epoch(
         &mut self,
         weights: &ProfileInformation,
         daemon_inst: u64,
         epoch: u64,
     ) -> Result<Option<Arc<CompiledProgram>>, Error> {
-        let value = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            drift(weights, &agg.baseline, self.config.metric)
-        };
+        let value = self.detector.measure(weights);
         observe::metrics().gauge_set("adaptive.fleet_drift", value);
-        let reoptimized = value > self.config.drift_threshold;
+        let reoptimized = value > self.detector.threshold();
         // Emitted before the recompile so the merged timeline reads
         // decision-then-work: fleet_apply, then the reoptimize span.
         observe::emit(observe::EventKind::FleetApply {
@@ -905,16 +631,9 @@ impl AdaptiveEngine {
     ///
     /// Propagates I/O errors from the atomic write.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), Error> {
-        let snap = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            crate::EpochSnapshot::capture(&agg.rolling, &agg.baseline)
-        };
-        snap.store_file(path).map_err(Error::Profile)?;
-        Ok(())
+        crate::EpochSnapshot::capture(&self.rolling, self.detector.baseline())
+            .store_file(path)
+            .map_err(Error::Profile)
     }
 
     /// Restores aggregation state saved by
@@ -924,9 +643,9 @@ impl AdaptiveEngine {
     /// previous process had learned — not against an empty profile.
     ///
     /// The engine keeps its *configured* decay factor (the stored one is
-    /// diagnostic); hysteresis and cooldown state reset — they damp
-    /// within-process oscillation and are meaningless across a restart.
-    /// Returns the restored snapshot for inspection.
+    /// diagnostic); hysteresis and cooldown state reset
+    /// ([`DriftDetector::restore`]). Returns the restored snapshot for
+    /// inspection.
     ///
     /// # Errors
     ///
@@ -938,45 +657,10 @@ impl AdaptiveEngine {
         path: impl AsRef<std::path::Path>,
     ) -> Result<crate::EpochSnapshot, Error> {
         let snap = crate::EpochSnapshot::load_file(path).map_err(Error::Profile)?;
-        let mut agg = self
-            .shared
-            .agg
-            .lock()
-            .expect("adaptive aggregation state poisoned");
-        agg.rolling =
-            RollingProfile::from_parts(self.config.decay, snap.epochs, snap.counts.clone());
-        agg.baseline = snap.baseline.clone();
-        agg.epoch = snap.epochs;
-        agg.streak = 0;
-        agg.cooldown_left = 0;
+        self.rolling =
+            RollingProfile::from_parts(self.rolling.decay(), snap.epochs, snap.counts.clone());
+        self.detector.restore(snap.baseline.clone());
         Ok(snap)
-    }
-}
-
-/// Stops (and joins) the background aggregator when dropped.
-pub struct AggregatorGuard {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<u64>>,
-}
-
-impl AggregatorGuard {
-    /// Stops the aggregator and returns how many epochs it ran.
-    pub fn stop(mut self) -> u64 {
-        self.shutdown()
-    }
-
-    fn shutdown(&mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.join.take() {
-            Some(join) => join.join().unwrap_or(0),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for AggregatorGuard {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1072,18 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn vm_serving_requires_the_incremental_path() {
-        let config = AdaptiveConfig {
-            incremental: false,
-            ..AdaptiveConfig::default()
-        };
-        let mut engine = AdaptiveEngine::new("(define x 1)", "p.scm", config).unwrap();
-        assert!(engine.enable_vm_serving(DispatchMode::Flat, false).is_err());
-        assert!(!engine.vm_serving_enabled());
-        assert!(engine.vm_metrics().is_none());
-    }
-
-    #[test]
     fn drift_relayout_raises_the_fallthrough_ratio() {
         // No profile-reading macros: every form is reused across the
         // re-optimization, so any fall-through improvement on the served
@@ -1165,6 +837,42 @@ mod tests {
     }
 
     #[test]
+    fn restore_snapshot_resets_streak_and_cooldown() {
+        let dir = std::env::temp_dir().join(format!("pgmp-adapt-reset-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("epoch.pgmp");
+        let config = AdaptiveConfig {
+            decay: 0.5,
+            drift_threshold: 0.2,
+            hysteresis_epochs: 2,
+            cooldown_epochs: 3,
+        };
+        let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
+        engine.save_snapshot(&path).unwrap();
+        let busy_tick = |engine: &mut AdaptiveEngine| {
+            engine.collect_run(Some(&drive(10, 60))).unwrap();
+            engine.tick().unwrap()
+        };
+
+        // One drifting epoch arms the streak; the restore disarms it, so
+        // the next drifting epoch is the first of a new streak.
+        assert_eq!(busy_tick(&mut engine).streak, 1);
+        engine.restore_snapshot(&path).unwrap();
+        let report = busy_tick(&mut engine);
+        assert_eq!((report.streak, report.fired), (1, false));
+
+        // The second consecutive epoch fires and starts the cooldown.
+        assert!(busy_tick(&mut engine).reoptimized);
+        assert_eq!(busy_tick(&mut engine).cooldown, 2);
+        // The restore ends the cooldown: detection resumes at once, and
+        // the restored (empty) baseline reads as drift.
+        engine.restore_snapshot(&path).unwrap();
+        let report = busy_tick(&mut engine);
+        assert_eq!((report.streak, report.cooldown), (1, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn restore_from_corrupt_snapshot_is_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("pgmp-adapt-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1222,39 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn background_aggregator_flags_drift_for_the_engine_thread() {
-        let config = AdaptiveConfig {
-            epoch: Duration::from_millis(15),
-            drift_threshold: 0.2,
-            ..AdaptiveConfig::default()
-        };
-        let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
-        let handle = engine.handle();
-        let aggregator = engine.spawn_aggregator();
-
-        // Feed traffic from a worker thread while the aggregator runs.
-        std::thread::scope(|s| {
-            let h = engine.handle();
-            let worker = s.spawn(move || h.collect_run(Some(&drive(10, 60))));
-            worker.join().unwrap().unwrap();
-        });
-
-        // Wait (bounded) for the aggregator to notice.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !handle.drift_pending() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.drift_pending(), "aggregator never flagged drift");
-        let epochs = aggregator.stop();
-        assert!(epochs >= 1);
-
-        let program = engine.poll_reoptimize().unwrap().expect("pending reopt");
-        assert_eq!(program.generation, 1);
-        assert!(engine.poll_reoptimize().unwrap().is_none(), "flag must be consumed");
-        assert_eq!(handle.reoptimizations(), 1);
-    }
-
-    #[test]
     fn fleet_profile_drives_reoptimization() {
         let config = AdaptiveConfig {
             drift_threshold: 0.2,
@@ -1271,7 +946,7 @@ mod tests {
         let fleet = ProfileInformation::from_dataset(&probe.counters().snapshot());
 
         let program = engine
-            .apply_fleet_profile(&fleet)
+            .apply_fleet_epoch(&fleet, 0, 0)
             .unwrap()
             .expect("fleet drift from empty baseline must re-optimize");
         assert_eq!(program.generation, 1);
@@ -1282,7 +957,7 @@ mod tests {
         );
 
         // The same fleet profile again: baseline now matches, no recompile.
-        assert!(engine.apply_fleet_profile(&fleet).unwrap().is_none());
+        assert!(engine.apply_fleet_epoch(&fleet, 0, 0).unwrap().is_none());
         assert_eq!(engine.current_program().generation, 1);
 
         // Shifted fleet behavior re-optimizes again.
@@ -1291,7 +966,7 @@ mod tests {
         probe.run_str(IF_R, "ifr.scm").unwrap();
         probe.run_str(&drive(0, 10), "adaptive-driver.scm").unwrap();
         let shifted = ProfileInformation::from_dataset(&probe.counters().snapshot());
-        assert!(engine.apply_fleet_profile(&shifted).unwrap().is_some());
+        assert!(engine.apply_fleet_epoch(&shifted, 0, 0).unwrap().is_some());
         assert_eq!(engine.current_program().generation, 2);
     }
 

@@ -13,17 +13,17 @@
 //!   unchanged.
 //! - [`RollingProfile`] — epoch aggregation with exponential decay, so
 //!   weights track *recent* behavior and stale traffic patterns age out.
-//! - [`DriftDetector`] / [`drift`] — L1 or total-variation distance
-//!   between the live weights and the weights the running code was last
-//!   optimized under; [`HysteresisDetector`] damps it with
-//!   consecutive-epoch arming and a post-fire cooldown.
-//! - [`AdaptiveEngine`] — on drift, re-optimizes under the new weights
-//!   and atomically swaps the [`CompiledProgram`] readers see. By default
-//!   recompilation is *incremental* ([`pgmp::IncrementalEngine`]): only
-//!   top-level forms whose consulted profile weights changed re-expand.
-//!   Epochs are driven synchronously ([`AdaptiveEngine::tick`]) or by a
-//!   background aggregator thread ([`AdaptiveEngine::spawn_aggregator`] +
-//!   [`AdaptiveEngine::poll_reoptimize`]).
+//! - [`DriftDetector`] — the total-variation distance
+//!   ([`pgmp_profiler::drift`]) between the live weights and the weights
+//!   the running code was last optimized under, damped by
+//!   consecutive-epoch hysteresis, a post-fire cooldown and a min-hits
+//!   gate.
+//! - [`AdaptiveEngine`] — each synchronous epoch
+//!   ([`AdaptiveEngine::tick`]) drains the counters and asks the detector;
+//!   on drift it re-optimizes under the new weights through the per-form
+//!   incremental cache ([`pgmp::IncrementalEngine`]: only top-level forms
+//!   whose consulted profile weights changed re-expand) and atomically
+//!   swaps the [`CompiledProgram`] readers see.
 //!
 //! The crate deliberately reuses the single-threaded pipeline for the
 //! heavy lifting — expansion, profile points, weights, bytecode — and adds
@@ -35,9 +35,7 @@ mod engine;
 mod rolling;
 mod snapshot;
 
-pub use drift::{drift, DriftDetector, DriftMetric, DriftReading, HysteresisDetector};
-pub use engine::{
-    AdaptiveConfig, AdaptiveEngine, AdaptiveHandle, AggregatorGuard, CompiledProgram, EpochReport,
-};
+pub use drift::{DriftDetector, DriftReading};
+pub use engine::{AdaptiveConfig, AdaptiveEngine, AdaptiveHandle, CompiledProgram, EpochReport};
 pub use rolling::RollingProfile;
 pub use snapshot::EpochSnapshot;

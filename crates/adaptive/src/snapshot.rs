@@ -71,22 +71,9 @@ impl EpochSnapshot {
                 Datum::Float(*c)
             );
         }
-        let mut points: Vec<(SourceObject, f64)> = self.baseline.iter().collect();
-        points.sort_by_key(|e| e.0);
-        let _ = write!(
-            out,
-            "  (baseline (datasets {})",
-            self.baseline.dataset_count()
-        );
-        for (p, w) in points {
-            let _ = write!(
-                out,
-                " (point {} {} {} {})",
-                Datum::string(p.file.as_str()),
-                p.bfp,
-                p.efp,
-                Datum::Float(w)
-            );
+        out.push_str("  (baseline");
+        for entry in self.baseline.body_datums() {
+            let _ = write!(out, " {entry}");
         }
         out.push_str("))");
         out
@@ -149,7 +136,7 @@ impl EpochSnapshot {
                     }
                     counts.push((SourceObject::new(file, *bfp as u32, *efp as u32), c));
                 }
-                ("baseline", body) => baseline = baseline_from(body)?,
+                ("baseline", body) => baseline = ProfileInformation::from_body(body)?,
                 (other, _) => {
                     return Err(malformed(format!("unknown snapshot entry `{other}`")));
                 }
@@ -213,32 +200,6 @@ fn num(d: &Datum) -> Option<f64> {
     }
 }
 
-fn baseline_from(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
-    let mut dataset_count = 1usize;
-    let mut weights = Vec::new();
-    for e in entries {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("baseline entry must be a list"))?;
-        match elems.as_slice() {
-            [Datum::Sym(tag), Datum::Int(n)] if tag.as_str() == "datasets" && *n >= 0 => {
-                dataset_count = *n as usize;
-            }
-            [Datum::Sym(tag), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w]
-                if tag.as_str() == "point" && *bfp >= 0 && *efp >= 0 =>
-            {
-                let w = num(w).ok_or_else(|| malformed(format!("bad weight {w}")))?;
-                if !(0.0..=1.0).contains(&w) {
-                    return Err(malformed(format!("weight {w} outside [0,1]")));
-                }
-                weights.push((SourceObject::new(file, *bfp as u32, *efp as u32), w));
-            }
-            _ => return Err(malformed(format!("unknown baseline entry {e}"))),
-        }
-    }
-    Ok(ProfileInformation::from_weights(weights, dataset_count))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +225,17 @@ mod tests {
         assert_eq!(back.epochs, snap.epochs);
         assert_eq!(back.counts, snap.counts);
         assert_eq!(back.baseline, snap.baseline);
+    }
+
+    #[test]
+    fn snapshot_text_is_pinned() {
+        assert_eq!(
+            sample().store_to_string(),
+            "(pgmp-epoch\n  (version 1)\n  (decay 0.5)\n  (epochs 2)\n\
+             \u{20} (count \"snap.scm\" 0 1 50.0)\n  (count \"snap.scm\" 1 2 120.0)\n\
+             \u{20} (baseline (datasets 1) \
+             (point \"snap.scm\" 0 1 0.5) (point \"snap.scm\" 1 2 1.0)))"
+        );
     }
 
     #[test]

@@ -77,9 +77,9 @@ fn weights(points: &[(SourceObject, SourceObject)], flip: bool) -> ProfileInform
     )
 }
 
-/// One from-scratch recompile under `w`: the exact pipeline the adaptive
-/// engine runs when the incremental cache is disabled (expansion printing
-/// and CFG canonicalization included — they are part of the artifact).
+/// One from-scratch recompile under `w`: the artifact the adaptive engine's
+/// incremental recompile produces (expansion printing and CFG
+/// canonicalization included), built with no cache.
 fn full_recompile(src: &str, file: &str, w: &ProfileInformation) -> (Vec<String>, Vec<String>) {
     let mut engine = Engine::new();
     engine.set_profile(w.clone());

@@ -59,7 +59,7 @@
 //! typed error, never a panic. See `docs/PROFILE_FORMAT.md` for the
 //! normative format specification.
 
-use pgmp_adaptive::{drift, DriftMetric};
+use pgmp_profiler::{drift, DriftMetric};
 use pgmp_observe as observe;
 use pgmp_profiler::rebase::{rebase as run_rebase, RebaseConfig};
 use pgmp_profiler::{ProfileInformation, Provenance, SlotCompat, SlotMap, StoredProfile};

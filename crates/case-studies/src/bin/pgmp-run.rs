@@ -41,18 +41,17 @@
 //!                                and drift baseline — instead)
 //!
 //!   --adaptive                   online mode: epochs of concurrent profile
-//!                                collection, drift detection, re-optimization
+//!                                collection, drift detection, and
+//!                                re-optimization through the per-form
+//!                                recompilation cache
 //!   --epochs <n>                 adaptive: number of epochs to run (default 4)
 //!   --threads <n>                adaptive: worker threads per epoch (default 2)
-//!   --epoch-ms <ms>              adaptive: background epoch length (default 250)
 //!   --drift-threshold <t>        adaptive: re-optimize when drift > t (default 0.15)
 //!   --decay <d>                  adaptive: per-epoch profile decay in [0,1] (default 0.5)
 //!   --hysteresis <n>             adaptive: consecutive drifting epochs before
 //!                                re-optimizing (default 1)
 //!   --cooldown <n>               adaptive: epochs to skip detection after a
 //!                                re-optimization (default 0)
-//!   --no-incremental             adaptive: recompile from scratch on drift
-//!                                instead of using the per-form cache
 //!
 //!   --dispatch flat              run --incremental / --adaptive programs
 //!                                on the VM's flat code streams
@@ -134,12 +133,10 @@ struct Options {
     adaptive: bool,
     epochs: u64,
     threads: usize,
-    epoch_ms: u64,
     drift_threshold: f64,
     decay: f64,
     hysteresis: u32,
     cooldown: u64,
-    adaptive_incremental: bool,
     dispatch: bool,
     fuse: bool,
     vm_metrics: bool,
@@ -158,9 +155,9 @@ fn usage() -> ! {
          \u{20}               [--counter-impl dense|sampling] [--sample-hz HZ]\n\
          \u{20}               [--store-format 1|2]\n\
          \u{20}               [--incremental [--save-state F] [--load-state F]]\n\
-         \u{20}               [--adaptive [--epochs N] [--threads N] [--epoch-ms MS]\n\
+         \u{20}               [--adaptive [--epochs N] [--threads N]\n\
          \u{20}               [--drift-threshold T] [--decay D] [--hysteresis N]\n\
-         \u{20}               [--cooldown N] [--no-incremental]]\n\
+         \u{20}               [--cooldown N]]\n\
          \u{20}               [--dispatch flat] [--fuse] [--vm-metrics]\n\
          \u{20}               [--publish SOCKET] [--subscribe SOCKET]\n\
          \u{20}               [--trace OUT.jsonl] [--metrics] [--metrics-out F]\n\
@@ -216,12 +213,10 @@ fn parse_args() -> Options {
         adaptive: false,
         epochs: 4,
         threads: 2,
-        epoch_ms: 250,
         drift_threshold: 0.15,
         decay: 0.5,
         hysteresis: 1,
         cooldown: 0,
-        adaptive_incremental: true,
         dispatch: false,
         fuse: false,
         vm_metrics: false,
@@ -259,12 +254,10 @@ fn parse_args() -> Options {
             "--adaptive" => opts.adaptive = true,
             "--epochs" => opts.epochs = parse_num(args.next()),
             "--threads" => opts.threads = parse_num(args.next()),
-            "--epoch-ms" => opts.epoch_ms = parse_num(args.next()),
             "--drift-threshold" => opts.drift_threshold = parse_num(args.next()),
             "--decay" => opts.decay = parse_num(args.next()),
             "--hysteresis" => opts.hysteresis = parse_num(args.next()),
             "--cooldown" => opts.cooldown = parse_num(args.next()),
-            "--no-incremental" => opts.adaptive_incremental = false,
             "--dispatch" => match args.next().as_deref() {
                 Some("flat") => opts.dispatch = true,
                 _ => usage(),
@@ -317,8 +310,8 @@ fn describe_vm_metrics(m: &VmMetrics) -> String {
 }
 
 /// Online mode: worker threads collect profiles concurrently, each epoch is
-/// aggregated with decay, and drift past the threshold re-expands and
-/// recompiles the program through a fresh engine before the next epoch.
+/// aggregated with decay, and drift past the threshold recompiles the
+/// program through the per-form incremental cache before the next epoch.
 fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> {
     if !(0.0..=1.0).contains(&opts.decay) {
         return Err(format!("--decay must be in [0, 1], got {}", opts.decay));
@@ -330,13 +323,10 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
         ));
     }
     let config = AdaptiveConfig {
-        epoch: Duration::from_millis(opts.epoch_ms),
         decay: opts.decay,
         drift_threshold: opts.drift_threshold,
-        incremental: opts.adaptive_incremental,
         hysteresis_epochs: opts.hysteresis,
         cooldown_epochs: opts.cooldown,
-        ..AdaptiveConfig::default()
     };
     let libs = opts.libs.clone();
     let counter_impl = opts.counter_impl;
@@ -359,13 +349,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
     }
     let vm_serving = opts.vm_metrics || opts.fuse || opts.dispatch;
     if vm_serving {
-        if !opts.adaptive_incremental {
-            return Err(
-                "--dispatch/--fuse/--vm-metrics with --adaptive require the incremental \
-                 path (drop --no-incremental)"
-                    .into(),
-            );
-        }
         engine
             .enable_vm_serving(DispatchMode::Flat, opts.fuse)
             .map_err(|e| e.to_string())?;

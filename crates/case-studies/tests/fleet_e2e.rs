@@ -157,7 +157,7 @@ fn fleet_daemon_merges_three_skewed_writers_and_drives_a_subscriber() {
         &sdir,
         &[
             "--libs", "case",
-            "--adaptive", "--epochs", "3", "--threads", "1", "--epoch-ms", "120",
+            "--adaptive", "--epochs", "3", "--threads", "1",
             "--drift-threshold", "0.02",
             "--subscribe", socket.to_str().unwrap(),
             "prog.scm",
@@ -302,7 +302,7 @@ fn merged_fleet_traces_form_one_causal_timeline() {
         .current_dir(&sdir)
         .args([
             "--libs", "case",
-            "--adaptive", "--epochs", "3", "--threads", "1", "--epoch-ms", "120",
+            "--adaptive", "--epochs", "3", "--threads", "1",
             "--drift-threshold", "0.02",
             "--subscribe",
         ])

@@ -48,7 +48,7 @@
 
 use crate::api::ProfileReadLog;
 use pgmp_eval::{core_from_datum_with, Core};
-use pgmp_profiler::{ProfileInformation, ProfileStoreError};
+use pgmp_profiler::{point_datum, ProfileInformation, ProfileStoreError};
 use pgmp_reader::read_datums;
 use pgmp_syntax::{Datum, SourceFactory, SourceObject, Symbol};
 use std::fmt::Write as _;
@@ -119,71 +119,19 @@ fn malformed(msg: impl Into<String>) -> ProfileStoreError {
     ProfileStoreError::Malformed(msg.into())
 }
 
-fn point_datums(p: SourceObject, w: Option<f64>) -> Datum {
-    let mut elems = vec![
-        Datum::sym("point"),
-        Datum::string(p.file.as_str()),
-        Datum::Int(p.bfp as i64),
-        Datum::Int(p.efp as i64),
-    ];
-    if let Some(w) = w {
-        elems.push(Datum::Float(w));
-    }
-    Datum::list(elems)
-}
-
-fn point_from(args: &[Datum]) -> Result<(SourceObject, Option<f64>), ProfileStoreError> {
+/// A read log's `(point file bfp efp w)` fields, after the tag.
+fn read_point(args: &[Datum]) -> Result<(SourceObject, f64), ProfileStoreError> {
     match args {
-        [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), rest @ ..]
-            if *bfp >= 0 && *efp >= 0 && rest.len() <= 1 =>
-        {
-            let w = match rest.first() {
-                None => None,
-                Some(Datum::Float(x)) => Some(*x),
-                Some(Datum::Int(n)) => Some(*n as f64),
-                Some(other) => return Err(malformed(format!("bad weight {other}"))),
+        [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w] if *bfp >= 0 && *efp >= 0 => {
+            let w = match w {
+                Datum::Float(x) => *x,
+                Datum::Int(n) => *n as f64,
+                other => return Err(malformed(format!("bad weight {other}"))),
             };
             Ok((SourceObject::new(file, *bfp as u32, *efp as u32), w))
         }
-        _ => Err(malformed("malformed point entry")),
+        _ => Err(malformed("malformed read point entry")),
     }
-}
-
-/// Emits `(datasets N) (point …)…` entries for `info`, sorted.
-fn profile_body(info: &ProfileInformation) -> Vec<Datum> {
-    let mut points: Vec<(SourceObject, f64)> = info.iter().collect();
-    points.sort_by_key(|a| a.0);
-    let mut out = vec![Datum::list(vec![
-        Datum::sym("datasets"),
-        Datum::Int(info.dataset_count() as i64),
-    ])];
-    out.extend(points.into_iter().map(|(p, w)| point_datums(p, Some(w))));
-    out
-}
-
-fn profile_from_body(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
-    let mut dataset_count = 1usize;
-    let mut weights = Vec::new();
-    for e in entries {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("profile entry must be a list"))?;
-        match elems.as_slice() {
-            [Datum::Sym(tag), Datum::Int(n)] if tag.as_str() == "datasets" && *n >= 0 => {
-                dataset_count = *n as usize;
-            }
-            [Datum::Sym(tag), rest @ ..] if tag.as_str() == "point" => {
-                let (p, w) = point_from(rest)?;
-                let w = w.ok_or_else(|| malformed("point entry missing weight"))?;
-                if !(0.0..=1.0).contains(&w) {
-                    return Err(malformed(format!("weight {w} outside [0,1]")));
-                }
-                weights.push((p, w));
-            }
-            _ => return Err(malformed(format!("unknown profile entry {e}"))),
-        }
-    }
-    Ok(ProfileInformation::from_weights(weights, dataset_count))
 }
 
 fn factory_datum(tag: &str, f: &SourceFactory) -> Datum {
@@ -210,7 +158,7 @@ fn factory_from(entries: &[Datum]) -> Result<SourceFactory, ProfileStoreError> {
 fn reads_datum(r: &ProfileReadLog) -> Datum {
     let mut elems = vec![Datum::sym("reads")];
     for (p, w) in &r.points {
-        elems.push(point_datums(*p, Some(*w)));
+        elems.push(point_datum(*p, *w));
     }
     if let Some(a) = r.availability {
         elems.push(Datum::list(vec![Datum::sym("avail"), Datum::Bool(a)]));
@@ -232,9 +180,7 @@ fn reads_from(entries: &[Datum]) -> Result<ProfileReadLog, ProfileStoreError> {
             .ok_or_else(|| malformed("reads entry must be a list"))?;
         match elems.as_slice() {
             [Datum::Sym(tag), rest @ ..] if tag.as_str() == "point" => {
-                let (p, w) = point_from(rest)?;
-                let w = w.ok_or_else(|| malformed("read point missing weight"))?;
-                reads.points.push((p, w));
+                reads.points.push(read_point(rest)?);
             }
             [Datum::Sym(tag), Datum::Bool(a)] if tag.as_str() == "avail" => {
                 reads.availability = Some(*a);
@@ -287,7 +233,7 @@ pub(crate) fn form_entry_string(
     }
     if let Some(info) = snapshot {
         let mut elems = vec![Datum::sym("snapshot")];
-        elems.extend(profile_body(info));
+        elems.extend(info.body_datums());
         let _ = write!(out, "\n    {}", Datum::list(elems));
     }
     out.push(')');
@@ -306,7 +252,7 @@ pub(crate) fn session_string(
     let mut out = String::from("(pgmp-session\n  (version 1)\n");
     let _ = writeln!(out, "  (file {})", Datum::string(file));
     let mut welems = vec![Datum::sym("weights")];
-    welems.extend(profile_body(weights));
+    welems.extend(weights.body_datums());
     let _ = writeln!(out, "  {}", Datum::list(welems));
     if !strings.is_empty() {
         let mut selems = vec![Datum::sym("strings")];
@@ -377,7 +323,7 @@ fn form_from(args: &[Datum], strings: &[Symbol]) -> Result<StoredForm, ProfileSt
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "snapshot" => form.snapshot = Some(profile_from_body(args)?),
+            "snapshot" => form.snapshot = Some(ProfileInformation::from_body(args)?),
             other => return Err(malformed(format!("unknown form sub-entry `{other}`"))),
         }
     }
@@ -433,7 +379,7 @@ pub(crate) fn parse_session(text: &str) -> Result<StoredSession, ProfileStoreErr
                     }
                 }
                 (0, "file", [Datum::Str(s)]) => file = s.to_string(),
-                (0, "weights", body) => weights = profile_from_body(body)?,
+                (0, "weights", body) => weights = ProfileInformation::from_body(body)?,
                 (0, "strings", body) => {
                     strings = body
                         .iter()

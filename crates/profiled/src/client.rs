@@ -15,7 +15,7 @@
 //! [`Subscriber`] is the opposite: a deliberately blocking reader of
 //! [`EpochUpdate`] broadcasts, meant for a dedicated thread that parses
 //! `update.profile` and hands the weights to
-//! `AdaptiveEngine::apply_fleet_profile`.
+//! `AdaptiveEngine::apply_fleet_epoch`.
 
 use crate::wire::{self, ByeInfo, Delta, EpochUpdate, Frame, Hello, Role, WireError};
 use pgmp_observe::{self as observe, BoundedWriter};
@@ -318,7 +318,7 @@ impl Subscriber {
 
     /// Blocks until the next [`EpochUpdate`] arrives, up to `timeout`.
     /// Parse `update.profile` with [`pgmp_profiler::StoredProfile::load_from_str`]
-    /// and feed the weights to `AdaptiveEngine::apply_fleet_profile`.
+    /// and feed the weights to `AdaptiveEngine::apply_fleet_epoch`.
     ///
     /// A timeout ([`ClientError::Timeout`]) loses nothing: a partially
     /// received broadcast stays buffered and the next call resumes it.

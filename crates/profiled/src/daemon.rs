@@ -37,7 +37,7 @@
 //! it ever wrote.
 
 use crate::wire::{self, Ack, EpochUpdate, Frame, Hello, Role, WireError};
-use pgmp_adaptive::{drift, DriftMetric};
+use pgmp_profiler::{drift, DriftMetric};
 use pgmp_observe as observe;
 use pgmp_profiler::{Dataset, ProfileInformation, Provenance, SlotMap, StoredProfile};
 use pgmp_profiler::AtomicSlotArray;

@@ -8,9 +8,13 @@
 //! [`pgmp_profiler::AtomicSlotArray`], periodically merges all datasets with
 //! the paper's §3.2 dataset-weighted average, writes the canonical
 //! [`pgmp_profiler::StoredProfile`] v2 atomically, and broadcasts each
-//! merge epoch (merged weights plus L1/total-variation fleet drift) to
-//! subscribed processes, which feed it straight into
-//! `pgmp_adaptive::AdaptiveEngine::apply_fleet_profile`.
+//! merge epoch (merged weights plus L1/total-variation fleet drift,
+//! measured with [`pgmp_profiler::drift`]) to subscribed processes, which
+//! feed it straight into `pgmp_adaptive::AdaptiveEngine::apply_fleet_epoch`.
+//!
+//! The daemon is runtime-agnostic: it depends on `pgmp-profiler`,
+//! `pgmp-observe` and `pgmp-syntax`, never on the compiler or on
+//! `pgmp-adaptive`.
 //!
 //! The crate splits into:
 //!

@@ -16,6 +16,9 @@
 //! - [`ProfileInformation`] — **profile weights** in `[0,1]`, computed from
 //!   one or more datasets and merged by weighted averaging exactly as
 //!   Figure 3 prescribes;
+//! - [`drift()`] — the L1 or total-variation distance between two sets of
+//!   weights ([`DriftMetric`]): what the adaptive engine's drift detector
+//!   and the fleet daemon's broadcasts measure;
 //! - persistence (`store-profile` / `load-profile`) in a self-describing
 //!   s-expression format read back with `pgmp-reader`;
 //! - [`ProfileMode`] — how the evaluator instruments: not at all, every
@@ -50,6 +53,7 @@
 
 mod concurrent;
 mod counters;
+mod drift;
 mod info;
 pub mod rebase;
 pub mod sampling;
@@ -58,13 +62,14 @@ mod store;
 
 pub use concurrent::{AtomicSlotArray, ShardedCounters};
 pub use counters::{CounterImpl, Counters, Dataset, SlotStore};
+pub use drift::{drift, DriftMetric};
 pub use rebase::{
     rebase, MatchTier, RebaseConfig, RebaseError, RebaseOutcome, RebaseReport, RebaseResult,
 };
 pub use sampling::{Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
 pub use slots::{SlotCompat, SlotMap, SlotTableMismatch};
 pub use info::ProfileInformation;
-pub use store::{write_atomic, ProfileStoreError, Provenance, StoredProfile};
+pub use store::{point_datum, write_atomic, ProfileStoreError, Provenance, StoredProfile};
 
 /// How the evaluator instruments a program for profiling.
 ///

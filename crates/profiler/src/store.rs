@@ -521,7 +521,63 @@ fn parse_point(
     Ok((SourceObject::new(file, bfp as u32, efp as u32), w))
 }
 
+/// `(point file bfp efp w)`: one weighted profile point as a datum.
+pub fn point_datum(p: SourceObject, w: f64) -> Datum {
+    Datum::list(vec![
+        Datum::sym("point"),
+        Datum::string(p.file.as_str()),
+        Datum::Int(p.bfp as i64),
+        Datum::Int(p.efp as i64),
+        Datum::Float(w),
+    ])
+}
+
 impl ProfileInformation {
+    /// The weights as the body entries other stores embed (session files'
+    /// `(weights …)`, epoch snapshots' `(baseline …)`): `(datasets N)`,
+    /// then one `(point file bfp efp w)` per point, sorted by point.
+    pub fn body_datums(&self) -> Vec<Datum> {
+        let mut points: Vec<(SourceObject, f64)> = self.iter().collect();
+        points.sort_by_key(|a| a.0);
+        let mut out = vec![Datum::list(vec![
+            Datum::sym("datasets"),
+            Datum::Int(self.dataset_count() as i64),
+        ])];
+        out.extend(points.into_iter().map(|(p, w)| point_datum(p, w)));
+        out
+    }
+
+    /// Parses the body entries [`ProfileInformation::body_datums`] writes.
+    /// A missing `(datasets N)` means one dataset.
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileStoreError::Malformed`] for a non-list or unknown entry, a
+    /// negative file position, and a weight that is not a number in
+    /// `[0, 1]`.
+    pub fn from_body(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
+        let mut dataset_count = 1usize;
+        let mut weights = Vec::new();
+        for e in entries {
+            let elems = e
+                .list_elems()
+                .ok_or_else(|| malformed("profile entry must be a list"))?;
+            match elems.as_slice() {
+                [Datum::Sym(tag), Datum::Int(n)] if tag.as_str() == "datasets" && *n >= 0 => {
+                    dataset_count = *n as usize;
+                }
+                [Datum::Sym(tag), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w]
+                    if tag.as_str() == "point" =>
+                {
+                    let (p, w) = parse_point(file, *bfp, *efp, Some(w))?;
+                    weights.push((p, w.expect("point weight is mandatory")));
+                }
+                _ => return Err(malformed(format!("unknown profile entry {e}"))),
+            }
+        }
+        Ok(ProfileInformation::from_weights(weights, dataset_count))
+    }
+
     /// Serializes to the textual **version 1** profile format (weights
     /// only). Byte-identical to the output of every release since the
     /// format was introduced; use [`StoredProfile`] for v2.
@@ -622,6 +678,37 @@ mod tests {
         info.store_file(&path).unwrap();
         let back = ProfileInformation::load_file(&path).unwrap();
         assert_eq!(back, info);
+    }
+
+    #[test]
+    fn weight_bodies_round_trip_and_reject_bad_entries() {
+        let info = sample();
+        let body = info.body_datums();
+        assert_eq!(
+            body.iter().map(|d| d.to_string()).collect::<Vec<_>>(),
+            [
+                "(datasets 1)",
+                "(point \"a.scm\" 0 5 0.5)",
+                "(point \"a.scm\" 10 20 1.0)",
+                "(point \"b.scm%pgmp0\" 3 4 0.1)",
+            ]
+        );
+        assert_eq!(ProfileInformation::from_body(&body).unwrap(), info);
+        let bare = ProfileInformation::from_body(&[]).unwrap();
+        assert_eq!((bare.len(), bare.dataset_count()), (0, 1));
+        for bad in [
+            "(point \"x\" -1 0 0.5)",
+            "(point \"x\" 0 1 bogus)",
+            "(point \"x\" 0 1 2.0)",
+            "(point \"x\" 0 1)",
+            "(weight \"x\" 0 1 0.5)",
+            "(datasets -1)",
+            "datasets",
+        ] {
+            let entries = read_datums(bad, "<body>").unwrap();
+            let r = ProfileInformation::from_body(&entries);
+            assert!(matches!(r, Err(ProfileStoreError::Malformed(_))), "{bad}: {r:?}");
+        }
     }
 
     #[test]

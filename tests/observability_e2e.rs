@@ -9,7 +9,7 @@
 //! `pgmp-trace compare a.jsonl b.jsonl` prints, so this test replays the
 //! same last-wins keying the CLI uses.
 
-use pgmp_adaptive::{drift, DriftMetric};
+use pgmp_profiler::{drift, DriftMetric};
 use pgmp_case_studies::{engine_with, Lib};
 use pgmp_observe as observe;
 use pgmp_profiler::{ProfileInformation, ProfileMode};

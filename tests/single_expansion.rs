@@ -2,13 +2,15 @@
 //! per macro use and prints exactly the expansion it compiled.
 //!
 //! The paths are `Engine::compile_str` (and `two_pass`, built on it),
-//! `IncrementalEngine` cold and after a warm start, and the adaptive engine
-//! with and without its incremental cache. `Engine::expand_str`, which runs
-//! the transformers itself, is the independent reference for the printed
-//! expansion.
+//! `IncrementalEngine` cold and after a warm start, and the adaptive engine,
+//! which recompiles through the incremental cache. `Engine::expand_str`,
+//! which runs the transformers itself, is the independent reference for the
+//! printed expansion; the bytecode of `compile_str`'s cores is the reference
+//! for the adaptive engine's CFGs.
 
 use pgmp::{Engine, IncrementalConfig, IncrementalEngine};
 use pgmp_adaptive::{AdaptiveConfig, AdaptiveEngine};
+use pgmp_bytecode::{canonical_form, compile_chunk};
 use pgmp_case_studies::{engine_with, install, two_pass, Lib};
 use pgmp_profiler::{ProfileInformation, ProfileMode};
 use pgmp_syntax::Symbol;
@@ -86,12 +88,13 @@ fn assert_predicts_circle_then_square(path: &str, expansion: &[String]) {
     assert_eq!(site.matches("instance-of?").count(), 2, "{path}: {site}");
 }
 
-fn adaptive(libs: &'static [Lib], program: &str, file: &str, incremental: bool) -> AdaptiveEngine {
-    let config = AdaptiveConfig {
-        incremental,
-        ..AdaptiveConfig::default()
-    };
-    AdaptiveEngine::with_setup(program, file, config, move |e| {
+/// Canonical CFGs of the bytecode compiled from `cores`.
+fn cfgs_of(cores: &[std::rc::Rc<pgmp_eval::Core>]) -> Vec<String> {
+    cores.iter().map(|c| canonical_form(&compile_chunk(c))).collect()
+}
+
+fn adaptive(libs: &'static [Lib], program: &str, file: &str) -> AdaptiveEngine {
+    AdaptiveEngine::with_setup(program, file, AdaptiveConfig::default(), move |e| {
         libs.iter().try_for_each(|lib| install(e, *lib))
     })
     .unwrap()
@@ -138,22 +141,22 @@ fn every_path_registers_each_class_once() {
     assert_eq!(registry_len(warm.engine_mut()), 3);
     std::fs::remove_dir_all(&dir).ok();
 
-    // AdaptiveEngine, with and without its incremental cache.
-    let mut cfgs = Vec::new();
-    for incremental in [true, false] {
-        let mut engine = adaptive(LIBS, SHAPES, file, incremental);
-        engine
-            .apply_fleet_profile(&w)
-            .unwrap()
-            .expect("trained profile drifts");
-        let program = engine.current_program();
-        assert_predicts_circle_then_square(
-            &format!("adaptive incremental={incremental}"),
-            &program.expansion,
-        );
-        cfgs.push(program.cfgs.clone());
-    }
-    assert_eq!(cfgs[0], cfgs[1]);
+    // Engine::compile_str, the from-scratch reference.
+    let mut engine = engine_with(LIBS).unwrap();
+    engine.set_profile(w.clone());
+    let compiled = engine.compile_str(SHAPES, file).unwrap();
+    assert_predicts_circle_then_square("compile_str", &compiled.printed());
+
+    // AdaptiveEngine: the same expansion, and the bytecode of the
+    // from-scratch compile.
+    let mut engine = adaptive(LIBS, SHAPES, file);
+    engine
+        .apply_fleet_epoch(&w, 0, 0)
+        .unwrap()
+        .expect("trained profile drifts");
+    let program = engine.current_program();
+    assert_predicts_circle_then_square("adaptive", &program.expansion);
+    assert_eq!(program.cfgs, cfgs_of(&compiled.cores), "adaptive CFGs");
 
     // two_pass, which compiles and runs through Engine::compile_str.
     let result = two_pass(LIBS, SHAPES, file).unwrap();
@@ -309,17 +312,10 @@ fn every_path_prints_what_expand_str_prints_for_each_library() {
         assert_eq!(compiled.printed(), expected, "{ctx}: compile_str");
         assert_eq!(compiled.replay_misses, 0, "{ctx}: compile_str");
 
-        let mut cfgs = Vec::new();
-        for incremental in [true, false] {
-            let mut engine = adaptive(libs, program, &file, incremental);
-            engine.apply_fleet_profile(&w).unwrap();
-            let current = engine.current_program();
-            assert_eq!(
-                current.expansion, expected,
-                "{ctx}: adaptive incremental={incremental}"
-            );
-            cfgs.push(current.cfgs.clone());
-        }
-        assert_eq!(cfgs[0], cfgs[1], "{ctx}: adaptive CFGs");
+        let mut engine = adaptive(libs, program, &file);
+        engine.apply_fleet_epoch(&w, 0, 0).unwrap();
+        let current = engine.current_program();
+        assert_eq!(current.expansion, expected, "{ctx}: adaptive");
+        assert_eq!(current.cfgs, cfgs_of(&compiled.cores), "{ctx}: adaptive CFGs");
     }
 }
