@@ -3,9 +3,7 @@
 use crate::drift::DriftDetector;
 use crate::rolling::RollingProfile;
 use pgmp::{Engine, Error, IncrementalConfig, IncrementalEngine};
-use pgmp_bytecode::{
-    optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics,
-};
+use pgmp_bytecode::{BlockCounters, Chunk, DispatchMode, Vm, VmMetrics};
 use pgmp_eval::{EvalError, EvalErrorKind};
 use pgmp_observe as observe;
 use pgmp_profiler::{ProfileInformation, ProfileMode, ShardedCounters};
@@ -164,9 +162,8 @@ type Setup = Box<dyn Fn(&mut Engine) -> Result<(), Error> + Send + Sync>;
 /// VM-serving state: a persistent [`Vm`] that executes the current
 /// generation's compiled chunks with block-level profiling on, so each
 /// re-optimization can re-lay-out the code it keeps (drift-driven
-/// re-layout) and re-mine the superinstruction plan. Lives on the engine —
-/// the VM borrows the incremental engine's interpreter, and both are
-/// single-threaded.
+/// re-layout). Lives on the engine — the VM borrows the incremental
+/// engine's interpreter, and both are single-threaded.
 struct VmServing {
     vm: Vm,
     /// Block counters for the current generation's serving window; cleared
@@ -177,9 +174,6 @@ struct VmServing {
     /// chunk ids across re-optimizations, so counters collected against an
     /// earlier generation stay valid for them.
     chunks: Vec<Chunk>,
-    /// Whether re-optimization re-mines a [`FusionPlan`] from the window's
-    /// counters.
-    fuse: bool,
 }
 
 impl VmServing {
@@ -329,10 +323,12 @@ impl AdaptiveEngine {
     /// [`Vm`] (defining the program's globals in the incremental engine's
     /// interpreter), and starts collecting block-level counters. From then
     /// on every re-optimization also re-lays-out the chunks it keeps under
-    /// the counters of the closing generation (and, with `fuse`, re-mines
-    /// the superinstruction plan) before the new generation starts
-    /// serving. The VM has one dispatch mode, so the `DispatchMode`
-    /// argument is ignored.
+    /// the counters of the closing generation before the new generation
+    /// starts serving.
+    ///
+    /// Both parameters are ignored: the VM has one dispatch mode and one
+    /// lowering. The signature stays until its callers in the benchmark
+    /// can drop them.
     ///
     /// Top-level side effects run once here and once per re-optimization
     /// (the serving program is expected to be definition-shaped, like any
@@ -341,7 +337,7 @@ impl AdaptiveEngine {
     /// # Errors
     ///
     /// Propagates compile/run errors.
-    pub fn enable_vm_serving(&mut self, _dispatch: DispatchMode, fuse: bool) -> Result<(), Error> {
+    pub fn enable_vm_serving(&mut self, _dispatch: DispatchMode, _fuse: bool) -> Result<(), Error> {
         let unit = self.incremental.compile(self.detector.baseline())?;
         let counters = BlockCounters::new();
         let mut vm = Vm::new();
@@ -350,7 +346,6 @@ impl AdaptiveEngine {
             vm,
             counters,
             chunks: unit.chunks,
-            fuse,
         });
         serving.run_chunks(&mut self.incremental)?;
         Ok(())
@@ -462,8 +457,7 @@ impl AdaptiveEngine {
     /// The drift-driven re-layout half of a re-optimization (no-op unless
     /// VM serving is enabled): re-lays-out the new generation's chunks —
     /// and every lambda chunk the serving VM has compiled — under the
-    /// block counters collected since the previous generation, re-mines
-    /// the superinstruction plan from the same window, re-runs the
+    /// block counters collected since the previous generation, re-runs the
     /// (re-laid-out) top-level chunks so re-expanded definitions take
     /// effect, and opens a fresh counter window for the next generation.
     fn relayout_serving(&mut self, generation: u64) -> Result<(), Error> {
@@ -471,22 +465,7 @@ impl AdaptiveEngine {
             return Ok(());
         };
         let t = observe::timer();
-        for chunk in serving.chunks.iter_mut() {
-            *chunk = optimize_layout(chunk, &serving.counters);
-        }
-        serving.vm.relayout_cached(&serving.counters);
-        if serving.fuse {
-            let lambda_chunks = serving.vm.compiled_chunks();
-            let plan = FusionPlan::mine(
-                serving
-                    .chunks
-                    .iter()
-                    .chain(lambda_chunks.iter().map(|c| &**c)),
-                &serving.counters,
-                3,
-            );
-            serving.vm.set_fusion(plan);
-        }
+        serving.vm.relayout(&mut serving.chunks, &serving.counters);
         let chunks = serving.chunks.len() as u32;
         serving.counters.clear();
         observe::finish(t, |duration_us| observe::EventKind::LayoutReoptimize {
@@ -569,7 +548,6 @@ impl AdaptiveEngine {
         m.gauge_set("adaptive.cooldown", f64::from(report.cooldown));
         if let Some(s) = &self.serving {
             m.gauge_set("vm.taken_jumps", s.vm.metrics.taken_jumps as f64);
-            m.gauge_set("vm.fused_share", s.vm.metrics.fused_share());
         }
     }
 
@@ -767,7 +745,7 @@ mod tests {
             ..AdaptiveConfig::default()
         };
         let mut engine = AdaptiveEngine::new(src, "plain.scm", config).unwrap();
-        engine.enable_vm_serving(DispatchMode::Flat, true).unwrap();
+        engine.enable_vm_serving(DispatchMode::Flat, false).unwrap();
         assert!(engine.vm_serving_enabled());
 
         // Serve shifted traffic: n >= 10 throughout, so classify's

@@ -1,19 +1,16 @@
 //! E17 bench — direct-threaded VM dispatch: flat code streams vs. the
-//! tree-walking interpreter, and the effect of profile-guided
-//! superinstruction fusion.
+//! tree-walking interpreter.
 //!
-//! Three engines on the same dispatch-heavy workload (deep call recursion
+//! Two engines on the same dispatch-heavy workload (deep call recursion
 //! plus a tight counting loop — every iteration is calls, branches, and
 //! constant pushes, so dispatch cost dominates):
 //!
 //! - tree-walk: the source-level interpreter (the reference semantics);
 //! - vm-flat: the chunks lowered to contiguous fixed-size op streams
-//!   executed by index;
-//! - vm-flat-fused: flat dispatch with the superinstruction plan mined
-//!   from a profiled run of this very workload (`FusionPlan::mine`).
+//!   executed by index.
 //!
 //! Expectation (EXPERIMENTS.md E17): flat faster than tree-walk (~1.5×
-//! since tree-walked native calls stopped allocating), fused ≥ flat.
+//! since tree-walked native calls stopped allocating).
 //!
 //! The call rows (`calls/<shape>/<engine>`) isolate the calling
 //! convention: each is a counted loop of [`CALL_REPS`] iterations whose
@@ -28,7 +25,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::Engine;
 use pgmp_bench::workloads::fib_program;
-use pgmp_bytecode::{compile_chunk, BlockCounters, Chunk, FusionPlan, Vm};
+use pgmp_bytecode::{compile_chunk, Chunk, Vm};
 use pgmp_eval::Core;
 use std::rc::Rc;
 
@@ -106,32 +103,6 @@ fn bench_vm_dispatch(c: &mut Criterion) {
     group.bench_function("vm-flat", |b| {
         let (mut e, chunks) = compiled(&program);
         let mut vm = Vm::new();
-        b.iter(|| {
-            for chunk in &chunks {
-                vm.run_chunk(e.interp_mut(), chunk).expect("run");
-            }
-        })
-    });
-
-    group.bench_function("vm-flat-fused", |b| {
-        let (mut e, chunks) = compiled(&program);
-        let mut vm = Vm::new();
-        // Profile-guide the plan: one counted run of the workload itself,
-        // then fuse its hottest adjacent pairs (profiling off afterwards).
-        let counters = BlockCounters::new();
-        vm.set_block_profiling(counters.clone());
-        for chunk in &chunks {
-            vm.run_chunk(e.interp_mut(), chunk).expect("profile run");
-        }
-        vm.block_counters = None;
-        let lambda_chunks = vm.compiled_chunks();
-        let plan = FusionPlan::mine(
-            chunks.iter().chain(lambda_chunks.iter().map(|c| &**c)),
-            &counters,
-            3,
-        );
-        assert!(!plan.is_empty(), "dispatch workload must have hot fusable pairs");
-        vm.set_fusion(plan);
         b.iter(|| {
             for chunk in &chunks {
                 vm.run_chunk(e.interp_mut(), chunk).expect("run");

@@ -36,7 +36,7 @@ fn bench_layout(c: &mut Criterion) {
     group.bench_function("profile-guided-layout", |b| {
         let mut engine = Engine::new();
         let core = engine.expand_to_core(PROGRAM, "e8.scm").expect("expand");
-        let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
+        let mut chunks: Vec<_> = core.iter().map(compile_chunk).collect();
         // Profile pass.
         let counters = BlockCounters::new();
         let mut vm = Vm::new();
@@ -45,11 +45,7 @@ fn bench_layout(c: &mut Criterion) {
             vm.run_chunk(engine.interp_mut(), chunk).expect("profile run");
         }
         // Relayout everything with the collected counts.
-        let chunks: Vec<_> = chunks
-            .iter()
-            .map(|c| pgmp_bytecode::optimize_layout(c, &counters))
-            .collect();
-        vm.relayout_cached(&counters);
+        vm.relayout(&mut chunks, &counters);
         vm.block_counters = None;
         b.iter(|| {
             for chunk in &chunks {

@@ -13,9 +13,8 @@
 //! into a [`FlatChunk`]. Jump ops carry the resolved target `pc` *and* the
 //! target block id plus a precomputed fall-through flag, so block-counter
 //! bumps and [`crate::VmMetrics`] follow the block graph's own edges.
-//! Superinstruction fusion (see [`crate::fuse`]) happens here, guided by a
-//! [`FusionPlan`]; it never crosses a block boundary, so the lowering is
-//! sound whenever the source chunk is.
+//! Every instruction and terminator lowers to exactly one op, so block
+//! boundaries survive lowering unchanged.
 //!
 //! Rust has no computed goto, so "direct-threaded" here means the next
 //! best thing the language allows: a dense `Copy` enum matched in one
@@ -23,7 +22,6 @@
 //! table — one dispatch per decoded op.
 
 use crate::chunk::{BlockId, Chunk, Instr, Terminator};
-use crate::fuse::{candidate_instr, candidate_term, imm_datum, FusionPlan};
 use pgmp_eval::{LambdaDef, Value};
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
 use std::rc::Rc;
@@ -120,33 +118,6 @@ pub enum Op {
     /// Pop `argc` arguments and a callee; transfer without growing the
     /// call stack.
     TailCall { argc: u16, src: u32 },
-
-    // --- Superinstructions (profile-chosen; see `crate::fuse`) ---------
-    /// Fused `LocalRef; LocalRef`.
-    LocalLocal {
-        depth0: u16,
-        index0: u16,
-        depth1: u16,
-        index1: u16,
-    },
-    /// Fused `LocalRef; Call`: the local is the last value pushed before
-    /// the call (its final argument, or the callee itself when
-    /// `argc == 0`).
-    LocalCall {
-        depth: u16,
-        index: u16,
-        argc: u16,
-        src: u32,
-    },
-    /// Fused `Const; Call` over a pooled immediate, same convention.
-    ImmCall { pool: u32, argc: u16, src: u32 },
-    /// Fused `Const; Branch`. A constant's truthiness is a lowering-time
-    /// fact (only `#f` is falsy), so the taken side is resolved statically
-    /// and the op carries a single pre-decided target — the metrics and
-    /// counter bumps are exactly those the unfused pair would record.
-    ImmBranch { target: JumpTarget },
-    /// Fused `LocalRef; Return`.
-    LocalReturn { depth: u16, index: u16 },
 }
 
 /// A chunk lowered to a flat op stream plus side pools. Produced by
@@ -181,8 +152,6 @@ pub struct FlatChunk {
     pub block_count: u32,
     /// Global-slot cache width, copied from [`Chunk::global_refs`].
     pub global_refs: u32,
-    /// Superinstructions emitted during lowering.
-    pub fused: u32,
     /// Structural hash of the source chunk's layout (see [`layout_sig`]):
     /// lets the VM detect that a cached lowering is stale after
     /// [`crate::optimize_layout`] reordered the blocks.
@@ -283,7 +252,17 @@ struct Lowerer {
     syntaxes: Vec<Rc<Syntax>>,
     lambdas: Vec<Rc<LambdaDef>>,
     srcs: Vec<Option<SourceObject>>,
-    fused: u32,
+}
+
+/// True for datum kinds whose [`Value`] form is immutable and therefore
+/// poolable: pushing a clone of a pre-converted value is indistinguishable
+/// from converting the datum afresh. String, pair, and vector literals are
+/// *mutable* in Scheme, so they must be rebuilt per execution.
+fn imm_datum(d: &Datum) -> bool {
+    matches!(
+        d,
+        Datum::Nil | Datum::Bool(_) | Datum::Int(_) | Datum::Float(_) | Datum::Char(_) | Datum::Sym(_)
+    )
 }
 
 impl Lowerer {
@@ -309,12 +288,7 @@ impl Lowerer {
         }
     }
 
-    fn imm_pool(&mut self, d: &Datum) -> u32 {
-        self.imms.push(Value::from_datum(d));
-        (self.imms.len() - 1) as u32
-    }
-
-    fn single(&mut self, instr: &Instr) -> Op {
+    fn lower_instr(&mut self, instr: &Instr) -> Op {
         match instr {
             Instr::Const(d) => self.pool_const(d),
             Instr::SyntaxConst(s) => {
@@ -354,41 +328,6 @@ impl Lowerer {
             Instr::Pop => Op::Pop,
         }
     }
-
-    /// Emits the fused form of an adjacent instruction pair. Only called
-    /// for pairs [`candidate_instr`] classified, so the match is total.
-    fn fused_pair(&mut self, a: &Instr, b: &Instr) -> Op {
-        self.fused += 1;
-        match (a, b) {
-            (
-                Instr::LocalRef {
-                    depth: d0,
-                    index: i0,
-                },
-                Instr::LocalRef {
-                    depth: d1,
-                    index: i1,
-                },
-            ) => Op::LocalLocal {
-                depth0: *d0,
-                index0: *i0,
-                depth1: *d1,
-                index1: *i1,
-            },
-            (Instr::LocalRef { depth, index }, Instr::Call { argc, src }) => Op::LocalCall {
-                depth: *depth,
-                index: *index,
-                argc: *argc,
-                src: self.src_pool(src),
-            },
-            (Instr::Const(d), Instr::Call { argc, src }) => Op::ImmCall {
-                pool: self.imm_pool(d),
-                argc: *argc,
-                src: self.src_pool(src),
-            },
-            _ => unreachable!("fused_pair on a non-candidate pair"),
-        }
-    }
 }
 
 /// Placeholder target used during emission; patched to real pcs once every
@@ -398,10 +337,9 @@ fn pending(block: BlockId, from: BlockId) -> JumpTarget {
 }
 
 /// Lowers `chunk` (in its current block layout order) to a flat op
-/// stream, fusing the adjacencies `plan` enables. Pure: the chunk is not
-/// consumed, and lowering the same chunk with the same plan is
-/// deterministic.
-pub fn lower_chunk(chunk: &Chunk, plan: &FusionPlan) -> FlatChunk {
+/// stream. Pure: the chunk is not consumed, and lowering the same chunk
+/// twice yields the same stream.
+pub fn lower_chunk(chunk: &Chunk) -> FlatChunk {
     let n = chunk.blocks.len();
     let mut lw = Lowerer {
         ops: Vec::new(),
@@ -410,78 +348,36 @@ pub fn lower_chunk(chunk: &Chunk, plan: &FusionPlan) -> FlatChunk {
         syntaxes: Vec::new(),
         lambdas: Vec::new(),
         srcs: vec![None],
-        fused: 0,
     };
     let mut block_starts = vec![0u32; n];
     for (b, block) in chunk.blocks.iter().enumerate() {
         let from = b as BlockId;
         block_starts[b] = lw.ops.len() as u32;
-        let instrs = &block.instrs;
-        let mut i = 0;
-        let mut term_fused = false;
-        while i < instrs.len() {
-            if i + 1 < instrs.len() {
-                if let Some(f) = candidate_instr(&instrs[i], &instrs[i + 1]) {
-                    if plan.has(f) {
-                        let op = lw.fused_pair(&instrs[i], &instrs[i + 1]);
-                        lw.ops.push(op);
-                        i += 2;
-                        continue;
-                    }
-                }
-            } else if let Some(f) = candidate_term(&instrs[i], &block.term) {
-                if plan.has(f) {
-                    lw.fused += 1;
-                    let op = match (&instrs[i], &block.term) {
-                        (Instr::Const(d), Terminator::Branch(t, e)) => {
-                            // Only `#f` is falsy, so the branch direction
-                            // is decided here, not per execution.
-                            let taken = if matches!(d, Datum::Bool(false)) { e } else { t };
-                            Op::ImmBranch {
-                                target: pending(*taken, from),
-                            }
-                        }
-                        (Instr::LocalRef { depth, index }, Terminator::Return) => {
-                            Op::LocalReturn {
-                                depth: *depth,
-                                index: *index,
-                            }
-                        }
-                        _ => unreachable!("fused terminator on a non-candidate pair"),
-                    };
-                    lw.ops.push(op);
-                    i += 1;
-                    term_fused = true;
-                    continue;
-                }
-            }
-            let op = lw.single(&instrs[i]);
-            lw.ops.push(op);
-            i += 1;
-        }
-        if !term_fused {
-            let op = match &block.term {
-                Terminator::Jump(t) => Op::Jump {
-                    target: pending(*t, from),
-                },
-                Terminator::Branch(t, e) => Op::Branch {
-                    then_: pending(*t, from),
-                    else_: pending(*e, from),
-                },
-                Terminator::Return => Op::Return,
-                Terminator::TailCall { argc, src } => Op::TailCall {
-                    argc: *argc,
-                    src: lw.src_pool(src),
-                },
-            };
+        for instr in &block.instrs {
+            let op = lw.lower_instr(instr);
             lw.ops.push(op);
         }
+        let op = match &block.term {
+            Terminator::Jump(t) => Op::Jump {
+                target: pending(*t, from),
+            },
+            Terminator::Branch(t, e) => Op::Branch {
+                then_: pending(*t, from),
+                else_: pending(*e, from),
+            },
+            Terminator::Return => Op::Return,
+            Terminator::TailCall { argc, src } => Op::TailCall {
+                argc: *argc,
+                src: lw.src_pool(src),
+            },
+        };
+        lw.ops.push(op);
     }
     // Patch every transfer's pc now that block offsets are known.
     let patch = |t: &mut JumpTarget| t.pc = block_starts[t.block() as usize];
     for op in &mut lw.ops {
         match op {
-            Op::Jump { target } | Op::ImmBranch { target } => patch(target),
+            Op::Jump { target } => patch(target),
             Op::Branch { then_, else_ } => {
                 patch(then_);
                 patch(else_);
@@ -503,7 +399,6 @@ pub fn lower_chunk(chunk: &Chunk, plan: &FusionPlan) -> FlatChunk {
         entry_pc,
         block_count: n as u32,
         global_refs: chunk.global_refs,
-        fused: lw.fused,
         layout_sig: layout_sig(chunk),
     }
 }
@@ -543,7 +438,7 @@ mod tests {
     #[test]
     fn lowering_resolves_block_starts_and_targets() {
         let chunk = sample();
-        let flat = lower_chunk(&chunk, &FusionPlan::none());
+        let flat = lower_chunk(&chunk);
         assert_eq!(flat.block_count, 3);
         assert_eq!(flat.entry_pc, 0);
         // Ops: [Imm, Branch] [Local, Local, Return] [DatumConst, Jump]
@@ -562,17 +457,6 @@ mod tests {
         assert!(matches!(flat.ops[5], Op::DatumConst { .. }));
         assert_eq!(flat.datums.len(), 1);
         assert_eq!(flat.imms.len(), 1);
-    }
-
-    #[test]
-    fn fusion_shrinks_the_stream_without_changing_blocks() {
-        let chunk = sample();
-        let plain = lower_chunk(&chunk, &FusionPlan::none());
-        let fused = lower_chunk(&chunk, &FusionPlan::all());
-        assert!(fused.fused >= 2, "imm+branch and local+local: {}", fused.fused);
-        assert!(fused.ops.len() < plain.ops.len());
-        assert_eq!(fused.block_count, plain.block_count);
-        assert_eq!(fused.entry_block, plain.entry_block);
     }
 
     #[test]

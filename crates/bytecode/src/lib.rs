@@ -17,8 +17,7 @@
 //!   [`VmMetrics`] (taken jumps vs. fall-throughs);
 //! - [`lower_chunk`] flattens a chunk (in its current layout order) into a
 //!   contiguous stream of fixed-size decoded ops ([`FlatChunk`]) that the
-//!   VM executes by index, optionally fusing the profile-hottest adjacent
-//!   pairs into superinstructions chosen by [`FusionPlan::mine`].
+//!   VM executes by index.
 //!
 //! # Example
 //!
@@ -45,7 +44,6 @@ mod chunk;
 mod compile;
 mod counters;
 mod flat;
-mod fuse;
 mod layout;
 mod vm;
 
@@ -53,6 +51,5 @@ pub use chunk::{Block, BlockId, Chunk, Instr, Terminator};
 pub use compile::compile_chunk;
 pub use counters::BlockCounters;
 pub use flat::{layout_sig, lower_chunk, FlatChunk, JumpTarget, Op};
-pub use fuse::{Fused, FusionPlan, FUSED_CANDIDATES};
 pub use layout::{canonical_form, optimize_layout};
 pub use vm::{DispatchMode, Vm, VmMetrics};

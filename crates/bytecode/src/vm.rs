@@ -2,20 +2,17 @@
 //!
 //! Chunks are lowered once to contiguous [`FlatChunk`] op streams
 //! ([`crate::flat`]) and executed by index — one small `Copy` op per step,
-//! constants pre-converted into a side pool, profile-chosen
-//! superinstructions ([`crate::fuse`]) fusing hot adjacent pairs into
-//! single dispatches. The block/`Terminator` form stays the profiling and
-//! layout IR: block counters and [`VmMetrics`] count its blocks and edges,
-//! so fusion changes `dispatches` and nothing else. The tree-walking
-//! interpreter is the semantic reference; the differential oracle in
-//! `tests/proptests.rs` holds the VM to it, and fused streams to unfused
-//! ones.
+//! constants pre-converted into a side pool. The block/`Terminator` form
+//! stays the profiling and layout IR: block counters and [`VmMetrics`]
+//! count its blocks and edges. The tree-walking interpreter is the
+//! semantic reference; the differential oracle in `tests/proptests.rs`
+//! holds the VM to it.
 
 use crate::chunk::{BlockId, Chunk};
 use crate::compile::compile_chunk;
 use crate::counters::BlockCounters;
 use crate::flat::{self, FlatChunk, JumpTarget, Op};
-use crate::fuse::FusionPlan;
+use crate::layout::optimize_layout;
 use pgmp_eval::{Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value};
 use pgmp_observe as observe;
 use pgmp_syntax::{FnvHashMap, SourceObject};
@@ -40,10 +37,7 @@ pub enum DispatchMode {
 /// A `Jump`/`Branch` to the block laid out immediately after the current
 /// one counts as a fall-through; any other target is a taken jump. Layout
 /// optimization ([`crate::optimize_layout`]) raises the fall-through ratio
-/// on hot paths. `blocks_executed`, `fallthroughs`, `taken_jumps`, and
-/// `calls` are identical with and without fusion; `dispatches` and
-/// `fused_dispatches` describe the flat stream (fusion makes `dispatches`
-/// smaller, which is the point).
+/// on hot paths.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VmMetrics {
     /// Basic blocks entered.
@@ -56,8 +50,6 @@ pub struct VmMetrics {
     pub calls: u64,
     /// Ops dispatched (loop iterations).
     pub dispatches: u64,
-    /// Dispatches that executed a fused superinstruction.
-    pub fused_dispatches: u64,
 }
 
 impl VmMetrics {
@@ -68,14 +60,6 @@ impl VmMetrics {
             return 1.0;
         }
         self.fallthroughs as f64 / total as f64
-    }
-
-    /// Fraction of dispatches that were fused superinstructions.
-    pub fn fused_share(&self) -> f64 {
-        if self.dispatches == 0 {
-            return 0.0;
-        }
-        self.fused_dispatches as f64 / self.dispatches as f64
     }
 }
 
@@ -146,7 +130,7 @@ impl FlatIc {
 pub struct Vm {
     chunk_cache: FnvHashMap<usize, Rc<Chunk>>,
     /// Flat lowerings of lambda chunks, keyed like `chunk_cache` by the
-    /// `LambdaDef` pointer; invalidated by `set_fusion`/`relayout_cached`.
+    /// `LambdaDef` pointer; invalidated by [`Vm::relayout`].
     flat_lambda_cache: FnvHashMap<usize, FlatEntry>,
     /// Direct-mapped cache in front of `flat_lambda_cache`, invalidated
     /// with it.
@@ -163,11 +147,10 @@ pub struct Vm {
     pub metrics: VmMetrics,
     /// Optional instruction budget.
     pub max_steps: Option<u64>,
-    fusion: FusionPlan,
 }
 
 impl Vm {
-    /// Creates a VM (flat dispatch, no fusion, no profiling).
+    /// Creates a VM (no profiling, no step budget).
     pub fn new() -> Vm {
         Vm::default()
     }
@@ -175,22 +158,6 @@ impl Vm {
     /// Enables block-level profiling into `counters`.
     pub fn set_block_profiling(&mut self, counters: BlockCounters) {
         self.block_counters = Some(counters);
-    }
-
-    /// Sets the superinstruction plan for subsequent lowerings and drops
-    /// stale ones (lowering is lazy, so the next execution re-lowers).
-    pub fn set_fusion(&mut self, plan: FusionPlan) {
-        if plan != self.fusion {
-            self.fusion = plan;
-            self.flat_lambda_cache.clear();
-            self.flat_ic = FlatIc::default();
-            self.flat_cache.clear();
-        }
-    }
-
-    /// The active superinstruction plan.
-    pub fn fusion(&self) -> &FusionPlan {
-        &self.fusion
     }
 
     /// Compiles `core` and runs it.
@@ -211,7 +178,6 @@ impl Vm {
     pub fn run_chunk(&mut self, interp: &mut Interp, chunk: &Chunk) -> Result<Value, EvalError> {
         let t = observe::timer();
         let blocks_before = self.metrics.blocks_executed;
-        let fused_before = self.metrics.fused_dispatches;
         let code = self.flat_for_toplevel(chunk);
         let out = self.exec_flat(interp, code);
         // The run is over: park the sampling beacon (no-op on exact
@@ -219,12 +185,7 @@ impl Vm {
         if let Some(counters) = &self.block_counters {
             counters.store().park();
         }
-        let m = observe::metrics();
-        m.gauge_set("vm.fallthrough_ratio", self.metrics.fallthrough_ratio());
-        let fused_delta = self.metrics.fused_dispatches - fused_before;
-        if fused_delta > 0 {
-            m.counter_add("vm.fused_dispatches", fused_delta);
-        }
+        observe::metrics().gauge_set("vm.fallthrough_ratio", self.metrics.fallthrough_ratio());
         if t.is_some() {
             let blocks = self.metrics.blocks_executed - blocks_before;
             observe::finish(t, |duration_us| observe::EventKind::VmRun {
@@ -237,19 +198,25 @@ impl Vm {
     }
 
     /// The chunks compiled so far for lambdas called through the VM,
-    /// lazily populated; used by the three-pass driver to apply layout
-    /// optimization and check CFG stability.
+    /// lazily populated; used by the three-pass driver to check CFG
+    /// stability.
     pub fn compiled_chunks(&self) -> Vec<Rc<Chunk>> {
         let mut chunks: Vec<Rc<Chunk>> = self.chunk_cache.values().cloned().collect();
         chunks.sort_by_key(|c| c.id);
         chunks
     }
 
-    /// Re-lays-out every cached lambda chunk using `counters` and drops
-    /// their flat lowerings (re-lowered lazily from the new layout).
-    pub fn relayout_cached(&mut self, counters: &BlockCounters) {
+    /// Block-level PGO in one call: re-lays-out the caller's top-level
+    /// `chunks` and every cached lambda chunk under the same `counters`,
+    /// and drops the lambda lowerings (re-lowered lazily from the new
+    /// layout; top-level lowerings revalidate by layout signature on their
+    /// next run).
+    pub fn relayout(&mut self, chunks: &mut [Chunk], counters: &BlockCounters) {
+        for chunk in chunks.iter_mut() {
+            *chunk = optimize_layout(chunk, counters);
+        }
         for chunk in self.chunk_cache.values_mut() {
-            *chunk = Rc::new(crate::layout::optimize_layout(chunk, counters));
+            *chunk = Rc::new(optimize_layout(chunk, counters));
         }
         self.flat_lambda_cache.clear();
         self.flat_ic = FlatIc::default();
@@ -308,17 +275,18 @@ impl Vm {
         entry
     }
 
-    /// Lowers `chunk` under the active fusion plan, tracing the lowering
-    /// as a `vm_lower` span when observability is armed.
+    /// Lowers `chunk`, tracing the lowering as a `vm_lower` span when
+    /// observability is armed. The event's `fused` field predates the
+    /// single lowering and is always 0.
     fn lower(&self, chunk: &Chunk) -> FlatChunk {
         let t = observe::timer();
-        let code = flat::lower_chunk(chunk, &self.fusion);
+        let code = flat::lower_chunk(chunk);
         if t.is_some() {
-            let (ops, fused) = (code.ops.len() as u64, code.fused);
+            let ops = code.ops.len() as u64;
             observe::finish(t, |duration_us| observe::EventKind::VmLower {
                 chunk: chunk.id,
                 ops,
-                fused,
+                fused: 0,
                 duration_us,
             });
         }
@@ -370,11 +338,10 @@ impl Vm {
 
     /// The engine: executes a flat op stream by index. Every op is a
     /// small `Copy` read out of one contiguous `Vec`; constants come
-    /// pre-converted from the pool; superinstructions collapse hot pairs
-    /// into one dispatch. The loop runs against a local `VmMetrics` and a
-    /// local counters handle (this wrapper writes the metrics back on
-    /// every exit path), so per-step bookkeeping stays in registers
-    /// instead of round-tripping through `self`.
+    /// pre-converted from the pool. The loop runs against a local
+    /// `VmMetrics` and a local counters handle (this wrapper writes the
+    /// metrics back on every exit path), so per-step bookkeeping stays in
+    /// registers instead of round-tripping through `self`.
     fn exec_flat(&mut self, interp: &mut Interp, entry: FlatEntry) -> Result<Value, EvalError> {
         let mut m = self.metrics;
         let counters = self.block_counters.clone();
@@ -558,81 +525,6 @@ impl Vm {
                                 cur = prev;
                                 stack.push(v);
                             }
-                        }
-                    }
-                }
-
-                // --- Superinstructions ---------------------------------
-                Op::LocalLocal {
-                    depth0,
-                    index0,
-                    depth1,
-                    index1,
-                } => {
-                    m.fused_dispatches += 1;
-                    let frame = cur.frame.as_ref().expect("local ref without frame");
-                    let a = frame.get(depth0, index0);
-                    let b = frame.get(depth1, index1);
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Op::LocalCall {
-                    depth,
-                    index,
-                    argc,
-                    src,
-                } => {
-                    m.fused_dispatches += 1;
-                    let local = cur
-                        .frame
-                        .as_ref()
-                        .expect("local ref without frame")
-                        .get(depth, index);
-                    // Re-materialize the push the fusion elided, then take
-                    // the common call path (incl. the quickened fast path).
-                    stack.push(local);
-                    if let Some(v) = quick_call(&mut stack, argc) {
-                        m.calls += 1;
-                        stack.push(v);
-                        continue;
-                    }
-                    let src = cur.code.srcs[src as usize];
-                    self.call_value(
-                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
-                    )?;
-                }
-                Op::ImmCall { pool, argc, src } => {
-                    m.fused_dispatches += 1;
-                    let imm = cur.code.imms[pool as usize].clone();
-                    stack.push(imm);
-                    if let Some(v) = quick_call(&mut stack, argc) {
-                        m.calls += 1;
-                        stack.push(v);
-                        continue;
-                    }
-                    let src = cur.code.srcs[src as usize];
-                    self.call_value(
-                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
-                    )?;
-                }
-                Op::ImmBranch { target } => {
-                    m.fused_dispatches += 1;
-                    transfer_to(m, target);
-                    cur.pc = target.pc;
-                    enter_block_at(counters, m, cur.counter_base, target.block());
-                }
-                Op::LocalReturn { depth, index } => {
-                    m.fused_dispatches += 1;
-                    let v = cur
-                        .frame
-                        .as_ref()
-                        .expect("local ref without frame")
-                        .get(depth, index);
-                    match saved.pop() {
-                        None => return Ok(v),
-                        Some(prev) => {
-                            cur = prev;
-                            stack.push(v);
                         }
                     }
                 }

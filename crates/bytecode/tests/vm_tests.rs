@@ -1,7 +1,7 @@
 //! Cross-checks: VM results must agree with the tree-walking interpreter.
 
 use pgmp_bytecode::{
-    canonical_form, compile_chunk, optimize_layout, BlockCounters, Chunk, FusionPlan, Vm, VmMetrics,
+    canonical_form, compile_chunk, optimize_layout, BlockCounters, Chunk, Vm, VmMetrics,
 };
 use pgmp_eval::{install_primitives, EvalError, EvalErrorKind, Interp, Value};
 use pgmp_expander::{install_expander_support, Expander};
@@ -27,13 +27,12 @@ fn run_tree(src: &str) -> String {
     last.write_string()
 }
 
-fn run_vm_with(src: &str, fusion: FusionPlan) -> String {
+fn run_vm(src: &str) -> String {
     let forms = read_str(src, "t.scm").unwrap();
     let mut exp = Expander::new();
     let program = exp.expand_program(&forms).unwrap();
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
-    vm.set_fusion(fusion);
     let mut last = Value::Unspecified;
     for form in &program {
         last = vm.run_core(&mut interp, form).unwrap();
@@ -41,21 +40,8 @@ fn run_vm_with(src: &str, fusion: FusionPlan) -> String {
     last.write_string()
 }
 
-fn run_vm(src: &str) -> String {
-    run_vm_with(src, FusionPlan::none())
-}
-
 fn assert_agree(src: &str) {
-    let tree = run_tree(src);
-    for fusion in [FusionPlan::none(), FusionPlan::all()] {
-        let vm = run_vm_with(src, fusion.clone());
-        assert_eq!(
-            tree,
-            vm,
-            "tree-walker and VM (fusion {:?}) disagree on {src}",
-            fusion.labels(),
-        );
-    }
+    assert_eq!(run_tree(src), run_vm(src), "tree-walker and VM disagree on {src}");
 }
 
 #[test]
@@ -149,24 +135,22 @@ fn vm_unbound_variable_errors() {
     assert!(vm.run_core(&mut interp, &program[0]).is_err());
 }
 
-/// Runs `src` form by form in both executors (the VM under each fusion
-/// plan), each with a fresh interpreter, and returns the first error
-/// each raised: tree walker first.
+/// Runs `src` form by form in both executors, each with a fresh
+/// interpreter, and returns the first error each raised: tree walker
+/// first.
 fn first_errors(src: &str) -> Vec<EvalError> {
     let forms = read_str(src, "t.scm").unwrap();
     let mut exp = Expander::new();
     let program = exp.expand_program(&forms).unwrap();
     let mut interp = fresh_interp();
     let tree = program.iter().find_map(|f| interp.eval(f, &None).err());
-    let mut errors = vec![tree.expect("tree walker raised no error")];
-    for fusion in [FusionPlan::none(), FusionPlan::all()] {
-        let mut interp = fresh_interp();
-        let mut vm = Vm::new();
-        vm.set_fusion(fusion);
-        let err = program.iter().find_map(|f| vm.run_core(&mut interp, f).err());
-        errors.push(err.expect("VM raised no error"));
-    }
-    errors
+    let mut interp = fresh_interp();
+    let mut vm = Vm::new();
+    let vm_err = program.iter().find_map(|f| vm.run_core(&mut interp, f).err());
+    vec![
+        tree.expect("tree walker raised no error"),
+        vm_err.expect("VM raised no error"),
+    ]
 }
 
 /// The source object of the first occurrence of `needle` in `src`.
@@ -231,19 +215,16 @@ fn executors_run_on_after_a_native_error() {
     assert_eq!(tree, [true, true, false, true, true]);
     let tree_last = interp.eval(program.last().unwrap(), &None).unwrap();
     assert_eq!(tree_last.write_string(), "(55 (1 . 2) 7)");
-    for fusion in [FusionPlan::none(), FusionPlan::all()] {
-        let mut interp = fresh_interp();
-        let mut vm = Vm::new();
-        vm.set_fusion(fusion);
-        let mut last = Value::Unspecified;
-        for (form, ok) in program.iter().zip(&tree) {
-            match vm.run_core(&mut interp, form) {
-                Ok(v) => last = v,
-                Err(e) => assert!(!ok, "VM failed where the tree walker did not: {e}"),
-            }
+    let mut interp = fresh_interp();
+    let mut vm = Vm::new();
+    let mut last = Value::Unspecified;
+    for (form, ok) in program.iter().zip(&tree) {
+        match vm.run_core(&mut interp, form) {
+            Ok(v) => last = v,
+            Err(e) => assert!(!ok, "VM failed where the tree walker did not: {e}"),
         }
-        assert_eq!(last.write_string(), "(55 (1 . 2) 7)");
     }
+    assert_eq!(last.write_string(), "(55 (1 . 2) 7)");
 }
 
 #[test]
@@ -298,7 +279,7 @@ fn layout_optimization_improves_fallthrough_on_biased_branch() {
     // Pass 2: relayout cached lambda chunks and re-run, measuring.
     let before_chunks: Vec<String> =
         vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
-    vm.relayout_cached(&counters);
+    vm.relayout(&mut [], &counters);
     let after_chunks: Vec<String> =
         vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
     assert_eq!(before_chunks, after_chunks, "layout must preserve the CFG");
@@ -366,13 +347,12 @@ struct BlockProfile {
     metrics: VmMetrics,
 }
 
-fn profile_run(src: &str, fusion: FusionPlan) -> BlockProfile {
+fn profile_run(src: &str) -> BlockProfile {
     let forms = read_str(src, "t.scm").unwrap();
     let mut exp = Expander::new();
     let chunks: Vec<Chunk> = exp.expand_program(&forms).unwrap().iter().map(compile_chunk).collect();
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
-    vm.set_fusion(fusion);
     let counters = BlockCounters::new();
     vm.set_block_profiling(counters.clone());
     let mut last = Value::Unspecified;
@@ -402,7 +382,7 @@ struct Expected<'a> {
     activations: u64,
 }
 
-/// Holds flat and fused runs of `src` to counts derived by hand from the
+/// Holds a block-profiled run of `src` to counts derived by hand from the
 /// lowering in `compile.rs` (block 0 is the entry; an `if` allocates its
 /// then, else and join blocks in that order; a `Branch`/`Jump` to the next
 /// block id falls through). The expectation does not come from the VM, so
@@ -410,36 +390,25 @@ struct Expected<'a> {
 /// comparison of two runs that share it.
 fn assert_profile(src: &str, want: &Expected) {
     let to_vecs = |rows: &[&[u64]]| rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
-    for fusion in [FusionPlan::none(), FusionPlan::all()] {
-        let labels = fusion.labels();
-        let got = profile_run(src, fusion);
-        let m = got.metrics;
-        assert_eq!(got.result, want.result, "result of {src} (fusion {labels:?})");
-        assert_eq!(
-            got.toplevel,
-            to_vecs(want.toplevel),
-            "top-level block counts of {src} (fusion {labels:?})"
-        );
-        assert_eq!(
-            got.lambdas,
-            to_vecs(want.lambdas),
-            "lambda block counts of {src} (fusion {labels:?})"
-        );
-        assert_eq!(
-            (m.fallthroughs, m.taken_jumps, m.calls),
-            (want.fallthroughs, want.taken_jumps, want.calls),
-            "(fallthroughs, taken_jumps, calls) of {src} (fusion {labels:?})"
-        );
-        let counted: u64 = got.toplevel.iter().chain(&got.lambdas).flatten().sum();
-        assert_eq!(m.blocks_executed, counted, "blocks_executed of {src} (fusion {labels:?})");
-        // Every block entry is a top-level run, a closure activation or a
-        // counted edge.
-        assert_eq!(
-            m.blocks_executed - m.fallthroughs - m.taken_jumps,
-            want.toplevel.len() as u64 + want.activations,
-            "activation entries of {src} (fusion {labels:?})"
-        );
-    }
+    let got = profile_run(src);
+    let m = got.metrics;
+    assert_eq!(got.result, want.result, "result of {src}");
+    assert_eq!(got.toplevel, to_vecs(want.toplevel), "top-level block counts of {src}");
+    assert_eq!(got.lambdas, to_vecs(want.lambdas), "lambda block counts of {src}");
+    assert_eq!(
+        (m.fallthroughs, m.taken_jumps, m.calls),
+        (want.fallthroughs, want.taken_jumps, want.calls),
+        "(fallthroughs, taken_jumps, calls) of {src}"
+    );
+    let counted: u64 = got.toplevel.iter().chain(&got.lambdas).flatten().sum();
+    assert_eq!(m.blocks_executed, counted, "blocks_executed of {src}");
+    // Every block entry is a top-level run, a closure activation or a
+    // counted edge.
+    assert_eq!(
+        m.blocks_executed - m.fallthroughs - m.taken_jumps,
+        want.toplevel.len() as u64 + want.activations,
+        "activation entries of {src}"
+    );
 }
 
 #[test]

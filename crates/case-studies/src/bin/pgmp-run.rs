@@ -55,13 +55,8 @@
 //!
 //!   --dispatch flat              run --incremental / --adaptive programs
 //!                                on the VM's flat code streams
-//!   --fuse                       profile-guide superinstruction fusion: a
-//!                                profiled pass mines the hottest adjacent
-//!                                op pairs, then the program reruns fused
-//!                                (adaptive: the plan is re-mined at every
-//!                                drift-driven re-layout)
 //!   --vm-metrics                 print VM execution metrics (dispatches,
-//!                                fused share, fall-through ratio); with
+//!                                fall-through ratio, calls); with
 //!                                --adaptive, per epoch from a serving VM
 //!
 //!   --publish <socket>           stream this run's counter deltas to a
@@ -108,7 +103,7 @@
 
 use pgmp_adaptive::{AdaptiveConfig, AdaptiveEngine};
 use pgmp::{AnnotateStrategy, Engine, IncrementalConfig, IncrementalEngine, ReuseStats};
-use pgmp_bytecode::{optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics};
+use pgmp_bytecode::{DispatchMode, Vm, VmMetrics};
 use pgmp_case_studies::{install, Lib};
 use pgmp_observe as observe;
 use pgmp_profiler::{CounterImpl, ProfileInformation, ProfileMode};
@@ -138,7 +133,6 @@ struct Options {
     hysteresis: u32,
     cooldown: u64,
     dispatch: bool,
-    fuse: bool,
     vm_metrics: bool,
     publish: Option<String>,
     subscribe: Option<String>,
@@ -158,7 +152,7 @@ fn usage() -> ! {
          \u{20}               [--adaptive [--epochs N] [--threads N]\n\
          \u{20}               [--drift-threshold T] [--decay D] [--hysteresis N]\n\
          \u{20}               [--cooldown N]]\n\
-         \u{20}               [--dispatch flat] [--fuse] [--vm-metrics]\n\
+         \u{20}               [--dispatch flat] [--vm-metrics]\n\
          \u{20}               [--publish SOCKET] [--subscribe SOCKET]\n\
          \u{20}               [--trace OUT.jsonl] [--metrics] [--metrics-out F]\n\
          \u{20}               [--metrics-listen ADDR] file.scm"
@@ -218,7 +212,6 @@ fn parse_args() -> Options {
         hysteresis: 1,
         cooldown: 0,
         dispatch: false,
-        fuse: false,
         vm_metrics: false,
         publish: None,
         subscribe: None,
@@ -262,7 +255,6 @@ fn parse_args() -> Options {
                 Some("flat") => opts.dispatch = true,
                 _ => usage(),
             },
-            "--fuse" => opts.fuse = true,
             "--vm-metrics" => opts.vm_metrics = true,
             "--publish" => opts.publish = Some(args.next().unwrap_or_else(|| usage())),
             "--subscribe" => opts.subscribe = Some(args.next().unwrap_or_else(|| usage())),
@@ -300,10 +292,8 @@ fn configure_counters(engine: &mut Engine, counter_impl: CounterImpl, sample_hz:
 /// consumers (incremental summary, adaptive per-epoch lines).
 fn describe_vm_metrics(m: &VmMetrics) -> String {
     format!(
-        "{} dispatches ({} fused, {:.1}%), fall-through {:.3}, {} calls",
+        "{} dispatches, fall-through {:.3}, {} calls",
         m.dispatches,
-        m.fused_dispatches,
-        m.fused_share() * 100.0,
         m.fallthrough_ratio(),
         m.calls
     )
@@ -347,15 +337,12 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
             snap.counts.len()
         );
     }
-    let vm_serving = opts.vm_metrics || opts.fuse || opts.dispatch;
+    let vm_serving = opts.vm_metrics || opts.dispatch;
     if vm_serving {
         engine
-            .enable_vm_serving(DispatchMode::Flat, opts.fuse)
+            .enable_vm_serving(DispatchMode::Flat, false)
             .map_err(|e| e.to_string())?;
-        eprintln!(
-            "adaptive: VM serving on (flat dispatch{})",
-            if opts.fuse { ", profile-guided fusion" } else { "" }
-        );
+        eprintln!("adaptive: VM serving on (flat dispatch)");
     }
 
     let mut subscriber = match &opts.subscribe {
@@ -426,7 +413,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
                 taken_jumps: after.taken_jumps - before.taken_jumps,
                 calls: after.calls - before.calls,
                 dispatches: after.dispatches - before.dispatches,
-                fused_dispatches: after.fused_dispatches - before.fused_dispatches,
             };
             eprintln!(
                 "adaptive: epoch {} vm[flat]: {}",
@@ -574,42 +560,8 @@ fn run_incremental(opts: &Options, source: &str, file: &str) -> Result<(), Strin
         }
     } else {
         let mut vm = Vm::new();
-        let mut chunks = unit.chunks;
-        if opts.fuse {
-            // Pass 1 — profiled: collect block counters, then re-lay-out
-            // the chunks and mine the superinstruction plan from them.
-            // Its output is dropped; the fused pass below is the real run.
-            let counters = BlockCounters::new();
-            vm.set_block_profiling(counters.clone());
-            for chunk in &chunks {
-                vm.run_chunk(incr.engine_mut().interp_mut(), chunk)
-                    .map_err(|e| e.to_string())?;
-            }
-            let _ = incr.engine_mut().take_output();
-            chunks = chunks
-                .iter()
-                .map(|c| optimize_layout(c, &counters))
-                .collect::<Vec<Chunk>>();
-            vm.relayout_cached(&counters);
-            let lambda_chunks = vm.compiled_chunks();
-            let plan = FusionPlan::mine(
-                chunks.iter().chain(lambda_chunks.iter().map(|c| &**c)),
-                &counters,
-                3,
-            );
-            eprintln!(
-                "vm: fused {}",
-                if plan.is_empty() {
-                    "nothing (no hot fusable pairs)".to_owned()
-                } else {
-                    plan.labels().join(", ")
-                }
-            );
-            vm.set_fusion(plan);
-            vm.metrics = VmMetrics::default();
-        }
         let mut result = String::from("#<void>");
-        for chunk in &chunks {
+        for chunk in &unit.chunks {
             result = vm
                 .run_chunk(incr.engine_mut().interp_mut(), chunk)
                 .map_err(|e| e.to_string())?
@@ -680,12 +632,12 @@ fn run(opts: Options) -> Result<(), String> {
     if opts.subscribe.is_some() && !opts.adaptive {
         return Err("--subscribe requires --adaptive".into());
     }
-    if (opts.dispatch || opts.fuse || opts.vm_metrics)
+    if (opts.dispatch || opts.vm_metrics)
         && !opts.incremental
         && !opts.adaptive
     {
         return Err(
-            "--dispatch/--fuse/--vm-metrics require --incremental or --adaptive \
+            "--dispatch/--vm-metrics require --incremental or --adaptive \
              (the plain path tree-walks)"
                 .into(),
         );

@@ -119,6 +119,7 @@ fn bad_usage_exits_nonzero() {
     let removed_options = [
         &[concat!("--epoch", "-ms"), "5", "x.scm"][..],
         &["--adaptive", concat!("--no", "-incremental"), "x.scm"],
+        &["--incremental", concat!("--fu", "se"), "x.scm"],
     ];
     for removed in removed_options {
         let out = pgmp_run(removed);
@@ -128,6 +129,43 @@ fn bad_usage_exits_nonzero() {
     let out = pgmp_run(&["/nonexistent/prog.scm"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("pgmp-run"));
+}
+
+#[test]
+fn incremental_vm_metrics_line() {
+    let dir = tmpdir();
+    let prog = dir.join("vm-metrics.scm");
+    std::fs::write(
+        &prog,
+        "(define (sum n acc) (if (= n 0) acc (sum (- n 1) (+ acc n)))) (sum 10 0)",
+    )
+    .unwrap();
+    let out = pgmp_run(&["--incremental", "--vm-metrics", prog.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "55");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("vm[flat]: "))
+        .unwrap_or_else(|| panic!("no vm[flat] line: {stderr}"));
+    // `N dispatches, fall-through F, C calls`
+    let fields: Vec<&str> = line.split(", ").collect();
+    assert_eq!(fields.len(), 3, "{line}");
+    let count = |field: &str, suffix: &str| -> u64 {
+        field
+            .strip_suffix(suffix)
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("`{field}` is not `<n>{suffix}` in {line}"))
+    };
+    assert!(count(fields[0], " dispatches") > 0, "{line}");
+    let ratio: f64 = fields[1]
+        .strip_prefix("fall-through ")
+        .and_then(|f| f.parse().ok())
+        .unwrap_or_else(|| panic!("no fall-through ratio in {line}"));
+    assert!((0.0..=1.0).contains(&ratio), "{line}");
+    // The top-level call, then per step `=`, `-`, `+` and the self call,
+    // and the final `=`.
+    assert_eq!(count(fields[2], " calls"), 1 + 10 * 4 + 1, "{line}");
 }
 
 #[test]

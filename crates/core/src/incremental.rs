@@ -227,11 +227,6 @@ impl IncrementalEngine {
         &mut self.engine
     }
 
-    /// Number of top-level forms under management.
-    pub fn form_count(&self) -> usize {
-        self.forms.len()
-    }
-
     /// Replaces the program text, invalidating exactly the forms whose
     /// *structure* changed (forms downstream of a changed `define-syntax`
     /// are caught at compile time via the meta-dirty flag).

@@ -26,9 +26,7 @@
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::incremental::{IncrementalConfig, IncrementalEngine, ReuseStats};
-use pgmp_bytecode::{
-    canonical_form, optimize_layout, BlockCounters, Chunk, FusionPlan, Vm, VmMetrics,
-};
+use pgmp_bytecode::{canonical_form, BlockCounters, Vm, VmMetrics};
 use pgmp_profiler::{ProfileInformation, ProfileMode};
 
 /// Everything the three-pass run observed; see module docs.
@@ -50,9 +48,6 @@ pub struct ThreePassReport {
     pub baseline_metrics: VmMetrics,
     /// Jump behaviour of the pass-3 (profile-laid-out) code.
     pub optimized_metrics: VmMetrics,
-    /// Superinstructions the block profile selected for the final run
-    /// (empty when nothing was hot enough).
-    pub fused: Vec<&'static str>,
     /// Result of the final run, `write`-printed.
     pub result: String,
 }
@@ -110,22 +105,8 @@ pub fn run_three_pass(src: &str, file: &str) -> Result<ThreePassReport, Error> {
 
     // Apply the block-level PGO (layout) and measure the final run. The
     // counters apply directly: pass-3 chunks kept their pass-2 ids.
-    let laid_out: Vec<Chunk> = unit3
-        .chunks
-        .iter()
-        .map(|c| optimize_layout(c, &block_counts))
-        .collect();
-    vm.relayout_cached(&block_counts);
-    // Block-level PGO step two: fuse the profile-hottest adjacent pairs
-    // into superinstructions for the final lowering.
-    let lambda_chunks = vm.compiled_chunks();
-    let plan = FusionPlan::mine(
-        laid_out.iter().chain(lambda_chunks.iter().map(|c| &**c)),
-        &block_counts,
-        3,
-    );
-    let fused = plan.labels();
-    vm.set_fusion(plan);
+    let mut laid_out = unit3.chunks;
+    vm.relayout(&mut laid_out, &block_counts);
     vm.metrics = VmMetrics::default();
     vm.block_counters = None;
     let mut result = String::new();
@@ -143,7 +124,6 @@ pub fn run_three_pass(src: &str, file: &str) -> Result<ThreePassReport, Error> {
         reuse,
         baseline_metrics,
         optimized_metrics,
-        fused,
         result,
     })
 }

@@ -128,13 +128,6 @@ impl Interp {
         self.global_values[slot as usize].as_ref()
     }
 
-    /// The stable slot index of `name`, if it has ever been defined or
-    /// reserved. A slot does *not* imply the global is bound — reads still
-    /// go through [`Interp::global_by_slot`], which distinguishes the two.
-    pub fn global_slot(&self, name: Symbol) -> Option<u32> {
-        self.global_slots.get(&name).copied()
-    }
-
     /// Interns `name` to a global slot, reserving an unbound cell if it was
     /// never defined. Used by the VM to burn a slot index into its
     /// chunk-local global cache before the global is necessarily bound.
@@ -154,16 +147,6 @@ impl Interp {
     #[inline]
     pub fn global_by_slot(&self, slot: u32) -> Option<&Value> {
         self.global_values[slot as usize].as_ref()
-    }
-
-    /// Writes the global in `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` was never allocated.
-    #[inline]
-    pub fn set_global_by_slot(&mut self, slot: u32, v: Value) {
-        self.global_values[slot as usize] = Some(v);
     }
 
     /// Registers a native primitive under `name`.

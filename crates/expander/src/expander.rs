@@ -129,11 +129,6 @@ impl Expander {
         std::mem::take(&mut self.meta_dirty)
     }
 
-    /// True iff `name` is a registered macro.
-    pub fn is_macro(&self, name: Symbol) -> bool {
-        self.macros.contains_key(&name)
-    }
-
     /// Drains compile-time warnings produced by meta-programs (via the
     /// `warn` primitive), e.g. the §6.3 "reimplement this list as a
     /// vector" recommendation.

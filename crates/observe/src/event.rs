@@ -168,7 +168,8 @@ pub enum EventKind {
         chunk: u32,
         /// Ops in the lowered stream.
         ops: u64,
-        /// Superinstructions emitted by profile-guided fusion.
+        /// Always 0: the VM has one lowering and fuses nothing. Kept so
+        /// the schema stays unchanged.
         fused: u32,
         duration_us: u64,
     },

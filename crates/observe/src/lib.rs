@@ -308,11 +308,6 @@ impl SpanTimer {
     pub fn id(&self) -> u64 {
         self.id
     }
-
-    /// Microseconds elapsed since the span opened.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
 }
 
 /// Opens a span: `Some(SpanTimer)` while recording, `None` (free)
@@ -356,13 +351,6 @@ pub fn dropped() -> u64 {
     lock_bus().as_ref().map_or(0, |r| {
         r.dropped + r.stream.as_ref().map_or(0, BoundedWriter::dropped)
     })
-}
-
-/// Copies out the events recorded so far without ending the recording.
-pub fn snapshot_events() -> Vec<TraceEvent> {
-    lock_bus()
-        .as_ref()
-        .map_or_else(Vec::new, |r| r.ring.iter().cloned().collect())
 }
 
 /// Ends the recording and returns every buffered event (oldest first).

@@ -176,11 +176,6 @@ impl Syntax {
         out
     }
 
-    /// The source object of this node, if any — i.e. its profile point.
-    pub fn source_object(&self) -> Option<SourceObject> {
-        self.source
-    }
-
     /// Two identifiers are `bound-identifier=?` when they have the same
     /// name *and* the same marks: they would capture each other if one
     /// bound the other.
