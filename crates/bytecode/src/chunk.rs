@@ -61,7 +61,8 @@ pub enum Instr {
     DefineGlobal(Symbol),
     /// Pop `n` values into a fresh frame pushed on the frame register.
     PushFrame(u16),
-    /// Push a fresh frame of `n` unspecified slots.
+    /// Push a fresh `letrec` frame of `n` unspecified slots
+    /// (`Frame::letrec`).
     PushFrameUnspec(u16),
     /// Pop the current frame (restore its parent).
     PopFrame,
@@ -69,12 +70,39 @@ pub enum Instr {
     /// tree-walker's representation (a [`LambdaDef`] plus environment);
     /// the VM compiles its body to a chunk lazily at first call.
     MakeClosure(Rc<LambdaDef>),
+    /// Bind a `lambda` as the code of slot `index` of the current frame
+    /// (a `letrec` member): no closure is built, so the frame owns no
+    /// cycle.
+    BindCode {
+        /// Slot index in the current frame.
+        index: u16,
+        /// The member's code.
+        def: Rc<LambdaDef>,
+    },
     /// Pop `argc` arguments and a callee; push the result.
     Call {
         /// Argument count.
         argc: u16,
         /// Source object of the call site (for errors and, in
         /// calls-only profiling, the counter).
+        src: Option<SourceObject>,
+    },
+    /// Read the local variable at `(depth, index)` as the operator of a
+    /// [`Instr::CallLocal`] or [`Terminator::TailCallLocal`]: a value is
+    /// pushed as the callee; code is held aside for the call, with a
+    /// placeholder pushed in the callee's place, so no closure is built.
+    LocalCallee {
+        /// Frames up.
+        depth: u16,
+        /// Slot index.
+        index: u16,
+    },
+    /// Pop `argc` arguments and the callee read by the matching
+    /// [`Instr::LocalCallee`]; push the result.
+    CallLocal {
+        /// Argument count.
+        argc: u16,
+        /// Call-site source object.
         src: Option<SourceObject>,
     },
     /// Pop and discard the top of stack.
@@ -93,6 +121,14 @@ pub enum Terminator {
     /// Pop `argc` arguments and a callee; transfer control without growing
     /// the call stack (proper tail call).
     TailCall {
+        /// Argument count.
+        argc: u16,
+        /// Call-site source object.
+        src: Option<SourceObject>,
+    },
+    /// Pop `argc` arguments and tail-call the callee read by the
+    /// matching [`Instr::LocalCallee`].
+    TailCallLocal {
         /// Argument count.
         argc: u16,
         /// Call-site source object.
@@ -137,6 +173,7 @@ impl std::fmt::Display for Chunk {
                 Terminator::Branch(t, e) => writeln!(f, "  branch B{t} B{e}")?,
                 Terminator::Return => writeln!(f, "  return")?,
                 Terminator::TailCall { argc, .. } => writeln!(f, "  tailcall {argc}")?,
+                Terminator::TailCallLocal { argc, .. } => writeln!(f, "  tailcall local {argc}")?,
             }
         }
         Ok(())
@@ -154,7 +191,9 @@ impl Chunk {
         match &self.blocks[b as usize].term {
             Terminator::Jump(t) => vec![*t],
             Terminator::Branch(t, e) => vec![*t, *e],
-            Terminator::Return | Terminator::TailCall { .. } => vec![],
+            Terminator::Return | Terminator::TailCall { .. } | Terminator::TailCallLocal { .. } => {
+                vec![]
+            }
         }
     }
 }

@@ -184,11 +184,16 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
         CoreKind::LetRec { inits, body } => {
             b.emit(Instr::PushFrameUnspec(inits.len() as u16));
             for (i, init) in inits.iter().enumerate() {
-                compile_expr(b, init, false);
-                b.emit(Instr::SetLocal {
-                    depth: 0,
-                    index: i as u16,
-                });
+                let index = i as u16;
+                if let CoreKind::Lambda(def) = &init.kind {
+                    b.emit(Instr::BindCode {
+                        index,
+                        def: def.clone(),
+                    });
+                } else {
+                    compile_expr(b, init, false);
+                    b.emit(Instr::SetLocal { depth: 0, index });
+                }
             }
             compile_expr(b, body, tail);
             if !tail {
@@ -196,20 +201,27 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
             }
         }
         CoreKind::Call { func, args } => {
-            compile_expr(b, func, false);
+            // A local operator may name code, which the call enters
+            // without building a closure.
+            let local = match func.kind {
+                CoreKind::LocalRef { depth, index } => {
+                    b.emit(Instr::LocalCallee { depth, index });
+                    true
+                }
+                _ => {
+                    compile_expr(b, func, false);
+                    false
+                }
+            };
             for a in args {
                 compile_expr(b, a, false);
             }
-            if tail {
-                b.terminate(Terminator::TailCall {
-                    argc: args.len() as u16,
-                    src: core.src,
-                });
-            } else {
-                b.emit(Instr::Call {
-                    argc: args.len() as u16,
-                    src: core.src,
-                });
+            let (argc, src) = (args.len() as u16, core.src);
+            match (local, tail) {
+                (true, true) => b.terminate(Terminator::TailCallLocal { argc, src }),
+                (true, false) => b.emit(Instr::CallLocal { argc, src }),
+                (false, true) => b.terminate(Terminator::TailCall { argc, src }),
+                (false, false) => b.emit(Instr::Call { argc, src }),
             }
         }
     }

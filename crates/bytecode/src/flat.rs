@@ -92,17 +92,27 @@ pub enum Op {
     DefineGlobal { name: Symbol },
     /// Pop `n` values into a fresh frame.
     PushFrame { n: u16 },
-    /// Push a fresh frame of `n` unspecified slots.
+    /// Push a fresh `letrec` frame of `n` unspecified slots
+    /// (`Frame::letrec`).
     PushFrameUnspec { n: u16 },
     /// Pop the current frame.
     PopFrame,
     /// Push a closure over the current frame from
     /// [`FlatChunk::lambdas`]`[pool]`.
     MakeClosure { pool: u32 },
+    /// Bind [`FlatChunk::lambdas`]`[pool]` as the code of slot `index` of
+    /// the current frame.
+    BindCode { index: u16, pool: u32 },
     /// Pop `argc` arguments and a callee; push the result. `src` indexes
     /// [`FlatChunk::srcs`] and is resolved only on the slow path (native
     /// application and errors), keeping the op at two words.
     Call { argc: u16, src: u32 },
+    /// Read the local variable at `(depth, index)` as a call's operator
+    /// (see [`Instr::LocalCallee`]).
+    LocalCallee { depth: u16, index: u16 },
+    /// Pop `argc` arguments and the callee read by the matching
+    /// [`Op::LocalCallee`]; push the result.
+    CallLocal { argc: u16, src: u32 },
     /// Pop and discard the top of stack.
     Pop,
     /// Unconditional transfer (a lowered [`Terminator::Jump`]).
@@ -118,6 +128,9 @@ pub enum Op {
     /// Pop `argc` arguments and a callee; transfer without growing the
     /// call stack.
     TailCall { argc: u16, src: u32 },
+    /// Pop `argc` arguments and tail-call the callee read by the matching
+    /// [`Op::LocalCallee`].
+    TailCallLocal { argc: u16, src: u32 },
 }
 
 /// A chunk lowered to a flat op stream plus side pools. Produced by
@@ -136,7 +149,7 @@ pub struct FlatChunk {
     pub datums: Vec<Datum>,
     /// Syntax constants ([`Op::SyntaxConst`]).
     pub syntaxes: Vec<Rc<Syntax>>,
-    /// Lambda definitions ([`Op::MakeClosure`]).
+    /// Lambda definitions ([`Op::MakeClosure`], [`Op::BindCode`]).
     pub lambdas: Vec<Rc<LambdaDef>>,
     /// Call-site source objects, indexed by the `src` field of call ops.
     /// Slot 0 is always `None`, so `src == 0` means "no source recorded"
@@ -224,6 +237,18 @@ pub fn layout_sig(chunk: &Chunk) -> u64 {
                     mix(*argc as u64);
                 }
                 Instr::Pop => mix(14),
+                Instr::BindCode { index, .. } => {
+                    mix(15);
+                    mix(*index as u64);
+                }
+                Instr::LocalCallee { depth, index } => {
+                    mix(16);
+                    mix((*depth as u64) << 16 | *index as u64);
+                }
+                Instr::CallLocal { argc, .. } => {
+                    mix(17);
+                    mix(*argc as u64);
+                }
             }
         }
         match &block.term {
@@ -238,6 +263,10 @@ pub fn layout_sig(chunk: &Chunk) -> u64 {
             Terminator::Return => mix(22),
             Terminator::TailCall { argc, .. } => {
                 mix(23);
+                mix(*argc as u64);
+            }
+            Terminator::TailCallLocal { argc, .. } => {
+                mix(24);
                 mix(*argc as u64);
             }
         }
@@ -272,6 +301,11 @@ impl Lowerer {
         }
         self.srcs.push(*src);
         (self.srcs.len() - 1) as u32
+    }
+
+    fn lambda_pool(&mut self, def: &Rc<LambdaDef>) -> u32 {
+        self.lambdas.push(def.clone());
+        (self.lambdas.len() - 1) as u32
     }
 
     fn pool_const(&mut self, d: &Datum) -> Op {
@@ -315,13 +349,22 @@ impl Lowerer {
             Instr::PushFrame(n) => Op::PushFrame { n: *n },
             Instr::PushFrameUnspec(n) => Op::PushFrameUnspec { n: *n },
             Instr::PopFrame => Op::PopFrame,
-            Instr::MakeClosure(def) => {
-                self.lambdas.push(def.clone());
-                Op::MakeClosure {
-                    pool: (self.lambdas.len() - 1) as u32,
-                }
-            }
+            Instr::MakeClosure(def) => Op::MakeClosure {
+                pool: self.lambda_pool(def),
+            },
+            Instr::BindCode { index, def } => Op::BindCode {
+                index: *index,
+                pool: self.lambda_pool(def),
+            },
             Instr::Call { argc, src } => Op::Call {
+                argc: *argc,
+                src: self.src_pool(src),
+            },
+            Instr::LocalCallee { depth, index } => Op::LocalCallee {
+                depth: *depth,
+                index: *index,
+            },
+            Instr::CallLocal { argc, src } => Op::CallLocal {
                 argc: *argc,
                 src: self.src_pool(src),
             },
@@ -367,6 +410,10 @@ pub fn lower_chunk(chunk: &Chunk) -> FlatChunk {
             },
             Terminator::Return => Op::Return,
             Terminator::TailCall { argc, src } => Op::TailCall {
+                argc: *argc,
+                src: lw.src_pool(src),
+            },
+            Terminator::TailCallLocal { argc, src } => Op::TailCallLocal {
                 argc: *argc,
                 src: lw.src_pool(src),
             },

@@ -114,6 +114,7 @@ pub fn canonical_form(chunk: &Chunk) -> String {
             Terminator::Branch(t, e) => format!("branch B{} B{}", remap[t], remap[e]),
             Terminator::Return => "return".to_owned(),
             Terminator::TailCall { argc, .. } => format!("tailcall {argc}"),
+            Terminator::TailCallLocal { argc, .. } => format!("tailcall local {argc}"),
         };
         out.push_str(&format!("  {term}\n"));
     }

@@ -13,11 +13,13 @@ use crate::compile::compile_chunk;
 use crate::counters::BlockCounters;
 use crate::flat::{self, FlatChunk, JumpTarget, Op};
 use crate::layout::optimize_layout;
-use pgmp_eval::{Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value};
+use pgmp_eval::{
+    Callee, Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value,
+};
 use pgmp_observe as observe;
-use pgmp_syntax::{FnvHashMap, SourceObject};
+use pgmp_syntax::FnvHashMap;
 use std::cell::Cell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Sentinel for an unresolved entry in a chunk's global-slot cache.
 const UNRESOLVED: u32 = u32::MAX;
@@ -95,6 +97,15 @@ struct FlatEntry {
     globals: Rc<[Cell<u32>]>,
 }
 
+/// A cached lambda chunk. The `Weak` keeps the def's allocation (not its
+/// body) alive as long as the entry: a dropped def's address is never
+/// handed to a new `LambdaDef`, which would otherwise find the old def's
+/// code under its key.
+struct LambdaChunk {
+    _def: Weak<LambdaDef>,
+    chunk: Rc<Chunk>,
+}
+
 /// Slots in [`FlatIc`] (a power of two).
 const IC_SLOTS: usize = 64;
 
@@ -128,7 +139,10 @@ impl FlatIc {
 /// higher-order natives. See the crate-level example.
 #[derive(Default)]
 pub struct Vm {
-    chunk_cache: FnvHashMap<usize, Rc<Chunk>>,
+    /// Lambda chunks, keyed by `LambdaDef` pointer. Every def the VM has
+    /// entered passes through here first and is never removed, so the
+    /// entries pin the addresses behind all three lambda caches' keys.
+    chunk_cache: FnvHashMap<usize, LambdaChunk>,
     /// Flat lowerings of lambda chunks, keyed like `chunk_cache` by the
     /// `LambdaDef` pointer; invalidated by [`Vm::relayout`].
     flat_lambda_cache: FnvHashMap<usize, FlatEntry>,
@@ -201,7 +215,8 @@ impl Vm {
     /// lazily populated; used by the three-pass driver to check CFG
     /// stability.
     pub fn compiled_chunks(&self) -> Vec<Rc<Chunk>> {
-        let mut chunks: Vec<Rc<Chunk>> = self.chunk_cache.values().cloned().collect();
+        let mut chunks: Vec<Rc<Chunk>> =
+            self.chunk_cache.values().map(|c| c.chunk.clone()).collect();
         chunks.sort_by_key(|c| c.id);
         chunks
     }
@@ -215,8 +230,8 @@ impl Vm {
         for chunk in chunks.iter_mut() {
             *chunk = optimize_layout(chunk, counters);
         }
-        for chunk in self.chunk_cache.values_mut() {
-            *chunk = Rc::new(optimize_layout(chunk, counters));
+        for cached in self.chunk_cache.values_mut() {
+            cached.chunk = Rc::new(optimize_layout(&cached.chunk, counters));
         }
         self.flat_lambda_cache.clear();
         self.flat_ic = FlatIc::default();
@@ -225,10 +240,16 @@ impl Vm {
     fn chunk_for(&mut self, def: &Rc<LambdaDef>) -> Rc<Chunk> {
         let key = Rc::as_ptr(def) as usize;
         if let Some(c) = self.chunk_cache.get(&key) {
-            return c.clone();
+            return c.chunk.clone();
         }
         let chunk = Rc::new(compile_chunk(&def.body));
-        self.chunk_cache.insert(key, chunk.clone());
+        self.chunk_cache.insert(
+            key,
+            LambdaChunk {
+                _def: Rc::downgrade(def),
+                chunk: chunk.clone(),
+            },
+        );
         chunk
     }
 
@@ -359,6 +380,10 @@ impl Vm {
     ) -> Result<Value, EvalError> {
         let mut stack: Vec<Value> = Vec::with_capacity(64);
         let mut saved: Vec<FlatActivation> = Vec::with_capacity(16);
+        // Code read by `LocalCallee`, awaiting its call op; `None` when the
+        // operator was a value, pushed on `stack` as the callee. Operands
+        // nest, so each call op pops the entry its `LocalCallee` pushed.
+        let mut code_callees: Vec<Option<(Rc<LambdaDef>, Rc<Frame>)>> = Vec::new();
         // The dispatch counter doubles as the step budget: one counter to
         // bump, one register compare per op.
         let limit: u64 = match self.max_steps {
@@ -430,10 +455,7 @@ impl Vm {
                     cur.frame = Some(Frame::new(slots, cur.frame.take()));
                 }
                 Op::PushFrameUnspec { n } => {
-                    cur.frame = Some(Frame::new(
-                        vec![Value::Unspecified; n as usize],
-                        cur.frame.take(),
-                    ));
+                    cur.frame = Some(Frame::letrec(n as usize, cur.frame.take()));
                 }
                 Op::PopFrame => {
                     let frame = cur.frame.take().expect("pop without frame");
@@ -445,13 +467,46 @@ impl Vm {
                         env: cur.frame.clone(),
                     })));
                 }
-                Op::Call { argc, src } => {
+                Op::BindCode { index, pool } => {
+                    cur.frame
+                        .as_ref()
+                        .expect("letrec binding without frame")
+                        .set_code(index, cur.code.lambdas[pool as usize].clone());
+                }
+                Op::LocalCallee { depth, index } => {
+                    let frame = cur.frame.as_ref().expect("local ref without frame");
+                    match frame.callee(depth, index) {
+                        Callee::Code { def, env } => {
+                            code_callees.push(Some((def, env)));
+                            stack.push(Value::Unspecified);
+                        }
+                        Callee::Value(v) => {
+                            code_callees.push(None);
+                            stack.push(v);
+                        }
+                    }
+                }
+                op @ (Op::Call { argc, src } | Op::CallLocal { argc, src }) => {
+                    m.calls += 1;
+                    if let Op::CallLocal { .. } = op {
+                        if let Some((def, env)) = pop_code_callee(&mut code_callees) {
+                            self.enter_call(
+                                def,
+                                Some(env),
+                                argc,
+                                src,
+                                &mut stack,
+                                &mut saved,
+                                &mut cur,
+                            )?;
+                            enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+                            continue;
+                        }
+                    }
                     if let Some(v) = quick_call(&mut stack, argc) {
-                        m.calls += 1;
                         stack.push(v);
                         continue;
                     }
-                    let src = cur.code.srcs[src as usize];
                     self.call_value(
                         interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
                     )?;
@@ -481,42 +536,24 @@ impl Vm {
                         }
                     }
                 }
-                Op::TailCall { argc, src } => {
-                    let flow = match quick_call(&mut stack, argc) {
-                        Some(v) => {
-                            m.calls += 1;
-                            Some(v)
-                        }
-                        None if tail_frame_is_reusable(&stack, &cur.frame, argc) => {
-                            m.calls += 1;
-                            let frame = cur.frame.as_ref().expect("reuse without frame");
-                            frame.refill_from_stack(&mut stack);
-                            let Value::Closure(c) = stack.pop().expect("stack underflow")
-                            else {
-                                unreachable!("reuse check admitted a non-closure")
-                            };
-                            // A self-call re-enters the code already in
-                            // hand; only a different callee needs the
-                            // lowering cache.
-                            let key = Rc::as_ptr(&c.def) as usize;
-                            if key != cur.def_key {
-                                let entry = self.flat_for(&c.def);
-                                cur.counter_base =
-                                    self.counter_base(entry.code.id, entry.code.block_count);
-                                cur.globals = entry.globals;
-                                cur.code = entry.code;
-                                cur.def_key = key;
-                            }
-                            cur.pc = cur.code.entry_pc;
+                op @ (Op::TailCall { argc, src } | Op::TailCallLocal { argc, src }) => {
+                    m.calls += 1;
+                    let code = match op {
+                        Op::TailCallLocal { .. } => pop_code_callee(&mut code_callees),
+                        _ => None,
+                    };
+                    let flow = match code {
+                        Some((def, env)) => {
+                            self.enter_tail_call(def, Some(env), argc, src, &mut stack, &mut cur)?;
                             enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
                             None
                         }
-                        None => {
-                            let src = cur.code.srcs[src as usize];
-                            self.tail_call_value(
+                        None => match quick_call(&mut stack, argc) {
+                            Some(v) => Some(v),
+                            None => self.tail_call_value(
                                 interp, argc, src, &mut stack, &mut cur, m, counters,
-                            )?
-                        }
+                            )?,
+                        },
                     };
                     if let Some(v) = flow {
                         match saved.pop() {
@@ -532,62 +569,119 @@ impl Vm {
         }
     }
 
-    /// Non-tail call dispatch for the flat engine, with `[callee, args…]`
-    /// on top of `stack`: closures push the current activation and enter
-    /// their flat code; anything else applies in place.
+    /// Non-tail call dispatch, with `[callee, args…]` on top of `stack`
+    /// (quickened primitives already ruled out): closures push the current
+    /// activation and enter their flat code; anything else applies in
+    /// place.
     #[allow(clippy::too_many_arguments)]
     fn call_value(
         &mut self,
         interp: &mut Interp,
         argc: u16,
-        src: Option<SourceObject>,
+        src: u32,
         stack: &mut Vec<Value>,
         saved: &mut Vec<FlatActivation>,
         cur: &mut FlatActivation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
     ) -> Result<(), EvalError> {
-        m.calls += 1;
         let at = stack.len() - 1 - argc as usize;
-        if !matches!(stack[at], Value::Closure(_)) {
-            let v = apply_in_place(interp, stack, at).map_err(|e| e.with_src(src))?;
+        let Value::Closure(c) = &stack[at] else {
+            let v = apply_in_place(interp, stack, at)
+                .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
             stack.push(v);
             return Ok(());
-        }
-        let (c, frame) = pop_closure_frame(stack, at).map_err(|e| e.with_src(src))?;
-        let entry = self.flat_for(&c.def);
-        let next = self.flat_activation(entry, Rc::as_ptr(&c.def) as usize, Some(frame));
-        saved.push(std::mem::replace(cur, next));
+        };
+        let (def, env) = (c.def.clone(), c.env.clone());
+        self.enter_call(def, env, argc, src, stack, saved, cur)?;
         enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         Ok(())
     }
 
-    /// Tail call dispatch for the flat engine. Returns `Some(v)` when the
-    /// callee was not a closure (the value must flow to the caller's saved
-    /// activation or out of the run); `None` when a closure replaced the
-    /// current activation.
+    /// Tail call dispatch, with `[callee, args…]` on top of `stack`.
+    /// Returns `Some(v)` when the callee was not a closure (the value must
+    /// flow to the caller's saved activation or out of the run); `None`
+    /// when a closure replaced the current activation.
     #[allow(clippy::too_many_arguments)]
     fn tail_call_value(
         &mut self,
         interp: &mut Interp,
         argc: u16,
-        src: Option<SourceObject>,
+        src: u32,
         stack: &mut Vec<Value>,
         cur: &mut FlatActivation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
     ) -> Result<Option<Value>, EvalError> {
-        m.calls += 1;
         let at = stack.len() - 1 - argc as usize;
-        if !matches!(stack[at], Value::Closure(_)) {
-            let v = apply_in_place(interp, stack, at).map_err(|e| e.with_src(src))?;
+        let Value::Closure(c) = &stack[at] else {
+            let v = apply_in_place(interp, stack, at)
+                .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
             return Ok(Some(v));
-        }
-        let (c, frame) = pop_closure_frame(stack, at).map_err(|e| e.with_src(src))?;
-        let entry = self.flat_for(&c.def);
-        *cur = self.flat_activation(entry, Rc::as_ptr(&c.def) as usize, Some(frame));
+        };
+        let (def, env) = (c.def.clone(), c.env.clone());
+        self.enter_tail_call(def, env, argc, src, stack, cur)?;
         enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         Ok(None)
+    }
+
+    /// Enters procedure `def` under `env` as a new activation, saving the
+    /// current one, with `[callee, args…]` on top of `stack`.
+    #[allow(clippy::too_many_arguments)]
+    fn enter_call(
+        &mut self,
+        def: Rc<LambdaDef>,
+        env: Option<Rc<Frame>>,
+        argc: u16,
+        src: u32,
+        stack: &mut Vec<Value>,
+        saved: &mut Vec<FlatActivation>,
+        cur: &mut FlatActivation,
+    ) -> Result<(), EvalError> {
+        let frame = bind_from_stack(&def, env, argc, stack)
+            .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+        let entry = self.flat_for(&def);
+        let next = self.flat_activation(entry, Rc::as_ptr(&def) as usize, Some(frame));
+        saved.push(std::mem::replace(cur, next));
+        Ok(())
+    }
+
+    /// Enters procedure `def` under `env` in place of the current
+    /// activation, with `[callee, args…]` on top of `stack`. When the
+    /// current frame can be refilled unobservably (see
+    /// [`tail_frame_is_reusable`]) the call allocates nothing, and a
+    /// self-call keeps the code already in hand; only a different callee
+    /// needs the lowering cache.
+    #[inline]
+    fn enter_tail_call(
+        &mut self,
+        def: Rc<LambdaDef>,
+        env: Option<Rc<Frame>>,
+        argc: u16,
+        src: u32,
+        stack: &mut Vec<Value>,
+        cur: &mut FlatActivation,
+    ) -> Result<(), EvalError> {
+        let key = Rc::as_ptr(&def) as usize;
+        if tail_frame_is_reusable(&def, env.as_ref(), &cur.frame, argc) {
+            let frame = cur.frame.as_ref().expect("reuse without frame");
+            frame.refill_from_stack(stack);
+            stack.pop().expect("callee below the arguments");
+            if key != cur.def_key {
+                let entry = self.flat_for(&def);
+                cur.counter_base = self.counter_base(entry.code.id, entry.code.block_count);
+                cur.globals = entry.globals;
+                cur.code = entry.code;
+                cur.def_key = key;
+            }
+            cur.pc = cur.code.entry_pc;
+            return Ok(());
+        }
+        let frame = bind_from_stack(&def, env, argc, stack)
+            .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+        let entry = self.flat_for(&def);
+        *cur = self.flat_activation(entry, key, Some(frame));
+        Ok(())
     }
 }
 
@@ -606,19 +700,28 @@ fn apply_in_place(
     out
 }
 
-/// Pops the closure at `stack[at]` and the arguments above it, binding the
-/// arguments as its fresh frame (the split-off tail becomes the frame's
-/// slots, so the call allocates the frame and nothing else).
-fn pop_closure_frame(
+/// Pops `[callee, args…]` off `stack`, binding the `argc` arguments as
+/// the frame of `def` under `env`. The split-off tail becomes the frame's
+/// slots, so the call allocates the frame and nothing else.
+fn bind_from_stack(
+    def: &LambdaDef,
+    env: Option<Rc<Frame>>,
+    argc: u16,
     stack: &mut Vec<Value>,
-    at: usize,
-) -> Result<(Rc<Closure>, Rc<Frame>), EvalError> {
-    let args = stack.split_off(at + 1);
-    let Some(Value::Closure(c)) = stack.pop() else {
-        unreachable!("caller checked for a closure")
-    };
-    let frame = c.bind_frame(args)?;
-    Ok((c, frame))
+) -> Result<Rc<Frame>, EvalError> {
+    let args = stack.split_off(stack.len() - argc as usize);
+    stack.pop().expect("callee below the arguments");
+    def.bind_frame(env, args)
+}
+
+/// The entry a call op's `LocalCallee` pushed.
+#[inline]
+fn pop_code_callee(
+    code_callees: &mut Vec<Option<(Rc<LambdaDef>, Rc<Frame>)>>,
+) -> Option<(Rc<LambdaDef>, Rc<Frame>)> {
+    code_callees
+        .pop()
+        .expect("local call without its LocalCallee — compiler bug")
 }
 
 /// Records entry into a block against the register-resident
@@ -642,26 +745,28 @@ fn transfer_to(m: &mut VmMetrics, t: JumpTarget) {
     }
 }
 
-/// Whether a closure tail call may overwrite the current activation's
-/// frame in place instead of allocating a fresh one: the callee (sitting
-/// below `argc` arguments on the stack) must be a non-variadic closure of
-/// exactly `argc` params whose environment is the frame's parent, and the
-/// frame itself must be unshared (`Rc` count 1 — no closure captured it,
-/// no other activation holds it) with exactly `argc` slots. Under those
-/// conditions the fresh frame the generic path would build is
-/// indistinguishable from the refilled one, so reuse only skips the two
-/// allocations (argument `Vec` + frame `Rc`) of the hot self-call.
+/// Whether a tail call to `def` under `env` may overwrite the current
+/// activation's frame in place instead of allocating a fresh one: `def`
+/// must be non-variadic with exactly `argc` params, `env` must be the
+/// frame's parent, and the frame itself must be unshared (`Rc` count 1 —
+/// no closure captured it, no other activation holds it) with exactly
+/// `argc` slots. Under those conditions the fresh frame the generic path
+/// would build is indistinguishable from the refilled one, so reuse only
+/// skips the two allocations (argument `Vec` + frame `Rc`) of the hot
+/// self-call.
 #[inline]
-fn tail_frame_is_reusable(stack: &[Value], frame: &Option<Rc<Frame>>, argc: u16) -> bool {
+fn tail_frame_is_reusable(
+    def: &LambdaDef,
+    env: Option<&Rc<Frame>>,
+    frame: &Option<Rc<Frame>>,
+    argc: u16,
+) -> bool {
     let Some(f) = frame else { return false };
-    let Value::Closure(c) = &stack[stack.len() - 1 - argc as usize] else {
-        return false;
-    };
-    !c.def.variadic
-        && c.def.params as usize == argc as usize
+    !def.variadic
+        && def.params as usize == argc as usize
         && Rc::strong_count(f) == 1
         && f.len() == argc as usize
-        && match (f.parent(), &c.env) {
+        && match (f.parent(), env) {
             (None, None) => true,
             (Some(p), Some(e)) => Rc::ptr_eq(p, e),
             _ => false,

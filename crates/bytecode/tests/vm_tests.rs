@@ -79,6 +79,59 @@ fn vm_agrees_on_closures_and_recursion() {
 }
 
 #[test]
+fn letrec_bound_procedures_keep_identity_and_accept_set() {
+    // A `letrec` member is bound as code; every read of it is the same
+    // procedure, and `set!` replaces it with a value in the same slot.
+    for (src, want) in [
+        ("(letrec ([f (lambda () 1)]) (eq? f f))", "#t"),
+        (
+            "(define (g) (define (f) 1) (list f f)) (let ([p (g)]) (eq? (car p) (cadr p)))",
+            "#t",
+        ),
+        ("(define (g) (define (f) 1) f) (eq? (g) (g))", "#f"),
+        (
+            "(letrec ([f (lambda () 1)] [h (lambda () 2)]) (eq? f h))",
+            "#f",
+        ),
+        (
+            "(letrec ([f (lambda (n) n)]) (set! f (lambda (n) (* 2 n))) (f 21))",
+            "42",
+        ),
+        ("(letrec ([f (lambda (n) n)]) (set! f car) (f '(7)))", "7"),
+        (
+            "(let loop ([i 0]) (if (= i 3) (procedure? loop) (loop (add1 i))))",
+            "#t",
+        ),
+        ("(letrec ([f (lambda () f)]) (eq? f (f)))", "#t"),
+    ] {
+        assert_eq!(run_tree(src), want, "tree walker on {src}");
+        assert_eq!(run_vm(src), want, "VM on {src}");
+    }
+}
+
+#[test]
+fn a_freed_lambda_never_runs_through_another_lambdas_cached_code() {
+    // The VM caches code by `LambdaDef` address. Each round frees the
+    // previous round's tree-walked `f` and its program, and allocates a
+    // new def that the allocator may place at a freed def's address; the
+    // persistent VM must still run the new `f`.
+    let mut exp = Expander::new();
+    let mut interp = fresh_interp();
+    let mut vm = Vm::new();
+    let call = exp
+        .expand_program(&read_str("(f)", "t.scm").unwrap())
+        .unwrap();
+    for k in 0..64 {
+        let define = read_str(&format!("(define (f) {k})"), "t.scm").unwrap();
+        for form in exp.expand_program(&define).unwrap() {
+            interp.eval(&form, &None).unwrap();
+        }
+        let got = vm.run_core(&mut interp, &call[0]).unwrap();
+        assert_eq!(got.write_string(), k.to_string(), "round {k}");
+    }
+}
+
+#[test]
 fn vm_agrees_on_higher_order_natives() {
     // map/sort apply closures via the tree-walker from inside the VM —
     // mixed-mode execution.
@@ -170,6 +223,9 @@ fn closure_arity_errors_name_the_procedure() {
         ("(define f (lambda (x) x)) (define (g) (f)) (g)", "f: expected 1 arguments, got 0"),
         ("(define (g h) (list (h 1 2))) (g (lambda (x) x))", "#<procedure>: expected 1 arguments, got 2"),
         ("(define (g h) (h)) (g (lambda (a . r) a))", "#<procedure>: expected at least 1 arguments, got 0"),
+        // Procedures bound as code: internal `define`, non-tail and tail.
+        ("(define (g) (define (f x) x) (list (f))) (g)", "f: expected 1 arguments, got 0"),
+        ("(define (g) (define (f x) x) (f 1 2)) (g)", "f: expected 1 arguments, got 2"),
     ] {
         for err in first_errors(src) {
             assert_eq!(err.kind, EvalErrorKind::Arity, "{src}");

@@ -1,7 +1,7 @@
 //! The tree-walking interpreter.
 
-use crate::core_expr::{Core, CoreKind};
-use crate::env::Frame;
+use crate::core_expr::{Core, CoreKind, LambdaDef};
+use crate::env::{Callee, Frame};
 use crate::error::{EvalError, EvalErrorKind};
 use crate::value::{Closure, Native, NativeFn, Value};
 use pgmp_profiler::{Counters, ProfileMode};
@@ -218,12 +218,7 @@ impl Interp {
         let mut expr = expr.clone();
         let mut env = env.clone();
         loop {
-            self.burn_fuel()?;
-            if self.mode == ProfileMode::EveryExpression {
-                if let (Some(counters), Some(src)) = (&self.counters, expr.src) {
-                    bump(counters, &expr, src);
-                }
-            }
+            self.charge(&expr)?;
             match &expr.kind {
                 CoreKind::Const(_)
                 | CoreKind::SyntaxConst(_)
@@ -285,11 +280,18 @@ impl Interp {
                     expr = body.clone();
                 }
                 CoreKind::LetRec { inits, body } => {
-                    let frame = Frame::new(vec![Value::Unspecified; inits.len()], env.clone());
+                    let frame = Frame::letrec(inits.len(), env.clone());
                     let inner = Some(frame.clone());
                     for (i, init) in inits.iter().enumerate() {
-                        let v = self.eval(init, &inner)?;
-                        frame.set(0, i as u16, v);
+                        // A `lambda` init binds its code, not a closure
+                        // over this frame, so the frame owns no cycle.
+                        if let CoreKind::Lambda(def) = &init.kind {
+                            self.charge(init)?;
+                            frame.set_code(i as u16, def.clone());
+                        } else {
+                            let v = self.eval(init, &inner)?;
+                            frame.set(0, i as u16, v);
+                        }
                     }
                     env = inner;
                     expr = body.clone();
@@ -300,7 +302,26 @@ impl Interp {
                             bump(counters, &expr, src);
                         }
                     }
-                    let f = self.eval(func, &env)?;
+                    let f = match func.kind {
+                        // A procedure in a code slot is entered straight
+                        // from its code, with no closure built.
+                        CoreKind::LocalRef { depth, index } => {
+                            self.charge(func)?;
+                            let frame = env
+                                .as_ref()
+                                .expect("local reference outside any frame — expander bug");
+                            match frame.callee(depth, index) {
+                                Callee::Code { def, env: holder } => {
+                                    env =
+                                        Some(self.code_frame(&def, holder, args, &env, expr.src)?);
+                                    expr = def.body.clone();
+                                    continue;
+                                }
+                                Callee::Value(f) => f,
+                            }
+                        }
+                        _ => self.eval(func, &env)?,
+                    };
                     let Value::Closure(c) = f else {
                         // Natives borrow their arguments: a short argument
                         // list evaluates into a stack array, so the common
@@ -320,15 +341,57 @@ impl Interp {
                         };
                         return out.map_err(|e| e.with_src(expr.src));
                     };
+                    // Kept inline rather than sharing `code_frame`: a call
+                    // out of line here measurably slows the tree walker's
+                    // hottest closure calls (global procedures).
                     let mut argv = Vec::with_capacity(args.len());
                     for a in args {
                         argv.push(self.eval(a, &env)?);
                     }
-                    env = Some(c.bind_frame(argv).map_err(|e| e.with_src(expr.src))?);
+                    env = Some(
+                        c.def
+                            .bind_frame(c.env.clone(), argv)
+                            .map_err(|e| e.with_src(expr.src))?,
+                    );
                     expr = c.def.body.clone();
                 }
             }
         }
+    }
+
+    /// Charges `expr` what evaluating it as a subexpression costs before
+    /// its node runs: a fuel step and, under every-expression profiling,
+    /// its counter bump. Always inlined: it is the evaluation loop's
+    /// prologue.
+    #[inline(always)]
+    fn charge(&mut self, expr: &Core) -> Result<(), EvalError> {
+        self.burn_fuel()?;
+        if self.mode == ProfileMode::EveryExpression {
+            if let (Some(counters), Some(src)) = (&self.counters, expr.src) {
+                bump(counters, expr, src);
+            }
+        }
+        Ok(())
+    }
+
+    /// Evaluates `args` as the frame of a call to the code `def` bound in
+    /// `holder`. Out of line, so this path adds nothing to the evaluation
+    /// loop's own frame, which every nested call stacks.
+    #[inline(never)]
+    fn code_frame(
+        &mut self,
+        def: &LambdaDef,
+        holder: Rc<Frame>,
+        args: &[Rc<Core>],
+        env: &Option<Rc<Frame>>,
+        src: Option<SourceObject>,
+    ) -> Result<Rc<Frame>, EvalError> {
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval(a, env)?);
+        }
+        def.bind_frame(Some(holder), argv)
+            .map_err(|e| e.with_src(src))
     }
 
     /// Applies a procedure value to arguments, from Rust. Used by
@@ -346,7 +409,7 @@ impl Interp {
                 (n.f)(self, args)
             }
             Value::Closure(c) => {
-                let frame = c.bind_frame(args.to_vec())?;
+                let frame = c.def.bind_frame(c.env.clone(), args.to_vec())?;
                 self.eval(&c.def.body, &Some(frame))
             }
             other => Err(EvalError::type_error("procedure", other)),

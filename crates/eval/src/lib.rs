@@ -30,7 +30,7 @@ pub use core_expr::{resolve_profile_slots, Core, CoreKind, LambdaDef};
 pub use serialize::{
     core_from_datum, core_from_datum_with, core_to_datum, core_to_datum_with, StringTable,
 };
-pub use env::Frame;
+pub use env::{Callee, Frame};
 pub use error::{EvalError, EvalErrorInfo, EvalErrorKind};
 pub use interp::Interp;
 pub use prims::{install_primitives, value_to_syntax};

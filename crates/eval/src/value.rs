@@ -91,6 +91,11 @@ impl fmt::Debug for Native {
 }
 
 /// A user-defined procedure: compiled lambda plus captured environment.
+///
+/// Identity (`eq?`/`eqv?`) is the `(def, env)` pointer pair, not the `Rc`:
+/// each read of a `letrec`-bound procedure builds a fresh closure over the
+/// same code and frame (see [`crate::Frame`]), and those reads are one
+/// procedure.
 #[derive(Debug)]
 pub struct Closure {
     /// Code.
@@ -100,22 +105,38 @@ pub struct Closure {
 }
 
 impl Closure {
-    /// Binds `args` as the slots of a fresh frame under the captured
-    /// environment — the one closure-entry step both executors share. A
-    /// variadic closure collects the surplus into a list in its last slot.
+    fn same_procedure(&self, other: &Closure) -> bool {
+        Rc::ptr_eq(&self.def, &other.def)
+            && match (&self.env, &other.env) {
+                (None, None) => true,
+                (Some(a), Some(b)) => Rc::ptr_eq(a, b),
+                _ => false,
+            }
+    }
+}
+
+impl LambdaDef {
+    /// Binds `args` as the slots of a fresh frame under `env` — the one
+    /// procedure-entry step both executors share, whether the procedure
+    /// came as a closure or as code from a frame slot. A variadic lambda
+    /// collects the surplus into a list in its last slot.
     ///
     /// # Errors
     ///
     /// An arity error naming the procedure (`#<procedure>` when
     /// anonymous). The name is looked up only on this path, so a call
     /// never touches the symbol table.
-    pub fn bind_frame(&self, mut args: Vec<Value>) -> Result<Rc<Frame>, EvalError> {
-        let required = self.def.params as usize;
+    pub fn bind_frame(
+        &self,
+        env: Option<Rc<Frame>>,
+        mut args: Vec<Value>,
+    ) -> Result<Rc<Frame>, EvalError> {
+        let required = self.params as usize;
         let arity_error = |expected: String, got: usize| {
-            let name = self.def.name.map_or("#<procedure>", |n| n.as_str());
+            let name = self.name.map_or("#<procedure>", |n| n.as_str());
             EvalError::arity(name, &expected, got)
         };
-        if self.def.variadic {
+        if self.variadic {
             if args.len() < required {
                 return Err(arity_error(format!("at least {required}"), args.len()));
             }
@@ -124,7 +145,7 @@ impl Closure {
         } else if args.len() != required {
             return Err(arity_error(required.to_string(), args.len()));
         }
-        Ok(Frame::new(args, self.env.clone()))
+        Ok(Frame::new(args, env))
     }
 }
 
@@ -326,7 +347,7 @@ impl Value {
             (Value::Pair(a), Value::Pair(b)) => Rc::ptr_eq(a, b),
             (Value::Vector(a), Value::Vector(b)) => Rc::ptr_eq(a, b),
             (Value::Hash(a), Value::Hash(b)) => Rc::ptr_eq(a, b),
-            (Value::Closure(a), Value::Closure(b)) => Rc::ptr_eq(a, b),
+            (Value::Closure(a), Value::Closure(b)) => a.same_procedure(b),
             (Value::Native(a), Value::Native(b)) => Rc::ptr_eq(a, b),
             (Value::Syntax(a), Value::Syntax(b)) => Rc::ptr_eq(a, b),
             (Value::Source(a), Value::Source(b)) => a == b,

@@ -127,7 +127,10 @@ proptest! {
 
 /// Generates small arithmetic/conditional expressions (as source text)
 /// whose evaluation cannot error: the integer domain is kept tiny and
-/// division is excluded.
+/// division is excluded. The recursive-binding shapes — a bounded named
+/// `let`, internal `define`s calling each other, a mutual `letrec`, a
+/// member escaping by return or through `map`, a `set!` member, and
+/// `(eq? f f)` — exercise frame slots that hold code rather than values.
 fn arb_expr(depth: u32) -> BoxedStrategy<String> {
     if depth == 0 {
         return prop_oneof![
@@ -146,6 +149,27 @@ fn arb_expr(depth: u32) -> BoxedStrategy<String> {
             .prop_map(|(c, t, e)| format!("(if (< {c} 0) {t} {e})")),
         (sub.clone(), sub.clone()).prop_map(|(a, b)| format!("(let ([x {a}]) (+ x {b}))")),
         (sub.clone(), sub.clone()).prop_map(|(a, b)| format!("((lambda (y) (- y {b})) {a})")),
+        (sub.clone(), sub.clone()).prop_map(|(a, b)| format!(
+            "(let loop ([i 0] [acc {a}]) (if (= i 3) acc (loop (+ i 1) (+ acc {b}))))"
+        )),
+        (sub.clone(), sub.clone()).prop_map(|(a, b)| format!(
+            "((lambda () (define (g z) (+ z {a})) (define (h z) (g (g z))) (h {b})))"
+        )),
+        (sub.clone(), sub.clone()).prop_map(|(a, b)| format!(
+            "(letrec ([ev? (lambda (n) (if (= n 0) {a} (od? (- n 1))))] \
+                      [od? (lambda (n) (if (= n 0) {b} (ev? (- n 1))))]) \
+               (ev? 3))"
+        )),
+        (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| format!("((letrec ([g (lambda (z) (- z {a}))]) g) {b})")),
+        (sub.clone(), sub.clone()).prop_map(|(a, b)| format!(
+            "(apply + (map (letrec ([g (lambda (z) (+ z {a}))]) g) (list {b} 1)))"
+        )),
+        (sub.clone(), sub.clone()).prop_map(|(a, b)| format!(
+            "(letrec ([g (lambda (z) (+ z 1))]) (set! g (lambda (z) (- z {a}))) (g {b}))"
+        )),
+        (sub.clone(), sub.clone())
+            .prop_map(|(a, b)| format!("(letrec ([g (lambda (z) z)]) (if (eq? g g) (g {a}) {b}))")),
         sub,
     ]
     .boxed()
