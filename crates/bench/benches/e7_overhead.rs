@@ -9,12 +9,17 @@
 //! - every-expression counters (the Chez model),
 //! - calls-only counters with thunk-wrapped annotations (the Racket
 //!   model).
+//!
+//! Instrumented `Engine` runs execute on the bytecode VM and derive their
+//! counts from block counts; the tree walker's per-expression counters,
+//! driven through `Interp::set_profiling`, are the oracle rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::{AnnotateStrategy, Engine};
 use pgmp_bench::workloads::fib_program;
 use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-use pgmp_profiler::{CounterImpl, ProfileMode, SlotStore};
+use pgmp_case_studies::tree_walk_counting;
+use pgmp_profiler::{CounterImpl, Counters, ProfileMode, SlotStore};
 
 fn bench_overhead(c: &mut Criterion) {
     let program = fib_program(16);
@@ -26,10 +31,13 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
     });
 
-    group.bench_function("chez-style-every-expression", |b| {
+    group.bench_function("chez-style-every-expression-tree-walked-oracle", |b| {
         let mut e = Engine::new();
-        e.set_instrumentation(ProfileMode::EveryExpression);
-        b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
+        let counters = Counters::new();
+        b.iter(|| {
+            tree_walk_counting(&mut e, &program, "e7.scm", ProfileMode::EveryExpression, &counters)
+                .expect("run")
+        })
     });
 
     // Sampling backend: each profile point costs one relaxed beacon store;
@@ -43,10 +51,13 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
     });
 
-    group.bench_function("errortrace-style-calls-only", |b| {
+    group.bench_function("errortrace-style-calls-only-tree-walked-oracle", |b| {
         let mut e = Engine::with_strategy(AnnotateStrategy::WrapLambda);
-        e.set_instrumentation(ProfileMode::CallsOnly);
-        b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
+        let counters = Counters::new();
+        b.iter(|| {
+            tree_walk_counting(&mut e, &program, "e7.scm", ProfileMode::CallsOnly, &counters)
+                .expect("run")
+        })
     });
 
     // The wrap-lambda cost in isolation: an annotated expression evaluated
@@ -99,6 +110,16 @@ fn bench_overhead(c: &mut Criterion) {
             })
         });
     }
+
+    // The engine's instrumented run: each form compiled and run on the
+    // VM with dense block counters, then the every-expression counts
+    // derived from them. Compare with `vm-block-uninstrumented`.
+    group.bench_function("vm-every-expression-block-derived", |b| {
+        let mut e = Engine::new();
+        let core = e.expand_to_core(&program, "e7.scm").expect("expand");
+        e.set_instrumentation(ProfileMode::EveryExpression);
+        b.iter(|| e.run_cores(&core, "e7.scm").expect("run"))
+    });
 
     group.finish();
 }

@@ -2,11 +2,15 @@
 
 use pgmp_eval::LambdaDef;
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Index of a basic block within its chunk.
 pub type BlockId = u32;
+
+/// A [`Chunk::global_points`] entry for a reference with no source object.
+pub const NO_POINT: u32 = u32::MAX;
 
 static NEXT_CHUNK_ID: AtomicU32 = AtomicU32::new(0);
 
@@ -43,7 +47,7 @@ pub enum Instr {
         /// Variable name.
         name: Symbol,
         /// Chunk-local cache index (dense, assigned at compile time;
-        /// `Chunk::global_refs` is the count). The VM memoizes the
+        /// it indexes [`Chunk::global_points`]). The VM memoizes the
         /// interpreter's global *slot* here on first execution, so repeat
         /// executions skip the `Symbol` hash entirely.
         cache: u32,
@@ -56,7 +60,12 @@ pub enum Instr {
         index: u16,
     },
     /// Pop a value into a global (which must exist).
-    SetGlobal(Symbol),
+    SetGlobal {
+        /// Variable name.
+        name: Symbol,
+        /// Source object of the `set!` (for the unbound error).
+        src: Option<SourceObject>,
+    },
     /// Pop a value, defining a global.
     DefineGlobal(Symbol),
     /// Pop `n` values into a fresh frame pushed on the frame register.
@@ -143,6 +152,12 @@ pub struct Block {
     pub instrs: Vec<Instr>,
     /// Exit.
     pub term: Terminator,
+    /// The profile points whose evaluation starts in this block: a range
+    /// of [`Chunk::points`] (see [`Chunk::block_points`]).
+    pub points: Range<u32>,
+    /// How many of those points, at the front of the range, are `Call`
+    /// expressions: the points calls-only profiling counts.
+    pub calls: u32,
 }
 
 /// A compiled code unit: a CFG of basic blocks with a distinguished entry.
@@ -154,9 +169,19 @@ pub struct Chunk {
     pub blocks: Vec<Block>,
     /// Entry block (always 0 after compilation, may move under layout).
     pub entry: BlockId,
-    /// Number of `GlobalRef` cache indices assigned in this chunk — the
-    /// length of the VM's chunk-local global-slot cache.
-    pub global_refs: u32,
+    /// For each `GlobalRef`, by cache index, the index of its source
+    /// object in [`Chunk::points`] ([`NO_POINT`] when it has none): where
+    /// an unbound-variable error points. The length is the width of the
+    /// VM's chunk-local global-slot cache.
+    pub global_points: Rc<[u32]>,
+    /// The point table: the profile points of the chunk's expressions,
+    /// grouped by the block their evaluation starts in ([`Block::points`]).
+    /// The language has no `call/cc` and no error handlers, so on a run
+    /// that completes each point is evaluated exactly as often as its
+    /// block is entered: the table turns block counts into source-level
+    /// counts ([`crate::derive_counts`]). Layout reorders blocks, never
+    /// the table.
+    pub points: Rc<[SourceObject]>,
 }
 
 impl std::fmt::Display for Chunk {
@@ -181,6 +206,19 @@ impl std::fmt::Display for Chunk {
 }
 
 impl Chunk {
+    /// The profile points whose evaluation starts in block `b`, its
+    /// `Call` expressions' first: every point with `calls_only` false,
+    /// only the calls with it true.
+    pub fn block_points(&self, b: BlockId, calls_only: bool) -> &[SourceObject] {
+        let block = &self.blocks[b as usize];
+        let end = if calls_only {
+            block.points.start + block.calls
+        } else {
+            block.points.end
+        };
+        &self.points[block.points.start as usize..end as usize]
+    }
+
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -212,10 +250,13 @@ mod tests {
         let chunk = Chunk {
             id: fresh_chunk_id(),
             entry: 0,
-            global_refs: 0,
+            global_points: Rc::from([]),
+            points: Rc::from([]),
             blocks: vec![Block {
                 instrs: vec![Instr::Const(Datum::Int(7))],
                 term: Terminator::Return,
+                points: 0..0,
+                calls: 0,
             }],
         };
         let text = chunk.to_string();
@@ -229,19 +270,26 @@ mod tests {
         let chunk = Chunk {
             id: fresh_chunk_id(),
             entry: 0,
-            global_refs: 0,
+            global_points: Rc::from([]),
+            points: Rc::from([]),
             blocks: vec![
                 Block {
                     instrs: vec![Instr::Const(Datum::Bool(true))],
                     term: Terminator::Branch(1, 2),
+                    points: 0..0,
+                    calls: 0,
                 },
                 Block {
                     instrs: vec![],
                     term: Terminator::Jump(2),
+                    points: 0..0,
+                    calls: 0,
                 },
                 Block {
                     instrs: vec![Instr::Const(Datum::Int(1))],
                     term: Terminator::Return,
+                    points: 0..0,
+                    calls: 0,
                 },
             ],
         };

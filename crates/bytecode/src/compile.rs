@@ -1,14 +1,20 @@
 //! Lowering `Core` expressions to basic-block bytecode.
 
-use crate::chunk::{fresh_chunk_id, Block, BlockId, Chunk, Instr, Terminator};
+use crate::chunk::{fresh_chunk_id, Block, BlockId, Chunk, Instr, Terminator, NO_POINT};
 use pgmp_eval::{Core, CoreKind};
+use pgmp_syntax::SourceObject;
 use std::rc::Rc;
 
 struct Builder {
     blocks: Vec<Block>,
     current: BlockId,
-    /// Next chunk-local `GlobalRef` cache index.
-    global_refs: u32,
+    /// Index in `points` of each `GlobalRef`'s source object, by cache
+    /// index ([`NO_POINT`] when it has none).
+    global_points: Vec<u32>,
+    /// Profile points with their `Call` flag, in compile order. A block
+    /// never becomes current again once the builder leaves it, so each
+    /// block's points are contiguous here.
+    points: Vec<(SourceObject, bool)>,
 }
 
 impl Builder {
@@ -17,9 +23,12 @@ impl Builder {
             blocks: vec![Block {
                 instrs: Vec::new(),
                 term: Terminator::Return, // patched as we go
+                points: 0..0,
+                calls: 0,
             }],
             current: 0,
-            global_refs: 0,
+            global_points: Vec::new(),
+            points: Vec::new(),
         }
     }
 
@@ -32,8 +41,56 @@ impl Builder {
         self.blocks.push(Block {
             instrs: Vec::new(),
             term: Terminator::Return,
+            points: 0..0,
+            calls: 0,
         });
         id
+    }
+
+    /// Records `core`'s profile point, if it has one, in the current
+    /// block: its evaluation starts here.
+    fn mark(&mut self, core: &Core) {
+        if let Some(src) = core.src {
+            let call = matches!(core.kind, CoreKind::Call { .. });
+            let next = self.points.len() as u32;
+            let range = &mut self.blocks[self.current as usize].points;
+            if range.start == range.end {
+                *range = next..next;
+            }
+            debug_assert_eq!(range.end, next, "block points not contiguous");
+            range.end += 1;
+            self.points.push((src, call));
+        }
+    }
+
+    /// The finished point table: each block's points with its calls
+    /// moved to the front, recording their number in the block, and the
+    /// global references' indexes following their points.
+    fn point_table(&mut self) -> Rc<[SourceObject]> {
+        let mut table = Vec::with_capacity(self.points.len());
+        let mut moved = vec![NO_POINT; self.points.len()];
+        for block in &mut self.blocks {
+            let start = table.len() as u32;
+            for calls in [true, false] {
+                for i in block.points.clone() {
+                    let (src, call) = self.points[i as usize];
+                    if call == calls {
+                        moved[i as usize] = table.len() as u32;
+                        table.push(src);
+                    }
+                }
+                if calls {
+                    block.calls = table.len() as u32 - start;
+                }
+            }
+            block.points = start..table.len() as u32;
+        }
+        for point in &mut self.global_points {
+            if *point != NO_POINT {
+                *point = moved[*point as usize];
+            }
+        }
+        table.into()
     }
 
     fn terminate(&mut self, t: Terminator) {
@@ -53,11 +110,13 @@ impl Builder {
 pub fn compile_chunk(core: &Rc<Core>) -> Chunk {
     let mut b = Builder::new();
     compile_expr(&mut b, core, true);
+    let points = b.point_table();
     Chunk {
         id: fresh_chunk_id(),
         blocks: b.blocks,
         entry: 0,
-        global_refs: b.global_refs,
+        global_points: b.global_points.into(),
+        points,
     }
 }
 
@@ -65,6 +124,7 @@ pub fn compile_chunk(core: &Rc<Core>) -> Chunk {
 /// expression is in tail position: calls become `TailCall` and the block is
 /// terminated by `Return` after the value is produced.
 fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
+    b.mark(core);
     match &core.kind {
         CoreKind::Const(d) => {
             b.emit(Instr::Const(d.clone()));
@@ -88,8 +148,13 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
             }
         }
         CoreKind::GlobalRef(name) => {
-            let cache = b.global_refs;
-            b.global_refs += 1;
+            // `compile_expr` has just marked this node's point, if any.
+            let cache = b.global_points.len() as u32;
+            let point = match core.src {
+                Some(_) => b.points.len() as u32 - 1,
+                None => NO_POINT,
+            };
+            b.global_points.push(point);
             b.emit(Instr::GlobalRef { name: *name, cache });
             if tail {
                 b.terminate(Terminator::Return);
@@ -112,7 +177,10 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
         }
         CoreKind::SetGlobal(name, value) => {
             compile_expr(b, value, false);
-            b.emit(Instr::SetGlobal(*name));
+            b.emit(Instr::SetGlobal {
+                name: *name,
+                src: core.src,
+            });
             b.emit(Instr::Unspecified);
             if tail {
                 b.terminate(Terminator::Return);
@@ -186,6 +254,8 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
             for (i, init) in inits.iter().enumerate() {
                 let index = i as u16;
                 if let CoreKind::Lambda(def) = &init.kind {
+                    // Not compiled as an expression, but evaluated as one.
+                    b.mark(init);
                     b.emit(Instr::BindCode {
                         index,
                         def: def.clone(),
@@ -205,6 +275,7 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
             // without building a closure.
             let local = match func.kind {
                 CoreKind::LocalRef { depth, index } => {
+                    b.mark(func);
                     b.emit(Instr::LocalCallee { depth, index });
                     true
                 }
@@ -230,7 +301,16 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgmp_syntax::Datum;
+    use pgmp_eval::LambdaDef;
+    use pgmp_syntax::{Datum, Symbol};
+
+    fn at(n: u32) -> SourceObject {
+        SourceObject::new("points.scm", n, n + 1)
+    }
+
+    fn node(kind: CoreKind, n: u32) -> Rc<Core> {
+        Rc::new(Core::new(kind, Some(at(n))))
+    }
 
     fn konst(n: i64) -> Rc<Core> {
         Core::rc(CoreKind::Const(Datum::Int(n)), None)
@@ -279,6 +359,68 @@ mod tests {
             chunk.blocks[0].term,
             Terminator::TailCall { argc: 1, .. }
         ));
+    }
+
+    #[test]
+    fn point_table_groups_points_by_block_with_calls_first() {
+        // (if (f 1) 2 3): the `if`, the call and its operands start in the
+        // entry block, each branch's constant in its own block.
+        let call = node(
+            CoreKind::Call {
+                func: node(CoreKind::GlobalRef(Symbol::intern("f")), 1),
+                args: vec![node(CoreKind::Const(Datum::Int(1)), 2)],
+            },
+            3,
+        );
+        let e = node(
+            CoreKind::If(
+                call,
+                node(CoreKind::Const(Datum::Int(2)), 4),
+                node(CoreKind::Const(Datum::Int(3)), 5),
+            ),
+            0,
+        );
+        let chunk = compile_chunk(&e);
+        assert_eq!(chunk.block_points(0, true), [at(3)]);
+        assert_eq!(chunk.block_points(0, false), [at(3), at(0), at(1), at(2)]);
+        assert_eq!(chunk.block_points(1, false), [at(4)]);
+        assert_eq!(chunk.block_points(2, false), [at(5)]);
+        assert!(chunk.block_points(1, true).is_empty());
+        assert_eq!(chunk.points[chunk.global_points[0] as usize], at(1));
+    }
+
+    #[test]
+    fn point_table_covers_code_bindings_and_local_operators() {
+        // (letrec ([g (lambda () 1)]) (g)): the compiler binds the
+        // `lambda` as code and reads `g` as a callee without compiling
+        // either as an expression, yet both are evaluated.
+        let lambda = node(
+            CoreKind::Lambda(Rc::new(LambdaDef {
+                params: 0,
+                variadic: false,
+                body: node(CoreKind::Const(Datum::Int(1)), 9),
+                name: None,
+                src: None,
+            })),
+            1,
+        );
+        let call = node(
+            CoreKind::Call {
+                func: node(CoreKind::LocalRef { depth: 0, index: 0 }, 3),
+                args: vec![],
+            },
+            2,
+        );
+        let e = node(
+            CoreKind::LetRec {
+                inits: vec![lambda],
+                body: call,
+            },
+            0,
+        );
+        let chunk = compile_chunk(&e);
+        assert_eq!(chunk.block_points(0, false), [at(2), at(0), at(1), at(3)]);
+        assert_eq!(chunk.block_points(0, true), [at(2)]);
     }
 
     #[test]

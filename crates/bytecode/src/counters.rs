@@ -6,8 +6,9 @@
 //! a contiguous range of store indexes, which the VM resolves once per
 //! activation, so block entry touches one index and hashes nothing.
 
-use pgmp_profiler::SlotStore;
-use pgmp_syntax::FnvHashMap;
+use crate::chunk::Chunk;
+use pgmp_profiler::{ProfileMode, SlotStore};
+use pgmp_syntax::{FnvHashMap, SourceObject};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -188,6 +189,127 @@ impl BlockCounters {
             }
         }
         out
+    }
+}
+
+/// Derives the source-level counts of a run from its block counts,
+/// handing each to `count` as `(point, n)`.
+///
+/// The language has no `call/cc` and no error handlers, so on a run that
+/// completes every profile point whose evaluation starts in block B was
+/// evaluated exactly count(B) times. Folding each executed block's
+/// points ([`Chunk::block_points`]) over `chunks` — the run's top-level
+/// chunks plus [`Vm::compiled_chunks`](crate::Vm) — therefore yields the
+/// every-expression counts the tree walker's per-expression counters
+/// would have collected, or, under [`ProfileMode::CallsOnly`], the
+/// calls-only ones; [`ProfileMode::Off`] yields nothing. The fold is one
+/// pass over the blocks of `chunks`, in their order, so adding the counts
+/// to a `pgmp_profiler::Counters` assigns new slots in the same order in
+/// every process. A point compiled into several chunks is handed over
+/// once per chunk. `count` must not touch `counters`.
+///
+/// After a run that failed, the points after the failure in the failing
+/// block, and in every block suspended at a call below it, are counted as
+/// if they had run.
+///
+/// # Example
+///
+/// ```
+/// use pgmp_bytecode::{compile_chunk, derive_counts, BlockCounters, Vm};
+/// use pgmp_eval::{install_primitives, Interp};
+/// use pgmp_expander::Expander;
+/// use pgmp_profiler::{Dataset, ProfileMode};
+/// use pgmp_reader::read_str;
+///
+/// let forms = read_str("(define (f) 1) (f) (f)", "d.scm").unwrap();
+/// let chunks: Vec<_> = Expander::new()
+///     .expand_program(&forms)
+///     .unwrap()
+///     .iter()
+///     .map(compile_chunk)
+///     .collect();
+/// let mut interp = Interp::new();
+/// install_primitives(&mut interp);
+/// let blocks = BlockCounters::new();
+/// let mut vm = Vm::new();
+/// vm.set_block_profiling(blocks.clone());
+/// for chunk in &chunks {
+///     vm.run_chunk(&mut interp, chunk).unwrap();
+/// }
+/// let lambdas = vm.compiled_chunks();
+/// let mut calls = Dataset::new();
+/// let all = chunks.iter().chain(lambdas.iter().map(|c| &**c));
+/// derive_counts(all, &blocks, ProfileMode::CallsOnly, |point, n| calls.record(point, n));
+/// assert_eq!(calls.len(), 2);
+/// assert!(calls.iter().all(|(_, n)| n == 1), "each call site ran once");
+/// ```
+pub fn derive_counts<'a>(
+    chunks: impl IntoIterator<Item = &'a Chunk>,
+    counters: &BlockCounters,
+    mode: ProfileMode,
+    mut count: impl FnMut(SourceObject, u64),
+) {
+    if !mode.is_on() {
+        return;
+    }
+    let bases = counters.inner.bases.borrow();
+    let store = &counters.inner.store;
+    for chunk in chunks {
+        let Some(&(base, n)) = bases.get(&chunk.id) else {
+            continue;
+        };
+        for b in 0..n.min(chunk.blocks.len() as u32) {
+            let hits = store.get(base + b);
+            if hits == 0 {
+                continue;
+            }
+            for point in chunk.block_points(b, mode == ProfileMode::CallsOnly) {
+                count(*point, hits);
+            }
+        }
+    }
+}
+
+/// Block counters that can turn what a VM run has counted so far into
+/// source-level counts at any moment of the run, not only after it.
+///
+/// Holds the registry the VM counts into plus every chunk whose blocks it
+/// counts: the caller's top-level chunks ([`DerivedCounts::track`]) and,
+/// once handed to [`Vm::set_derived_counts`](crate::Vm::set_derived_counts),
+/// each lambda chunk the VM compiles. Clones share both. Tracking relies
+/// on block indexes staying put, so a VM counting into one must not
+/// [`relayout`](crate::Vm::relayout).
+#[derive(Clone, Debug, Default)]
+pub struct DerivedCounts {
+    blocks: BlockCounters,
+    chunks: Rc<RefCell<Vec<Rc<Chunk>>>>,
+}
+
+impl DerivedCounts {
+    /// An empty dense registry tracking no chunk.
+    pub fn new() -> DerivedCounts {
+        DerivedCounts::default()
+    }
+
+    /// The registry the VM counts block entries into.
+    pub(crate) fn blocks(&self) -> &BlockCounters {
+        &self.blocks
+    }
+
+    /// Adds `chunk` to the chunks whose block counts are derived.
+    pub fn track(&self, chunk: Rc<Chunk>) {
+        self.chunks.borrow_mut().push(chunk);
+    }
+
+    /// Hands the counts derived ([`derive_counts`]) from every tracked
+    /// chunk's block counts to `count`, then zeroes the block counts, so
+    /// the next drain hands over only what ran in between. Draining in
+    /// the middle of a run counts the rest of each block already entered
+    /// (the running one and those suspended at a call) as if it had run;
+    /// those points are not counted again when they do.
+    pub fn drain(&self, mode: ProfileMode, count: impl FnMut(SourceObject, u64)) {
+        derive_counts(self.chunks.borrow().iter().map(|c| &**c), &self.blocks, mode, count);
+        self.blocks.clear();
     }
 }
 

@@ -86,8 +86,9 @@ pub enum Op {
     GlobalRef { name: Symbol, cache: u32 },
     /// Pop a value into a local slot.
     SetLocal { depth: u16, index: u16 },
-    /// Pop a value into a global (which must exist).
-    SetGlobal { name: Symbol },
+    /// Pop a value into a global (which must exist); `src` indexes
+    /// [`FlatChunk::srcs`] for the unbound error.
+    SetGlobal { name: Symbol, src: u32 },
     /// Pop a value, defining a global.
     DefineGlobal { name: Symbol },
     /// Pop `n` values into a fresh frame.
@@ -151,7 +152,8 @@ pub struct FlatChunk {
     pub syntaxes: Vec<Rc<Syntax>>,
     /// Lambda definitions ([`Op::MakeClosure`], [`Op::BindCode`]).
     pub lambdas: Vec<Rc<LambdaDef>>,
-    /// Call-site source objects, indexed by the `src` field of call ops.
+    /// Source objects of call sites and `set!`s of globals, indexed by the
+    /// `src` field of their ops.
     /// Slot 0 is always `None`, so `src == 0` means "no source recorded"
     /// without an `Option` in the op itself.
     pub srcs: Vec<Option<SourceObject>>,
@@ -163,12 +165,24 @@ pub struct FlatChunk {
     pub entry_pc: u32,
     /// Number of blocks (the counter registration width).
     pub block_count: u32,
-    /// Global-slot cache width, copied from [`Chunk::global_refs`].
-    pub global_refs: u32,
+    /// [`Chunk::points`], shared, for [`FlatChunk::global_src`].
+    pub points: Rc<[SourceObject]>,
+    /// [`Chunk::global_points`], shared; its length is the global-slot
+    /// cache width.
+    pub global_points: Rc<[u32]>,
     /// Structural hash of the source chunk's layout (see [`layout_sig`]):
     /// lets the VM detect that a cached lowering is stale after
     /// [`crate::optimize_layout`] reordered the blocks.
     pub layout_sig: u64,
+}
+
+impl FlatChunk {
+    /// The source object of the global reference with cache index
+    /// `cache` (see [`Chunk::global_points`]).
+    pub fn global_src(&self, cache: u32) -> Option<SourceObject> {
+        let point = *self.global_points.get(cache as usize)?;
+        self.points.get(point as usize).copied()
+    }
 }
 
 /// A structural hash of a chunk's *layout*: entry block, block order, per
@@ -220,7 +234,7 @@ pub fn layout_sig(chunk: &Chunk) -> u64 {
                     mix(6);
                     mix((*depth as u64) << 16 | *index as u64);
                 }
-                Instr::SetGlobal(_) => mix(7),
+                Instr::SetGlobal { .. } => mix(7),
                 Instr::DefineGlobal(_) => mix(8),
                 Instr::PushFrame(n) => {
                     mix(9);
@@ -344,7 +358,10 @@ impl Lowerer {
                 depth: *depth,
                 index: *index,
             },
-            Instr::SetGlobal(name) => Op::SetGlobal { name: *name },
+            Instr::SetGlobal { name, src } => Op::SetGlobal {
+                name: *name,
+                src: self.src_pool(src),
+            },
             Instr::DefineGlobal(name) => Op::DefineGlobal { name: *name },
             Instr::PushFrame(n) => Op::PushFrame { n: *n },
             Instr::PushFrameUnspec(n) => Op::PushFrameUnspec { n: *n },
@@ -445,7 +462,8 @@ pub fn lower_chunk(chunk: &Chunk) -> FlatChunk {
         entry_block: chunk.entry,
         entry_pc,
         block_count: n as u32,
-        global_refs: chunk.global_refs,
+        points: chunk.points.clone(),
+        global_points: chunk.global_points.clone(),
         layout_sig: layout_sig(chunk),
     }
 }
@@ -461,11 +479,14 @@ mod tests {
         Chunk {
             id: fresh_chunk_id_for_tests(),
             entry: 0,
-            global_refs: 0,
+            global_points: Rc::from([]),
+            points: Rc::from([]),
             blocks: vec![
                 Block {
                     instrs: vec![Instr::Const(Datum::Int(1))],
                     term: Terminator::Branch(1, 2),
+                    points: 0..0,
+                    calls: 0,
                 },
                 Block {
                     instrs: vec![
@@ -473,10 +494,14 @@ mod tests {
                         Instr::LocalRef { depth: 0, index: 1 },
                     ],
                     term: Terminator::Return,
+                    points: 0..0,
+                    calls: 0,
                 },
                 Block {
                     instrs: vec![Instr::Const(Datum::string("mut"))],
                     term: Terminator::Jump(1),
+                    points: 0..0,
+                    calls: 0,
                 },
             ],
         }

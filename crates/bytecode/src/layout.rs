@@ -74,7 +74,8 @@ pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Chunk {
         id: chunk.id,
         blocks,
         entry: remap[&chunk.entry],
-        global_refs: chunk.global_refs,
+        global_points: chunk.global_points.clone(),
+        points: chunk.points.clone(),
     }
 }
 
@@ -126,11 +127,14 @@ mod tests {
     use super::*;
     use crate::chunk::{fresh_chunk_id_for_tests, Block, Instr};
     use pgmp_syntax::Datum;
+    use std::rc::Rc;
 
     fn konst_block(n: i64, term: Terminator) -> Block {
         Block {
             instrs: vec![Instr::Const(Datum::Int(n))],
             term,
+            points: 0..0,
+            calls: 0,
         }
     }
 
@@ -139,7 +143,8 @@ mod tests {
         Chunk {
             id: fresh_chunk_id_for_tests(),
             entry: 0,
-            global_refs: 0,
+            global_points: Rc::from([]),
+            points: Rc::from([]),
             blocks: vec![
                 konst_block(0, Terminator::Branch(1, 2)),
                 konst_block(1, Terminator::Jump(3)),

@@ -11,7 +11,10 @@
 //!   and natives with the tree-walking interpreter — closures created by
 //!   the VM are compiled lazily, closures applied inside higher-order
 //!   natives fall back to the tree walker, as in real mixed-mode systems);
-//! - [`BlockCounters`] counts block executions (the block-level profile);
+//! - [`BlockCounters`] counts block executions (the block-level profile),
+//!   and [`derive_counts`] turns block counts into source-level counts
+//!   through each chunk's table of the profile points evaluated in each
+//!   block;
 //! - [`optimize_layout`] is the block-level PGO: a greedy hottest-successor
 //!   trace layout that maximizes fall-through on hot paths, measured by
 //!   [`VmMetrics`] (taken jumps vs. fall-throughs);
@@ -47,9 +50,9 @@ mod flat;
 mod layout;
 mod vm;
 
-pub use chunk::{Block, BlockId, Chunk, Instr, Terminator};
+pub use chunk::{Block, BlockId, Chunk, Instr, Terminator, NO_POINT};
 pub use compile::compile_chunk;
-pub use counters::BlockCounters;
+pub use counters::{derive_counts, BlockCounters, DerivedCounts};
 pub use flat::{layout_sig, lower_chunk, FlatChunk, JumpTarget, Op};
 pub use layout::{canonical_form, optimize_layout};
 pub use vm::{DispatchMode, Vm, VmMetrics};

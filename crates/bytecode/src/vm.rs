@@ -10,7 +10,7 @@
 
 use crate::chunk::{BlockId, Chunk};
 use crate::compile::compile_chunk;
-use crate::counters::BlockCounters;
+use crate::counters::{BlockCounters, DerivedCounts};
 use crate::flat::{self, FlatChunk, JumpTarget, Op};
 use crate::layout::optimize_layout;
 use pgmp_eval::{
@@ -157,14 +157,16 @@ pub struct Vm {
     global_caches: FnvHashMap<u32, Rc<[Cell<u32>]>>,
     /// Block-level profile counters, when enabled.
     pub block_counters: Option<BlockCounters>,
+    /// Where each compiled lambda chunk is tracked, when counting for
+    /// [`DerivedCounts`].
+    derived: Option<DerivedCounts>,
     /// Execution statistics for the current/most recent run.
     pub metrics: VmMetrics,
-    /// Optional instruction budget.
-    pub max_steps: Option<u64>,
 }
 
 impl Vm {
-    /// Creates a VM (no profiling, no step budget).
+    /// Creates a VM (no profiling). The step budget is the interpreter's
+    /// fuel ([`Interp::set_fuel`]): one unit per dispatched op.
     pub fn new() -> Vm {
         Vm::default()
     }
@@ -172,6 +174,15 @@ impl Vm {
     /// Enables block-level profiling into `counters`.
     pub fn set_block_profiling(&mut self, counters: BlockCounters) {
         self.block_counters = Some(counters);
+    }
+
+    /// Enables block-level profiling into `counts`' registry, and tracks
+    /// every lambda chunk the VM compiles from now on in `counts`, so that
+    /// [`DerivedCounts::drain`] covers the lambdas run, not just the
+    /// top-level chunks the caller tracks itself.
+    pub fn set_derived_counts(&mut self, counts: DerivedCounts) {
+        self.block_counters = Some(counts.blocks().clone());
+        self.derived = Some(counts);
     }
 
     /// Compiles `core` and runs it.
@@ -243,6 +254,9 @@ impl Vm {
             return c.chunk.clone();
         }
         let chunk = Rc::new(compile_chunk(&def.body));
+        if let Some(derived) = &self.derived {
+            derived.track(chunk.clone());
+        }
         self.chunk_cache.insert(
             key,
             LambdaChunk {
@@ -269,7 +283,7 @@ impl Vm {
             None => {
                 let chunk = self.chunk_for(def);
                 let code = Rc::new(self.lower(&chunk));
-                let globals = self.global_cache_for(code.id, code.global_refs);
+                let globals = self.global_cache_for(code.id, code.global_points.len());
                 let entry = FlatEntry { code, globals };
                 self.flat_lambda_cache.insert(key, entry.clone());
                 entry
@@ -290,7 +304,7 @@ impl Vm {
             }
         }
         let code = Rc::new(self.lower(chunk));
-        let globals = self.global_cache_for(code.id, code.global_refs);
+        let globals = self.global_cache_for(code.id, code.global_points.len());
         let entry = FlatEntry { code, globals };
         self.flat_cache.insert(chunk.id, entry.clone());
         entry
@@ -317,9 +331,9 @@ impl Vm {
     /// The global-slot cache for chunk `id`, created on first use. Keyed
     /// by chunk id, so re-laid-out chunks (same id, same instructions)
     /// keep their resolved slots.
-    fn global_cache_for(&mut self, id: u32, global_refs: u32) -> Rc<[Cell<u32>]> {
+    fn global_cache_for(&mut self, id: u32, global_refs: usize) -> Rc<[Cell<u32>]> {
         if let Some(c) = self.global_caches.get(&id) {
-            if c.len() >= global_refs as usize {
+            if c.len() >= global_refs {
                 return c.clone();
             }
         }
@@ -362,11 +376,14 @@ impl Vm {
     /// pre-converted from the pool. The loop runs against a local
     /// `VmMetrics` and a local counters handle (this wrapper writes the
     /// metrics back on every exit path), so per-step bookkeeping stays in
-    /// registers instead of round-tripping through `self`.
+    /// registers instead of round-tripping through `self`. The ops the run
+    /// dispatched are charged to the interpreter's fuel ([`Fuel`]).
     fn exec_flat(&mut self, interp: &mut Interp, entry: FlatEntry) -> Result<Value, EvalError> {
         let mut m = self.metrics;
         let counters = self.block_counters.clone();
-        let out = self.exec_flat_inner(interp, entry, &mut m, &counters);
+        let mut fuel = Fuel::new(interp, m.dispatches);
+        let out = self.exec_flat_inner(interp, entry, &mut m, &counters, &mut fuel);
+        fuel.charge(interp, m.dispatches);
         self.metrics = m;
         out
     }
@@ -377,6 +394,7 @@ impl Vm {
         entry: FlatEntry,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
+        fuel: &mut Fuel,
     ) -> Result<Value, EvalError> {
         let mut stack: Vec<Value> = Vec::with_capacity(64);
         let mut saved: Vec<FlatActivation> = Vec::with_capacity(16);
@@ -384,17 +402,13 @@ impl Vm {
         // operator was a value, pushed on `stack` as the callee. Operands
         // nest, so each call op pops the entry its `LocalCallee` pushed.
         let mut code_callees: Vec<Option<(Rc<LambdaDef>, Rc<Frame>)>> = Vec::new();
-        // The dispatch counter doubles as the step budget: one counter to
-        // bump, one register compare per op.
-        let limit: u64 = match self.max_steps {
-            Some(n) => m.dispatches.saturating_add(n),
-            None => u64::MAX,
-        };
         let mut cur = self.flat_activation(entry, NO_DEF, None);
         enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         loop {
-            if m.dispatches >= limit {
-                return Err(EvalError::new(EvalErrorKind::Fuel, "vm step budget exhausted"));
+            // The dispatch counter doubles as the step budget: one counter
+            // to bump, one compare per op.
+            if m.dispatches >= fuel.limit {
+                return Err(EvalError::new(EvalErrorKind::Fuel, "fuel exhausted"));
             }
             m.dispatches += 1;
             let op = cur.code.ops[cur.pc as usize];
@@ -425,7 +439,8 @@ impl Vm {
                             return Err(EvalError::new(
                                 EvalErrorKind::Unbound,
                                 format!("unbound variable `{name}`"),
-                            ))
+                            )
+                            .with_src(cur.code.global_src(cache)))
                         }
                     }
                 }
@@ -436,12 +451,13 @@ impl Vm {
                         .expect("local set without frame")
                         .set(depth, index, v);
                 }
-                Op::SetGlobal { name } => {
+                Op::SetGlobal { name, src } => {
                     if interp.global(name).is_none() {
                         return Err(EvalError::new(
                             EvalErrorKind::Unbound,
                             format!("set!: unbound variable `{name}`"),
-                        ));
+                        )
+                        .with_src(cur.code.srcs[src as usize]));
                     }
                     let v = stack.pop().expect("stack underflow");
                     interp.define_global(name, v);
@@ -508,7 +524,7 @@ impl Vm {
                         continue;
                     }
                     self.call_value(
-                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters,
+                        interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters, fuel,
                     )?;
                 }
                 Op::Pop => {
@@ -551,7 +567,7 @@ impl Vm {
                         None => match quick_call(&mut stack, argc) {
                             Some(v) => Some(v),
                             None => self.tail_call_value(
-                                interp, argc, src, &mut stack, &mut cur, m, counters,
+                                interp, argc, src, &mut stack, &mut cur, m, counters, fuel,
                             )?,
                         },
                     };
@@ -584,10 +600,12 @@ impl Vm {
         cur: &mut FlatActivation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
+        fuel: &mut Fuel,
     ) -> Result<(), EvalError> {
         let at = stack.len() - 1 - argc as usize;
         let Value::Closure(c) = &stack[at] else {
-            let v = apply_in_place(interp, stack, at)
+            let v = fuel
+                .apply_native(interp, m.dispatches, stack, at)
                 .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
             stack.push(v);
             return Ok(());
@@ -612,10 +630,12 @@ impl Vm {
         cur: &mut FlatActivation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
+        fuel: &mut Fuel,
     ) -> Result<Option<Value>, EvalError> {
         let at = stack.len() - 1 - argc as usize;
         let Value::Closure(c) = &stack[at] else {
-            let v = apply_in_place(interp, stack, at)
+            let v = fuel
+                .apply_native(interp, m.dispatches, stack, at)
                 .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
             return Ok(Some(v));
         };
@@ -682,6 +702,67 @@ impl Vm {
         let entry = self.flat_for(&def);
         *cur = self.flat_activation(entry, key, Some(frame));
         Ok(())
+    }
+}
+
+/// The interpreter's fuel ([`Interp::set_fuel`]) as the VM spends it:
+/// one unit per dispatched op. The ops are counted in
+/// [`VmMetrics::dispatches`] and charged to the interpreter in batches,
+/// before each native call, whose callbacks into the tree walker spend
+/// fuel themselves, and when the run returns; so a run spends at most
+/// the budget, whichever executor takes the steps.
+struct Fuel {
+    /// Whether the run has a budget at all; without one, native calls
+    /// skip the bookkeeping.
+    metered: bool,
+    /// The dispatch count charged so far.
+    charged: u64,
+    /// The dispatch count at which the budget runs out (`u64::MAX` when
+    /// there is no budget).
+    limit: u64,
+}
+
+impl Fuel {
+    fn new(interp: &Interp, dispatches: u64) -> Fuel {
+        let mut fuel = Fuel {
+            metered: interp.fuel().is_some(),
+            charged: dispatches,
+            limit: u64::MAX,
+        };
+        fuel.refresh(interp);
+        fuel
+    }
+
+    /// Charges the ops dispatched since the last charge.
+    fn charge(&mut self, interp: &mut Interp, dispatches: u64) {
+        interp.spend_fuel(dispatches - self.charged);
+        self.charged = dispatches;
+    }
+
+    /// Moves the limit to the fuel left, once everything is charged.
+    fn refresh(&mut self, interp: &Interp) {
+        self.limit = match interp.fuel() {
+            Some(n) => self.charged.saturating_add(n),
+            None => u64::MAX,
+        };
+    }
+
+    /// [`apply_in_place`], with the fuel settled around the call: what the
+    /// native spends comes off the VM's limit.
+    fn apply_native(
+        &mut self,
+        interp: &mut Interp,
+        dispatches: u64,
+        stack: &mut Vec<Value>,
+        at: usize,
+    ) -> Result<Value, EvalError> {
+        if !self.metered {
+            return apply_in_place(interp, stack, at);
+        }
+        self.charge(interp, dispatches);
+        let out = apply_in_place(interp, stack, at);
+        self.refresh(interp);
+        out
     }
 }
 

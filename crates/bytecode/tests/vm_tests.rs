@@ -577,7 +577,9 @@ fn vm_step_budget() {
     let mut exp = Expander::new();
     let program = exp.expand_program(&forms).unwrap();
     let mut interp = fresh_interp();
+    interp.set_fuel(Some(10_000));
     let mut vm = Vm::new();
-    vm.max_steps = Some(10_000);
-    assert!(vm.run_core(&mut interp, &program[0]).is_err());
+    let err = vm.run_core(&mut interp, &program[0]).unwrap_err();
+    assert_eq!(err.kind, EvalErrorKind::Fuel);
+    assert_eq!(interp.fuel(), Some(0), "the run spent the whole budget");
 }

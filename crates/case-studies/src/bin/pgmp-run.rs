@@ -5,7 +5,10 @@
 //! pgmp-run [OPTIONS] <file.scm>
 //!
 //! OPTIONS:
-//!   --instrument <every|calls>   run with source-level profiling
+//!   --instrument <every|calls>   run with source-level profiling (with
+//!                                dense counters the run executes on the
+//!                                bytecode VM, its counts derived from
+//!                                block counts)
 //!   --load <profile.pgmp>        load profile weights before compiling
 //!   --merge <profile.pgmp>       merge additional weights (repeatable)
 //!   --store <profile.pgmp>       store this run's weights afterwards
@@ -638,7 +641,7 @@ fn run(opts: Options) -> Result<(), String> {
     {
         return Err(
             "--dispatch/--vm-metrics require --incremental or --adaptive \
-             (the plain path tree-walks)"
+             (the plain path reports no VM metrics)"
                 .into(),
         );
     }

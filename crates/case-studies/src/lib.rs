@@ -36,7 +36,7 @@
 //! ```
 
 use pgmp::{Engine, Error};
-use pgmp_profiler::{ProfileInformation, ProfileMode};
+use pgmp_profiler::{Counters, ProfileInformation, ProfileMode};
 
 /// §2 running example: `if-r`.
 pub const IF_R: &str = include_str!("../scheme/if-r.scm");
@@ -139,6 +139,32 @@ pub fn engine_with(libs: &[Lib]) -> Result<Engine, Error> {
         install(&mut engine, *lib)?;
     }
     Ok(engine)
+}
+
+/// Expands `program` in `engine` and tree-walks it, counting into
+/// `counters` under `mode` through `Interp::set_profiling`, and returns
+/// the last form's value, printed: an instrumented run on the tree
+/// walker, the oracle for the counts the engine's own instrumented runs
+/// derive on the VM. `file` names the program in source objects.
+///
+/// # Errors
+///
+/// Propagates expansion and evaluation errors.
+pub fn tree_walk_counting(
+    engine: &mut Engine,
+    program: &str,
+    file: &str,
+    mode: ProfileMode,
+    counters: &Counters,
+) -> Result<String, Error> {
+    let core = engine.expand_to_core(program, file)?;
+    let interp = engine.interp_mut();
+    interp.set_profiling(mode, counters.clone());
+    let mut last = String::new();
+    for form in &core {
+        last = interp.eval(form, &None)?.write_string();
+    }
+    Ok(last)
 }
 
 /// Result of a [`two_pass`] profile-then-optimize cycle.

@@ -11,8 +11,11 @@
 //! texts that differ only in same-width numeric literals: identical
 //! byte offsets, identical points, different behavior.
 
+use pgmp_case_studies::{engine_with, Lib};
 use pgmp_observe::{merge_traces, read_trace_lenient, EventKind, TraceEvent};
-use pgmp_profiler::StoredProfile;
+use pgmp_profiled::wire::{self, Delta, Frame, Hello, Role};
+use pgmp_profiled::Publisher;
+use pgmp_profiler::{ProfileMode, StoredProfile};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -147,6 +150,13 @@ fn fleet_daemon_merges_three_skewed_writers_and_drives_a_subscriber() {
         assert!(stderr.contains("fleet: published"), "{stderr}");
     }
 
+    // A fourth writer, in this process, whose connection drops: it sends
+    // half its counts, starts a second frame and disconnects mid-frame,
+    // then reconnects under the same instance id and sends the rest. The
+    // daemon discards the torn frame and resumes the writer's dataset, so
+    // the fleet still holds four datasets, this one weighted once.
+    reconnecting_writer(&socket, &dir.join("w3"));
+
     // The subscriber's local workload matches writer 0 (low-heavy), but
     // the fleet aggregate is mid-heavy — drift it can only learn about
     // from the daemon's broadcasts.
@@ -194,7 +204,7 @@ fn fleet_daemon_merges_three_skewed_writers_and_drives_a_subscriber() {
         .args(["merge", "--to", "2", "-o"])
         .arg(&offline)
         .args(
-            (0..writers.len())
+            (0..=writers.len())
                 .map(|i| dir.join(format!("w{i}/local.pgmp")))
                 .collect::<Vec<_>>(),
         )
@@ -206,8 +216,8 @@ fn fleet_daemon_merges_three_skewed_writers_and_drives_a_subscriber() {
     let merged = StoredProfile::load_file(&offline).expect("offline merge parses");
     assert_eq!(fleet.version, 2);
     assert!(fleet.slots.as_ref().is_some_and(|t| !t.is_empty()), "canonical profile carries the fleet slot table");
-    assert_eq!(fleet.info.dataset_count(), 3);
-    assert_eq!(merged.info.dataset_count(), 3);
+    assert_eq!(fleet.info.dataset_count(), 4);
+    assert_eq!(merged.info.dataset_count(), 4);
     let mut points: Vec<_> = fleet
         .info
         .iter()
@@ -225,6 +235,43 @@ fn fleet_daemon_merges_three_skewed_writers_and_drives_a_subscriber() {
             "daemon and offline merge disagree at {p}: {live} vs {offline}"
         );
     }
+}
+
+/// Runs a mid-heavy `prog.scm` instrumented in this process, stores its
+/// profile as `local.pgmp` in `wdir` for the offline merge, and publishes
+/// its counts over two connections under this process's instance id, the
+/// first dropped in the middle of a frame.
+fn reconnecting_writer(socket: &Path, wdir: &Path) {
+    std::fs::create_dir_all(wdir).unwrap();
+    let mut engine = engine_with(&[Lib::Case]).unwrap();
+    engine.set_instrumentation(ProfileMode::EveryExpression);
+    engine.run_str(&program(400, 700), "prog.scm").unwrap();
+    engine.store_profile_v2(wdir.join("local.pgmp")).unwrap();
+    let counters = engine.counters();
+    let table = counters.slot_table();
+    let delta = counters.take_delta();
+    let (head, tail) = delta.split_at(delta.len() / 2);
+    assert!(!head.is_empty() && !tail.is_empty());
+
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    let hello = Hello {
+        role: Role::Publisher,
+        pid: u64::from(std::process::id()),
+        inst: pgmp_observe::instance_id(),
+        sampled_hz: 0,
+        points: table.points().to_vec(),
+    };
+    wire::write_frame(&mut stream, &Frame::Hello(hello)).unwrap();
+    assert!(matches!(wire::read_frame(&mut stream).unwrap(), Frame::Ack(_)));
+    let head = Frame::Delta(Delta { epoch: 1, counts: head.to_vec() });
+    wire::write_frame(&mut stream, &head).unwrap();
+    let torn = Frame::Delta(Delta { epoch: 2, counts: tail.to_vec() }).encode();
+    std::io::Write::write_all(&mut stream, &torn[..torn.len() / 2]).unwrap();
+    drop(stream);
+
+    let mut publisher = Publisher::connect(socket, &table, 64).unwrap();
+    assert!(publisher.publish(tail));
+    publisher.close().unwrap();
 }
 
 /// Reads a trace file, failing the test on any corrupt line (these are

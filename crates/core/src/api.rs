@@ -17,7 +17,8 @@
 use crate::engine::AnnotateStrategy;
 use pgmp_eval::{EvalError, EvalErrorKind, Interp, Value};
 use pgmp_observe as observe;
-use pgmp_profiler::{Counters, ProfileInformation};
+use pgmp_bytecode::DerivedCounts;
+use pgmp_profiler::{Counters, ProfileInformation, ProfileMode};
 use pgmp_syntax::{SourceFactory, SourceObject, Syntax, SyntaxBody};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -71,6 +72,10 @@ pub struct PgmpState {
     pub factory: SourceFactory,
     /// Live counters of the current instrumented run.
     pub counters: Counters,
+    /// While an instrumented run executes on the VM: its block counts not
+    /// yet folded into `counters`, and the mode to derive them under
+    /// (see [`PgmpState::flush_pending`]).
+    pub pending: Option<(DerivedCounts, ProfileMode)>,
     /// How `annotate-expr` attaches profile points.
     pub strategy: AnnotateStrategy,
     /// When present, API entry points append their profile reads here.
@@ -85,6 +90,16 @@ impl PgmpState {
         PgmpState {
             strategy,
             ..PgmpState::default()
+        }
+    }
+
+    /// Folds the pending block counts of the VM run in progress into
+    /// `counters` and zeroes them, so that a native reading `counters`
+    /// mid-run sees what the run executed so far. A no-op outside such a
+    /// run.
+    pub fn flush_pending(&self) {
+        if let Some((counts, mode)) = &self.pending {
+            counts.drain(*mode, |point, n| self.counters.add(point, n));
         }
     }
 }
@@ -196,6 +211,7 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
                 if let Some(log) = st.read_log.as_mut() {
                     log.volatile_reads = true;
                 }
+                st.flush_pending();
                 let n = st.counters.count(p);
                 if observe::enabled() {
                     observe::emit(observe::EventKind::ProfileCount {
@@ -246,7 +262,7 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
         if let Some(log) = st.read_log.as_mut() {
             log.volatile_reads = true;
         }
-        let st = &*st;
+        st.flush_pending();
         let weights = ProfileInformation::from_dataset(&st.counters.snapshot());
         weights.store_file(&path).map_err(|e| {
             EvalError::new(EvalErrorKind::Runtime, format!("store-profile: {e}"))

@@ -2,7 +2,8 @@
 
 use crate::api::{install_pgmp_api, PgmpState};
 use crate::error::Error;
-use pgmp_eval::{install_primitives, resolve_profile_slots, Core, Interp, Value};
+use pgmp_bytecode::{compile_chunk, DerivedCounts, Vm};
+use pgmp_eval::{install_primitives, resolve_profile_slots, Core, EvalError, Interp, Value};
 use pgmp_observe as observe;
 use pgmp_expander::{install_expander_support, Expander, Expansion};
 use pgmp_profiler::{
@@ -308,10 +309,20 @@ impl Engine {
     /// Instrumentation is as in [`Engine::run_str`]; `file` names the run
     /// in traces.
     ///
+    /// Uninstrumented runs, and runs counting into sampling counters, are
+    /// tree-walked. Instrumented runs counting into dense counters execute
+    /// on the bytecode VM with block counters, and the session counters
+    /// receive the counts derived from them
+    /// ([`pgmp_bytecode::derive_counts`]): the same counts the tree walker
+    /// would have collected, at the cost of one counter per basic block.
+    /// Closures that natives call back (`map`, `fold-left`, …) are
+    /// tree-walked and counted per expression.
+    ///
     /// # Errors
     ///
     /// Returns the first eval error.
     pub fn run_cores(&mut self, program: &[Rc<Core>], file: &str) -> Result<Value, Error> {
+        let on_vm = self.mode.is_on() && self.counter_impl() == CounterImpl::Dense;
         if self.mode.is_on() {
             let counters = self.state.borrow().counters.clone();
             if counters.map_id() != 0 {
@@ -340,17 +351,13 @@ impl Engine {
             self.interp.clear_profiling();
         }
         let t = observe::timer();
-        let mut last = Value::Unspecified;
-        let mut failure = None;
-        for form in program {
-            match self.interp.eval(form, &None) {
-                Ok(v) => last = v,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
+        let out = if on_vm {
+            self.run_on_vm(program)
+        } else {
+            program
+                .iter()
+                .try_fold(Value::Unspecified, |_, form| self.interp.eval(form, &None))
+        };
         // The run is over (normally or not): park the sampling beacon so
         // between-run samples attribute nothing, and publish sampler totals
         // into the metrics registry at this boundary.
@@ -370,10 +377,34 @@ impl Engine {
             .to_string(),
             duration_us,
         });
-        match failure {
-            Some(e) => Err(e.into()),
-            None => Ok(last),
+        Ok(out?)
+    }
+
+    /// Runs `program` instrumented on a VM of its own: each form compiled
+    /// and run in turn, then the block counts folded into the session
+    /// counters. While it runs, the block counts are pending in the
+    /// session state, where natives that read the counters (`profile-count`,
+    /// `store-profile`) fold them in first. The VM, and with it every
+    /// lowering and block counter of this run, is dropped when the run
+    /// ends.
+    fn run_on_vm(&mut self, program: &[Rc<Core>]) -> Result<Value, EvalError> {
+        let counts = DerivedCounts::new();
+        let mut vm = Vm::new();
+        vm.set_derived_counts(counts.clone());
+        self.state.borrow_mut().pending = Some((counts.clone(), self.mode));
+        let mut out = Ok(Value::Unspecified);
+        for form in program {
+            let chunk = Rc::new(compile_chunk(form));
+            counts.track(chunk.clone());
+            out = vm.run_chunk(&mut self.interp, &chunk);
+            if out.is_err() {
+                break;
+            }
         }
+        let mut state = self.state.borrow_mut();
+        state.flush_pending();
+        state.pending = None;
+        out
     }
 
     /// Reads and runs the program in the file at `path`, using the file
@@ -476,6 +507,20 @@ mod tests {
         e.run_str("(define (f) 'x) (f) (f) (f)", "t.scm").unwrap();
         let weights = e.current_weights();
         assert!(!weights.is_empty());
+    }
+
+    #[test]
+    fn repeated_instrumented_runs_add_their_counts_once() {
+        // Each run folds its own block counts into the session counters,
+        // including calls into code an earlier run defined.
+        let body = pgmp_syntax::SourceObject::new("r.scm", 14, 21); // (* n n)
+        let mut e = Engine::new();
+        e.set_instrumentation(ProfileMode::EveryExpression);
+        e.run_str("(define (f n) (* n n))", "r.scm").unwrap();
+        assert_eq!(e.counters().count(body), 0);
+        e.run_str("(f 2)", "r2.scm").unwrap();
+        e.run_str("(f 3)", "r3.scm").unwrap();
+        assert_eq!(e.counters().count(body), 2);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   of the two profiler models the paper targets (Chez-style
 //!   every-expression counters or Racket `errortrace`-style call-only
 //!   counters, with `annotate-expr` wrapping expressions in thunk calls);
+//!   an instrumented run with dense counters executes on the bytecode VM
+//!   and derives those counts from block counts;
 //! - [`workflow`] — the §4.3 three-pass protocol keeping source-level
 //!   PGMP and block-level PGO consistent;
 //! - [`incremental`] — a per-form recompilation cache that makes

@@ -101,9 +101,25 @@ impl Interp {
     }
 
     /// Sets a step budget. Evaluation fails with a fuel error when it runs
-    /// out — useful for tests that must terminate.
+    /// out — useful for tests that must terminate. The tree walker spends
+    /// one unit per expression evaluated, the bytecode VM one per op it
+    /// dispatches.
     pub fn set_fuel(&mut self, fuel: Option<u64>) {
         self.fuel = fuel;
+    }
+
+    /// The step budget left, if one is set.
+    pub fn fuel(&self) -> Option<u64> {
+        self.fuel
+    }
+
+    /// Spends `steps` units of the budget, if one is set, stopping at
+    /// zero. Executors that keep their own step count (the VM) charge it
+    /// here when they return.
+    pub fn spend_fuel(&mut self, steps: u64) {
+        if let Some(fuel) = self.fuel.as_mut() {
+            *fuel = fuel.saturating_sub(steps);
+        }
     }
 
     /// Defines (or redefines) a global variable. Redefinition reuses the
@@ -236,6 +252,9 @@ impl Interp {
                     return Ok(Value::Unspecified);
                 }
                 CoreKind::SetGlobal(name, value) => {
+                    // The value first, then the check: the order the VM
+                    // executes them in.
+                    let v = self.eval(value, &env)?;
                     if self.global(*name).is_none() {
                         return Err(EvalError::new(
                             EvalErrorKind::Unbound,
@@ -243,7 +262,6 @@ impl Interp {
                         )
                         .with_src(expr.src));
                     }
-                    let v = self.eval(value, &env)?;
                     self.define_global(*name, v);
                     return Ok(Value::Unspecified);
                 }

@@ -181,7 +181,7 @@ impl Publisher {
         })
     }
 
-    /// The dataset id the daemon assigned this process.
+    /// The dataset id the daemon assigned this publisher's instance.
     pub fn dataset(&self) -> u32 {
         self.dataset
     }

@@ -22,7 +22,10 @@
 //! history and the result equals the offline §3.2 merge of per-process
 //! profiles — the property the fleet e2e test checks against an oracle.
 //! Disconnected publishers keep their dataset; their contribution stays
-//! in the canonical profile, exactly as their stored profile would.
+//! in the canonical profile, exactly as their stored profile would. A
+//! dataset belongs to the publisher's instance id (`Hello::inst`), not
+//! to a connection: a publisher that reconnects resumes its own array,
+//! so it is still one dataset, weighted once, in the merge.
 //!
 //! ## Merge cycle
 //!
@@ -128,7 +131,8 @@ struct State {
     /// The canonical slot table; grows monotonically as publishers with
     /// longer (compatible) tables connect.
     table: Mutex<SlotMap>,
-    /// One cumulative counter array per publisher that ever connected.
+    /// One cumulative counter array per publisher that ever connected,
+    /// keyed by its instance id: a reconnect resumes its array.
     datasets: Mutex<Vec<Arc<AtomicSlotArray>>>,
     /// Handshake-declared provenance per dataset, parallel to `datasets`.
     meta: Mutex<Vec<PublisherMeta>>,
@@ -321,17 +325,29 @@ fn serve_publisher(
             }
         };
         let mut datasets = state.datasets.lock().expect("datasets lock poisoned");
-        let array = Arc::new(AtomicSlotArray::new());
-        datasets.push(Arc::clone(&array));
-        state
-            .meta
-            .lock()
-            .expect("meta lock poisoned")
-            .push(PublisherMeta {
-                peer_inst: hello.inst,
-                sampled_hz: hello.sampled_hz,
-            });
-        ((datasets.len() - 1) as u32, array, remap)
+        let mut meta = state.meta.lock().expect("meta lock poisoned");
+        // A publisher that reconnects resumes its own dataset: its deltas
+        // continue one cumulative count, which the merge weighs once.
+        // Instance 0 (a v1 client) names no one.
+        let resumed = match hello.inst {
+            0 => None,
+            inst => meta.iter().position(|m| m.peer_inst == inst),
+        };
+        let dataset = match resumed {
+            Some(dataset) => {
+                observe::metrics().counter_add("profiled.resumed_datasets", 1);
+                dataset
+            }
+            None => {
+                datasets.push(Arc::new(AtomicSlotArray::new()));
+                meta.push(PublisherMeta {
+                    peer_inst: hello.inst,
+                    sampled_hz: hello.sampled_hz,
+                });
+                datasets.len() - 1
+            }
+        };
+        (dataset as u32, Arc::clone(&datasets[dataset]), remap)
     };
     // The daemon half of the correlation handshake: this event and the
     // client's `fleet_connect` carry each other's instance ids, giving

@@ -5,8 +5,8 @@
 //! dropped, exactly, with nothing silently lost in between.
 
 use pgmp_profiled::daemon::{Daemon, DaemonConfig};
-use pgmp_profiled::wire::{self, Frame};
-use pgmp_profiled::{Ack, ClientError, Publisher, Subscriber};
+use pgmp_profiled::wire::{self, ByeInfo, Frame};
+use pgmp_profiled::{Ack, ClientError, Delta, Hello, Publisher, Role, Subscriber};
 use pgmp_profiler::{Dataset, ProfileInformation, SlotMap, StoredProfile};
 use pgmp_syntax::SourceObject;
 use std::os::unix::net::UnixListener;
@@ -40,6 +40,47 @@ fn p(n: u32) -> SourceObject {
 
 fn table(points: &[SourceObject]) -> SlotMap {
     SlotMap::from_points(points.iter().copied()).unwrap()
+}
+
+/// Publishes `deltas` over one connection under instance id `inst`, as
+/// a publisher process of its own would: hello, one delta frame each,
+/// bye. A [`Publisher`] always declares this process's instance id, so
+/// tests that stand in for several processes send the others through
+/// this. Returns the dataset the daemon assigned, or why it refused.
+fn publish_as(
+    socket: &std::path::Path,
+    inst: u64,
+    sampled_hz: u32,
+    points: &[SourceObject],
+    deltas: &[&[(u32, u64)]],
+) -> Result<u32, String> {
+    let text = |e: &dyn std::fmt::Display| e.to_string();
+    let mut stream = std::os::unix::net::UnixStream::connect(socket).map_err(|e| text(&e))?;
+    let mut reader = wire::FrameReader::new(stream.try_clone().map_err(|e| text(&e))?);
+    let hello = Hello {
+        role: Role::Publisher,
+        pid: u64::from(std::process::id()),
+        inst,
+        sampled_hz,
+        points: points.to_vec(),
+    };
+    wire::write_frame(&mut stream, &Frame::Hello(hello)).map_err(|e| text(&e))?;
+    let dataset = match reader.next_frame().map_err(|e| text(&e))? {
+        Frame::Ack(ack) => ack.dataset,
+        Frame::Error(reason) => return Err(reason),
+        other => panic!("expected ack to hello, got {other:?}"),
+    };
+    let epochs = (1..).zip(deltas);
+    let frames = epochs.map(|(epoch, counts)| Frame::Delta(Delta { epoch, counts: counts.to_vec() }));
+    let bye = Frame::Bye(ByeInfo { inst, epoch: deltas.len() as u64 });
+    for frame in frames.chain([bye]) {
+        wire::write_frame(&mut stream, &frame).map_err(|e| text(&e))?;
+    }
+    match reader.next_frame().map_err(|e| text(&e))? {
+        Frame::Ack(_) => Ok(dataset),
+        Frame::Error(reason) => Err(reason),
+        other => panic!("expected ack to bye, got {other:?}"),
+    }
 }
 
 /// Starts a daemon on its own thread; returns a join guard.
@@ -76,12 +117,17 @@ fn fleet_merge_equals_offline_merge_and_subscribers_see_epochs() {
     ];
 
     let mut subscriber = Subscriber::connect(&socket).expect("subscribe");
-    for counts in &workloads {
-        let mut publisher = Publisher::connect(&socket, &table(&points), 64).expect("connect");
+    for (inst, counts) in (1..).zip(&workloads) {
         // Split each workload across two deltas to exercise accumulation.
-        let mid = counts.len() / 2;
-        assert!(publisher.publish(&counts[..mid]));
-        assert!(publisher.publish(&counts[mid..]));
+        let (head, tail) = counts.split_at(counts.len() / 2);
+        if inst > 1 {
+            // The others stand for processes of their own.
+            publish_as(&socket, inst, 0, &points, &[head, tail]).expect("publish");
+            continue;
+        }
+        let mut publisher = Publisher::connect(&socket, &table(&points), 64).expect("connect");
+        assert!(publisher.publish(head));
+        assert!(publisher.publish(tail));
         let stats = publisher.close().expect("close");
         assert_eq!(stats.dropped_frames, 0);
         assert_eq!(
@@ -162,13 +208,12 @@ fn slot_table_gate_remaps_reorders_and_refuses_aliens() {
     assert!(first.publish(&[(0, 8), (1, 2)]));
     first.close().expect("close first");
 
-    // Same points, swapped interning order: accepted, with each delta
-    // slot translated through the client's own table. Slot 0 here means
-    // p(1), and must land on p(1) in the canonical profile.
-    let mut swapped = Publisher::connect(&socket, &table(&[p(1), p(0)]), 8)
+    // Same points, swapped interning order, from another process:
+    // accepted, with each delta slot translated through the client's own
+    // table. Slot 0 here means p(1), and must land on p(1) in the
+    // canonical profile.
+    publish_as(&socket, 2, 0, &[p(1), p(0)], &[&[(0, 6), (1, 3)]])
         .expect("order-divergent table of the same program must be accepted");
-    assert!(swapped.publish(&[(0, 6), (1, 3)]));
-    swapped.close().expect("close swapped");
 
     // No shared point at all: a different program; combining would alias.
     let alien: Vec<SourceObject> = (0..2).map(|n| SourceObject::new("other.scm", n, n + 1)).collect();
@@ -188,15 +233,11 @@ fn slot_table_gate_remaps_reorders_and_refuses_aliens() {
     }
 
     // A compatible extension is welcome and the daemon keeps serving.
-    let mut third =
-        Publisher::connect(&socket, &table(&[p(0), p(1), p(2)]), 8).expect("extension");
-    assert!(third.publish(&[(2, 7)]));
-    third.close().expect("close third");
+    publish_as(&socket, 4, 0, &[p(0), p(1), p(2)], &[&[(2, 7)]]).expect("extension");
 
     // A delta slot outside the handshake table is a protocol error.
-    let mut loose = Publisher::connect(&socket, &table(&[p(0)]), 8).expect("loose");
-    assert!(loose.publish(&[(5, 1)]));
-    assert!(loose.close().is_err(), "out-of-range slot must be refused");
+    let loose = publish_as(&socket, 5, 0, &[p(0)], &[&[(5, 1)]]);
+    assert!(loose.is_err(), "out-of-range slot must be refused");
 
     Daemon::request_shutdown(&socket).expect("shutdown");
     daemon.join().expect("daemon thread");
@@ -321,12 +362,9 @@ fn metrics_scrape_shows_remaps_and_sampled_provenance() {
         Publisher::connect_with_provenance(&socket, &table(&[p(0), p(1)]), 8, 997).expect("first");
     assert!(first.publish(&[(0, 8), (1, 2)]));
     first.close().expect("close first");
-    // … and an order-divergent table from the same program forces a
-    // handshake remap.
-    let mut swapped =
-        Publisher::connect_with_provenance(&socket, &table(&[p(1), p(0)]), 8, 997).expect("swap");
-    assert!(swapped.publish(&[(0, 6)]));
-    swapped.close().expect("close swapped");
+    // … and an order-divergent table from the same program, in another
+    // process, forces a handshake remap.
+    publish_as(&socket, 2, 997, &[p(1), p(0)], &[&[(0, 6)]]).expect("swap");
 
     let metric = |body: &str, name: &str| -> Option<f64> {
         body.lines()
@@ -393,9 +431,7 @@ fn disconnected_publishers_stay_in_the_canonical_profile() {
     assert!(early.publish(&[(0, 100)]));
     early.close().expect("close early");
 
-    let mut late = Publisher::connect(&socket, &table(&points), 8).expect("late");
-    assert!(late.publish(&[(1, 50)]));
-    late.close().expect("close late");
+    publish_as(&socket, 2, 0, &points, &[&[(1, 50)]]).expect("late");
 
     Daemon::request_shutdown(&socket).expect("shutdown");
     daemon.join().expect("daemon thread");
@@ -406,6 +442,50 @@ fn disconnected_publishers_stay_in_the_canonical_profile() {
     // {1.0, 0.0} on each point is 0.5.
     assert!((canonical.info.weight(p(0)) - 0.5).abs() < 1e-9);
     assert!((canonical.info.weight(p(1)) - 0.5).abs() < 1e-9);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A dataset belongs to a publisher's instance id, not to a connection:
+/// a publisher that reconnects resumes its own cumulative dataset, so the
+/// §3.2 merge still weighs it once.
+#[test]
+fn a_reconnecting_publisher_resumes_its_dataset() {
+    let dir = scratch("reconnect");
+    let socket = dir.join("d.sock");
+    let profile = dir.join("fleet.pgmp");
+    let mut config = DaemonConfig::new(&socket, &profile);
+    config.merge_interval = Duration::from_millis(20);
+    let daemon = spawn_daemon(config);
+
+    let points = [p(0), p(1)];
+    let mut first = Publisher::connect(&socket, &table(&points), 8).expect("first");
+    assert!(first.publish(&[(0, 30)]));
+    first.close().expect("close first");
+    // This process again, its table reordered: still dataset 0.
+    let mut again = Publisher::connect(&socket, &table(&[p(1), p(0)]), 8).expect("reconnect");
+    assert_eq!(again.dataset(), 0, "the reconnect resumes its dataset");
+    assert!(again.publish(&[(0, 60), (1, 10)]));
+    again.close().expect("close reconnect");
+    let other = publish_as(&socket, 8, 0, &points, &[&[(1, 5)]]);
+    assert_eq!(other, Ok(1), "another instance gets a dataset of its own");
+
+    Daemon::request_shutdown(&socket).expect("shutdown");
+    daemon.join().expect("daemon thread");
+
+    // This process's one dataset is {p0: 30 + 10, p1: 60} (the
+    // reconnect's slot 0 is p1); instance 8's is {p1: 5}.
+    let offline = [vec![(p(0), 40), (p(1), 60)], vec![(p(1), 5)]]
+        .into_iter()
+        .map(|counts| ProfileInformation::from_dataset(&counts.into_iter().collect()))
+        .reduce(|acc, info| acc.merge(&info))
+        .unwrap();
+    let canonical = StoredProfile::load_file(&profile).expect("canonical profile");
+    assert_eq!(canonical.info.dataset_count(), 2);
+    for point in points {
+        let (live, want) = (canonical.info.weight(point), offline.weight(point));
+        assert!((live - want).abs() < 1e-9, "{point}: daemon {live} vs offline {want}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

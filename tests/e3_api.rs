@@ -2,7 +2,8 @@
 //! language (meta-programs calling the procedures the engine installs).
 
 use pgmp::Engine;
-use pgmp_profiler::ProfileMode;
+use pgmp_profiler::{ProfileInformation, ProfileMode};
+use pgmp_syntax::SourceObject;
 
 #[test]
 fn make_profile_point_is_deterministic_across_compilations() {
@@ -63,18 +64,21 @@ fn store_and_load_profile_from_the_object_language() {
     let path_str = path.to_str().unwrap().replace('\\', "/");
 
     // Run instrumented, then store from inside the program.
+    let program = format!(
+        "(define (hot) 'h)
+         (let loop ([i 0]) (unless (= i 25) (hot) (loop (add1 i))))
+         (store-profile \"{path_str}\")"
+    );
     let mut e1 = Engine::new();
     e1.set_instrumentation(ProfileMode::EveryExpression);
-    e1.run_str(
-        &format!(
-            "(define (hot) 'h)
-             (let loop ([i 0]) (unless (= i 25) (hot) (loop (add1 i))))
-             (store-profile \"{path_str}\")"
-        ),
-        "sl.scm",
-    )
-    .unwrap();
+    e1.run_str(&program, "sl.scm").unwrap();
     assert!(path.exists());
+    // The store happened mid-run, yet holds what ran before it, the 25
+    // `(hot)` calls among it.
+    let at = program.find("(hot) (loop").unwrap() as u32;
+    let hot_call = SourceObject::new("sl.scm", at, at + 5);
+    let stored = ProfileInformation::load_file(&path).unwrap();
+    assert!(stored.weight(hot_call) > 0.0, "stored profile: {stored:?}");
 
     // Load in a fresh session and query from a meta-program.
     let program = format!(
@@ -87,6 +91,49 @@ fn store_and_load_profile_from_the_object_language() {
     let mut e2 = Engine::new();
     e2.run_str(&program, "sl2.scm").unwrap();
     assert!(!e2.profile().is_empty());
+}
+
+#[test]
+fn profile_count_sees_the_counts_of_the_run_in_progress() {
+    // `profile-count` called by the running program reads the counts of
+    // everything executed so far, as the tree walker counting into the
+    // session's counters would: the second read adds the second call's
+    // count to the first's, with nothing counted twice or lost between.
+    // Under every-expression profiling each read also counts its own
+    // `#'e`, which carries the source object of `e`.
+    let program = "
+      (define-syntax (run-counted stx)
+        (syntax-case stx ()
+          [(_ e n)
+           #'(begin
+               (let loop ([i 0]) (unless (= i n) e (loop (add1 i))))
+               (profile-count #'e))]))
+      (define (hot) 'h)
+      (define (count-hot n) (run-counted (hot) n))
+      (list (count-hot 25) (count-hot 10))";
+    let at = program.find("(hot) n)").unwrap() as u32;
+    let hot_call = SourceObject::new("mid.scm", at, at + 5);
+    for (mode, want) in [
+        (ProfileMode::EveryExpression, "(26 37)"),
+        (ProfileMode::CallsOnly, "(25 35)"),
+    ] {
+        let mut e = Engine::new();
+        e.set_instrumentation(mode);
+        let v = e.run_str(program, "mid.scm").unwrap();
+        assert_eq!(v.to_string(), want, "{mode:?}");
+
+        let mut tree = Engine::new();
+        let core = tree.expand_to_core(program, "mid.scm").unwrap();
+        let counters = tree.counters();
+        let interp = tree.interp_mut();
+        interp.set_profiling(mode, counters.clone());
+        let mut walked = None;
+        for form in &core {
+            walked = Some(interp.eval(form, &None).unwrap());
+        }
+        assert_eq!(walked.unwrap().to_string(), want, "tree walker, {mode:?}");
+        assert_eq!(e.counters().count(hot_call), counters.count(hot_call), "{mode:?}");
+    }
 }
 
 #[test]

@@ -205,6 +205,93 @@ fn fuel_limits_runaway_programs() {
 }
 
 #[test]
+fn fuel_limits_runaway_instrumented_programs() {
+    // Instrumented runs execute on the VM, whose activations live on the
+    // heap rather than the Rust stack: without the budget, the non-tail
+    // loop would grow until memory ran out and the tail loop would spin
+    // forever. The third loop spends its steps in `map`'s callbacks.
+    for program in [
+        "(define (f) (cons 1 (f))) (f)",
+        "(let loop () (loop))",
+        "(define (spin n) (if (= n 0) 0 (spin (- n 1))))
+         (let loop () (map (lambda (x) (spin 5)) '(1 2)) (loop))",
+    ] {
+        for mode in [ProfileMode::EveryExpression, ProfileMode::CallsOnly] {
+            let mut e = Engine::new();
+            e.set_instrumentation(mode);
+            e.interp_mut().set_fuel(Some(100_000));
+            let err = e.run_str(program, "loop.scm").unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("fuel exhausted"), "{program}: {msg}");
+            assert_eq!(e.interp().fuel(), Some(0), "{program}: budget spent");
+            // The failed run still leaves the counts it derived.
+            assert!(!e.counters().is_empty(), "{program}: nothing counted");
+        }
+    }
+
+    // The steps callbacks take on the tree walker come out of the same
+    // budget as the VM's ops: a run that takes S steps in all completes
+    // on a budget of S and runs out on S - 1.
+    let program = "
+      (define (spin n) (if (= n 0) 0 (spin (- n 1))))
+      (define (go k)
+        (if (= k 0)
+            'done
+            (begin (map (lambda (x) (spin 20)) '(1 2 3)) (spin 20) (go (- k 1)))))
+      (go 30)";
+    for mode in [ProfileMode::EveryExpression, ProfileMode::CallsOnly] {
+        let run = |fuel: u64| {
+            let mut e = Engine::new();
+            e.set_instrumentation(mode);
+            e.interp_mut().set_fuel(Some(fuel));
+            let out = e.run_str(program, "cb.scm");
+            (out, e.interp().fuel().expect("budget set"))
+        };
+        let plenty = 1 << 40;
+        let (out, left) = run(plenty);
+        assert_eq!(out.unwrap().to_string(), "done");
+        let spent = plenty - left;
+        assert!(spent > 2_000, "{mode:?}: {spent} steps");
+        let (out, left) = run(spent);
+        assert!(out.is_ok(), "{mode:?}: a budget of {spent} ran out");
+        assert_eq!(left, 0, "{mode:?}");
+        let err = run(spent - 1).0.unwrap_err().to_string();
+        assert!(err.contains("fuel exhausted"), "{mode:?}: {err}");
+    }
+}
+
+#[test]
+fn instrumented_runs_fail_with_the_tree_walkers_errors() {
+    // Same kind, message and source object whichever executor failed.
+    for program in [
+        "(car 5)",
+        "(define (g p) (+ 1 (car p))) (g 5)",
+        "zzz-unbound",
+        "(define (g) (+ 1 zzz-unbound)) (g)",
+        "(set! zzz-unset 1)",
+        "(define (g) (set! zzz-unset (+ 1 2)) 'after) (g)",
+        "(define (f x) x) (f 1 2)",
+        "(define (g h) (list (h 1 2))) (g (lambda (x) x))",
+        "((lambda () (list (1 2))))",
+        "(define (g) (error \"boom\" 1)) (list (g))",
+        "(map (lambda (x) (car x)) '(1 2))",
+        "(let loop ([i 0]) (if (= i 3) (vector-ref (vector) i) (loop (add1 i))))",
+    ] {
+        let Err(Error::Eval(want)) = Engine::new().run_str(program, "err.scm") else {
+            panic!("{program}: the tree walker raised no eval error");
+        };
+        for mode in [ProfileMode::EveryExpression, ProfileMode::CallsOnly] {
+            let mut e = Engine::new();
+            e.set_instrumentation(mode);
+            let Err(Error::Eval(got)) = e.run_str(program, "err.scm") else {
+                panic!("{program}: the instrumented run raised no eval error");
+            };
+            assert_eq!(got, want, "{program} under {mode:?}");
+        }
+    }
+}
+
+#[test]
 fn reader_errors_carry_positions() {
     let mut e = Engine::new();
     let err = e.run_str("(a b", "pos.scm").unwrap_err();

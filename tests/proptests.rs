@@ -1,11 +1,13 @@
 //! Property-based tests over the whole stack.
 
+mod common;
+
 use pgmp::Engine;
 use pgmp_bytecode::{canonical_form, compile_chunk, optimize_layout, BlockCounters, Vm};
 use pgmp_case_studies::{two_pass, Lib};
 use pgmp_eval::{install_primitives, Interp, Value};
 use pgmp_expander::{install_expander_support, Expander};
-use pgmp_profiler::{Dataset, ProfileInformation};
+use pgmp_profiler::{Dataset, ProfileInformation, ProfileMode};
 use pgmp_reader::read_str;
 use pgmp_syntax::{Datum, SourceObject};
 use proptest::prelude::*;
@@ -298,6 +300,23 @@ proptest! {
         let a = vm.run_chunk(&mut i, &chunk).unwrap().write_string();
         let b = vm.run_chunk(&mut i, &optimized).unwrap().write_string();
         prop_assert_eq!(a, b);
+    }
+
+    // The instrumented engine runs on the VM and derives its dataset from
+    // block counts; a tree walk counting every expression itself is the
+    // oracle, in both profiler models. The `map` arm's callbacks are
+    // tree-walked on both sides and counted per expression.
+    #[test]
+    fn vm_derived_counts_equal_tree_walked_counts(src in arb_expr(3)) {
+        let program = format!("(define x 3) (define y -7) {src}");
+        for mode in [ProfileMode::EveryExpression, ProfileMode::CallsOnly] {
+            let (derived, tree) = common::derived_and_tree_walked(&[], &program, mode);
+            prop_assert_eq!(&derived.0, &tree.0, "results differ on {}", src);
+            if mode == ProfileMode::EveryExpression {
+                prop_assert!(!tree.1.is_empty(), "nothing counted on {}", src);
+            }
+            prop_assert_eq!(derived.1, tree.1, "{:?} counts differ on {}", mode, src);
+        }
     }
 }
 
