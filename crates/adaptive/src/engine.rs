@@ -168,15 +168,32 @@ struct VmServing {
     vm: Vm,
     /// Block counters for the current generation's serving window; cleared
     /// at each re-optimization so the next re-layout sees only current
-    /// behavior (dense registrations survive the clear).
+    /// behavior (the registrations of live chunks survive the clear).
     counters: BlockCounters,
     /// Top-level chunks of the serving generation. Reused forms keep their
     /// chunk ids across re-optimizations, so counters collected against an
     /// earlier generation stay valid for them.
     chunks: Vec<Chunk>,
+    /// Chunks registered with `counters` after their last pruning.
+    registered: usize,
 }
 
 impl VmServing {
+    /// Drops the counter ranges of chunks the serving code can no longer
+    /// run (each traffic run's driver, code of replaced generations),
+    /// keeping the counts of the rest: the generation's top-level chunks
+    /// and the live lambdas the VM counted.
+    fn drop_dead_counters(&mut self) {
+        let lambdas = self.vm.compiled_chunks();
+        let live = self
+            .chunks
+            .iter()
+            .chain(lambdas.iter().map(|c| &**c))
+            .map(|c| c.id);
+        self.counters.retain_chunks(live);
+        self.registered = self.counters.chunk_count();
+    }
+
     /// Runs the serving generation's top-level chunks against the
     /// incremental engine's interpreter (where the serving globals live),
     /// returning the last chunk's value, printed.
@@ -346,6 +363,7 @@ impl AdaptiveEngine {
             vm,
             counters,
             chunks: unit.chunks,
+            registered: 0,
         });
         serving.run_chunks(&mut self.incremental)?;
         Ok(())
@@ -383,6 +401,12 @@ impl AdaptiveEngine {
             for core in &cores {
                 last = serving.vm.run_core(interp, core)?.write_string();
             }
+        }
+        // Every driver registers counter ranges that die with it; drop
+        // them whenever the registrations have doubled, so a service that
+        // never re-optimizes stays bounded too.
+        if serving.counters.chunk_count() >= 2 * serving.registered.max(64) {
+            serving.drop_dead_counters();
         }
         Ok(last)
     }
@@ -456,10 +480,11 @@ impl AdaptiveEngine {
 
     /// The drift-driven re-layout half of a re-optimization (no-op unless
     /// VM serving is enabled): re-lays-out the new generation's chunks —
-    /// and every lambda chunk the serving VM has compiled — under the
-    /// block counters collected since the previous generation, re-runs the
-    /// (re-laid-out) top-level chunks so re-expanded definitions take
-    /// effect, and opens a fresh counter window for the next generation.
+    /// and the chunk of every live lambda the serving VM has counted —
+    /// under the block counters collected since the previous generation,
+    /// re-runs the (re-laid-out) top-level chunks so re-expanded
+    /// definitions take effect, and opens a fresh counter window for the
+    /// next generation, holding ranges for live code only.
     fn relayout_serving(&mut self, generation: u64) -> Result<(), Error> {
         let Some(serving) = self.serving.as_mut() else {
             return Ok(());
@@ -468,6 +493,7 @@ impl AdaptiveEngine {
         serving.vm.relayout(&mut serving.chunks, &serving.counters);
         let chunks = serving.chunks.len() as u32;
         serving.counters.clear();
+        serving.drop_dead_counters();
         observe::finish(t, |duration_us| observe::EventKind::LayoutReoptimize {
             generation,
             chunks,
@@ -757,7 +783,7 @@ mod tests {
 
         // Source-level drift from the empty baseline fires; the compile
         // reuses every form; the re-layout half re-orders the serving
-        // chunks (and the VM's cached lambda bodies) under the counters
+        // chunks (and the lambda chunks the VM counted) under the counters
         // the serving run just collected.
         engine.collect_run(Some(&drive(10, 60))).unwrap();
         let report = engine.tick().unwrap();

@@ -12,6 +12,13 @@
 //! `Interp::set_profiling` directly and are the oracle those counts are
 //! held to.
 //!
+//! Every row is timed in each of [`ROUNDS`] rounds, one batch of
+//! [`BATCH`] runs per row and round, the rows running in reverse order
+//! every other round. A row's time is the median of its batch times, and
+//! its factor the median over rounds of its time against its baseline
+//! row's time in the same round, so a scheduler stall on a shared host
+//! moves one round, not a row.
+//!
 //! ```sh
 //! cargo run --release -p pgmp-bench --bin e7_overhead_table
 //! ```
@@ -23,55 +30,98 @@ use pgmp_case_studies::tree_walk_counting;
 use pgmp_profiler::{CounterImpl, Counters, ProfileMode, SlotStore};
 use std::time::{Duration, Instant};
 
-fn time_runs(mut f: impl FnMut(), reps: u32) -> Duration {
-    // One warmup, then the median-ish mean of `reps` runs.
-    f();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t0.elapsed() / reps
+/// Rounds each row is timed in.
+const ROUNDS: usize = 21;
+
+/// Runs per row per round.
+const BATCH: u32 = 3;
+
+/// A row of the table: what one run does, and the row its factor is
+/// taken against (itself for a baseline).
+struct Row<'a> {
+    label: &'static str,
+    base: usize,
+    run: Box<dyn FnMut() + 'a>,
 }
 
+/// The median of `xs` (upper median for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+    xs[xs.len() / 2]
+}
+
+/// Times every row in alternating rounds, after one warm-up run each:
+/// returns per row the median batch time and the median factor against
+/// its baseline row.
+fn time_rows(rows: &mut [Row]) -> Vec<(Duration, f64)> {
+    for row in rows.iter_mut() {
+        (row.run)();
+    }
+    let mut times = vec![Vec::with_capacity(ROUNDS); rows.len()];
+    for round in 0..ROUNDS {
+        let order: Vec<usize> = if round % 2 == 0 {
+            (0..rows.len()).collect()
+        } else {
+            (0..rows.len()).rev().collect()
+        };
+        for i in order {
+            let t0 = Instant::now();
+            for _ in 0..BATCH {
+                (rows[i].run)();
+            }
+            times[i].push(t0.elapsed().as_secs_f64() / f64::from(BATCH));
+        }
+    }
+    rows.iter()
+        .zip(&times)
+        .map(|(row, own)| {
+            let ratios = own
+                .iter()
+                .zip(&times[row.base])
+                .map(|(t, b)| t / b)
+                .collect();
+            (Duration::from_secs_f64(median(own.clone())), median(ratios))
+        })
+        .collect()
+}
+
+/// Indexes of the rows other rows or the summary refer to.
+const BASE: usize = 0;
+const EVERY: usize = 1;
+const SAMPLING: usize = 2;
+const DIRECT: usize = 4;
+const VM_BASE: usize = 6;
+const VM_DENSE: usize = 7;
+const VM_SAMPLING: usize = 8;
+const VM_DERIVED: usize = 9;
+
 fn main() {
-    let program = fib_program(18);
-    let reps = 20;
+    let program: &str = &fib_program(18);
 
     // Each configuration reuses one engine across the timed runs (like the
     // criterion bench) so per-hit cost is what's measured — not engine
     // setup, which for the sampling backend includes spawning the sampler
     // thread once per session.
-    let base = {
-        let mut e = Engine::new();
-        time_runs(|| e.run_str(&program, "e7.scm").map(|_| ()).expect("run"), reps)
+    let engine_row = |label, base, mut e: Engine| Row {
+        label,
+        base,
+        run: Box::new(move || e.run_str(program, "e7.scm").map(|_| ()).expect("run")),
     };
-    let every = {
-        let mut e = Engine::new();
+    let counting_row = |label, base, mut e: Engine, mode| {
         let counters = Counters::new();
-        let mode = ProfileMode::EveryExpression;
-        time_runs(
-            || {
-                tree_walk_counting(&mut e, &program, "e7.scm", mode, &counters).expect("run");
-            },
-            reps,
-        )
+        Row {
+            label,
+            base,
+            run: Box::new(move || {
+                tree_walk_counting(&mut e, program, "e7.scm", mode, &counters).expect("run");
+            }),
+        }
     };
-    let every_sampling = {
+    let sampling = {
         let mut e = Engine::new();
         e.set_counter_impl(CounterImpl::Sampling);
         e.set_instrumentation(ProfileMode::EveryExpression);
-        time_runs(|| e.run_str(&program, "e7.scm").map(|_| ()).expect("run"), reps)
-    };
-    let calls = {
-        let mut e = Engine::with_strategy(AnnotateStrategy::WrapLambda);
-        let counters = Counters::new();
-        let mode = ProfileMode::CallsOnly;
-        time_runs(
-            || {
-                tree_walk_counting(&mut e, &program, "e7.scm", mode, &counters).expect("run");
-            },
-            reps,
-        )
+        e
     };
 
     // Wrapping cost per annotated expression, profiling disabled.
@@ -83,129 +133,113 @@ fn main() {
         (let loop ([i 0] [acc 0])
           (if (= i reps) acc (loop (add1 i) (annotated (+ acc 1))))))
       (spin 100000)";
-    let direct = time_runs(
-        || {
-            let mut e = Engine::with_strategy(AnnotateStrategy::Direct);
+    let annotate_row = |label, base, strategy| Row {
+        label,
+        base,
+        run: Box::new(move || {
+            let mut e = Engine::with_strategy(strategy);
             e.run_str(annotated, "a.scm").expect("run");
-        },
-        reps,
-    );
-    let wrapped = time_runs(
-        || {
-            let mut e = Engine::with_strategy(AnnotateStrategy::WrapLambda);
-            e.run_str(annotated, "a.scm").expect("run");
-        },
-        reps,
-    );
+        }),
+    };
 
     // VM-mode block counting: the same program through the bytecode VM,
     // uninstrumented vs per-block counters on each backend.
-    let vm_run = |counters: Option<BlockCounters>| {
+    let vm_row = |label, base, counters: Option<BlockCounters>| {
         let mut e = Engine::new();
-        let core = e.expand_to_core(&program, "e7.scm").expect("expand");
+        let core = e.expand_to_core(program, "e7.scm").expect("expand");
         let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
         let mut vm = Vm::new();
         if let Some(c) = counters {
             vm.set_block_profiling(c);
         }
-        // Warmup, then the mean of `reps` runs.
-        for chunk in &chunks {
-            vm.run_chunk(e.interp_mut(), chunk).expect("run");
+        Row {
+            label,
+            base,
+            run: Box::new(move || {
+                for chunk in &chunks {
+                    vm.run_chunk(e.interp_mut(), chunk).expect("run");
+                }
+            }),
         }
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for chunk in &chunks {
-                vm.run_chunk(e.interp_mut(), chunk).expect("run");
-            }
-        }
-        t0.elapsed() / reps
     };
-    let vm_base = vm_run(None);
-    let vm_dense = vm_run(Some(BlockCounters::new()));
-    let vm_sampling =
-        vm_run(Some(BlockCounters::with_store(SlotStore::new(CounterImpl::Sampling))));
     // The engine's instrumented run: each form compiled and run on the VM
     // with dense block counters, every-expression counts derived after.
     let vm_derived = {
         let mut e = Engine::new();
-        let core = e.expand_to_core(&program, "e7.scm").expect("expand");
+        let core = e.expand_to_core(program, "e7.scm").expect("expand");
         e.set_instrumentation(ProfileMode::EveryExpression);
-        time_runs(|| e.run_cores(&core, "e7.scm").map(|_| ()).expect("run"), reps)
+        Row {
+            label: "VM: every-expression (block-derived)",
+            base: VM_BASE,
+            run: Box::new(move || e.run_cores(&core, "e7.scm").map(|_| ()).expect("run")),
+        }
     };
 
+    let mut rows = vec![
+        engine_row("uninstrumented", BASE, Engine::new()),
+        counting_row(
+            "Chez model: every-expression (tree, oracle)",
+            BASE,
+            Engine::new(),
+            ProfileMode::EveryExpression,
+        ),
+        engine_row("  ... with sampling (beacon, 997 Hz)", BASE, sampling),
+        counting_row(
+            "Racket model: calls-only (tree, oracle)",
+            BASE,
+            Engine::with_strategy(AnnotateStrategy::WrapLambda),
+            ProfileMode::CallsOnly,
+        ),
+        annotate_row(
+            "annotate-expr Direct (profiling off)",
+            DIRECT,
+            AnnotateStrategy::Direct,
+        ),
+        annotate_row(
+            "annotate-expr WrapLambda (profiling off)",
+            DIRECT,
+            AnnotateStrategy::WrapLambda,
+        ),
+        vm_row("VM: uninstrumented", VM_BASE, None),
+        vm_row(
+            "VM: per-block counters (dense slots)",
+            VM_BASE,
+            Some(BlockCounters::new()),
+        ),
+        vm_row(
+            "VM: per-block beacon (sampling, 997 Hz)",
+            VM_BASE,
+            Some(BlockCounters::with_store(SlotStore::new(
+                CounterImpl::Sampling,
+            ))),
+        ),
+        vm_derived,
+    ];
+    assert_eq!(rows.len(), VM_DERIVED + 1, "row indexes out of date");
+    let timed = time_rows(&mut rows);
+
     println!("§4.4 profiling overhead (fib workload; interpreter substrate)");
+    println!("median of {ROUNDS} alternating rounds of {BATCH} runs per row");
     println!("======================================================================");
     println!("{:<44} {:>10} {:>10}", "configuration", "time", "factor");
     println!("----------------------------------------------------------------------");
-    println!("{:<44} {:>10.2?} {:>9.2}x", "uninstrumented", base, 1.0);
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "Chez model: every-expression (tree, oracle)",
-        every,
-        every.as_secs_f64() / base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "  ... with sampling (beacon, 997 Hz)",
-        every_sampling,
-        every_sampling.as_secs_f64() / base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "Racket model: calls-only (tree, oracle)",
-        calls,
-        calls.as_secs_f64() / base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "annotate-expr Direct (profiling off)",
-        direct,
-        1.0
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "annotate-expr WrapLambda (profiling off)",
-        wrapped,
-        wrapped.as_secs_f64() / direct.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "VM: uninstrumented",
-        vm_base,
-        1.0
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "VM: per-block counters (dense slots)",
-        vm_dense,
-        vm_dense.as_secs_f64() / vm_base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "VM: per-block beacon (sampling, 997 Hz)",
-        vm_sampling,
-        vm_sampling.as_secs_f64() / vm_base.as_secs_f64()
-    );
-    println!(
-        "{:<44} {:>10.2?} {:>9.2}x",
-        "VM: every-expression (block-derived)",
-        vm_derived,
-        vm_derived.as_secs_f64() / vm_base.as_secs_f64()
-    );
+    for (row, (time, factor)) in rows.iter().zip(&timed) {
+        println!("{:<44} {:>10.2?} {:>9.2}x", row.label, time, factor);
+    }
     println!("----------------------------------------------------------------------");
-    let pct = |t: Duration, b: Duration| (t.as_secs_f64() / b.as_secs_f64() - 1.0) * 100.0;
+    let pct = |row: usize| (timed[row].1 - 1.0) * 100.0;
     println!(
         "sampling vs dense: added interp overhead {:+.1}% vs {:+.1}%, VM {:+.1}% vs {:+.1}%",
-        pct(every_sampling, base),
-        pct(every, base),
-        pct(vm_sampling, vm_base),
-        pct(vm_dense, vm_base)
+        pct(SAMPLING),
+        pct(EVERY),
+        pct(VM_SAMPLING),
+        pct(VM_DENSE)
     );
     println!("----------------------------------------------------------------------");
     println!("paper:   Chez ≈1.09x; errortrace 4–12x plus wrapping overhead.");
     println!(
         "VM:      every-expression counts derived from block counts cost {:.2}x",
-        vm_derived.as_secs_f64() / vm_base.as_secs_f64()
+        timed[VM_DERIVED].1
     );
     println!("         over the uninstrumented VM, against the paper's ≈1.09x.");
     println!("ours:    absolute factors differ (interpreter vs native compiler),");

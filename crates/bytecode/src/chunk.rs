@@ -1,7 +1,9 @@
 //! Bytecode data structures.
 
+use crate::flat::FlatChunk;
 use pgmp_eval::LambdaDef;
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -48,7 +50,8 @@ pub enum Instr {
         name: Symbol,
         /// Chunk-local cache index (dense, assigned at compile time;
         /// it indexes [`Chunk::global_points`]). The VM memoizes the
-        /// interpreter's global *slot* here on first execution, so repeat
+        /// interpreter's global *slot* under it in the lowering's cache
+        /// ([`crate::FlatChunk::globals`]) on first execution, so repeat
         /// executions skip the `Symbol` hash entirely.
         cache: u32,
     },
@@ -161,6 +164,11 @@ pub struct Block {
 }
 
 /// A compiled code unit: a CFG of basic blocks with a distinguished entry.
+///
+/// A chunk owns its execution form: the VM lowers it at its first run and
+/// keeps the lowering (with its global-slot cache) in the chunk, so the
+/// code is freed with the chunk. A chunk is therefore not edited after it
+/// has run; a new layout is a new chunk ([`crate::optimize_layout`]).
 #[derive(Clone, Debug)]
 pub struct Chunk {
     /// Process-unique id, used to key the block-level profile.
@@ -172,7 +180,7 @@ pub struct Chunk {
     /// For each `GlobalRef`, by cache index, the index of its source
     /// object in [`Chunk::points`] ([`NO_POINT`] when it has none): where
     /// an unbound-variable error points. The length is the width of the
-    /// VM's chunk-local global-slot cache.
+    /// lowering's global-slot cache.
     pub global_points: Rc<[u32]>,
     /// The point table: the profile points of the chunk's expressions,
     /// grouped by the block their evaluation starts in ([`Block::points`]).
@@ -182,6 +190,8 @@ pub struct Chunk {
     /// counts ([`crate::derive_counts`]). Layout reorders blocks, never
     /// the table.
     pub points: Rc<[SourceObject]>,
+    /// The flat lowering, built at the chunk's first run.
+    pub(crate) lowered: OnceCell<Rc<FlatChunk>>,
 }
 
 impl std::fmt::Display for Chunk {
@@ -252,6 +262,7 @@ mod tests {
             entry: 0,
             global_points: Rc::from([]),
             points: Rc::from([]),
+            lowered: OnceCell::new(),
             blocks: vec![Block {
                 instrs: vec![Instr::Const(Datum::Int(7))],
                 term: Terminator::Return,
@@ -272,6 +283,7 @@ mod tests {
             entry: 0,
             global_points: Rc::from([]),
             points: Rc::from([]),
+            lowered: OnceCell::new(),
             blocks: vec![
                 Block {
                     instrs: vec![Instr::Const(Datum::Bool(true))],

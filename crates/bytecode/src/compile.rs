@@ -3,6 +3,7 @@
 use crate::chunk::{fresh_chunk_id, Block, BlockId, Chunk, Instr, Terminator, NO_POINT};
 use pgmp_eval::{Core, CoreKind};
 use pgmp_syntax::SourceObject;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 struct Builder {
@@ -117,6 +118,7 @@ pub fn compile_chunk(core: &Rc<Core>) -> Chunk {
         entry: 0,
         global_points: b.global_points.into(),
         points,
+        lowered: OnceCell::new(),
     }
 }
 
@@ -401,6 +403,7 @@ mod tests {
                 body: node(CoreKind::Const(Datum::Int(1)), 9),
                 name: None,
                 src: None,
+                code: Default::default(),
             })),
             1,
         );

@@ -10,7 +10,7 @@ use crate::chunk::Chunk;
 use pgmp_profiler::{ProfileMode, SlotStore};
 use pgmp_syntax::{FnvHashMap, SourceObject};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 #[derive(Debug)]
@@ -77,12 +77,23 @@ impl BlockCounters {
     /// each block entry is [`BlockCounters::increment_at`] — one index op,
     /// no hashing.
     pub fn register_chunk(&self, chunk: u32, blocks: u32) -> u32 {
+        self.register(chunk, blocks).0
+    }
+
+    /// [`BlockCounters::register_chunk`], also telling whether `chunk` was
+    /// not registered before.
+    #[inline]
+    pub(crate) fn register(&self, chunk: u32, blocks: u32) -> (u32, bool) {
         let old = self.inner.bases.borrow().get(&chunk).copied();
-        if let Some((base, n)) = old {
-            if blocks <= n {
-                return base;
-            }
+        match old {
+            Some((base, n)) if blocks <= n => (base, false),
+            _ => self.register_range(chunk, blocks, old),
         }
+    }
+
+    /// Gives chunk `chunk` a fresh range of `blocks` counters, moving the
+    /// counts of its `old` registration, if any.
+    fn register_range(&self, chunk: u32, blocks: u32, old: Option<(u32, u32)>) -> (u32, bool) {
         let base = self.inner.next.get();
         self.inner.next.set(base + blocks);
         let store = &self.inner.store;
@@ -96,7 +107,7 @@ impl BlockCounters {
             }
         }
         self.inner.bases.borrow_mut().insert(chunk, (base, blocks));
-        base
+        (base, old.is_none())
     }
 
     /// Records entry into the block at `base + block`: a saturating counter
@@ -146,6 +157,43 @@ impl BlockCounters {
     /// activation-cached bases) stay valid.
     pub fn clear(&self) {
         self.inner.store.clear();
+    }
+
+    /// Number of registered chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.inner.bases.borrow().len()
+    }
+
+    /// Drops the registrations of every chunk not in `live`, and packs the
+    /// ranges of the rest, with their counts, from index 0, so the store
+    /// shrinks to what live code can count. This moves ranges, so it is
+    /// for between runs: bases that an activation resolved earlier are no
+    /// longer valid.
+    pub fn retain_chunks(&self, live: impl IntoIterator<Item = u32>) {
+        let live: HashSet<u32> = live.into_iter().collect();
+        let mut bases = self.inner.bases.borrow_mut();
+        bases.retain(|chunk, _| live.contains(chunk));
+        let mut ranges: Vec<(u32, u32, u32)> =
+            bases.iter().map(|(&c, &(base, n))| (c, base, n)).collect();
+        ranges.sort_unstable();
+        let store = &self.inner.store;
+        let counts: Vec<u64> = ranges
+            .iter()
+            .flat_map(|&(_, base, n)| (base..base + n).map(|i| store.get(i)))
+            .collect();
+        let mut next = 0;
+        for (chunk, _, n) in ranges {
+            bases.insert(chunk, (next, n));
+            next += n;
+        }
+        bases.shrink_to_fit();
+        self.inner.next.set(next);
+        store.reset(next as usize);
+        for (i, c) in (0..next).zip(counts) {
+            if c > 0 {
+                store.add(i, c);
+            }
+        }
     }
 
     /// Re-keys every counter of chunk `old` under chunk id `new`,
@@ -276,9 +324,10 @@ pub fn derive_counts<'a>(
 /// Holds the registry the VM counts into plus every chunk whose blocks it
 /// counts: the caller's top-level chunks ([`DerivedCounts::track`]) and,
 /// once handed to [`Vm::set_derived_counts`](crate::Vm::set_derived_counts),
-/// each lambda chunk the VM compiles. Clones share both. Tracking relies
-/// on block indexes staying put, so a VM counting into one must not
-/// [`relayout`](crate::Vm::relayout).
+/// each lambda chunk the VM counts, tracked the first time it does.
+/// Clones share both. Tracking relies on block indexes staying put, so
+/// code counted into one must not be re-laid-out
+/// ([`relayout`](crate::Vm::relayout)) while it is tracked.
 #[derive(Clone, Debug, Default)]
 pub struct DerivedCounts {
     blocks: BlockCounters,
@@ -360,6 +409,29 @@ mod tests {
         c.clear();
         assert_eq!(c.count(3, 1), 0);
         assert_eq!(c.register_chunk(3, 2), base);
+    }
+
+    #[test]
+    fn retain_chunks_drops_dead_ranges_and_packs_the_rest() {
+        let c = BlockCounters::new();
+        c.register_chunk(1, 3);
+        c.register_chunk(2, 5);
+        c.register_chunk(3, 2);
+        c.increment(1, 2);
+        c.increment(2, 4);
+        c.increment(3, 1);
+        c.increment(3, 1);
+        c.retain_chunks([3, 1, 9]);
+        assert_eq!(c.chunk_count(), 2);
+        assert_eq!(c.register_chunk(1, 3), 0, "live ranges packed in id order");
+        assert_eq!(c.register_chunk(3, 2), 3);
+        assert_eq!(c.snapshot(), HashMap::from([((1, 2), 1), ((3, 1), 2)]));
+        // The dropped chunk starts over after the live ranges.
+        assert_eq!(c.register_chunk(2, 5), 5);
+        assert_eq!(c.count(2, 4), 0);
+        c.increment(2, 4);
+        assert_eq!(c.count(2, 4), 1);
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

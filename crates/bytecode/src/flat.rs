@@ -24,6 +24,7 @@
 use crate::chunk::{BlockId, Chunk, Instr, Terminator};
 use pgmp_eval::{LambdaDef, Value};
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// A resolved control transfer: where to continue (`pc`), which block that
@@ -138,8 +139,8 @@ pub enum Op {
 /// [`lower_chunk`]; executed by [`crate::Vm`] in flat dispatch mode.
 #[derive(Debug)]
 pub struct FlatChunk {
-    /// The source chunk's id (block counters and global caches stay keyed
-    /// exactly as for the block form).
+    /// The source chunk's id (block counters stay keyed exactly as for the
+    /// block form).
     pub id: u32,
     /// The op stream, blocks concatenated in layout order.
     pub ops: Vec<Op>,
@@ -170,10 +171,13 @@ pub struct FlatChunk {
     /// [`Chunk::global_points`], shared; its length is the global-slot
     /// cache width.
     pub global_points: Rc<[u32]>,
-    /// Structural hash of the source chunk's layout (see [`layout_sig`]):
-    /// lets the VM detect that a cached lowering is stale after
-    /// [`crate::optimize_layout`] reordered the blocks.
-    pub layout_sig: u64,
+    /// The global-slot cache, one cell per `GlobalRef` cache index: the
+    /// interpreter's slot for the name, packed as
+    /// `(Interp::id() << 32) | slot` when first executed under that
+    /// interpreter (0 = unresolved; interpreter ids start at 1). The tag
+    /// keeps code shared by several interpreters from reading one
+    /// interpreter's slot in another.
+    pub globals: Box<[Cell<u64>]>,
 }
 
 impl FlatChunk {
@@ -183,109 +187,6 @@ impl FlatChunk {
         let point = *self.global_points.get(cache as usize)?;
         self.points.get(point as usize).copied()
     }
-}
-
-/// A structural hash of a chunk's *layout*: entry block, block order, per
-/// block every instruction discriminant with its inline scalar operands,
-/// and the terminator with its targets. Two layouts of the same chunk
-/// (same id) hash equal only when their block sequences are
-/// position-by-position identical — i.e. when they are the same code.
-pub fn layout_sig(chunk: &Chunk) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(chunk.entry as u64);
-    mix(chunk.blocks.len() as u64);
-    for block in &chunk.blocks {
-        mix(block.instrs.len() as u64);
-        for instr in &block.instrs {
-            match instr {
-                Instr::Const(d) => {
-                    mix(1);
-                    mix(match d {
-                        Datum::Nil => 0,
-                        Datum::Bool(b) => 0x10 | *b as u64,
-                        Datum::Int(n) => 0x100u64.wrapping_add(*n as u64),
-                        Datum::Float(x) => 0x200u64.wrapping_add(x.to_bits()),
-                        Datum::Char(c) => 0x300 | *c as u64,
-                        Datum::Sym(s) => {
-                            use std::hash::{Hash, Hasher};
-                            let mut sh = std::collections::hash_map::DefaultHasher::new();
-                            s.hash(&mut sh);
-                            0x400u64.wrapping_add(sh.finish())
-                        }
-                        Datum::Str(_) => 0x500,
-                        Datum::Pair(_) => 0x600,
-                        Datum::Vector(_) => 0x700,
-                    });
-                }
-                Instr::SyntaxConst(_) => mix(2),
-                Instr::Unspecified => mix(3),
-                Instr::LocalRef { depth, index } => {
-                    mix(4);
-                    mix((*depth as u64) << 16 | *index as u64);
-                }
-                Instr::GlobalRef { cache, .. } => {
-                    mix(5);
-                    mix(*cache as u64);
-                }
-                Instr::SetLocal { depth, index } => {
-                    mix(6);
-                    mix((*depth as u64) << 16 | *index as u64);
-                }
-                Instr::SetGlobal { .. } => mix(7),
-                Instr::DefineGlobal(_) => mix(8),
-                Instr::PushFrame(n) => {
-                    mix(9);
-                    mix(*n as u64);
-                }
-                Instr::PushFrameUnspec(n) => {
-                    mix(10);
-                    mix(*n as u64);
-                }
-                Instr::PopFrame => mix(11),
-                Instr::MakeClosure(_) => mix(12),
-                Instr::Call { argc, .. } => {
-                    mix(13);
-                    mix(*argc as u64);
-                }
-                Instr::Pop => mix(14),
-                Instr::BindCode { index, .. } => {
-                    mix(15);
-                    mix(*index as u64);
-                }
-                Instr::LocalCallee { depth, index } => {
-                    mix(16);
-                    mix((*depth as u64) << 16 | *index as u64);
-                }
-                Instr::CallLocal { argc, .. } => {
-                    mix(17);
-                    mix(*argc as u64);
-                }
-            }
-        }
-        match &block.term {
-            Terminator::Jump(t) => {
-                mix(20);
-                mix(*t as u64);
-            }
-            Terminator::Branch(t, e) => {
-                mix(21);
-                mix((*t as u64) << 32 | *e as u64);
-            }
-            Terminator::Return => mix(22),
-            Terminator::TailCall { argc, .. } => {
-                mix(23);
-                mix(*argc as u64);
-            }
-            Terminator::TailCallLocal { argc, .. } => {
-                mix(24);
-                mix(*argc as u64);
-            }
-        }
-    }
-    h
 }
 
 struct Lowerer {
@@ -464,7 +365,7 @@ pub fn lower_chunk(chunk: &Chunk) -> FlatChunk {
         block_count: n as u32,
         points: chunk.points.clone(),
         global_points: chunk.global_points.clone(),
-        layout_sig: layout_sig(chunk),
+        globals: chunk.global_points.iter().map(|_| Cell::new(0)).collect(),
     }
 }
 
@@ -472,8 +373,7 @@ pub fn lower_chunk(chunk: &Chunk) -> FlatChunk {
 mod tests {
     use super::*;
     use crate::chunk::{fresh_chunk_id_for_tests, Block};
-    use crate::counters::BlockCounters;
-    use crate::layout::optimize_layout;
+    use std::cell::OnceCell;
 
     fn sample() -> Chunk {
         Chunk {
@@ -481,6 +381,7 @@ mod tests {
             entry: 0,
             global_points: Rc::from([]),
             points: Rc::from([]),
+            lowered: OnceCell::new(),
             blocks: vec![
                 Block {
                     instrs: vec![Instr::Const(Datum::Int(1))],
@@ -529,17 +430,5 @@ mod tests {
         assert!(matches!(flat.ops[5], Op::DatumConst { .. }));
         assert_eq!(flat.datums.len(), 1);
         assert_eq!(flat.imms.len(), 1);
-    }
-
-    #[test]
-    fn layout_sig_tracks_reordering() {
-        let chunk = sample();
-        let counters = BlockCounters::new();
-        for _ in 0..10 {
-            counters.increment(chunk.id, 2);
-        }
-        let moved = optimize_layout(&chunk, &counters);
-        assert_ne!(layout_sig(&chunk), layout_sig(&moved), "reorder must re-sign");
-        assert_eq!(layout_sig(&chunk), layout_sig(&chunk.clone()), "sig is stable");
     }
 }

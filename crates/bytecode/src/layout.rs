@@ -10,6 +10,7 @@
 
 use crate::chunk::{BlockId, Chunk, Terminator};
 use crate::counters::BlockCounters;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Reorders `chunk`'s blocks into hot traces using the block profile, and
@@ -76,6 +77,7 @@ pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Chunk {
         entry: remap[&chunk.entry],
         global_points: chunk.global_points.clone(),
         points: chunk.points.clone(),
+        lowered: OnceCell::new(),
     }
 }
 
@@ -145,6 +147,7 @@ mod tests {
             entry: 0,
             global_points: Rc::from([]),
             points: Rc::from([]),
+            lowered: OnceCell::new(),
             blocks: vec![
                 konst_block(0, Terminator::Branch(1, 2)),
                 konst_block(1, Terminator::Jump(3)),

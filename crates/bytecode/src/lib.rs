@@ -53,6 +53,6 @@ mod vm;
 pub use chunk::{Block, BlockId, Chunk, Instr, Terminator, NO_POINT};
 pub use compile::compile_chunk;
 pub use counters::{derive_counts, BlockCounters, DerivedCounts};
-pub use flat::{layout_sig, lower_chunk, FlatChunk, JumpTarget, Op};
+pub use flat::{lower_chunk, FlatChunk, JumpTarget, Op};
 pub use layout::{canonical_form, optimize_layout};
 pub use vm::{DispatchMode, Vm, VmMetrics};

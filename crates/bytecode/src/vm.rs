@@ -2,11 +2,13 @@
 //!
 //! Chunks are lowered once to contiguous [`FlatChunk`] op streams
 //! ([`crate::flat`]) and executed by index — one small `Copy` op per step,
-//! constants pre-converted into a side pool. The block/`Terminator` form
-//! stays the profiling and layout IR: block counters and [`VmMetrics`]
-//! count its blocks and edges. The tree-walking interpreter is the
-//! semantic reference; the differential oracle in `tests/proptests.rs`
-//! holds the VM to it.
+//! constants pre-converted into a side pool. The code belongs to the
+//! program, not the VM: a chunk keeps its lowering, and a lambda keeps its
+//! chunk on its [`LambdaDef`], so a generation's code is freed with it.
+//! The block/`Terminator` form stays the profiling and layout IR: block
+//! counters and [`VmMetrics`] count its blocks and edges. The
+//! tree-walking interpreter is the semantic reference; the differential
+//! oracle in `tests/proptests.rs` holds the VM to it.
 
 use crate::chunk::{BlockId, Chunk};
 use crate::compile::compile_chunk;
@@ -17,12 +19,7 @@ use pgmp_eval::{
     Callee, Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value,
 };
 use pgmp_observe as observe;
-use pgmp_syntax::FnvHashMap;
-use std::cell::Cell;
 use std::rc::{Rc, Weak};
-
-/// Sentinel for an unresolved entry in a chunk's global-slot cache.
-const UNRESOLVED: u32 = u32::MAX;
 
 /// How the VM executes chunks. Flat op streams are the one engine; the
 /// type remains only because `AdaptiveEngine::enable_vm_serving` still
@@ -65,10 +62,6 @@ impl VmMetrics {
     }
 }
 
-/// Sentinel `def_key` for activations not entered through a lambda (the
-/// toplevel chunk). `LambdaDef`s live behind `Rc`, so no real key is 0.
-const NO_DEF: usize = 0;
-
 struct FlatActivation {
     code: Rc<FlatChunk>,
     pc: u32,
@@ -77,87 +70,74 @@ struct FlatActivation {
     /// activation, so block entry bumps a slot instead of hashing
     /// `(chunk, block)` (unused when profiling is off).
     counter_base: u32,
-    /// Chunk-local global-slot cache: `GlobalRef`'s `cache` operand indexes
-    /// here; each cell memoizes the interpreter's global slot
-    /// ([`UNRESOLVED`] until first execution).
-    globals: Rc<[Cell<u32>]>,
-    /// Identity (`Rc` pointer) of the `LambdaDef` this code was lowered
-    /// from, letting a tail self-call re-enter `code` without touching
-    /// the lowering cache. [`NO_DEF`] for toplevel chunks.
-    def_key: usize,
+    /// The procedure this code was compiled from, letting a tail self-call
+    /// re-enter `code` without fetching it again; `None` for top-level
+    /// chunks. Held, not just compared, so its address cannot be reused
+    /// while the activation runs.
+    def: Option<Rc<LambdaDef>>,
 }
 
-/// A flat lowering bundled with its chunk's global-slot cache, so entering
-/// an activation costs one cache lookup, not two. The globals `Rc` aliases
-/// the entry in `Vm::global_caches` (keyed by chunk id), which is what
-/// keeps resolved slots alive across re-lowerings.
-#[derive(Clone)]
-struct FlatEntry {
-    code: Rc<FlatChunk>,
-    globals: Rc<[Cell<u32>]>,
+/// The lowering of `chunk`, built at its first run and kept in the chunk,
+/// tracing the lowering as a `vm_lower` span when observability is armed.
+/// The event's `fused` field predates the single lowering and is always 0.
+fn lowering(chunk: &Chunk) -> Rc<FlatChunk> {
+    chunk
+        .lowered
+        .get_or_init(|| {
+            let t = observe::timer();
+            let code = flat::lower_chunk(chunk);
+            if t.is_some() {
+                let ops = code.ops.len() as u64;
+                observe::finish(t, |duration_us| observe::EventKind::VmLower {
+                    chunk: chunk.id,
+                    ops,
+                    fused: 0,
+                    duration_us,
+                });
+            }
+            Rc::new(code)
+        })
+        .clone()
 }
 
-/// A cached lambda chunk. The `Weak` keeps the def's allocation (not its
-/// body) alive as long as the entry: a dropped def's address is never
-/// handed to a new `LambdaDef`, which would otherwise find the old def's
-/// code under its key.
-struct LambdaChunk {
-    _def: Weak<LambdaDef>,
-    chunk: Rc<Chunk>,
-}
-
-/// Slots in [`FlatIc`] (a power of two).
-const IC_SLOTS: usize = 64;
-
-/// Direct-mapped cache of flat lowerings in front of the lambda map,
-/// indexed by `LambdaDef` pointer bits: a closure call that hits it does
-/// no hashing, and call sites alternating between a few callees (method
-/// dispatch, visitors) keep all of them resident where a one-entry cache
-/// would thrash.
-struct FlatIc(Box<[Option<(usize, FlatEntry)>]>);
-
-impl Default for FlatIc {
-    fn default() -> FlatIc {
-        FlatIc(vec![None; IC_SLOTS].into_boxed_slice())
+/// The chunk compiled from `def`'s body, kept on the def
+/// ([`LambdaDef::code`]) so that it is freed with the def.
+fn lambda_chunk(def: &LambdaDef) -> Rc<Chunk> {
+    if let Some(chunk) = def.code.get::<Chunk>() {
+        return chunk;
     }
+    let chunk = Rc::new(compile_chunk(&def.body));
+    def.code.set(chunk.clone());
+    chunk
 }
 
-impl FlatIc {
-    /// The slot for def pointer `key`: a multiplicative spread of the
-    /// pointer, so neighbouring allocations land in different slots.
-    #[inline]
-    fn slot(key: usize) -> usize {
-        let spread = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (spread >> (64 - IC_SLOTS.trailing_zeros())) as usize
+/// The lowering of `def`'s chunk, compiled and lowered at the first call.
+#[inline]
+fn lambda_code(def: &LambdaDef) -> Rc<FlatChunk> {
+    match def.code.with(|chunk: &Chunk| chunk.lowered.get().cloned()) {
+        Some(Some(code)) => code,
+        _ => lowering(&lambda_chunk(def)),
     }
 }
 
 /// The bytecode virtual machine.
 ///
-/// Owns its chunk/lowering caches and borrows an [`Interp`] per run for
-/// globals, natives, and (tree-walked) closure application inside
-/// higher-order natives. See the crate-level example.
+/// Owns no code: a top-level chunk keeps its own lowering, and a lambda's
+/// chunk lives on its [`LambdaDef`], so code is freed with the program
+/// that holds it. The VM borrows an [`Interp`] per run for globals,
+/// natives, and (tree-walked) closure application inside higher-order
+/// natives. See the crate-level example.
 #[derive(Default)]
 pub struct Vm {
-    /// Lambda chunks, keyed by `LambdaDef` pointer. Every def the VM has
-    /// entered passes through here first and is never removed, so the
-    /// entries pin the addresses behind all three lambda caches' keys.
-    chunk_cache: FnvHashMap<usize, LambdaChunk>,
-    /// Flat lowerings of lambda chunks, keyed like `chunk_cache` by the
-    /// `LambdaDef` pointer; invalidated by [`Vm::relayout`].
-    flat_lambda_cache: FnvHashMap<usize, FlatEntry>,
-    /// Direct-mapped cache in front of `flat_lambda_cache`, invalidated
-    /// with it.
-    flat_ic: FlatIc,
-    /// Flat lowerings of toplevel chunks passed to [`Vm::run_chunk`],
-    /// keyed by chunk id and revalidated against [`flat::layout_sig`]
-    /// (callers may re-lay-out a chunk without changing its id).
-    flat_cache: FnvHashMap<u32, FlatEntry>,
-    /// Per-chunk global-slot caches, keyed by chunk id.
-    global_caches: FnvHashMap<u32, Rc<[Cell<u32>]>>,
+    /// The lambdas whose chunks this VM registered with its block
+    /// counters: what [`Vm::relayout`] and [`Vm::compiled_chunks`] reach.
+    /// Dead entries are pruned as the list grows and at each relayout.
+    lambdas: Vec<Weak<LambdaDef>>,
+    /// Length of `lambdas` after its last pruning.
+    pruned_len: usize,
     /// Block-level profile counters, when enabled.
     pub block_counters: Option<BlockCounters>,
-    /// Where each compiled lambda chunk is tracked, when counting for
+    /// Where each lambda chunk the VM counts is tracked, when counting for
     /// [`DerivedCounts`].
     derived: Option<DerivedCounts>,
     /// Execution statistics for the current/most recent run.
@@ -177,7 +157,7 @@ impl Vm {
     }
 
     /// Enables block-level profiling into `counts`' registry, and tracks
-    /// every lambda chunk the VM compiles from now on in `counts`, so that
+    /// in `counts` every lambda chunk the VM counts from now on, so that
     /// [`DerivedCounts::drain`] covers the lambdas run, not just the
     /// top-level chunks the caller tracks itself.
     pub fn set_derived_counts(&mut self, counts: DerivedCounts) {
@@ -195,7 +175,7 @@ impl Vm {
         self.run_chunk(interp, &chunk)
     }
 
-    /// Runs an already-compiled chunk.
+    /// Runs an already-compiled chunk, lowering it at its first run.
     ///
     /// # Errors
     ///
@@ -203,8 +183,7 @@ impl Vm {
     pub fn run_chunk(&mut self, interp: &mut Interp, chunk: &Chunk) -> Result<Value, EvalError> {
         let t = observe::timer();
         let blocks_before = self.metrics.blocks_executed;
-        let code = self.flat_for_toplevel(chunk);
-        let out = self.exec_flat(interp, code);
+        let out = self.exec_flat(interp, lowering(chunk));
         // The run is over: park the sampling beacon (no-op on exact
         // registries) so samples taken between runs attribute nothing.
         if let Some(counters) = &self.block_counters {
@@ -222,152 +201,90 @@ impl Vm {
         out
     }
 
-    /// The chunks compiled so far for lambdas called through the VM,
-    /// lazily populated; used by the three-pass driver to check CFG
+    /// The chunks of the live lambdas this VM has counted blocks of, in
+    /// chunk-id order; used by the three-pass driver to check CFG
     /// stability.
     pub fn compiled_chunks(&self) -> Vec<Rc<Chunk>> {
-        let mut chunks: Vec<Rc<Chunk>> =
-            self.chunk_cache.values().map(|c| c.chunk.clone()).collect();
+        let mut chunks: Vec<Rc<Chunk>> = self
+            .lambdas
+            .iter()
+            .filter_map(|def| def.upgrade()?.code.get::<Chunk>())
+            .collect();
         chunks.sort_by_key(|c| c.id);
+        chunks.dedup_by_key(|c| c.id);
         chunks
     }
 
     /// Block-level PGO in one call: re-lays-out the caller's top-level
-    /// `chunks` and every cached lambda chunk under the same `counters`,
-    /// and drops the lambda lowerings (re-lowered lazily from the new
-    /// layout; top-level lowerings revalidate by layout signature on their
-    /// next run).
+    /// `chunks` and the chunk of every live lambda this VM has counted,
+    /// under the same `counters`. Each new layout is a new chunk, lowered
+    /// afresh at its next run; the lambdas' new chunks replace the old
+    /// ones on their defs, under the same ids.
     pub fn relayout(&mut self, chunks: &mut [Chunk], counters: &BlockCounters) {
         for chunk in chunks.iter_mut() {
             *chunk = optimize_layout(chunk, counters);
         }
-        for cached in self.chunk_cache.values_mut() {
-            cached.chunk = Rc::new(optimize_layout(&cached.chunk, counters));
-        }
-        self.flat_lambda_cache.clear();
-        self.flat_ic = FlatIc::default();
-    }
-
-    fn chunk_for(&mut self, def: &Rc<LambdaDef>) -> Rc<Chunk> {
-        let key = Rc::as_ptr(def) as usize;
-        if let Some(c) = self.chunk_cache.get(&key) {
-            return c.chunk.clone();
-        }
-        let chunk = Rc::new(compile_chunk(&def.body));
-        if let Some(derived) = &self.derived {
-            derived.track(chunk.clone());
-        }
-        self.chunk_cache.insert(
-            key,
-            LambdaChunk {
-                _def: Rc::downgrade(def),
-                chunk: chunk.clone(),
-            },
-        );
-        chunk
-    }
-
-    /// The flat lowering of a lambda's chunk (with its global-slot cache),
-    /// cached by def pointer behind the direct-mapped [`FlatIc`]. Also
-    /// populates `chunk_cache`, which layout/CFG consumers read.
-    fn flat_for(&mut self, def: &Rc<LambdaDef>) -> FlatEntry {
-        let key = Rc::as_ptr(def) as usize;
-        let slot = FlatIc::slot(key);
-        if let Some((k, entry)) = &self.flat_ic.0[slot] {
-            if *k == key {
-                return entry.clone();
+        for def in self.prune_lambdas() {
+            if let Some(chunk) = def.code.get::<Chunk>() {
+                def.code.set(Rc::new(optimize_layout(&chunk, counters)));
             }
         }
-        let entry = match self.flat_lambda_cache.get(&key) {
-            Some(e) => e.clone(),
-            None => {
-                let chunk = self.chunk_for(def);
-                let code = Rc::new(self.lower(&chunk));
-                let globals = self.global_cache_for(code.id, code.global_points.len());
-                let entry = FlatEntry { code, globals };
-                self.flat_lambda_cache.insert(key, entry.clone());
-                entry
-            }
-        };
-        self.flat_ic.0[slot] = Some((key, entry.clone()));
-        entry
     }
 
-    /// The flat lowering of a toplevel chunk, cached by id and
-    /// revalidated by layout signature: a caller that re-lays-out a chunk
-    /// (same id, new block order) gets a fresh lowering, not stale code.
-    fn flat_for_toplevel(&mut self, chunk: &Chunk) -> FlatEntry {
-        let sig = flat::layout_sig(chunk);
-        if let Some(e) = self.flat_cache.get(&chunk.id) {
-            if e.code.layout_sig == sig {
-                return e.clone();
-            }
-        }
-        let code = Rc::new(self.lower(chunk));
-        let globals = self.global_cache_for(code.id, code.global_points.len());
-        let entry = FlatEntry { code, globals };
-        self.flat_cache.insert(chunk.id, entry.clone());
-        entry
-    }
-
-    /// Lowers `chunk`, tracing the lowering as a `vm_lower` span when
-    /// observability is armed. The event's `fused` field predates the
-    /// single lowering and is always 0.
-    fn lower(&self, chunk: &Chunk) -> FlatChunk {
-        let t = observe::timer();
-        let code = flat::lower_chunk(chunk);
-        if t.is_some() {
-            let ops = code.ops.len() as u64;
-            observe::finish(t, |duration_us| observe::EventKind::VmLower {
-                chunk: chunk.id,
-                ops,
-                fused: 0,
-                duration_us,
-            });
-        }
-        code
-    }
-
-    /// The global-slot cache for chunk `id`, created on first use. Keyed
-    /// by chunk id, so re-laid-out chunks (same id, same instructions)
-    /// keep their resolved slots.
-    fn global_cache_for(&mut self, id: u32, global_refs: usize) -> Rc<[Cell<u32>]> {
-        if let Some(c) = self.global_caches.get(&id) {
-            if c.len() >= global_refs {
-                return c.clone();
-            }
-        }
-        let cache: Rc<[Cell<u32>]> = (0..global_refs).map(|_| Cell::new(UNRESOLVED)).collect();
-        self.global_caches.insert(id, cache.clone());
-        cache
+    /// Drops the dead entries of `lambdas`, and duplicates, returning the
+    /// live defs.
+    fn prune_lambdas(&mut self) -> Vec<Rc<LambdaDef>> {
+        let mut live: Vec<Rc<LambdaDef>> = self.lambdas.iter().filter_map(Weak::upgrade).collect();
+        live.sort_by_key(Rc::as_ptr);
+        live.dedup_by(|a, b| Rc::ptr_eq(a, b));
+        self.lambdas = live.iter().map(Rc::downgrade).collect();
+        self.pruned_len = self.lambdas.len();
+        live
     }
 
     /// Resolves a chunk's block-counter base once per activation — the
-    /// per-call cost that buys hash-free block entries.
-    fn counter_base(&self, id: u32, blocks: u32) -> u32 {
-        match &self.block_counters {
-            Some(c) => c.register_chunk(id, blocks),
-            None => 0,
+    /// per-call cost that buys hash-free block entries. The first time a
+    /// lambda's chunk is counted, the VM remembers the lambda (for
+    /// relayout) and tracks its chunk for [`DerivedCounts`].
+    #[inline]
+    fn counter_base(&mut self, code: &FlatChunk, def: Option<&Rc<LambdaDef>>) -> u32 {
+        let Some(counters) = &self.block_counters else {
+            return 0;
+        };
+        let (base, fresh) = counters.register(code.id, code.block_count);
+        if let (true, Some(def)) = (fresh, def) {
+            self.remember(def);
         }
+        base
     }
 
-    /// Builds an activation for a flat entry. The global cache rides in
-    /// the entry, so this touches no `Vm` map when profiling is off.
-    fn flat_activation(
+    /// Remembers a lambda whose chunk was just counted for the first time.
+    #[cold]
+    fn remember(&mut self, def: &Rc<LambdaDef>) {
+        if let Some(derived) = &self.derived {
+            derived.track(lambda_chunk(def));
+        }
+        if self.lambdas.len() >= 2 * self.pruned_len.max(32) {
+            self.prune_lambdas();
+        }
+        self.lambdas.push(Rc::downgrade(def));
+    }
+
+    /// Builds an activation running `code` (compiled from `def`, for a
+    /// lambda) under `frame`.
+    fn activation(
         &mut self,
-        entry: FlatEntry,
-        def_key: usize,
+        code: Rc<FlatChunk>,
+        def: Option<Rc<LambdaDef>>,
         frame: Option<Rc<Frame>>,
     ) -> FlatActivation {
-        let FlatEntry { code, globals } = entry;
-        let counter_base = self.counter_base(code.id, code.block_count);
+        let counter_base = self.counter_base(&code, def.as_ref());
         FlatActivation {
             pc: code.entry_pc,
             code,
             frame,
             counter_base,
-            globals,
-            def_key,
+            def,
         }
     }
 
@@ -378,11 +295,11 @@ impl Vm {
     /// metrics back on every exit path), so per-step bookkeeping stays in
     /// registers instead of round-tripping through `self`. The ops the run
     /// dispatched are charged to the interpreter's fuel ([`Fuel`]).
-    fn exec_flat(&mut self, interp: &mut Interp, entry: FlatEntry) -> Result<Value, EvalError> {
+    fn exec_flat(&mut self, interp: &mut Interp, code: Rc<FlatChunk>) -> Result<Value, EvalError> {
         let mut m = self.metrics;
         let counters = self.block_counters.clone();
         let mut fuel = Fuel::new(interp, m.dispatches);
-        let out = self.exec_flat_inner(interp, entry, &mut m, &counters, &mut fuel);
+        let out = self.exec_flat_inner(interp, code, &mut m, &counters, &mut fuel);
         fuel.charge(interp, m.dispatches);
         self.metrics = m;
         out
@@ -391,7 +308,7 @@ impl Vm {
     fn exec_flat_inner(
         &mut self,
         interp: &mut Interp,
-        entry: FlatEntry,
+        code: Rc<FlatChunk>,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
         fuel: &mut Fuel,
@@ -402,7 +319,10 @@ impl Vm {
         // operator was a value, pushed on `stack` as the callee. Operands
         // nest, so each call op pops the entry its `LocalCallee` pushed.
         let mut code_callees: Vec<Option<(Rc<LambdaDef>, Rc<Frame>)>> = Vec::new();
-        let mut cur = self.flat_activation(entry, NO_DEF, None);
+        // The tag of every global slot this run resolves (see
+        // `FlatChunk::globals`).
+        let interp_tag = u64::from(interp.id()) << 32;
+        let mut cur = self.activation(code, None, None);
         enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         loop {
             // The dispatch counter doubles as the step budget: one counter
@@ -427,13 +347,13 @@ impl Vm {
                     stack.push(frame.get(depth, index));
                 }
                 Op::GlobalRef { name, cache } => {
-                    let cell = &cur.globals[cache as usize];
-                    let mut slot = cell.get();
-                    if slot == UNRESOLVED {
-                        slot = interp.global_slot_or_reserve(name);
-                        cell.set(slot);
+                    let cell = &cur.code.globals[cache as usize];
+                    let mut packed = cell.get();
+                    if packed & !u64::from(u32::MAX) != interp_tag {
+                        packed = interp_tag | u64::from(interp.global_slot_or_reserve(name));
+                        cell.set(packed);
                     }
-                    match interp.global_by_slot(slot) {
+                    match interp.global_by_slot(packed as u32) {
                         Some(v) => stack.push(v.clone()),
                         None => {
                             return Err(EvalError::new(
@@ -660,8 +580,7 @@ impl Vm {
     ) -> Result<(), EvalError> {
         let frame = bind_from_stack(&def, env, argc, stack)
             .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
-        let entry = self.flat_for(&def);
-        let next = self.flat_activation(entry, Rc::as_ptr(&def) as usize, Some(frame));
+        let next = self.activation(lambda_code(&def), Some(def), Some(frame));
         saved.push(std::mem::replace(cur, next));
         Ok(())
     }
@@ -671,7 +590,7 @@ impl Vm {
     /// current frame can be refilled unobservably (see
     /// [`tail_frame_is_reusable`]) the call allocates nothing, and a
     /// self-call keeps the code already in hand; only a different callee
-    /// needs the lowering cache.
+    /// fetches its code.
     #[inline]
     fn enter_tail_call(
         &mut self,
@@ -682,25 +601,22 @@ impl Vm {
         stack: &mut Vec<Value>,
         cur: &mut FlatActivation,
     ) -> Result<(), EvalError> {
-        let key = Rc::as_ptr(&def) as usize;
         if tail_frame_is_reusable(&def, env.as_ref(), &cur.frame, argc) {
             let frame = cur.frame.as_ref().expect("reuse without frame");
             frame.refill_from_stack(stack);
             stack.pop().expect("callee below the arguments");
-            if key != cur.def_key {
-                let entry = self.flat_for(&def);
-                cur.counter_base = self.counter_base(entry.code.id, entry.code.block_count);
-                cur.globals = entry.globals;
-                cur.code = entry.code;
-                cur.def_key = key;
+            if !cur.def.as_ref().is_some_and(|d| Rc::ptr_eq(d, &def)) {
+                let code = lambda_code(&def);
+                cur.counter_base = self.counter_base(&code, Some(&def));
+                cur.code = code;
+                cur.def = Some(def);
             }
             cur.pc = cur.code.entry_pc;
             return Ok(());
         }
         let frame = bind_from_stack(&def, env, argc, stack)
             .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
-        let entry = self.flat_for(&def);
-        *cur = self.flat_activation(entry, key, Some(frame));
+        *cur = self.activation(lambda_code(&def), Some(def), Some(frame));
         Ok(())
     }
 }

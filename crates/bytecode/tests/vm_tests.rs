@@ -6,7 +6,7 @@ use pgmp_bytecode::{
 use pgmp_eval::{install_primitives, EvalError, EvalErrorKind, Interp, Value};
 use pgmp_expander::{install_expander_support, Expander};
 use pgmp_reader::read_str;
-use pgmp_syntax::SourceObject;
+use pgmp_syntax::{SourceObject, Symbol};
 
 fn fresh_interp() -> Interp {
     let mut interp = Interp::new();
@@ -110,11 +110,86 @@ fn letrec_bound_procedures_keep_identity_and_accept_set() {
 }
 
 #[test]
+fn one_lambda_reads_each_interpreters_own_globals() {
+    // Two interpreters bind `a` and `b` in opposite orders, so each gives
+    // the names the other's slot numbers. One compiled `f` (one def, one
+    // chunk) runs in both, alternately: every run must read the globals
+    // of the interpreter it runs in, never a slot resolved in the other.
+    let mut exp = Expander::new();
+    let mut expand = |src: &str| {
+        let forms = read_str(src, "t.scm").unwrap();
+        compile_chunk(&exp.expand_program(&forms).unwrap().remove(0))
+    };
+    let define = expand("(define (f) (list a b))");
+    let call = expand("(f)");
+    let (a, b) = (Symbol::intern("a"), Symbol::intern("b"));
+    let mut first = fresh_interp();
+    first.define_global(a, Value::Int(1));
+    first.define_global(b, Value::Int(2));
+    let mut second = fresh_interp();
+    second.define_global(b, Value::Int(20));
+    second.define_global(a, Value::Int(10));
+    assert_ne!(
+        first.global_slot_or_reserve(a),
+        second.global_slot_or_reserve(a),
+        "the interpreters must number `a` differently"
+    );
+    let mut runs = [(first, Vm::new(), "(1 2)"), (second, Vm::new(), "(10 20)")];
+    for (interp, vm, _) in &mut runs {
+        vm.run_chunk(interp, &define).unwrap();
+    }
+    let def_of = |interp: &Interp| match interp.global(Symbol::intern("f")) {
+        Some(Value::Closure(c)) => c.def.clone(),
+        other => panic!("f is not a closure: {other:?}"),
+    };
+    assert!(
+        std::rc::Rc::ptr_eq(&def_of(&runs[0].0), &def_of(&runs[1].0)),
+        "both interpreters must run the same compiled lambda"
+    );
+    for round in 0..3 {
+        for (interp, vm, expected) in &mut runs {
+            let got = vm.run_chunk(interp, &call).unwrap().write_string();
+            assert_eq!(got, *expected, "round {round}");
+        }
+    }
+}
+
+#[test]
+fn a_vm_reaches_only_the_lambdas_still_alive() {
+    // Code lives on its def: once a program and its closures are gone,
+    // the VM that counted them neither lists nor re-lays-out their chunks.
+    let mut exp = Expander::new();
+    let mut interp = fresh_interp();
+    let mut vm = Vm::new();
+    let counters = BlockCounters::new();
+    vm.set_block_profiling(counters.clone());
+    let mut run = |vm: &mut Vm, interp: &mut Interp, src: &str| {
+        for form in exp.expand_program(&read_str(src, "t.scm").unwrap()).unwrap() {
+            vm.run_core(interp, &form).unwrap();
+        }
+    };
+    run(&mut vm, &mut interp, "(define (keep n) (if (< n 1) 'small 'big)) (keep 5)");
+    run(&mut vm, &mut interp, "(define (drop) 'gone) (drop)");
+    assert_eq!(vm.compiled_chunks().len(), 2);
+    // Redefining `drop` frees its only closure, and with it the def.
+    run(&mut vm, &mut interp, "(set! drop 0)");
+    let live = vm.compiled_chunks();
+    assert_eq!(live.len(), 1, "only `keep` is alive");
+    let keep = live[0].clone();
+    vm.relayout(&mut [], &counters);
+    let relaid = vm.compiled_chunks();
+    assert_eq!(relaid.len(), 1);
+    assert_eq!(relaid[0].id, keep.id, "a new layout keeps the chunk id");
+    assert!(!std::rc::Rc::ptr_eq(&relaid[0], &keep), "a new layout is a new chunk");
+    assert_eq!(canonical_form(&relaid[0]), canonical_form(&keep));
+}
+
+#[test]
 fn a_freed_lambda_never_runs_through_another_lambdas_cached_code() {
-    // The VM caches code by `LambdaDef` address. Each round frees the
-    // previous round's tree-walked `f` and its program, and allocates a
-    // new def that the allocator may place at a freed def's address; the
-    // persistent VM must still run the new `f`.
+    // Each round frees the previous round's tree-walked `f` and its
+    // program, and allocates a new def that the allocator may place at a
+    // freed def's address; the persistent VM must still run the new `f`,
+    // never code compiled from a def that lived at that address before.
     let mut exp = Expander::new();
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
@@ -332,7 +407,7 @@ fn layout_optimization_improves_fallthrough_on_biased_branch() {
         vm.run_core(&mut interp, form).unwrap();
     }
 
-    // Pass 2: relayout cached lambda chunks and re-run, measuring.
+    // Pass 2: relayout the lambda chunks the VM counted and re-run, measuring.
     let before_chunks: Vec<String> =
         vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
     vm.relayout(&mut [], &counters);
@@ -342,7 +417,7 @@ fn layout_optimization_improves_fallthrough_on_biased_branch() {
 
     vm.block_counters = None;
     vm.metrics = Default::default();
-    // Re-invoke the loop through the (now re-laid-out) cached chunks.
+    // Re-invoke the loop through the (now re-laid-out) lambda chunks.
     let call = read_str(
         "(let loop ([i 0]) (if (= i 2000) 'done (begin (step i) (loop (add1 i)))))",
         "t.scm",

@@ -8,7 +8,8 @@
 
 use pgmp_profiler::Counters;
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
-use std::cell::Cell;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A core expression: node kind plus profile point.
@@ -199,6 +200,53 @@ impl CoreKind {
     }
 }
 
+/// Code an executor compiled from a [`LambdaDef`]'s body, kept on the def
+/// so that it lives and dies with it: built at the first call, replaced
+/// when the executor re-lays it out, freed with the def. The bytecode VM
+/// keeps its chunk here; the tree walker needs none.
+///
+/// A clone of a def starts with an empty slot, and equality and `Debug`
+/// ignore the slot, as [`Core`]'s slot cache is ignored.
+#[derive(Default)]
+pub struct CodeSlot(RefCell<Option<Rc<dyn Any>>>);
+
+impl CodeSlot {
+    /// Calls `f` with the code in the slot, if there is code of type `T`.
+    #[inline]
+    pub fn with<T: Any, R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        let code = self.0.borrow();
+        Some(f(code.as_ref()?.downcast_ref::<T>()?))
+    }
+
+    /// The code in the slot, if there is code of type `T`.
+    pub fn get<T: Any>(&self) -> Option<Rc<T>> {
+        self.0.borrow().clone()?.downcast::<T>().ok()
+    }
+
+    /// Puts `code` in the slot, replacing what was there.
+    pub fn set<T: Any>(&self, code: Rc<T>) {
+        *self.0.borrow_mut() = Some(code);
+    }
+}
+
+impl Clone for CodeSlot {
+    fn clone(&self) -> CodeSlot {
+        CodeSlot::default()
+    }
+}
+
+impl PartialEq for CodeSlot {
+    fn eq(&self, _: &CodeSlot) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for CodeSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CodeSlot")
+    }
+}
+
 /// A compiled `lambda`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LambdaDef {
@@ -212,6 +260,8 @@ pub struct LambdaDef {
     pub name: Option<Symbol>,
     /// Source object of the `lambda` form.
     pub src: Option<SourceObject>,
+    /// The body compiled by an executor, once one has run it.
+    pub code: CodeSlot,
 }
 
 #[cfg(test)]
@@ -243,6 +293,7 @@ mod tests {
                 body: konst(7),
                 name: None,
                 src: None,
+                code: Default::default(),
             })),
             None,
         );

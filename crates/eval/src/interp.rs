@@ -7,6 +7,7 @@ use crate::value::{Closure, Native, NativeFn, Value};
 use pgmp_profiler::{Counters, ProfileMode};
 use pgmp_syntax::{FnvHashMap, SourceObject, Symbol};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Longest argument list a tree-walked native call passes from a stack
 /// array rather than a `Vec`.
@@ -31,6 +32,8 @@ const STACK_ARGS: usize = 4;
 /// # Ok::<(), pgmp_eval::EvalError>(())
 /// ```
 pub struct Interp {
+    /// Process-unique id (see [`Interp::id`]).
+    id: u32,
     /// Global variables, slot-indexed: the map interns a name to a stable
     /// index into `global_values`. Redefinition overwrites the value in
     /// place, so a resolved global slot (e.g. cached by the VM per chunk)
@@ -52,6 +55,10 @@ pub struct Interp {
     pub warnings: Vec<String>,
 }
 
+/// Process-global id generator for interpreters. Ids start at 1, so that a
+/// global-slot cache can use 0 for "unresolved" (see [`Interp::id`]).
+static NEXT_INTERP_ID: AtomicU32 = AtomicU32::new(1);
+
 impl Default for Interp {
     fn default() -> Interp {
         Interp::new()
@@ -64,6 +71,9 @@ impl Interp {
     /// the global environment.
     pub fn new() -> Interp {
         Interp {
+            id: NEXT_INTERP_ID
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+                .expect("interpreter ids exhausted"),
             global_slots: FnvHashMap::default(),
             global_values: Vec::new(),
             global_writes: 0,
@@ -142,6 +152,15 @@ impl Interp {
     pub fn global(&self, name: Symbol) -> Option<&Value> {
         let slot = *self.global_slots.get(&name)?;
         self.global_values[slot as usize].as_ref()
+    }
+
+    /// This interpreter's process-unique id, never 0. Global slots are
+    /// numbered per interpreter, so a cache of resolved slots on shared
+    /// code (the VM's, on each chunk's lowering) tags each entry with the
+    /// id it was resolved against and re-resolves under any other.
+    #[inline]
+    pub fn id(&self) -> u32 {
+        self.id
     }
 
     /// Interns `name` to a global slot, reserving an unbound cell if it was
@@ -505,6 +524,14 @@ mod tests {
     }
 
     #[test]
+    fn interpreter_ids_are_unique_and_nonzero() {
+        let (a, b) = (Interp::new(), Interp::new());
+        assert_ne!(a.id(), b.id());
+        assert_ne!(a.id(), 0);
+        assert_ne!(b.id(), 0);
+    }
+
+    #[test]
     fn constants_and_if() {
         let mut i = Interp::new();
         let e = Core::rc(
@@ -559,6 +586,7 @@ mod tests {
                 body: Core::rc(CoreKind::LocalRef { depth: 0, index: 0 }, None),
                 name: Some(Symbol::intern("id")),
                 src: None,
+                code: Default::default(),
             })),
             None,
         )
@@ -601,6 +629,7 @@ mod tests {
                 body: Core::rc(CoreKind::LocalRef { depth: 0, index: 0 }, None),
                 name: None,
                 src: None,
+                code: Default::default(),
             })),
             None,
         );
@@ -663,6 +692,7 @@ mod tests {
                 body,
                 name: Some(Symbol::intern("loop")),
                 src: None,
+                code: Default::default(),
             })),
             None,
         );
@@ -701,6 +731,7 @@ mod tests {
                 ),
                 name: None,
                 src: None,
+                code: Default::default(),
             })),
             None,
         );

@@ -26,7 +26,7 @@ mod prims;
 mod serialize;
 mod value;
 
-pub use core_expr::{resolve_profile_slots, Core, CoreKind, LambdaDef};
+pub use core_expr::{resolve_profile_slots, CodeSlot, Core, CoreKind, LambdaDef};
 pub use serialize::{
     core_from_datum, core_from_datum_with, core_to_datum, core_to_datum_with, StringTable,
 };

@@ -285,6 +285,7 @@ fn from_datum(d: &Datum, tab: &SymTab) -> Result<Rc<Core>, String> {
                 body: from_datum(body, tab)?,
                 name,
                 src: src_from_datum(lsrc, tab)?,
+                code: Default::default(),
             }))
         }
         ("call", [func, args @ ..]) => CoreKind::Call {
@@ -447,6 +448,7 @@ mod tests {
                 ),
                 name: Some(Symbol::intern("f")),
                 src: Some(p(1)),
+                code: Default::default(),
             })),
             Some(p(0)),
         );
@@ -499,6 +501,7 @@ mod tests {
                 body: Core::rc(CoreKind::GlobalRef(Symbol::intern("helper")), Some(p(5))),
                 name: Some(Symbol::intern("f")),
                 src: Some(p(1)),
+                code: Default::default(),
             })),
             Some(p(0)),
         );

@@ -170,6 +170,7 @@ fn compile_lambda(
             body,
             name,
             src,
+            code: Default::default(),
         })),
         src,
     ))
@@ -486,6 +487,7 @@ fn expand_named_let(
             body,
             name: name.as_symbol(),
             src: stx.source,
+            code: Default::default(),
         })),
         stx.source,
     );

@@ -317,6 +317,7 @@ fn ellipsis_segment(
             body,
             name: Some(Symbol::intern("%ellipsis-template")),
             src: sub.source,
+            code: Default::default(),
         })),
         sub.source,
     );

@@ -261,6 +261,21 @@ impl SlotStore {
         }
     }
 
+    /// Zeroes every count and makes a dense store cover exactly `0..len`,
+    /// releasing the rest (a sampling store is only zeroed). Indexes from
+    /// `len` on must be covered again before use.
+    pub fn reset(&self, len: usize) {
+        match &self.store {
+            Store::Dense(counts) => {
+                let mut counts = counts.borrow_mut();
+                counts.clear();
+                counts.resize(len, Cell::new(0));
+                counts.shrink_to_fit();
+            }
+            Store::Sampling { shared, .. } => shared.tallies().clear(),
+        }
+    }
+
     /// Zeroes every count. Coverage is kept, so indexes cached by callers
     /// stay valid.
     pub fn clear(&self) {
@@ -656,6 +671,20 @@ mod tests {
             assert_eq!(c.count(p(9)), 5);
             assert_eq!(c.count_slot(s), 5);
         }
+    }
+
+    #[test]
+    fn reset_zeroes_and_covers_the_new_length() {
+        let s = SlotStore::default();
+        s.grow(8);
+        s.add(2, 5);
+        s.add(7, 1);
+        s.reset(4);
+        assert_eq!((0..4).map(|i| s.get(i)).sum::<u64>(), 0);
+        s.add(3, 2);
+        assert_eq!(s.get(3), 2);
+        s.grow(8);
+        assert_eq!(s.get(7), 0, "a released index comes back at zero");
     }
 
     #[test]

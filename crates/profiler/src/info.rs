@@ -26,17 +26,17 @@ impl ProfileInformation {
 
     /// Computes weights from a single dataset.
     ///
-    /// Every recorded point's weight is `count / max_count`. An empty
-    /// dataset still counts as one dataset of all-zero weights.
+    /// Every recorded point's weight is `count / max_count`. A dataset
+    /// with no count (`max_count` 0) holds no weight, so it contributes
+    /// no dataset: the result is [`ProfileInformation::empty`], which
+    /// reports no profile data and leaves merges unchanged.
     pub fn from_dataset(d: &Dataset) -> ProfileInformation {
         let max = d.max_count();
-        let weights = if max == 0 {
-            d.iter().map(|(p, _)| (p, 0.0)).collect()
-        } else {
-            d.iter().map(|(p, c)| (p, c as f64 / max as f64)).collect()
-        };
+        if max == 0 {
+            return ProfileInformation::empty();
+        }
         ProfileInformation {
-            weights,
+            weights: d.iter().map(|(p, c)| (p, c as f64 / max as f64)).collect(),
             dataset_count: 1,
         }
     }
@@ -204,7 +204,38 @@ mod tests {
         let d: Dataset = [(p(0), 0)].into_iter().collect();
         let w = ProfileInformation::from_dataset(&d);
         assert_eq!(w.weight(p(0)), 0.0);
-        assert_eq!(w.dataset_count(), 1);
+        assert_eq!(w.dataset_count(), 0, "a countless dataset is no dataset");
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn countless_datasets_contribute_no_dataset() {
+        for d in [Dataset::new(), [(p(0), 0), (p(1), 0)].into_iter().collect()] {
+            let w = ProfileInformation::from_dataset(&d);
+            assert_eq!(w, ProfileInformation::empty());
+            assert_eq!(w.len(), 0);
+        }
+    }
+
+    #[test]
+    fn from_datasets_skips_countless_datasets() {
+        let hot: Dataset = [(p(0), 4), (p(1), 8)].into_iter().collect();
+        let cold: Dataset = [(p(0), 0)].into_iter().collect();
+        let merged = ProfileInformation::from_datasets(&[cold.clone(), hot.clone(), cold]);
+        assert_eq!(merged, ProfileInformation::from_dataset(&hot));
+        assert_eq!(merged.dataset_count(), 1);
+        assert_eq!(merged.weight(p(0)), 0.5, "not averaged with zeros");
+        assert!(ProfileInformation::from_datasets(&[Dataset::new()]).is_empty());
+    }
+
+    #[test]
+    fn merging_a_countless_dataset_changes_nothing() {
+        let hot: Dataset = [(p(0), 3), (p(1), 6)].into_iter().collect();
+        let w = ProfileInformation::from_dataset(&hot);
+        let cold = ProfileInformation::from_dataset(&[(p(2), 0)].into_iter().collect());
+        assert_eq!(w.merge(&cold), w);
+        assert_eq!(cold.merge(&w), w);
+        assert!(cold.merge(&cold).is_empty());
     }
 
     #[test]

@@ -94,6 +94,30 @@ fn store_and_load_profile_from_the_object_language() {
 }
 
 #[test]
+fn a_stored_profile_without_hits_loads_as_no_profile_data() {
+    // An uninstrumented run counts nothing, so the profile it stores
+    // holds no weight and must not pass for profile data when loaded.
+    let path = std::env::temp_dir().join(format!("pgmp-e3-hitless-{}.pgmp", std::process::id()));
+    let path_str = path.to_str().unwrap().replace('\\', "/");
+    let mut e1 = Engine::new();
+    e1.run_str(
+        &format!("(define (hot) 'h) (hot) (store-profile \"{path_str}\")"),
+        "hitless.scm",
+    )
+    .unwrap();
+    let mut e2 = Engine::new();
+    let available = e2
+        .run_str(
+            &format!("(load-profile \"{path_str}\") (profile-data-available?)"),
+            "hitless2.scm",
+        )
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(available.write_string(), "#f");
+    assert!(e2.profile().is_empty());
+}
+
+#[test]
 fn profile_count_sees_the_counts_of_the_run_in_progress() {
     // `profile-count` called by the running program reads the counts of
     // everything executed so far, as the tree walker counting into the
