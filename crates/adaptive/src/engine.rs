@@ -48,9 +48,6 @@ pub struct CompiledProgram {
     /// profile-guided meta-programs emitted under this generation's
     /// weights.
     pub expansion: Vec<String>,
-    /// Canonical control-flow graphs of the bytecode-compiled toplevel
-    /// forms.
-    pub cfgs: Vec<String>,
     /// Number of profile points in the weights this generation was
     /// optimized under.
     pub optimized_under_points: usize,
@@ -273,7 +270,6 @@ impl AdaptiveEngine {
         let placeholder = Arc::new(CompiledProgram {
             generation: 0,
             expansion: Vec::new(),
-            cfgs: Vec::new(),
             optimized_under_points: 0,
             reused_forms: 0,
             reexpanded_forms: 0,
@@ -321,6 +317,13 @@ impl AdaptiveEngine {
     /// The program generation currently being served.
     pub fn current_program(&self) -> Arc<CompiledProgram> {
         self.handle().current_program()
+    }
+
+    /// The top-level chunks the incremental cache keeps
+    /// ([`IncrementalEngine::chunks`]): after a successful (re)compile, the
+    /// current generation's.
+    pub fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.incremental.chunks()
     }
 
     /// Runs the program once, instrumented, in a fresh engine, and merges
@@ -436,7 +439,6 @@ impl AdaptiveEngine {
         Ok(Arc::new(CompiledProgram {
             generation,
             expansion: unit.expansion,
-            cfgs: unit.cfgs,
             optimized_under_points: weights.len(),
             reused_forms: unit.stats.reused,
             reexpanded_forms: unit.stats.reexpanded,
@@ -671,6 +673,7 @@ impl AdaptiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgmp_bytecode::canonical_form;
     use pgmp_syntax::SourceObject;
 
     // A program whose if-r macro flips branch order by profile weight —
@@ -699,7 +702,8 @@ mod tests {
         let program = engine.current_program();
         assert_eq!(program.generation, 0);
         assert!(!program.expansion.is_empty());
-        assert!(!program.cfgs.is_empty());
+        let cfgs: Vec<String> = engine.chunks().map(canonical_form).collect();
+        assert!(!cfgs.is_empty());
         assert_eq!(program.optimized_under_points, 0);
         // Unprofiled if-r keeps source order: (if (< n 10) 'small 'big).
         let text = program.expansion.join("\n");

@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgmp::{Engine, IncrementalConfig, IncrementalEngine};
-use pgmp_bytecode::{canonical_form, compile_chunk};
+use pgmp_bytecode::{compile_chunk, Chunk};
 use pgmp_profiler::ProfileInformation;
 use pgmp_reader::read_str;
 use pgmp_syntax::SourceObject;
@@ -77,19 +77,15 @@ fn weights(points: &[(SourceObject, SourceObject)], flip: bool) -> ProfileInform
     )
 }
 
-/// One from-scratch recompile under `w`: the artifact the adaptive engine's
-/// incremental recompile produces (expansion printing and CFG
-/// canonicalization included), built with no cache.
-fn full_recompile(src: &str, file: &str, w: &ProfileInformation) -> (Vec<String>, Vec<String>) {
+/// One from-scratch recompile under `w`: the artifacts the adaptive
+/// engine's incremental recompile produces (printed expansion and
+/// bytecode chunks), built with no cache.
+fn full_recompile(src: &str, file: &str, w: &ProfileInformation) -> (Vec<String>, Vec<Chunk>) {
     let mut engine = Engine::new();
     engine.set_profile(w.clone());
     let compiled = engine.compile_str(src, file).expect("compile");
-    let cfgs: Vec<String> = compiled
-        .cores
-        .iter()
-        .map(|c| canonical_form(&compile_chunk(c)))
-        .collect();
-    (compiled.printed(), cfgs)
+    let chunks = compiled.cores.iter().map(compile_chunk).collect();
+    (compiled.printed(), chunks)
 }
 
 fn bench_recompile(c: &mut Criterion) {

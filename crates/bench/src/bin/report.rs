@@ -292,7 +292,7 @@ fn e9() {
 
 fn e13() {
     use pgmp::{IncrementalConfig, IncrementalEngine};
-    use pgmp_bytecode::{canonical_form, compile_chunk};
+    use pgmp_bytecode::{compile_chunk, Chunk};
     use pgmp_syntax::SourceObject;
 
     header("E13 (extension): incremental recompilation latency");
@@ -350,11 +350,7 @@ fn e13() {
         engine.set_profile(w[i % 2].clone());
         let compiled = engine.compile_str(&src, file).unwrap();
         let _expansion = compiled.printed();
-        let _cfgs: Vec<String> = compiled
-            .cores
-            .iter()
-            .map(|c| canonical_form(&compile_chunk(c)))
-            .collect();
+        let _chunks: Vec<Chunk> = compiled.cores.iter().map(compile_chunk).collect();
     }
     let t_full = t0.elapsed() / ROUNDS as u32;
 

@@ -14,12 +14,13 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Reorders `chunk`'s blocks into hot traces using the block profile, and
-/// returns the re-laid-out chunk (semantically identical; entry first).
+/// returns the re-laid-out chunk (semantically identical; entry first), or
+/// `None` when that order is the current one: `chunk` stays as it is.
 ///
 /// Greedy trace formation: starting from the entry, repeatedly append the
 /// current block's most frequently executed unplaced successor; when the
 /// trace dies out, restart from the hottest unplaced block.
-pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Chunk {
+pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Option<Chunk> {
     let n = chunk.blocks.len();
     let hotness = |b: BlockId| counters.count(chunk.id, b);
     let mut placed = vec![false; n];
@@ -56,6 +57,9 @@ pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Chunk {
             .filter(|b| !placed[*b as usize])
             .max_by(|a, b| hotness(*a).cmp(&hotness(*b)).then(b.cmp(a)));
     }
+    if order.iter().copied().eq(0..n as BlockId) {
+        return None;
+    }
 
     let mut remap: HashMap<BlockId, BlockId> = HashMap::with_capacity(n);
     for (new_id, old_id) in order.iter().enumerate() {
@@ -71,14 +75,14 @@ pub fn optimize_layout(chunk: &Chunk, counters: &BlockCounters) -> Chunk {
         };
         blocks.push(block);
     }
-    Chunk {
+    Some(Chunk {
         id: chunk.id,
         blocks,
         entry: remap[&chunk.entry],
         global_points: chunk.global_points.clone(),
         points: chunk.points.clone(),
         lowered: OnceCell::new(),
-    }
+    })
 }
 
 /// A canonical printout of a chunk's CFG, independent of block numbering
@@ -166,7 +170,7 @@ mod tests {
             counters.increment(chunk.id, 2);
         }
         counters.increment(chunk.id, 1);
-        let opt = optimize_layout(&chunk, &counters);
+        let opt = optimize_layout(&chunk, &counters).unwrap();
         // Entry first, then the hot else-block as fall-through.
         assert_eq!(opt.entry, 0);
         assert_eq!(opt.blocks[0].instrs, chunk.blocks[0].instrs);
@@ -178,14 +182,14 @@ mod tests {
         let chunk = diamond();
         let counters = BlockCounters::new();
         counters.increment(chunk.id, 2);
-        let opt = optimize_layout(&chunk, &counters);
+        let opt = optimize_layout(&chunk, &counters).unwrap();
         assert_eq!(canonical_form(&chunk), canonical_form(&opt));
     }
 
     #[test]
     fn layout_keeps_all_blocks() {
         let chunk = diamond();
-        let opt = optimize_layout(&chunk, &BlockCounters::new());
+        let opt = optimize_layout(&chunk, &BlockCounters::new()).unwrap();
         assert_eq!(opt.block_count(), chunk.block_count());
     }
 

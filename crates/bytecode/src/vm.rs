@@ -219,14 +219,19 @@ impl Vm {
     /// `chunks` and the chunk of every live lambda this VM has counted,
     /// under the same `counters`. Each new layout is a new chunk, lowered
     /// afresh at its next run; the lambdas' new chunks replace the old
-    /// ones on their defs, under the same ids.
+    /// ones on their defs, under the same ids. A chunk whose layout does
+    /// not change stays as it is, lowering included.
     pub fn relayout(&mut self, chunks: &mut [Chunk], counters: &BlockCounters) {
         for chunk in chunks.iter_mut() {
-            *chunk = optimize_layout(chunk, counters);
+            if let Some(new) = optimize_layout(chunk, counters) {
+                *chunk = new;
+            }
         }
         for def in self.prune_lambdas() {
             if let Some(chunk) = def.code.get::<Chunk>() {
-                def.code.set(Rc::new(optimize_layout(&chunk, counters)));
+                if let Some(new) = optimize_layout(&chunk, counters) {
+                    def.code.set(Rc::new(new));
+                }
             }
         }
     }

@@ -325,26 +325,23 @@ impl Engine {
         let on_vm = self.mode.is_on() && self.counter_impl() == CounterImpl::Dense;
         if self.mode.is_on() {
             let counters = self.state.borrow().counters.clone();
-            if counters.map_id() != 0 {
-                // Slotted registry (dense or sampling): resolve every
-                // profile point to its slot now, at instrumentation time,
-                // so the run itself never interns — each hit is a
-                // cached-slot vector add (dense) or beacon store
-                // (sampling).
-                let t = observe::timer();
+            // Resolve every profile point to its slot now, at
+            // instrumentation time, so the run itself never interns — each
+            // hit is a cached-slot vector add (dense) or beacon store
+            // (sampling).
+            let t = observe::timer();
+            for form in program {
+                resolve_profile_slots(form, &counters);
+            }
+            if t.is_some() {
+                let mut resolved: u32 = 0;
                 for form in program {
-                    resolve_profile_slots(form, &counters);
+                    form.walk(&mut |n| resolved += u32::from(n.src.is_some()));
                 }
-                if t.is_some() {
-                    let mut resolved: u32 = 0;
-                    for form in program {
-                        form.walk(&mut |n| resolved += u32::from(n.src.is_some()));
-                    }
-                    observe::finish(t, |duration_us| observe::EventKind::SlotResolve {
-                        resolved,
-                        duration_us,
-                    });
-                }
+                observe::finish(t, |duration_us| observe::EventKind::SlotResolve {
+                    resolved,
+                    duration_us,
+                });
             }
             self.interp.set_profiling(self.mode, counters);
         } else {

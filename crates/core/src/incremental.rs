@@ -38,8 +38,8 @@
 //! - **Hygiene is invisible in outputs.** Gensym'd binders introduced by
 //!   the expander become slot indices in core forms, and marks are stripped
 //!   by `syntax->datum`; neither appears in the printed expansion or in
-//!   canonical CFGs, so reused output is textually identical to what
-//!   re-expansion under equal weights would print.
+//!   the compiled chunks' canonical CFGs, so reused output is textually
+//!   identical to what re-expansion under equal weights would print.
 //! - **Compile-time state.** A re-expanded form that changes meta state
 //!   (`define-syntax`, `define-for-syntax`, `begin-for-syntax`, or a
 //!   transformer writing a meta global, like the §6.2 `class` registry)
@@ -54,7 +54,7 @@ use crate::api::ProfileReadLog;
 use crate::engine::Engine;
 use crate::error::Error;
 use crate::persist::{self, SaveStats, WarmStart};
-use pgmp_bytecode::{canonical_form, compile_chunk, Chunk};
+use pgmp_bytecode::{compile_chunk, Chunk};
 use pgmp_eval::{core_to_datum_with, Core, StringTable};
 use pgmp_expander::form_hash;
 use pgmp_observe as observe;
@@ -121,8 +121,6 @@ pub struct CompiledUnit {
     /// their original chunk ids, so block counters collected against an
     /// earlier compile remain valid for them.
     pub chunks: Vec<Chunk>,
-    /// Canonical CFGs of `chunks`, in order.
-    pub cfgs: Vec<String>,
     /// Reuse accounting for this compile.
     pub stats: ReuseStats,
 }
@@ -132,12 +130,11 @@ struct FormEntry {
     reads: ProfileReadLog,
     factory_pre: SourceFactory,
     factory_post: SourceFactory,
-    /// Printed expansion, core forms, chunks, canonical CFGs — everything
-    /// a compile emits for this form, reusable verbatim.
+    /// Printed expansion, core forms, chunks — everything a compile emits
+    /// for this form, reusable verbatim.
     expansion: Vec<String>,
     cores: Vec<Rc<Core>>,
     chunks: Vec<Chunk>,
-    cfgs: Vec<String>,
     /// Full profile at expansion time — kept only when the form read the
     /// whole profile (`current-profile-information`).
     profile_snapshot: Option<ProfileInformation>,
@@ -225,6 +222,12 @@ impl IncrementalEngine {
     /// or installing libraries before the first compile).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
+    }
+
+    /// The cached chunks, in program order: after a successful
+    /// [`compile`](IncrementalEngine::compile), that compile's chunks.
+    pub fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.entries.iter().flatten().flat_map(|e| &e.chunks)
     }
 
     /// Replaces the program text, invalidating exactly the forms whose
@@ -423,7 +426,6 @@ impl IncrementalEngine {
             expansion: Vec::new(),
             cores: Vec::new(),
             chunks: Vec::new(),
-            cfgs: Vec::new(),
             stats: ReuseStats {
                 total_forms: self.forms.len(),
                 ..ReuseStats::default()
@@ -448,38 +450,30 @@ impl IncrementalEngine {
             if reuse {
                 let entry = self.entries[i].as_ref().expect("checked");
                 self.engine.restore_factory(entry.factory_post.clone());
-                unit.expansion.extend(entry.expansion.iter().cloned());
-                unit.cores.extend(entry.cores.iter().cloned());
-                unit.chunks.extend(entry.chunks.iter().cloned());
-                unit.cfgs.extend(entry.cfgs.iter().cloned());
                 unit.stats.reused += 1;
                 if observe::enabled() {
                     observe::emit(observe::EventKind::CacheHit { form: i as u32 });
                 }
-                continue;
+            } else {
+                if observe::enabled() {
+                    observe::emit(observe::EventKind::CacheMiss {
+                        form: i as u32,
+                        reason: self.miss_reason(i, upstream_dirty, first_compile, weights),
+                    });
+                }
+                let entry = self.expand_entry(i, weights, &mut unit.stats)?;
+                // A re-expanded form that changed meta state (define-syntax
+                // and friends) invalidates every later form in this compile.
+                upstream_dirty |= entry.meta;
+                unit.stats.reexpanded += 1;
+                self.unindex_entry(i);
+                self.entries[i] = Some(entry);
+                self.index_entry(i);
             }
-            if observe::enabled() {
-                observe::emit(observe::EventKind::CacheMiss {
-                    form: i as u32,
-                    reason: self.miss_reason(i, upstream_dirty, first_compile, weights),
-                });
-            }
-
-            let entry = self.expand_entry(i, weights, &mut unit.stats)?;
-            // A re-expanded form that changed meta state (define-syntax
-            // and friends) invalidates every later form in this compile.
-            if entry.meta {
-                upstream_dirty = true;
-            }
+            let entry = self.entries[i].as_ref().expect("cached above");
             unit.expansion.extend(entry.expansion.iter().cloned());
             unit.cores.extend(entry.cores.iter().cloned());
             unit.chunks.extend(entry.chunks.iter().cloned());
-            unit.cfgs.extend(entry.cfgs.iter().cloned());
-            unit.stats.reexpanded += 1;
-
-            self.unindex_entry(i);
-            self.entries[i] = Some(entry);
-            self.index_entry(i);
         }
         self.last_weights = Some(weights.clone());
         observe::finish(compile_timer, |duration_us| {
@@ -514,8 +508,7 @@ impl IncrementalEngine {
         let meta = self.engine.expander_mut().take_meta_dirty();
         stats.transformer_calls += expanded.transformer_calls;
         stats.replay_misses += expanded.replay_misses;
-        let chunks: Vec<Chunk> = expanded.cores.iter().map(compile_chunk).collect();
-        let cfgs = chunks.iter().map(canonical_form).collect();
+        let chunks = expanded.cores.iter().map(compile_chunk).collect();
         Ok(FormEntry {
             profile_snapshot: reads.whole_profile.then(|| weights.clone()),
             reads,
@@ -524,7 +517,6 @@ impl IncrementalEngine {
             expansion: expanded.printed(),
             cores: expanded.cores,
             chunks,
-            cfgs,
             meta,
         })
     }
@@ -762,7 +754,6 @@ impl IncrementalEngine {
                 for (old, new) in stored.chunk_ids.iter().zip(chunks.iter()) {
                     ws.chunk_map.push((*old, new.id));
                 }
-                let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
                 let profile_snapshot = stored
                     .snapshot
                     .or_else(|| stored.reads.whole_profile.then(|| stored_weights.clone()));
@@ -774,7 +765,6 @@ impl IncrementalEngine {
                     expansion: stored.expansion,
                     cores: stored.cores,
                     chunks,
-                    cfgs,
                     profile_snapshot,
                     meta: false,
                 });
@@ -790,7 +780,12 @@ impl IncrementalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgmp_bytecode::canonical_form;
     use pgmp_syntax::SourceObject;
+
+    fn canonical_cfgs(chunks: &[Chunk]) -> Vec<String> {
+        chunks.iter().map(canonical_form).collect()
+    }
 
     /// An `if-r` program with one profile-dependent form among plain ones.
     const PROGRAM: &str = "
@@ -836,7 +831,10 @@ mod tests {
         let second = incr.compile(&w).unwrap();
         assert!(second.stats.all_reused(), "stats: {:?}", second.stats);
         assert_eq!(first.expansion, second.expansion);
-        assert_eq!(first.cfgs, second.cfgs);
+        assert_eq!(
+            canonical_cfgs(&first.chunks),
+            canonical_cfgs(&second.chunks)
+        );
     }
 
     #[test]
@@ -1125,7 +1123,7 @@ mod tests {
         let unit = incr.compile(&w).unwrap();
         assert!(unit.stats.all_reused(), "stats: {:?}", unit.stats);
         assert_eq!(unit.expansion, first.expansion);
-        assert_eq!(unit.cfgs, first.cfgs);
+        assert_eq!(canonical_cfgs(&unit.chunks), canonical_cfgs(&first.chunks));
 
         // And the cache is still *live*: flipping the branch weights after
         // a warm start re-expands exactly the dependent form.

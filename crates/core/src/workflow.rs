@@ -82,7 +82,9 @@ pub fn run_three_pass(src: &str, file: &str) -> Result<ThreePassReport, Error> {
     // reuse is total and the pass-3 code *is* the pass-2 code (same
     // chunks, same ids).
     let unit3 = incr.compile(&source_weights)?;
-    let stable = unit2.cfgs == unit3.cfgs;
+    let mut pass2_chunks: Vec<String> = unit2.chunks.iter().map(canonical_form).collect();
+    let mut pass3_chunks: Vec<String> = unit3.chunks.iter().map(canonical_form).collect();
+    let stable = pass2_chunks == pass3_chunks;
     let reuse = unit3.stats;
 
     // Profile basic blocks while running the pass-2 code. Lambda bodies
@@ -98,9 +100,7 @@ pub fn run_three_pass(src: &str, file: &str) -> Result<ThreePassReport, Error> {
     let baseline_metrics = vm.metrics;
     let lambda_canon: Vec<String> =
         vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
-    let mut pass2_chunks = unit2.cfgs.clone();
     pass2_chunks.extend(lambda_canon.iter().cloned());
-    let mut pass3_chunks = unit3.cfgs.clone();
     pass3_chunks.extend(lambda_canon);
 
     // Apply the block-level PGO (layout) and measure the final run. The

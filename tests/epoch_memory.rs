@@ -4,15 +4,19 @@
 //! bytes after 2N epochs may exceed those after N epochs only by a small
 //! per-epoch slack: the names of generated identifiers are interned for
 //! the life of the process, and every expansion makes some. Served runs
-//! with no re-optimization between them must keep nothing at all.
+//! with no re-optimization between them must keep nothing at all. The
+//! per-form cache every (re)compile goes through keeps a bounded number of
+//! bytes per form.
 //!
 //! This binary installs a counting global allocator that tracks live
 //! bytes per thread. The test collects, ticks and serves on its own
 //! thread, so everything the loop allocates is counted.
 
+use pgmp::{IncrementalConfig, IncrementalEngine};
 use pgmp_adaptive::{AdaptiveConfig, AdaptiveEngine};
 use pgmp_bytecode::DispatchMode;
-use pgmp_case_studies::{install, Lib};
+use pgmp_case_studies::{engine_with, install, Lib};
+use pgmp_profiler::ProfileInformation;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -167,4 +171,31 @@ fn steady_vm_serving_leaves_constant_live_bytes() {
             "{RUNS} served runs kept {growth} live bytes"
         );
     }
+}
+
+#[test]
+fn incremental_cache_keeps_bounded_bytes_per_form() {
+    // Classifiers shaped like SERVICE's, one per form.
+    const N: usize = 200;
+    let src: String = (0..N)
+        .map(|i| {
+            format!(
+                "(define (k{i} x) (case x [(0 1) (+ x {i})] [(2 3) (* x 2)] [(4 5) (- x 3)] [else {i}]))\n"
+            )
+        })
+        .collect();
+    let engine = engine_with(&[Lib::Case]).expect("engine");
+    let mut incr =
+        IncrementalEngine::with_engine(engine, &src, "forms.scm", IncrementalConfig::default())
+            .expect("parse");
+    let before = live();
+    drop(incr.compile(&ProfileInformation::empty()).expect("compile"));
+    let per_form = (live() - before) / N as i64;
+    // A form's entry keeps its printed expansion, core forms and chunk,
+    // ~4.4 KiB here; printed CFGs kept beside them made it ~13 KiB.
+    const BOUND: i64 = 6 * 1024;
+    assert!(
+        per_form < BOUND,
+        "the cache keeps {per_form} bytes per form"
+    );
 }

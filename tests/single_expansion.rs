@@ -156,7 +156,8 @@ fn every_path_registers_each_class_once() {
         .expect("trained profile drifts");
     let program = engine.current_program();
     assert_predicts_circle_then_square("adaptive", &program.expansion);
-    assert_eq!(program.cfgs, cfgs_of(&compiled.cores), "adaptive CFGs");
+    let cfgs: Vec<String> = engine.chunks().map(canonical_form).collect();
+    assert_eq!(cfgs, cfgs_of(&compiled.cores), "adaptive CFGs");
 
     // two_pass, which compiles and runs through Engine::compile_str.
     let result = two_pass(LIBS, SHAPES, file).unwrap();
@@ -316,6 +317,7 @@ fn every_path_prints_what_expand_str_prints_for_each_library() {
         engine.apply_fleet_epoch(&w, 0, 0).unwrap();
         let current = engine.current_program();
         assert_eq!(current.expansion, expected, "{ctx}: adaptive");
-        assert_eq!(current.cfgs, cfgs_of(&compiled.cores), "{ctx}: adaptive CFGs");
+        let cfgs: Vec<String> = engine.chunks().map(canonical_form).collect();
+        assert_eq!(cfgs, cfgs_of(&compiled.cores), "{ctx}: adaptive CFGs");
     }
 }
