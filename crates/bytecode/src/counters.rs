@@ -357,7 +357,12 @@ impl DerivedCounts {
     /// (the running one and those suspended at a call) as if it had run;
     /// those points are not counted again when they do.
     pub fn drain(&self, mode: ProfileMode, count: impl FnMut(SourceObject, u64)) {
-        derive_counts(self.chunks.borrow().iter().map(|c| &**c), &self.blocks, mode, count);
+        derive_counts(
+            self.chunks.borrow().iter().map(|c| &**c),
+            &self.blocks,
+            mode,
+            count,
+        );
         self.blocks.clear();
     }
 }
@@ -503,7 +508,10 @@ mod tests {
         let c = BlockCounters::with_store(SlotStore::sampling_manual());
         assert_eq!(c.store().impl_kind(), CounterImpl::Sampling);
         assert_eq!(c.store().sample_hz(), Some(0));
-        assert!(!c.store().has_sampler_thread(), "manual mode has no sampler thread");
+        assert!(
+            !c.store().has_sampler_thread(),
+            "manual mode has no sampler thread"
+        );
         let base = c.register_chunk(2, 4);
         c.increment_at(base, 1);
         assert_eq!(c.count(2, 1), 0, "publishing alone tallies nothing");

@@ -41,7 +41,11 @@ fn run_vm(src: &str) -> String {
 }
 
 fn assert_agree(src: &str) {
-    assert_eq!(run_tree(src), run_vm(src), "tree-walker and VM disagree on {src}");
+    assert_eq!(
+        run_tree(src),
+        run_vm(src),
+        "tree-walker and VM disagree on {src}"
+    );
 }
 
 #[test]
@@ -164,11 +168,18 @@ fn a_vm_reaches_only_the_lambdas_still_alive() {
     let counters = BlockCounters::new();
     vm.set_block_profiling(counters.clone());
     let mut run = |vm: &mut Vm, interp: &mut Interp, src: &str| {
-        for form in exp.expand_program(&read_str(src, "t.scm").unwrap()).unwrap() {
+        for form in exp
+            .expand_program(&read_str(src, "t.scm").unwrap())
+            .unwrap()
+        {
             vm.run_core(interp, &form).unwrap();
         }
     };
-    run(&mut vm, &mut interp, "(define (keep n) (if (< n 1) 'small 'big)) (keep 5)");
+    run(
+        &mut vm,
+        &mut interp,
+        "(define (keep n) (if (< n 1) 'small 'big)) (keep 5)",
+    );
     run(&mut vm, &mut interp, "(define (drop) 'gone) (drop)");
     assert_eq!(vm.compiled_chunks().len(), 2);
     // Redefining `drop` frees its only closure, and with it the def.
@@ -180,7 +191,10 @@ fn a_vm_reaches_only_the_lambdas_still_alive() {
     let relaid = vm.compiled_chunks();
     assert_eq!(relaid.len(), 1);
     assert_eq!(relaid[0].id, keep.id, "a new layout keeps the chunk id");
-    assert!(!std::rc::Rc::ptr_eq(&relaid[0], &keep), "a new layout is a new chunk");
+    assert!(
+        !std::rc::Rc::ptr_eq(&relaid[0], &keep),
+        "a new layout is a new chunk"
+    );
     assert_eq!(canonical_form(&relaid[0]), canonical_form(&keep));
 }
 
@@ -307,7 +321,9 @@ fn first_errors(src: &str) -> Vec<EvalError> {
     let tree = program.iter().find_map(|f| interp.eval(f, &None).err());
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
-    let vm_err = program.iter().find_map(|f| vm.run_core(&mut interp, f).err());
+    let vm_err = program
+        .iter()
+        .find_map(|f| vm.run_core(&mut interp, f).err());
     vec![
         tree.expect("tree walker raised no error"),
         vm_err.expect("VM raised no error"),
@@ -325,15 +341,39 @@ fn closure_arity_errors_name_the_procedure() {
     for (src, message) in [
         ("(define (f x) x) (f 1 2)", "f: expected 1 arguments, got 2"),
         // Tail and non-tail calls from inside a VM activation.
-        ("(define (f x) x) (define (g) (f)) (g)", "f: expected 1 arguments, got 0"),
-        ("(define (f x) x) (define (g) (+ 1 (f 1 2))) (g)", "f: expected 1 arguments, got 2"),
-        ("(define (f a . r) a) (define (g) (list (f))) (g)", "f: expected at least 1 arguments, got 0"),
-        ("(define f (lambda (x) x)) (define (g) (f)) (g)", "f: expected 1 arguments, got 0"),
-        ("(define (g h) (list (h 1 2))) (g (lambda (x) x))", "#<procedure>: expected 1 arguments, got 2"),
-        ("(define (g h) (h)) (g (lambda (a . r) a))", "#<procedure>: expected at least 1 arguments, got 0"),
+        (
+            "(define (f x) x) (define (g) (f)) (g)",
+            "f: expected 1 arguments, got 0",
+        ),
+        (
+            "(define (f x) x) (define (g) (+ 1 (f 1 2))) (g)",
+            "f: expected 1 arguments, got 2",
+        ),
+        (
+            "(define (f a . r) a) (define (g) (list (f))) (g)",
+            "f: expected at least 1 arguments, got 0",
+        ),
+        (
+            "(define f (lambda (x) x)) (define (g) (f)) (g)",
+            "f: expected 1 arguments, got 0",
+        ),
+        (
+            "(define (g h) (list (h 1 2))) (g (lambda (x) x))",
+            "#<procedure>: expected 1 arguments, got 2",
+        ),
+        (
+            "(define (g h) (h)) (g (lambda (a . r) a))",
+            "#<procedure>: expected at least 1 arguments, got 0",
+        ),
         // Procedures bound as code: internal `define`, non-tail and tail.
-        ("(define (g) (define (f x) x) (list (f))) (g)", "f: expected 1 arguments, got 0"),
-        ("(define (g) (define (f x) x) (f 1 2)) (g)", "f: expected 1 arguments, got 2"),
+        (
+            "(define (g) (define (f x) x) (list (f))) (g)",
+            "f: expected 1 arguments, got 0",
+        ),
+        (
+            "(define (g) (define (f x) x) (f 1 2)) (g)",
+            "f: expected 1 arguments, got 2",
+        ),
     ] {
         for err in first_errors(src) {
             assert_eq!(err.kind, EvalErrorKind::Arity, "{src}");
@@ -345,12 +385,32 @@ fn closure_arity_errors_name_the_procedure() {
 #[test]
 fn native_errors_carry_the_call_site() {
     for (src, site, kind) in [
-        ("(define (g p) (+ 1 (car p))) (g 5)", "(car p)", EvalErrorKind::Type),
-        ("(define (g p) (car p)) (g 5)", "(car p)", EvalErrorKind::Type),
-        ("(define (g p) (list (car p p))) (g 5)", "(car p p)", EvalErrorKind::Arity),
+        (
+            "(define (g p) (+ 1 (car p))) (g 5)",
+            "(car p)",
+            EvalErrorKind::Type,
+        ),
+        (
+            "(define (g p) (car p)) (g 5)",
+            "(car p)",
+            EvalErrorKind::Type,
+        ),
+        (
+            "(define (g p) (list (car p p))) (g 5)",
+            "(car p p)",
+            EvalErrorKind::Arity,
+        ),
         ("(define (g p) (cdr)) (g 5)", "(cdr)", EvalErrorKind::Arity),
-        ("(define (g) (list 1 (vector-ref (vector 1 2) 7))) (g)", "(vector-ref (vector 1 2) 7)", EvalErrorKind::Runtime),
-        ("(define (g p) (list (p 1))) (g 5)", "(p 1)", EvalErrorKind::Type),
+        (
+            "(define (g) (list 1 (vector-ref (vector 1 2) 7))) (g)",
+            "(vector-ref (vector 1 2) 7)",
+            EvalErrorKind::Runtime,
+        ),
+        (
+            "(define (g p) (list (p 1))) (g 5)",
+            "(p 1)",
+            EvalErrorKind::Type,
+        ),
     ] {
         let errors = first_errors(src);
         for err in &errors {
@@ -375,7 +435,10 @@ fn executors_run_on_after_a_native_error() {
     let mut exp = Expander::new();
     let program = exp.expand_program(&forms).unwrap();
     let mut interp = fresh_interp();
-    let tree: Vec<bool> = program.iter().map(|f| interp.eval(f, &None).is_ok()).collect();
+    let tree: Vec<bool> = program
+        .iter()
+        .map(|f| interp.eval(f, &None).is_ok())
+        .collect();
     assert_eq!(tree, [true, true, false, true, true]);
     let tree_last = interp.eval(program.last().unwrap(), &None).unwrap();
     assert_eq!(tree_last.write_string(), "(55 (1 . 2) 7)");
@@ -417,7 +480,10 @@ fn block_profiling_counts_hot_path() {
             .collect();
         counts.iter().any(|&x| x >= 100) && counts.contains(&0)
     });
-    assert!(has_biased_chunk, "expected a chunk with hot and never-run blocks");
+    assert!(
+        has_biased_chunk,
+        "expected a chunk with hot and never-run blocks"
+    );
 }
 
 #[test]
@@ -441,11 +507,17 @@ fn layout_optimization_improves_fallthrough_on_biased_branch() {
     }
 
     // Pass 2: relayout the lambda chunks the VM counted and re-run, measuring.
-    let before_chunks: Vec<String> =
-        vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
+    let before_chunks: Vec<String> = vm
+        .compiled_chunks()
+        .iter()
+        .map(|c| canonical_form(c))
+        .collect();
     vm.relayout(&mut [], &counters);
-    let after_chunks: Vec<String> =
-        vm.compiled_chunks().iter().map(|c| canonical_form(c)).collect();
+    let after_chunks: Vec<String> = vm
+        .compiled_chunks()
+        .iter()
+        .map(|c| canonical_form(c))
+        .collect();
     assert_eq!(before_chunks, after_chunks, "layout must preserve the CFG");
 
     vm.block_counters = None;
@@ -514,7 +586,12 @@ struct BlockProfile {
 fn profile_run(src: &str) -> BlockProfile {
     let forms = read_str(src, "t.scm").unwrap();
     let mut exp = Expander::new();
-    let chunks: Vec<Chunk> = exp.expand_program(&forms).unwrap().iter().map(compile_chunk).collect();
+    let chunks: Vec<Chunk> = exp
+        .expand_program(&forms)
+        .unwrap()
+        .iter()
+        .map(compile_chunk)
+        .collect();
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
     let counters = BlockCounters::new();
@@ -524,7 +601,9 @@ fn profile_run(src: &str) -> BlockProfile {
         last = vm.run_chunk(&mut interp, chunk).unwrap();
     }
     let counts = |c: &Chunk| -> Vec<u64> {
-        (0..c.block_count() as u32).map(|b| counters.count(c.id, b)).collect()
+        (0..c.block_count() as u32)
+            .map(|b| counters.count(c.id, b))
+            .collect()
     };
     BlockProfile {
         result: last.write_string(),
@@ -557,8 +636,16 @@ fn assert_profile(src: &str, want: &Expected) {
     let got = profile_run(src);
     let m = got.metrics;
     assert_eq!(got.result, want.result, "result of {src}");
-    assert_eq!(got.toplevel, to_vecs(want.toplevel), "top-level block counts of {src}");
-    assert_eq!(got.lambdas, to_vecs(want.lambdas), "lambda block counts of {src}");
+    assert_eq!(
+        got.toplevel,
+        to_vecs(want.toplevel),
+        "top-level block counts of {src}"
+    );
+    assert_eq!(
+        got.lambdas,
+        to_vecs(want.lambdas),
+        "lambda block counts of {src}"
+    );
     assert_eq!(
         (m.fallthroughs, m.taken_jumps, m.calls),
         (want.fallthroughs, want.taken_jumps, want.calls),

@@ -122,7 +122,10 @@ mod tests {
         // A boxed error lets `Result<Value, EvalError>` reuse `Value`'s
         // niche: it stays the size of a `Value` and returns in registers.
         assert_eq!(std::mem::size_of::<EvalError>(), 8);
-        assert_eq!(std::mem::size_of::<Result<crate::value::Value, EvalError>>(), 16);
+        assert_eq!(
+            std::mem::size_of::<Result<crate::value::Value, EvalError>>(),
+            16
+        );
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub(super) fn install(interp: &mut Interp) {
         if args.len() == 1 {
             return match want_num(&args[0])? {
                 Num::Int(n) => Ok(Value::Int(
-                    n.checked_neg().ok_or_else(|| runtime_error("-: overflow"))?,
+                    n.checked_neg()
+                        .ok_or_else(|| runtime_error("-: overflow"))?,
                 )),
                 Num::Float(x) => Ok(Value::Float(-x)),
             };
@@ -150,7 +151,11 @@ pub(super) fn install(interp: &mut Interp) {
             return Err(runtime_error("modulo: division by zero"));
         }
         let r = a % b;
-        Ok(Value::Int(if r != 0 && (r < 0) != (b < 0) { r + b } else { r }))
+        Ok(Value::Int(if r != 0 && (r < 0) != (b < 0) {
+            r + b
+        } else {
+            r
+        }))
     });
     interp.define_native("=", 2, None, |_, args| {
         compare_chain(args, |o| o == std::cmp::Ordering::Equal)
@@ -169,7 +174,8 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("abs", 1, Some(1), |_, args| match want_num(&args[0])? {
         Num::Int(n) => Ok(Value::Int(
-            n.checked_abs().ok_or_else(|| runtime_error("abs: overflow"))?,
+            n.checked_abs()
+                .ok_or_else(|| runtime_error("abs: overflow"))?,
         )),
         Num::Float(x) => Ok(Value::Float(x.abs())),
     });
@@ -210,19 +216,22 @@ pub(super) fn install(interp: &mut Interp) {
     });
     interp.define_native("add1", 1, Some(1), |_, args| match want_num(&args[0])? {
         Num::Int(n) => Ok(Value::Int(
-            n.checked_add(1).ok_or_else(|| runtime_error("add1: overflow"))?,
+            n.checked_add(1)
+                .ok_or_else(|| runtime_error("add1: overflow"))?,
         )),
         Num::Float(x) => Ok(Value::Float(x + 1.0)),
     });
     interp.define_native("sub1", 1, Some(1), |_, args| match want_num(&args[0])? {
         Num::Int(n) => Ok(Value::Int(
-            n.checked_sub(1).ok_or_else(|| runtime_error("sub1: overflow"))?,
+            n.checked_sub(1)
+                .ok_or_else(|| runtime_error("sub1: overflow"))?,
         )),
         Num::Float(x) => Ok(Value::Float(x - 1.0)),
     });
     interp.define_native("sqr", 1, Some(1), |_, args| match want_num(&args[0])? {
         Num::Int(n) => Ok(Value::Int(
-            n.checked_mul(n).ok_or_else(|| runtime_error("sqr: overflow"))?,
+            n.checked_mul(n)
+                .ok_or_else(|| runtime_error("sqr: overflow"))?,
         )),
         Num::Float(x) => Ok(Value::Float(x * x)),
     });
@@ -234,14 +243,18 @@ pub(super) fn install(interp: &mut Interp) {
             (Num::Int(b), Num::Int(e)) if e >= 0 => {
                 let e = u32::try_from(e).map_err(|_| runtime_error("expt: exponent too large"))?;
                 Ok(Value::Int(
-                    b.checked_pow(e).ok_or_else(|| runtime_error("expt: overflow"))?,
+                    b.checked_pow(e)
+                        .ok_or_else(|| runtime_error("expt: overflow"))?,
                 ))
             }
             (b, e) => Ok(Value::Float(b.as_f64().powf(e.as_f64()))),
         }
     });
     interp.define_native("number?", 1, Some(1), |_, args| {
-        Ok(Value::Bool(matches!(args[0], Value::Int(_) | Value::Float(_))))
+        Ok(Value::Bool(matches!(
+            args[0],
+            Value::Int(_) | Value::Float(_)
+        )))
     });
     interp.define_native("integer?", 1, Some(1), |_, args| {
         Ok(Value::Bool(match &args[0] {
@@ -259,7 +272,9 @@ pub(super) fn install(interp: &mut Interp) {
             Num::Float(x) if x.fract() == 0.0 && x.abs() < i64::MAX as f64 => {
                 Ok(Value::Int(x as i64))
             }
-            Num::Float(x) => Err(runtime_error(format!("inexact->exact: {x} is not integral"))),
+            Num::Float(x) => Err(runtime_error(format!(
+                "inexact->exact: {x} is not integral"
+            ))),
         }
     });
     for (name, f) in [
@@ -327,9 +342,16 @@ mod tests {
 
     #[test]
     fn addition_mixed_tower() {
-        assert_eq!(run("+", vec![Value::Int(1), Value::Int(2)]).unwrap().to_string(), "3");
         assert_eq!(
-            run("+", vec![Value::Int(1), Value::Float(0.5)]).unwrap().to_string(),
+            run("+", vec![Value::Int(1), Value::Int(2)])
+                .unwrap()
+                .to_string(),
+            "3"
+        );
+        assert_eq!(
+            run("+", vec![Value::Int(1), Value::Float(0.5)])
+                .unwrap()
+                .to_string(),
             "1.5"
         );
         assert_eq!(run("+", vec![]).unwrap().to_string(), "0");
@@ -339,40 +361,70 @@ mod tests {
     fn subtraction_and_negation() {
         assert_eq!(run("-", vec![Value::Int(5)]).unwrap().to_string(), "-5");
         assert_eq!(
-            run("-", vec![Value::Int(5), Value::Int(2), Value::Int(1)]).unwrap().to_string(),
+            run("-", vec![Value::Int(5), Value::Int(2), Value::Int(1)])
+                .unwrap()
+                .to_string(),
             "2"
         );
     }
 
     #[test]
     fn division_exactness() {
-        assert_eq!(run("/", vec![Value::Int(6), Value::Int(2)]).unwrap().to_string(), "3");
-        assert_eq!(run("/", vec![Value::Int(1), Value::Int(2)]).unwrap().to_string(), "0.5");
+        assert_eq!(
+            run("/", vec![Value::Int(6), Value::Int(2)])
+                .unwrap()
+                .to_string(),
+            "3"
+        );
+        assert_eq!(
+            run("/", vec![Value::Int(1), Value::Int(2)])
+                .unwrap()
+                .to_string(),
+            "0.5"
+        );
         assert!(run("/", vec![Value::Int(1), Value::Int(0)]).is_err());
     }
 
     #[test]
     fn comparison_chains() {
         assert_eq!(
-            run("<", vec![Value::Int(1), Value::Int(2), Value::Int(3)]).unwrap().to_string(),
+            run("<", vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+                .unwrap()
+                .to_string(),
             "#t"
         );
         assert_eq!(
-            run("<", vec![Value::Int(1), Value::Int(3), Value::Int(2)]).unwrap().to_string(),
+            run("<", vec![Value::Int(1), Value::Int(3), Value::Int(2)])
+                .unwrap()
+                .to_string(),
             "#f"
         );
         assert_eq!(
-            run(">=", vec![Value::Int(3), Value::Int(3), Value::Int(1)]).unwrap().to_string(),
+            run(">=", vec![Value::Int(3), Value::Int(3), Value::Int(1)])
+                .unwrap()
+                .to_string(),
             "#t"
         );
     }
 
     #[test]
     fn modulo_follows_sign_of_divisor() {
-        assert_eq!(run("modulo", vec![Value::Int(-7), Value::Int(3)]).unwrap().to_string(), "2");
-        assert_eq!(run("modulo", vec![Value::Int(7), Value::Int(-3)]).unwrap().to_string(), "-2");
         assert_eq!(
-            run("remainder", vec![Value::Int(-7), Value::Int(3)]).unwrap().to_string(),
+            run("modulo", vec![Value::Int(-7), Value::Int(3)])
+                .unwrap()
+                .to_string(),
+            "2"
+        );
+        assert_eq!(
+            run("modulo", vec![Value::Int(7), Value::Int(-3)])
+                .unwrap()
+                .to_string(),
+            "-2"
+        );
+        assert_eq!(
+            run("remainder", vec![Value::Int(-7), Value::Int(3)])
+                .unwrap()
+                .to_string(),
             "-1"
         );
     }
@@ -386,15 +438,32 @@ mod tests {
     #[test]
     fn sqr_and_expt() {
         assert_eq!(run("sqr", vec![Value::Int(9)]).unwrap().to_string(), "81");
-        assert_eq!(run("expt", vec![Value::Int(2), Value::Int(10)]).unwrap().to_string(), "1024");
+        assert_eq!(
+            run("expt", vec![Value::Int(2), Value::Int(10)])
+                .unwrap()
+                .to_string(),
+            "1024"
+        );
     }
 
     #[test]
     fn string_number_conversions() {
-        assert_eq!(run("number->string", vec![Value::Int(42)]).unwrap().to_string(), "42");
-        assert_eq!(run("string->number", vec![Value::string("42")]).unwrap().to_string(), "42");
         assert_eq!(
-            run("string->number", vec![Value::string("nope")]).unwrap().to_string(),
+            run("number->string", vec![Value::Int(42)])
+                .unwrap()
+                .to_string(),
+            "42"
+        );
+        assert_eq!(
+            run("string->number", vec![Value::string("42")])
+                .unwrap()
+                .to_string(),
+            "42"
+        );
+        assert_eq!(
+            run("string->number", vec![Value::string("nope")])
+                .unwrap()
+                .to_string(),
             "#f"
         );
     }

@@ -161,10 +161,17 @@ mod tests {
         with_interp(|i| {
             let a = Value::list(vec![Value::Int(1)]);
             let b = Value::list(vec![Value::Int(1)]);
-            assert_eq!(call(i, "eq?", vec![a.clone(), b.clone()]).unwrap().to_string(), "#f");
+            assert_eq!(
+                call(i, "eq?", vec![a.clone(), b.clone()])
+                    .unwrap()
+                    .to_string(),
+                "#f"
+            );
             assert_eq!(call(i, "equal?", vec![a, b]).unwrap().to_string(), "#t");
             assert_eq!(
-                call(i, "eqv?", vec![Value::Int(1), Value::Int(1)]).unwrap().to_string(),
+                call(i, "eqv?", vec![Value::Int(1), Value::Int(1)])
+                    .unwrap()
+                    .to_string(),
                 "#t"
             );
         });
@@ -187,7 +194,11 @@ mod tests {
             call(
                 i,
                 "printf",
-                vec![Value::string("n=~a s=~s~%"), Value::Int(5), Value::string("q")],
+                vec![
+                    Value::string("n=~a s=~s~%"),
+                    Value::Int(5),
+                    Value::string("q"),
+                ],
             )
             .unwrap();
             assert_eq!(i.take_output(), "x\nn=5 s=\"q\"\n");
@@ -197,7 +208,17 @@ mod tests {
     #[test]
     fn format_returns_string() {
         with_interp(|i| {
-            let v = call(i, "format", vec![Value::string("~a+~a=~a"), Value::Int(1), Value::Int(2), Value::Int(3)]).unwrap();
+            let v = call(
+                i,
+                "format",
+                vec![
+                    Value::string("~a+~a=~a"),
+                    Value::Int(1),
+                    Value::Int(2),
+                    Value::Int(3),
+                ],
+            )
+            .unwrap();
             assert_eq!(v.to_string(), "1+2=3");
             assert!(call(i, "format", vec![Value::string("~a")]).is_err());
             assert!(call(i, "format", vec![Value::string("~z")]).is_err());
@@ -207,7 +228,12 @@ mod tests {
     #[test]
     fn warn_records_warning() {
         with_interp(|i| {
-            call(i, "warn", vec![Value::string("consider a vector: ~a"), Value::Int(1)]).unwrap();
+            call(
+                i,
+                "warn",
+                vec![Value::string("consider a vector: ~a"), Value::Int(1)],
+            )
+            .unwrap();
             assert_eq!(i.warnings, vec!["consider a vector: 1"]);
         });
     }

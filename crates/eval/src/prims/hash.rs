@@ -15,12 +15,17 @@ fn want_hash(v: &Value) -> Result<&RefCell<FnvHashMap<HashKey, Value>>, EvalErro
 }
 
 fn want_key(v: &Value) -> Result<HashKey, EvalError> {
-    HashKey::from_value(v)
-        .ok_or_else(|| EvalError::type_error("hashable key (symbol, number, char, bool, string)", v))
+    HashKey::from_value(v).ok_or_else(|| {
+        EvalError::type_error("hashable key (symbol, number, char, bool, string)", v)
+    })
 }
 
 pub(super) fn install(interp: &mut Interp) {
-    for name in ["make-eq-hashtable", "make-equal-hashtable", "make-hashtable"] {
+    for name in [
+        "make-eq-hashtable",
+        "make-equal-hashtable",
+        "make-hashtable",
+    ] {
         interp.define_native(name, 0, Some(2), |_, _| {
             Ok(Value::Hash(Rc::new(RefCell::new(FnvHashMap::default()))))
         });
@@ -68,7 +73,12 @@ pub(super) fn install(interp: &mut Interp) {
         let mut entries: Vec<(String, Value)> = h
             .borrow()
             .iter()
-            .map(|(k, v)| (k.to_value().write_string(), Value::cons(k.to_value(), v.clone())))
+            .map(|(k, v)| {
+                (
+                    k.to_value().write_string(),
+                    Value::cons(k.to_value(), v.clone()),
+                )
+            })
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(Value::list(entries.into_iter().map(|(_, v)| v)))
@@ -78,7 +88,11 @@ pub(super) fn install(interp: &mut Interp) {
         let h = want_hash(&args[0])?;
         let k = want_key(&args[1])?;
         let proc = args[2].clone();
-        let cur = h.borrow().get(&k).cloned().unwrap_or_else(|| args[3].clone());
+        let cur = h
+            .borrow()
+            .get(&k)
+            .cloned()
+            .unwrap_or_else(|| args[3].clone());
         let new = interp.apply(&proc, &[cur])?;
         h.borrow_mut().insert(k, new);
         Ok(Value::Unspecified)
@@ -112,26 +126,43 @@ mod tests {
     fn set_ref_contains_delete() {
         with_interp(|i| {
             let h = call(i, "make-eq-hashtable", vec![]).unwrap();
-            call(i, "hashtable-set!", vec![h.clone(), sym("car"), Value::Int(1)]).unwrap();
+            call(
+                i,
+                "hashtable-set!",
+                vec![h.clone(), sym("car"), Value::Int(1)],
+            )
+            .unwrap();
             assert_eq!(
-                call(i, "hashtable-ref", vec![h.clone(), sym("car"), Value::Int(0)])
-                    .unwrap()
-                    .to_string(),
+                call(
+                    i,
+                    "hashtable-ref",
+                    vec![h.clone(), sym("car"), Value::Int(0)]
+                )
+                .unwrap()
+                .to_string(),
                 "1"
             );
             assert_eq!(
-                call(i, "hashtable-ref", vec![h.clone(), sym("cdr"), Value::Int(0)])
-                    .unwrap()
-                    .to_string(),
+                call(
+                    i,
+                    "hashtable-ref",
+                    vec![h.clone(), sym("cdr"), Value::Int(0)]
+                )
+                .unwrap()
+                .to_string(),
                 "0"
             );
             assert_eq!(
-                call(i, "hashtable-contains?", vec![h.clone(), sym("car")]).unwrap().to_string(),
+                call(i, "hashtable-contains?", vec![h.clone(), sym("car")])
+                    .unwrap()
+                    .to_string(),
                 "#t"
             );
             call(i, "hashtable-delete!", vec![h.clone(), sym("car")]).unwrap();
             assert_eq!(
-                call(i, "hashtable-contains?", vec![h.clone(), sym("car")]).unwrap().to_string(),
+                call(i, "hashtable-contains?", vec![h.clone(), sym("car")])
+                    .unwrap()
+                    .to_string(),
                 "#f"
             );
             assert_eq!(call(i, "hashtable-size", vec![h]).unwrap().to_string(), "0");
@@ -143,15 +174,24 @@ mod tests {
         with_interp(|i| {
             let h = call(i, "make-equal-hashtable", vec![]).unwrap();
             let key = Value::string("k");
-            call(i, "hashtable-set!", vec![h.clone(), key.clone(), Value::Int(1)]).unwrap();
+            call(
+                i,
+                "hashtable-set!",
+                vec![h.clone(), key.clone(), Value::Int(1)],
+            )
+            .unwrap();
             // Mutating the original string value must not orphan the entry.
             if let Value::Str(s) = &key {
                 s.borrow_mut().push('!');
             }
             assert_eq!(
-                call(i, "hashtable-ref", vec![h, Value::string("k"), Value::Int(0)])
-                    .unwrap()
-                    .to_string(),
+                call(
+                    i,
+                    "hashtable-ref",
+                    vec![h, Value::string("k"), Value::Int(0)]
+                )
+                .unwrap()
+                .to_string(),
                 "1"
             );
         });
@@ -164,7 +204,10 @@ mod tests {
             for k in ["b", "a", "c"] {
                 call(i, "hashtable-set!", vec![h.clone(), sym(k), Value::Int(0)]).unwrap();
             }
-            assert_eq!(call(i, "hashtable-keys", vec![h]).unwrap().to_string(), "(a b c)");
+            assert_eq!(
+                call(i, "hashtable-keys", vec![h]).unwrap().to_string(),
+                "(a b c)"
+            );
         });
     }
 
@@ -179,9 +222,16 @@ mod tests {
                 vec![h.clone(), sym("n"), add1.clone(), Value::Int(0)],
             )
             .unwrap();
-            call(i, "hashtable-update!", vec![h.clone(), sym("n"), add1, Value::Int(0)]).unwrap();
+            call(
+                i,
+                "hashtable-update!",
+                vec![h.clone(), sym("n"), add1, Value::Int(0)],
+            )
+            .unwrap();
             assert_eq!(
-                call(i, "hashtable-ref", vec![h, sym("n"), Value::Int(-1)]).unwrap().to_string(),
+                call(i, "hashtable-ref", vec![h, sym("n"), Value::Int(-1)])
+                    .unwrap()
+                    .to_string(),
                 "2"
             );
         });

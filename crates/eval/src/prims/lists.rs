@@ -87,7 +87,9 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("list?", 1, Some(1), |_, args| {
         Ok(Value::Bool(args[0].list_elems().is_some()))
     });
-    interp.define_native("list", 0, None, |_, args| Ok(Value::list(args.iter().cloned())));
+    interp.define_native("list", 0, None, |_, args| {
+        Ok(Value::list(args.iter().cloned()))
+    });
     interp.define_native("length", 1, Some(1), |_, args| {
         Ok(Value::Int(want_list(&args[0])?.len() as i64))
     });
@@ -149,9 +151,7 @@ pub(super) fn install(interp: &mut Interp) {
             Some(v) => super::want_int(v)?,
             None => 1,
         };
-        Ok(Value::list(
-            (0..n).map(|i| Value::Int(start + i * step)),
-        ))
+        Ok(Value::list((0..n).map(|i| Value::Int(start + i * step))))
     });
 
     // Membership and association with the three equality predicates.
@@ -190,10 +190,7 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("map", 2, None, |interp, args| {
         let f = args[0].clone();
         want_procedure(&f)?;
-        let lists: Vec<Vec<Value>> = args[1..]
-            .iter()
-            .map(want_list)
-            .collect::<Result<_, _>>()?;
+        let lists: Vec<Vec<Value>> = args[1..].iter().map(want_list).collect::<Result<_, _>>()?;
         let n = lists.iter().map(Vec::len).min().unwrap_or(0);
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
@@ -205,10 +202,7 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("for-each", 2, None, |interp, args| {
         let f = args[0].clone();
         want_procedure(&f)?;
-        let lists: Vec<Vec<Value>> = args[1..]
-            .iter()
-            .map(want_list)
-            .collect::<Result<_, _>>()?;
+        let lists: Vec<Vec<Value>> = args[1..].iter().map(want_list).collect::<Result<_, _>>()?;
         let n = lists.iter().map(Vec::len).min().unwrap_or(0);
         for i in 0..n {
             let row: Vec<Value> = lists.iter().map(|l| l[i].clone()).collect();
@@ -359,7 +353,12 @@ mod tests {
                 Value::cons(Value::Sym(Symbol::intern("a")), Value::Int(1)),
                 Value::cons(Value::Sym(Symbol::intern("b")), Value::Int(2)),
             ]);
-            let hit = call(i, "assq", vec![Value::Sym(Symbol::intern("b")), alist.clone()]).unwrap();
+            let hit = call(
+                i,
+                "assq",
+                vec![Value::Sym(Symbol::intern("b")), alist.clone()],
+            )
+            .unwrap();
             assert_eq!(hit.to_string(), "(b . 2)");
             let miss = call(i, "assq", vec![Value::Sym(Symbol::intern("z")), alist]).unwrap();
             assert_eq!(miss.to_string(), "#f");
@@ -407,7 +406,10 @@ mod tests {
     #[test]
     fn iota_and_take() {
         with_interp(|i| {
-            assert_eq!(call(i, "iota", vec![Value::Int(3)]).unwrap().to_string(), "(0 1 2)");
+            assert_eq!(
+                call(i, "iota", vec![Value::Int(3)]).unwrap().to_string(),
+                "(0 1 2)"
+            );
             assert_eq!(
                 call(i, "iota", vec![Value::Int(3), Value::Int(5), Value::Int(2)])
                     .unwrap()
@@ -415,7 +417,9 @@ mod tests {
                 "(5 7 9)"
             );
             assert_eq!(
-                call(i, "take", vec![ints(&[1, 2, 3]), Value::Int(2)]).unwrap().to_string(),
+                call(i, "take", vec![ints(&[1, 2, 3]), Value::Int(2)])
+                    .unwrap()
+                    .to_string(),
                 "(1 2)"
             );
         });

@@ -64,9 +64,7 @@ pub(super) fn install(interp: &mut Interp) {
         Ok(Value::string(&want_string(&args[0])?.to_lowercase()))
     });
     interp.define_native("string->list", 1, Some(1), |_, args| {
-        Ok(Value::list(
-            want_string(&args[0])?.chars().map(Value::Char),
-        ))
+        Ok(Value::list(want_string(&args[0])?.chars().map(Value::Char)))
     });
     interp.define_native("list->string", 1, Some(1), |_, args| {
         let mut out = String::new();
@@ -103,7 +101,12 @@ pub(super) fn install(interp: &mut Interp) {
         let base = match args.first() {
             Some(Value::Str(s)) => s.borrow().clone(),
             Some(Value::Sym(s)) => s.as_str().to_owned(),
-            Some(other) => return Err(crate::error::EvalError::type_error("string or symbol", other)),
+            Some(other) => {
+                return Err(crate::error::EvalError::type_error(
+                    "string or symbol",
+                    other,
+                ))
+            }
             None => "g".to_owned(),
         };
         Ok(Value::Sym(Symbol::gensym(&base)))
@@ -169,20 +172,35 @@ mod tests {
 
     #[test]
     fn basic_string_ops() {
-        assert_eq!(call("string-length", vec![Value::string("abc")]).unwrap().to_string(), "3");
         assert_eq!(
-            call("string-append", vec![Value::string("ab"), Value::string("cd")])
+            call("string-length", vec![Value::string("abc")])
                 .unwrap()
                 .to_string(),
+            "3"
+        );
+        assert_eq!(
+            call(
+                "string-append",
+                vec![Value::string("ab"), Value::string("cd")]
+            )
+            .unwrap()
+            .to_string(),
             "abcd"
         );
         assert_eq!(
-            call("substring", vec![Value::string("hello"), Value::Int(1), Value::Int(3)])
-                .unwrap()
-                .to_string(),
+            call(
+                "substring",
+                vec![Value::string("hello"), Value::Int(1), Value::Int(3)]
+            )
+            .unwrap()
+            .to_string(),
             "el"
         );
-        assert!(call("substring", vec![Value::string("hi"), Value::Int(2), Value::Int(1)]).is_err());
+        assert!(call(
+            "substring",
+            vec![Value::string("hi"), Value::Int(2), Value::Int(1)]
+        )
+        .is_err());
     }
 
     #[test]
@@ -198,9 +216,12 @@ mod tests {
             "#t"
         );
         assert_eq!(
-            call("string-contains?", vec![Value::string("spam"), Value::string("PLDI")])
-                .unwrap()
-                .to_string(),
+            call(
+                "string-contains?",
+                vec![Value::string("spam"), Value::string("PLDI")]
+            )
+            .unwrap()
+            .to_string(),
             "#f"
         );
     }
@@ -215,11 +236,36 @@ mod tests {
 
     #[test]
     fn char_classification() {
-        assert_eq!(call("char-numeric?", vec![Value::Char('7')]).unwrap().to_string(), "#t");
-        assert_eq!(call("char-alphabetic?", vec![Value::Char('7')]).unwrap().to_string(), "#f");
-        assert_eq!(call("char-whitespace?", vec![Value::Char(' ')]).unwrap().to_string(), "#t");
-        assert_eq!(call("char->integer", vec![Value::Char('A')]).unwrap().to_string(), "65");
-        assert_eq!(call("integer->char", vec![Value::Int(65)]).unwrap().write_string(), "#\\A");
+        assert_eq!(
+            call("char-numeric?", vec![Value::Char('7')])
+                .unwrap()
+                .to_string(),
+            "#t"
+        );
+        assert_eq!(
+            call("char-alphabetic?", vec![Value::Char('7')])
+                .unwrap()
+                .to_string(),
+            "#f"
+        );
+        assert_eq!(
+            call("char-whitespace?", vec![Value::Char(' ')])
+                .unwrap()
+                .to_string(),
+            "#t"
+        );
+        assert_eq!(
+            call("char->integer", vec![Value::Char('A')])
+                .unwrap()
+                .to_string(),
+            "65"
+        );
+        assert_eq!(
+            call("integer->char", vec![Value::Int(65)])
+                .unwrap()
+                .write_string(),
+            "#\\A"
+        );
         assert!(call("integer->char", vec![Value::Int(-1)]).is_err());
     }
 
@@ -232,7 +278,12 @@ mod tests {
 
     #[test]
     fn unicode_string_indexing_is_char_based() {
-        assert_eq!(call("string-length", vec![Value::string("héllo")]).unwrap().to_string(), "5");
+        assert_eq!(
+            call("string-length", vec![Value::string("héllo")])
+                .unwrap()
+                .to_string(),
+            "5"
+        );
         assert_eq!(
             call("string-ref", vec![Value::string("héllo"), Value::Int(1)])
                 .unwrap()

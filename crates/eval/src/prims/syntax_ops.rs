@@ -101,9 +101,7 @@ pub(super) fn install(interp: &mut Interp) {
     interp.define_native("syntax->list", 1, Some(1), |_, args| {
         let s = want_syntax(&args[0])?;
         match s.as_list() {
-            Some(elems) => Ok(Value::list(
-                elems.iter().map(|e| Value::Syntax(e.clone())),
-            )),
+            Some(elems) => Ok(Value::list(elems.iter().map(|e| Value::Syntax(e.clone())))),
             None => Ok(Value::Bool(false)),
         }
     });
@@ -160,10 +158,24 @@ mod tests {
     #[test]
     fn syntax_predicates() {
         with_interp(|i| {
-            assert_eq!(call(i, "syntax?", vec![stx("(a)")]).unwrap().to_string(), "#t");
-            assert_eq!(call(i, "syntax?", vec![Value::Int(1)]).unwrap().to_string(), "#f");
-            assert_eq!(call(i, "identifier?", vec![stx("x")]).unwrap().to_string(), "#t");
-            assert_eq!(call(i, "identifier?", vec![stx("(x)")]).unwrap().to_string(), "#f");
+            assert_eq!(
+                call(i, "syntax?", vec![stx("(a)")]).unwrap().to_string(),
+                "#t"
+            );
+            assert_eq!(
+                call(i, "syntax?", vec![Value::Int(1)]).unwrap().to_string(),
+                "#f"
+            );
+            assert_eq!(
+                call(i, "identifier?", vec![stx("x")]).unwrap().to_string(),
+                "#t"
+            );
+            assert_eq!(
+                call(i, "identifier?", vec![stx("(x)")])
+                    .unwrap()
+                    .to_string(),
+                "#f"
+            );
         });
     }
 
@@ -179,7 +191,12 @@ mod tests {
     fn datum_to_syntax_takes_context() {
         with_interp(|i| {
             let ctx = stx("here");
-            let v = call(i, "datum->syntax", vec![ctx, Value::list(vec![Value::Int(1)])]).unwrap();
+            let v = call(
+                i,
+                "datum->syntax",
+                vec![ctx, Value::list(vec![Value::Int(1)])],
+            )
+            .unwrap();
             let Value::Syntax(s) = v else { panic!() };
             assert_eq!(s.to_datum().to_string(), "(1)");
             assert!(s.source.is_some(), "context source propagates");
@@ -193,7 +210,10 @@ mod tests {
             let elems = v.list_elems().unwrap();
             assert_eq!(elems.len(), 3);
             assert!(matches!(&elems[0], Value::Syntax(s) if s.to_datum().to_string() == "a"));
-            assert_eq!(call(i, "syntax->list", vec![stx("x")]).unwrap().to_string(), "#f");
+            assert_eq!(
+                call(i, "syntax->list", vec![stx("x")]).unwrap().to_string(),
+                "#f"
+            );
         });
     }
 
@@ -208,12 +228,21 @@ mod tests {
     #[test]
     fn value_to_syntax_passes_embedded_syntax_through() {
         let ctx = Syntax::ident("ctx", Some(SourceObject::new("c.scm", 0, 3)));
-        let inner = Rc::new(Syntax::ident("kept", Some(SourceObject::new("orig.scm", 5, 9))));
+        let inner = Rc::new(Syntax::ident(
+            "kept",
+            Some(SourceObject::new("orig.scm", 5, 9)),
+        ));
         let v = Value::list(vec![Value::Syntax(inner.clone()), Value::Int(2)]);
         let out = value_to_syntax(&ctx, &v).unwrap();
         let elems = out.as_list().unwrap();
-        assert_eq!(elems[0].source, inner.source, "embedded syntax keeps its source");
-        assert_eq!(elems[1].source, ctx.source, "fresh atoms take context source");
+        assert_eq!(
+            elems[0].source, inner.source,
+            "embedded syntax keeps its source"
+        );
+        assert_eq!(
+            elems[1].source, ctx.source,
+            "fresh atoms take context source"
+        );
     }
 
     #[test]

@@ -33,18 +33,23 @@ pub(super) fn install(interp: &mut Interp) {
         let v = want_vector(&args[0])?;
         let i = want_index(&args[1])?;
         let v = v.borrow();
-        v.get(i)
-            .cloned()
-            .ok_or_else(|| runtime_error(format!("vector-ref: index {i} out of range for length {}", v.len())))
+        v.get(i).cloned().ok_or_else(|| {
+            runtime_error(format!(
+                "vector-ref: index {i} out of range for length {}",
+                v.len()
+            ))
+        })
     });
     interp.define_native("vector-set!", 3, Some(3), |_, args| {
         let v = want_vector(&args[0])?;
         let i = want_index(&args[1])?;
         let mut v = v.borrow_mut();
         let len = v.len();
-        *v.get_mut(i)
-            .ok_or_else(|| runtime_error(format!("vector-set!: index {i} out of range for length {len}")))? =
-            args[2].clone();
+        *v.get_mut(i).ok_or_else(|| {
+            runtime_error(format!(
+                "vector-set!: index {i} out of range for length {len}"
+            ))
+        })? = args[2].clone();
         Ok(Value::Unspecified)
     });
     interp.define_native("vector-fill!", 2, Some(2), |_, args| {
@@ -112,9 +117,16 @@ mod tests {
         with_interp(|i| {
             let v = call(i, "make-vector", vec![Value::Int(3), Value::Int(7)]).unwrap();
             assert_eq!(v.to_string(), "#(7 7 7)");
-            call(i, "vector-set!", vec![v.clone(), Value::Int(1), Value::Int(9)]).unwrap();
+            call(
+                i,
+                "vector-set!",
+                vec![v.clone(), Value::Int(1), Value::Int(9)],
+            )
+            .unwrap();
             assert_eq!(
-                call(i, "vector-ref", vec![v.clone(), Value::Int(1)]).unwrap().to_string(),
+                call(i, "vector-ref", vec![v.clone(), Value::Int(1)])
+                    .unwrap()
+                    .to_string(),
                 "9"
             );
             assert_eq!(call(i, "vector-length", vec![v]).unwrap().to_string(), "3");

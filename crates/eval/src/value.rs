@@ -325,8 +325,7 @@ impl Value {
                 p.cdr.borrow().to_datum()?,
             )),
             Value::Vector(v) => {
-                let elems: Option<Vec<Datum>> =
-                    v.borrow().iter().map(|e| e.to_datum()).collect();
+                let elems: Option<Vec<Datum>> = v.borrow().iter().map(|e| e.to_datum()).collect();
                 Some(Datum::Vector(elems?.into()))
             }
             _ => None,

@@ -145,8 +145,14 @@ mod tests {
         let env = CEnv::new().push(Scope {
             entries: vec![entry_for(&marked, BindKind::Var)],
         });
-        assert!(env.resolve(&ident("t")).is_none(), "unmarked use misses marked binder");
-        assert!(env.resolve(&marked).is_some(), "marked use hits marked binder");
+        assert!(
+            env.resolve(&ident("t")).is_none(),
+            "unmarked use misses marked binder"
+        );
+        assert!(
+            env.resolve(&marked).is_some(),
+            "marked use hits marked binder"
+        );
     }
 
     #[test]

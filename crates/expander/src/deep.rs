@@ -115,11 +115,7 @@ impl Expander {
     }
 
     /// Recursively expands macros inside `stx`, leaving core forms intact.
-    pub(crate) fn deep(
-        &mut self,
-        stx: &Rc<Syntax>,
-        env: &CEnv,
-    ) -> Result<Rc<Syntax>, ExpandError> {
+    pub(crate) fn deep(&mut self, stx: &Rc<Syntax>, env: &CEnv) -> Result<Rc<Syntax>, ExpandError> {
         let stx = self.macroexpand_head(stx.clone(), env)?;
         let Some(elems) = stx.as_list() else {
             return Ok(stx);
@@ -157,7 +153,11 @@ impl Expander {
             }
             "let" | "letrec" | "letrec*" if elems.len() >= 3 => {
                 let inner = bind_let_bindings(env, &elems[1]);
-                let binding_env = if sym.as_str() == "let" { env.clone() } else { inner.clone() };
+                let binding_env = if sym.as_str() == "let" {
+                    env.clone()
+                } else {
+                    inner.clone()
+                };
                 let bindings = self.deep_bindings(&elems[1], &binding_env)?;
                 let mut parts = vec![elems[0].clone(), bindings];
                 for b in &elems[2..] {

@@ -47,7 +47,10 @@ pub struct Expansion {
 impl Expansion {
     /// The display forms printed with `write` notation, one per form.
     pub fn printed(&self) -> Vec<String> {
-        self.display.iter().map(|s| s.to_datum().to_string()).collect()
+        self.display
+            .iter()
+            .map(|s| s.to_datum().to_string())
+            .collect()
     }
 }
 
@@ -177,7 +180,10 @@ impl Expander {
             other => {
                 return Err(ExpandError::new(
                     ExpandErrorKind::BadTransformerResult,
-                    format!("transformer returned {} instead of syntax", other.type_name()),
+                    format!(
+                        "transformer returned {} instead of syntax",
+                        other.type_name()
+                    ),
                 )
                 .with_src(stx.source))
             }
@@ -294,16 +300,14 @@ impl Expander {
             .with_src(stx.source)),
             SyntaxBody::List(elems) => {
                 if elems.is_empty() {
-                    return Err(ExpandError::new(
-                        ExpandErrorKind::BadForm,
-                        "empty application ()",
-                    )
-                    .with_src(stx.source));
+                    return Err(
+                        ExpandError::new(ExpandErrorKind::BadForm, "empty application ()")
+                            .with_src(stx.source),
+                    );
                 }
                 if let Some(sym) = elems[0].as_symbol() {
                     if env.resolve(&elems[0]).is_none() {
-                        if let Some(core) =
-                            forms::expand_core_form(self, sym.as_str(), &stx, env)?
+                        if let Some(core) = forms::expand_core_form(self, sym.as_str(), &stx, env)?
                         {
                             return Ok(core);
                         }
@@ -329,10 +333,7 @@ impl Expander {
     /// # Errors
     ///
     /// Returns the first [`ExpandError`] encountered.
-    pub fn expand_program(
-        &mut self,
-        program: &[Rc<Syntax>],
-    ) -> Result<Vec<Rc<Core>>, ExpandError> {
+    pub fn expand_program(&mut self, program: &[Rc<Syntax>]) -> Result<Vec<Rc<Core>>, ExpandError> {
         self.steps = 0;
         let mut out = Vec::new();
         for (i, form) in program.iter().enumerate() {
@@ -457,12 +458,12 @@ impl Expander {
 
     /// Parses the two `define-syntax` shapes and returns
     /// `(name, transformer-expression)`.
-    pub(crate) fn parse_define_syntax(
-        form: &Syntax,
-    ) -> Result<(Symbol, Rc<Syntax>), ExpandError> {
+    pub(crate) fn parse_define_syntax(form: &Syntax) -> Result<(Symbol, Rc<Syntax>), ExpandError> {
         let bad = |msg: &str| {
-            Err(ExpandError::new(ExpandErrorKind::BadForm, format!("define-syntax: {msg}"))
-                .with_src(form.source))
+            Err(
+                ExpandError::new(ExpandErrorKind::BadForm, format!("define-syntax: {msg}"))
+                    .with_src(form.source),
+            )
         };
         let Some(elems) = form.as_list() else {
             return bad("not a list");

@@ -57,9 +57,7 @@ fn local_ref(env: &CEnv, id: &Syntax) -> Rc<Core> {
 /// escapes — such templates compile to a single `SyntaxConst`.
 fn is_constant(tmpl: &Syntax, env: &CEnv, quasi: bool, qdepth: u32) -> bool {
     match &tmpl.body {
-        SyntaxBody::Atom(_) => {
-            !(tmpl.is_identifier() && pattern_var_depth(env, tmpl).is_some())
-        }
+        SyntaxBody::Atom(_) => !(tmpl.is_identifier() && pattern_var_depth(env, tmpl).is_some()),
         SyntaxBody::List(elems) => {
             if quasi {
                 if let Some(head) = elems.first() {
@@ -67,10 +65,14 @@ fn is_constant(tmpl: &Syntax, env: &CEnv, quasi: bool, qdepth: u32) -> bool {
                         if qdepth == 0 {
                             return false;
                         }
-                        return elems[1..].iter().all(|e| is_constant(e, env, quasi, qdepth - 1));
+                        return elems[1..]
+                            .iter()
+                            .all(|e| is_constant(e, env, quasi, qdepth - 1));
                     }
                     if is_sym(head, "quasisyntax") {
-                        return elems[1..].iter().all(|e| is_constant(e, env, quasi, qdepth + 1));
+                        return elems[1..]
+                            .iter()
+                            .all(|e| is_constant(e, env, quasi, qdepth + 1));
                     }
                 }
             }
@@ -135,9 +137,9 @@ fn segments_to_core(segs: Vec<Segment>, stx: &Syntax, tail: Option<Rc<Core>>) ->
             Segment::Splice(c) => c,
         })
         .collect();
-    args.push(tail.unwrap_or_else(|| {
-        Core::rc(CoreKind::Const(pgmp_syntax::Datum::Nil), stx.source)
-    }));
+    args.push(
+        tail.unwrap_or_else(|| Core::rc(CoreKind::Const(pgmp_syntax::Datum::Nil), stx.source)),
+    );
     call_support("%append", args, stx)
 }
 
@@ -186,10 +188,7 @@ fn build_item(
                     }
                     let inner = build_item(exp, &elems[1], env, quasi, qdepth - 1)?;
                     let segs = vec![
-                        Segment::Item(Core::rc(
-                            CoreKind::SyntaxConst(head.clone()),
-                            head.source,
-                        )),
+                        Segment::Item(Core::rc(CoreKind::SyntaxConst(head.clone()), head.source)),
                         Segment::Item(inner),
                     ];
                     return Ok(segments_to_core(segs, tmpl, None));
@@ -197,10 +196,7 @@ fn build_item(
                 if quasi && is_sym(head, "quasisyntax") && elems.len() == 2 {
                     let inner = build_item(exp, &elems[1], env, quasi, qdepth + 1)?;
                     let segs = vec![
-                        Segment::Item(Core::rc(
-                            CoreKind::SyntaxConst(head.clone()),
-                            head.source,
-                        )),
+                        Segment::Item(Core::rc(CoreKind::SyntaxConst(head.clone()), head.source)),
                         Segment::Item(inner),
                     ];
                     return Ok(segments_to_core(segs, tmpl, None));
@@ -241,7 +237,10 @@ fn build_segments(
         // (unsyntax-splicing e) as a list element splices.
         if quasi && qdepth == 0 {
             if let SyntaxBody::List(parts) = &e.body {
-                if parts.len() == 2 && parts.first().is_some_and(|h| is_sym(h, "unsyntax-splicing"))
+                if parts.len() == 2
+                    && parts
+                        .first()
+                        .is_some_and(|h| is_sym(h, "unsyntax-splicing"))
                 {
                     segs.push(Segment::Splice(exp.expand_expr(&parts[1], env)?));
                     i += 1;

@@ -30,7 +30,9 @@ fn expand(src: &str) -> String {
     let forms = read_str(src, "test.scm").unwrap();
     let mut exp = Expander::new();
     let out = exp.expand_to_syntax(&forms).unwrap();
-    out.last().map(|s| s.to_datum().to_string()).unwrap_or_default()
+    out.last()
+        .map(|s| s.to_datum().to_string())
+        .unwrap_or_default()
 }
 
 // -------------------------------------------------------------------------
@@ -80,9 +82,11 @@ fn let_family() {
     assert_eq!(run("(let ([x 1] [y 2]) (+ x y))"), "3");
     assert_eq!(run("(let* ([x 1] [y (+ x 1)]) (* x y))"), "2");
     assert_eq!(
-        run("(letrec ([even? (lambda (n) (if (zero? n) #t (odd? (- n 1))))] \
+        run(
+            "(letrec ([even? (lambda (n) (if (zero? n) #t (odd? (- n 1))))] \
                       [odd? (lambda (n) (if (zero? n) #f (even? (- n 1))))]) \
-               (even? 100))"),
+               (even? 100))"
+        ),
         "#t"
     );
     // Shadowing.
@@ -124,7 +128,10 @@ fn conditionals() {
     assert_eq!(run("(cond [#f 1] [#t 2] [else 3])"), "2");
     assert_eq!(run("(cond [#f 1] [else 3])"), "3");
     assert_eq!(run("(cond [(memv 2 '(1 2 3))])"), "(2 3)");
-    assert_eq!(run("(case 2 [(1) 'one] [(2 3) 'two-or-three] [else 'other])"), "two-or-three");
+    assert_eq!(
+        run("(case 2 [(1) 'one] [(2 3) 'two-or-three] [else 'other])"),
+        "two-or-three"
+    );
     assert_eq!(run("(case 9 [(1) 'one] [else 'other])"), "other");
     assert_eq!(run("(case #\\b [(#\\a) 1] [(#\\b) 2])"), "2");
     assert_eq!(run("(when #t 1 2)"), "2");
@@ -148,8 +155,13 @@ fn or_evaluates_once() {
 #[test]
 fn set_mutates() {
     assert_eq!(run("(define x 1) (set! x 5) x"), "5");
-    assert_eq!(run("(define (counter) (let ([n 0]) (lambda () (set! n (add1 n)) n))) \
-                    (define c (counter)) (c) (c) (c)"), "3");
+    assert_eq!(
+        run(
+            "(define (counter) (let ([n 0]) (lambda () (set! n (add1 n)) n))) \
+                    (define c (counter)) (c) (c) (c)"
+        ),
+        "3"
+    );
 }
 
 #[test]
@@ -526,8 +538,14 @@ fn error_cases() {
     assert!(try_run("(else 1)").is_err());
     assert!(try_run("(unquote 1)").is_err());
     assert!(try_run("(set! 3 4)").is_err());
-    assert!(try_run("(define-syntax (m stx) 42) (m)").is_err(), "non-syntax result");
-    assert!(try_run("(define-syntax m 5)").is_err(), "non-procedure transformer");
+    assert!(
+        try_run("(define-syntax (m stx) 42) (m)").is_err(),
+        "non-syntax result"
+    );
+    assert!(
+        try_run("(define-syntax m 5)").is_err(),
+        "non-procedure transformer"
+    );
 }
 
 #[test]

@@ -30,15 +30,23 @@ fn define_syntax_forms_are_omitted_from_output() {
 
 #[test]
 fn begin_splices_at_toplevel() {
-    let out = expand_all(&format!("{TWICE} (begin (twice 1) (begin (twice 2) (twice 3)))"));
+    let out = expand_all(&format!(
+        "{TWICE} (begin (twice 1) (begin (twice 2) (twice 3)))"
+    ));
     assert_eq!(out, vec!["(+ 1 1)", "(+ 2 2)", "(+ 3 3)"]);
 }
 
 #[test]
 fn expansion_recurses_into_every_binding_form() {
     let cases = [
-        ("(let ([a (twice 1)]) (twice a))", "(let ((a (+ 1 1))) (+ a a))"),
-        ("(let* ([a (twice 1)] [b (twice a)]) b)", "(let* ((a (+ 1 1)) (b (+ a a))) b)"),
+        (
+            "(let ([a (twice 1)]) (twice a))",
+            "(let ((a (+ 1 1))) (+ a a))",
+        ),
+        (
+            "(let* ([a (twice 1)] [b (twice a)]) b)",
+            "(let* ((a (+ 1 1)) (b (+ a a))) b)",
+        ),
         (
             "(letrec ([f (lambda (x) (twice x))]) (f 1))",
             "(letrec ((f (lambda (x) (+ x x)))) (f 1))",
@@ -47,14 +55,8 @@ fn expansion_recurses_into_every_binding_form() {
             "(let loop ([i (twice 3)]) (if (zero? i) 'done (loop (sub1 i))))",
             "(let loop ((i (+ 3 3))) (if (zero? i) (quote done) (loop (sub1 i))))",
         ),
-        (
-            "(define (f x) (twice x))",
-            "(define (f x) (+ x x))",
-        ),
-        (
-            "(when (twice 1) (twice 2))",
-            "(when (+ 1 1) (+ 2 2))",
-        ),
+        ("(define (f x) (twice x))", "(define (f x) (+ x x))"),
+        ("(when (twice 1) (twice 2))", "(when (+ 1 1) (+ 2 2))"),
         (
             "(cond [(twice 1) (twice 2)] [else (twice 3)])",
             "(cond ((+ 1 1) (+ 2 2)) (else (+ 3 3)))",

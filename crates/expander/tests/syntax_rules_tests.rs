@@ -93,10 +93,7 @@ fn recursive_syntax_rules() {
 fn syntax_rules_value_is_a_transformer_only() {
     // Using syntax-rules where a plain value is expected still yields a
     // procedure (the transformer), matching Scheme semantics.
-    assert_eq!(
-        run("(procedure? (syntax-rules () [(_ x) x]))"),
-        "#t"
-    );
+    assert_eq!(run("(procedure? (syntax-rules () [(_ x) x]))"), "#t");
 }
 
 #[test]
