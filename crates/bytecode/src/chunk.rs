@@ -1,7 +1,7 @@
 //! Bytecode data structures.
 
 use crate::flat::FlatChunk;
-use pgmp_eval::LambdaDef;
+use pgmp_eval::{LambdaDef, Matcher};
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -115,6 +115,18 @@ pub enum Instr {
         /// Argument count.
         argc: u16,
         /// Call-site source object.
+        src: Option<SourceObject>,
+    },
+    /// Match the syntax object in the local variable at `(depth, index)`
+    /// against `matcher`; push the bindings vector, or `#f`.
+    SyntaxMatch {
+        /// The clause's compiled pattern.
+        matcher: Rc<Matcher>,
+        /// Frames up.
+        depth: u16,
+        /// Slot index.
+        index: u16,
+        /// Source object of the clause (for errors).
         src: Option<SourceObject>,
     },
     /// Pop and discard the top of stack.

@@ -52,7 +52,10 @@ impl Builder {
     /// block: its evaluation starts here.
     fn mark(&mut self, core: &Core) {
         if let Some(src) = core.src {
-            let call = matches!(core.kind, CoreKind::Call { .. });
+            let call = matches!(
+                core.kind,
+                CoreKind::Call { .. } | CoreKind::SyntaxMatch { .. }
+            );
             let next = self.points.len() as u32;
             let range = &mut self.blocks[self.current as usize].points;
             if range.start == range.end {
@@ -144,6 +147,21 @@ fn compile_expr(b: &mut Builder, core: &Rc<Core>, tail: bool) {
             b.emit(Instr::LocalRef {
                 depth: *depth,
                 index: *index,
+            });
+            if tail {
+                b.terminate(Terminator::Return);
+            }
+        }
+        CoreKind::SyntaxMatch {
+            matcher,
+            depth,
+            index,
+        } => {
+            b.emit(Instr::SyntaxMatch {
+                matcher: matcher.clone(),
+                depth: *depth,
+                index: *index,
+                src: core.src,
             });
             if tail {
                 b.terminate(Terminator::Return);

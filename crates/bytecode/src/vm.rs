@@ -452,6 +452,18 @@ impl Vm {
                         interp, argc, src, &mut stack, &mut saved, &mut cur, m, counters, fuel,
                     )?;
                 }
+                Op::SyntaxMatch {
+                    pool,
+                    depth,
+                    index,
+                    src,
+                } => {
+                    let frame = cur.frame.as_ref().expect("local ref without frame");
+                    let v = cur.code.matchers[pool as usize]
+                        .dispatch(&frame.get(depth, index))
+                        .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+                    stack.push(v);
+                }
                 Op::Pop => {
                     stack.pop().expect("stack underflow");
                 }

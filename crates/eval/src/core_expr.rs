@@ -6,6 +6,7 @@
 //! all the profiler needs (§3.1: "each node in the AST of a program can be
 //! associated with a unique profile point").
 
+use crate::pattern::Matcher;
 use pgmp_profiler::Counters;
 use pgmp_syntax::{Datum, SourceObject, Symbol, Syntax};
 use std::any::Any;
@@ -78,7 +79,8 @@ impl Core {
             CoreKind::Const(_)
             | CoreKind::SyntaxConst(_)
             | CoreKind::LocalRef { .. }
-            | CoreKind::GlobalRef(_) => {}
+            | CoreKind::GlobalRef(_)
+            | CoreKind::SyntaxMatch { .. } => {}
             CoreKind::SetLocal { value, .. } | CoreKind::SetGlobal(_, value) => value.walk(f),
             CoreKind::If(c, t, e) => {
                 c.walk(f);
@@ -183,6 +185,18 @@ pub enum CoreKind {
     },
     /// Top-level `define`.
     DefineGlobal(Symbol, Rc<Core>),
+    /// A `syntax-case` clause test: matches the syntax object in the
+    /// local variable at `(depth, index)` against `matcher`. The value is
+    /// a vector of the pattern variables' bindings, or `#f`. Calls-only
+    /// profiling counts it as a call.
+    SyntaxMatch {
+        /// The clause's compiled pattern.
+        matcher: Rc<Matcher>,
+        /// How many frames up the scrutinee is.
+        depth: u16,
+        /// The scrutinee's slot within that frame.
+        index: u16,
+    },
 }
 
 impl CoreKind {

@@ -2,7 +2,7 @@
 //! the deterministic point generator behave across multiple runs within
 //! one compilation session.
 
-use pgmp::Engine;
+use pgmp::{Engine, IncrementalConfig, IncrementalEngine};
 use pgmp_profiler::{ProfileInformation, ProfileMode};
 
 #[test]
@@ -123,4 +123,59 @@ fn meta_programs_see_profile_updates_between_runs() {
     e.set_profile(ProfileInformation::from_weights([(p, 0.9)], 1));
     let after = e.run_str("(hotness (target))", "q.scm").unwrap();
     assert_eq!(after.to_string(), "0.9");
+}
+
+#[test]
+fn a_saved_session_rebuilds_its_compiled_patterns() {
+    // `shape` has no template, which would leave a syntax object in its
+    // code, so its entry is persistable; the driver makes its inputs with
+    // `#'`, so its entry is not and re-expands on warm start.
+    const PROGRAM: &str = r#"
+      (define (shape s)
+        (syntax-case s (else)
+          [(else . _) 'literal]
+          [(7 "s" _) 'constant]
+          [(a b) (eq? (car (syntax->datum s)) 'skip) 'fender]
+          [((k ...) ...) 'nested]
+          [(n x ... last) 'ellipsis]
+          [(h . t) 'dotted]
+          [_ 'other]))
+      (map shape (list #'(else 1 2) #'(7 "s" q) #'(skip 2) #'(noskip 2)
+                       #'((1 2) () (3)) #'(h . 5) #'(h i j) #'atom))"#;
+    const FILE: &str = "shapes.scm";
+    let weights = ProfileInformation::empty();
+    let dir = std::env::temp_dir().join(format!("pgmp-session-patterns-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shapes.session");
+
+    let mut cold = IncrementalEngine::new(PROGRAM, FILE, IncrementalConfig::default()).unwrap();
+    let cold_unit = cold.compile(&weights).unwrap();
+    let cold_value = cold
+        .engine_mut()
+        .run_cores(&cold_unit.cores, FILE)
+        .unwrap()
+        .write_string();
+    assert_eq!(
+        cold_value,
+        "(literal constant fender ellipsis nested dotted ellipsis other)"
+    );
+    let stats = cold.save_state(&path).unwrap();
+    assert_eq!((stats.saved, stats.skipped), (1, 1), "{stats:?}");
+
+    let mut warm = IncrementalEngine::new(PROGRAM, FILE, IncrementalConfig::default()).unwrap();
+    let ws = warm.load_state(&path).unwrap();
+    assert_eq!(ws.restored, 1, "{ws:?}");
+    let warm_unit = warm.compile(&weights).unwrap();
+    assert_eq!(warm_unit.stats.reused, 1, "{:?}", warm_unit.stats);
+    assert_eq!(
+        warm_unit.cores[0], cold_unit.cores[0],
+        "rebuilt matchers differ"
+    );
+    let warm_value = warm
+        .engine_mut()
+        .run_cores(&warm_unit.cores, FILE)
+        .unwrap()
+        .write_string();
+    assert_eq!(warm_value, cold_value);
+    std::fs::remove_dir_all(&dir).ok();
 }

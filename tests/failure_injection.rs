@@ -2,7 +2,7 @@
 //! uses of the API must produce errors (or graceful degradation), never
 //! panics or silent corruption.
 
-use pgmp::{Engine, Error};
+use pgmp::{Engine, Error, IncrementalConfig, IncrementalEngine};
 use pgmp_case_studies::{engine_with, two_pass, Lib};
 use pgmp_profiler::{ProfileInformation, ProfileMode};
 use pgmp_syntax::SourceObject;
@@ -49,6 +49,46 @@ fn scheme_level_load_of_bad_profile_is_a_catchable_error() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("load-profile"));
+}
+
+#[test]
+fn session_files_with_malformed_pattern_specs_are_rejected() {
+    // A compiled `syntax-case` pattern is stored as its spec and rebuilt
+    // on load; a spec that cannot be rebuilt fails the load.
+    const PROGRAM: &str = "
+      (define (shape s)
+        (syntax-case s (else)
+          [(else x) 'literal]
+          [(k ...) 'list]
+          [_ 'other]))";
+    let dir = std::env::temp_dir().join(format!("pgmp-failinj-spec-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shape.session");
+    let weights = ProfileInformation::empty();
+    let mut incr = IncrementalEngine::new(PROGRAM, "s.scm", IncrementalConfig::default()).unwrap();
+    incr.compile(&weights).unwrap();
+    incr.save_state(&path).unwrap();
+    let good = std::fs::read_to_string(&path).unwrap();
+    for (from, to) in [
+        ("(var 0)", "(var 9)"),    // slot out of range
+        ("(lit else)", "(lit 5)"), // literal not a symbol
+        ("(ellist", "(elist"),     // unknown tag
+        ("(ellist ()", "(ellist"), // missing part
+        ("(var 0)", "(var -1)"),   // negative slot
+        ("(var 0)", "(var)"),      // slot missing
+    ] {
+        assert!(good.contains(from), "{from} not in {good}");
+        std::fs::write(&path, good.replacen(from, to, 1)).unwrap();
+        let mut fresh =
+            IncrementalEngine::new(PROGRAM, "s.scm", IncrementalConfig::default()).unwrap();
+        let err = fresh.load_state(&path);
+        assert!(
+            matches!(err, Err(Error::Profile(_))),
+            "{to}: must fail with a typed error: {err:?}"
+        );
+        assert!(fresh.compile(&weights).is_ok(), "{to}: poisoned the engine");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------------

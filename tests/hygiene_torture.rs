@@ -192,3 +192,27 @@ fn datum_to_syntax_deliberately_breaks_hygiene() {
         "(2 3)"
     );
 }
+
+#[test]
+fn a_dotted_tail_carries_the_use_sites_context() {
+    // `rest` is a node of the macro's input, so an identifier built in
+    // its context binds the use site's `it`, at top level and when the
+    // use is itself introduced by another macro.
+    let with_it = "
+      (define-syntax (with-it stx)
+        (syntax-case stx ()
+          [(_ v . rest)
+           #`(let ([#,(datum->syntax #'rest 'it) v])
+               #,@(syntax->list #'rest))]))";
+    assert_eq!(run(&format!("{with_it} (with-it 41 (+ it 1))")), "42");
+    assert_eq!(
+        run(&format!(
+            "{with_it}
+             (define-syntax (twice stx)
+               (syntax-case stx ()
+                 [(_ e) #'(with-it 2 (* it e))]))
+             (twice 21)"
+        )),
+        "42"
+    );
+}

@@ -148,3 +148,44 @@ fn vm_derived_counts_equal_tree_walked_counts_on_every_case_study() {
         }
     }
 }
+
+/// An object-level `syntax-case` over every pattern shape: literal,
+/// constants, a fender that falls through, an ellipsis with a prefix and
+/// a suffix, nested ellipses, a dotted pattern against proper and
+/// improper input, and the wildcard.
+const SYNTAX_CASE: &str = r#"
+  (define (shape s)
+    (syntax-case s (else)
+      [(else _) 'literal]
+      [(7 "s" x) (list 'constant (syntax->datum #'x))]
+      [(a b) (eq? (syntax->datum #'a) 'skip) 'fender]
+      [(n x ... last) (number? (syntax->datum #'n))
+       (list 'ellipsis (syntax->datum #'(x ...)) (syntax->datum #'last))]
+      [((k ...) ...) (list 'nested (syntax->datum #'((k ...) ...)))]
+      [(h . t) (list 'dotted (syntax->datum #'h) (syntax->datum #'t))]
+      [_ 'other]))
+  (map shape
+       (list #'(else 1) #'(7 "s" q) #'(skip 2) #'(noskip 2) #'(1 a b c 9)
+             #'(1 9) #'((1 2) () (3)) #'(h . 5) #'(h i j) #'atom #'(7 "t" q)))"#;
+
+/// Compiled `syntax-case` clause tests match alike in both executors, and
+/// the counts an instrumented VM run derives for them equal the tree
+/// walker's own.
+#[test]
+fn object_level_syntax_case_matches_alike_on_the_vm() {
+    let (t, v) = tree_vs_vm(&[], SYNTAX_CASE);
+    assert_eq!(t, v);
+    assert_eq!(
+        t,
+        "(literal (constant q) fender (dotted noskip (2)) (ellipsis (a b c) 9) \
+         (ellipsis () 9) (nested ((1 2) () (3))) (dotted h 5) (dotted h (i j)) \
+         other (ellipsis (\"t\") q))"
+    );
+    for mode in [ProfileMode::EveryExpression, ProfileMode::CallsOnly] {
+        let (derived, tree) = common::derived_and_tree_walked(&[], SYNTAX_CASE, mode);
+        assert_eq!(derived.0, t, "{mode:?}: instrumented VM result");
+        assert_eq!(tree.0, t, "{mode:?}: instrumented tree-walk result");
+        assert!(!tree.1.is_empty(), "{mode:?}: nothing counted");
+        assert_eq!(derived.1, tree.1, "{mode:?}: counts differ");
+    }
+}
