@@ -158,7 +158,12 @@ mod tests {
     }
 
     fn info(entries: &[(u32, u64)]) -> ProfileInformation {
-        ProfileInformation::from_dataset(&entries.iter().map(|(i, c)| (p(*i), *c)).collect::<Dataset>())
+        ProfileInformation::from_dataset(
+            &entries
+                .iter()
+                .map(|(i, c)| (p(*i), *c))
+                .collect::<Dataset>(),
+        )
     }
 
     #[test]
@@ -220,7 +225,10 @@ mod tests {
         let back = info(&[(0, 90), (1, 10)]);
         assert!(!det.observe(&back, HITS).fired, "within cooldown");
         assert!(!det.observe(&back, HITS).fired, "within cooldown");
-        assert!(det.observe(&back, HITS).fired, "cooldown expired, drift persists");
+        assert!(
+            det.observe(&back, HITS).fired,
+            "cooldown expired, drift persists"
+        );
     }
 
     #[test]

@@ -112,8 +112,7 @@ impl RollingProfile {
     /// persistence stores, so an adaptive session can resume aggregation
     /// across a process restart without losing its decay history.
     pub fn entries(&self) -> Vec<(SourceObject, f64)> {
-        let mut out: Vec<(SourceObject, f64)> =
-            self.counts.iter().map(|(p, c)| (*p, *c)).collect();
+        let mut out: Vec<(SourceObject, f64)> = self.counts.iter().map(|(p, c)| (*p, *c)).collect();
         out.sort_by_key(|e| e.0);
         out
     }
@@ -147,10 +146,7 @@ impl RollingProfile {
         if max <= 0.0 {
             return ProfileInformation::empty();
         }
-        ProfileInformation::from_weights(
-            self.counts.iter().map(|(p, c)| (*p, *c / max)),
-            1,
-        )
+        ProfileInformation::from_weights(self.counts.iter().map(|(p, c)| (*p, *c / max)), 1)
     }
 }
 
@@ -185,7 +181,11 @@ mod tests {
         }
         let w = r.weights();
         // p0 decayed 4 times: 1000 * 0.5^4 = 62.5 vs p1 ~ 1000+500+...
-        assert!(w.weight(p(0)) < 0.05, "stale point still hot: {}", w.weight(p(0)));
+        assert!(
+            w.weight(p(0)) < 0.05,
+            "stale point still hot: {}",
+            w.weight(p(0))
+        );
         assert_eq!(w.weight(p(1)), 1.0);
     }
 

@@ -87,8 +87,8 @@ impl EpochSnapshot {
     /// `UnsupportedVersion` for a version other than 1. Never panics on
     /// hostile input.
     pub fn load_from_str(text: &str) -> Result<EpochSnapshot, ProfileStoreError> {
-        let forms = read_datums(text, "<epoch>")
-            .map_err(|e| malformed(format!("unreadable: {e}")))?;
+        let forms =
+            read_datums(text, "<epoch>").map_err(|e| malformed(format!("unreadable: {e}")))?;
         let [datum]: [Datum; 1] = forms
             .try_into()
             .map_err(|_| malformed("expected exactly one top-level form"))?;

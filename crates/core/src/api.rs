@@ -15,9 +15,9 @@
 //! | `(profile-count e)`              | raw counter (diagnostics/tests)    |
 
 use crate::engine::AnnotateStrategy;
+use pgmp_bytecode::DerivedCounts;
 use pgmp_eval::{EvalError, EvalErrorKind, Interp, Value};
 use pgmp_observe as observe;
-use pgmp_bytecode::DerivedCounts;
 use pgmp_profiler::{Counters, ProfileInformation, ProfileMode};
 use pgmp_syntax::{SourceFactory, SourceObject, Syntax, SyntaxBody};
 use std::cell::RefCell;
@@ -248,11 +248,9 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
         let st = &*st;
         let mut entries: Vec<(SourceObject, f64)> = st.profile.iter().collect();
         entries.sort_by_key(|a| a.0);
-        Ok(Value::list(
-            entries
-                .into_iter()
-                .map(|(p, w)| Value::cons(Value::Source(p), Value::Float(w))),
-        ))
+        Ok(Value::list(entries.into_iter().map(|(p, w)| {
+            Value::cons(Value::Source(p), Value::Float(w))
+        })))
     });
 
     let st = state.clone();
@@ -264,18 +262,17 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
         }
         st.flush_pending();
         let weights = ProfileInformation::from_dataset(&st.counters.snapshot());
-        weights.store_file(&path).map_err(|e| {
-            EvalError::new(EvalErrorKind::Runtime, format!("store-profile: {e}"))
-        })?;
+        weights
+            .store_file(&path)
+            .map_err(|e| EvalError::new(EvalErrorKind::Runtime, format!("store-profile: {e}")))?;
         Ok(Value::Unspecified)
     });
 
     let st = state.clone();
     interp.define_native("load-profile", 1, Some(1), move |_, args| {
         let path = want_string(&args[0])?;
-        let info = ProfileInformation::load_file(&path).map_err(|e| {
-            EvalError::new(EvalErrorKind::Runtime, format!("load-profile: {e}"))
-        })?;
+        let info = ProfileInformation::load_file(&path)
+            .map_err(|e| EvalError::new(EvalErrorKind::Runtime, format!("load-profile: {e}")))?;
         let mut st = st.borrow_mut();
         if let Some(log) = st.read_log.as_mut() {
             log.volatile_reads = true;
@@ -345,9 +342,8 @@ pub fn install_pgmp_api(interp: &mut Interp, state: Rc<RefCell<PgmpState>>) {
     let st = state.clone();
     interp.define_native("merge-profile", 1, Some(1), move |_, args| {
         let path = want_string(&args[0])?;
-        let info = ProfileInformation::load_file(&path).map_err(|e| {
-            EvalError::new(EvalErrorKind::Runtime, format!("merge-profile: {e}"))
-        })?;
+        let info = ProfileInformation::load_file(&path)
+            .map_err(|e| EvalError::new(EvalErrorKind::Runtime, format!("merge-profile: {e}")))?;
         let mut st = st.borrow_mut();
         if let Some(log) = st.read_log.as_mut() {
             log.volatile_reads = true;
@@ -388,7 +384,10 @@ mod tests {
         assert!(!p1.eqv(&p2), "fresh points are distinct");
         let (mut j, _) = setup();
         let q1 = call(&mut j, "make-profile-point", vec![]).unwrap();
-        assert!(p1.eqv(&q1), "same generation order, same point across sessions");
+        assert!(
+            p1.eqv(&q1),
+            "same generation order, same point across sessions"
+        );
     }
 
     #[test]
@@ -396,7 +395,9 @@ mod tests {
         let (mut i, _) = setup();
         let base = Value::Syntax(stx("(f x)"));
         let p = call(&mut i, "make-profile-point", vec![base]).unwrap();
-        let Value::Source(p) = p else { panic!("expected source") };
+        let Value::Source(p) = p else {
+            panic!("expected source")
+        };
         assert!(p.file.as_str().starts_with("api.scm%pgmp"));
         assert!(p.is_generated());
     }
@@ -431,8 +432,7 @@ mod tests {
         let (mut i, state) = setup();
         let e = stx("(hot)");
         let p = e.source.unwrap();
-        state.borrow_mut().profile =
-            ProfileInformation::from_weights([(p, 0.75)], 1);
+        state.borrow_mut().profile = ProfileInformation::from_weights([(p, 0.75)], 1);
         let w = call(&mut i, "profile-query", vec![Value::Syntax(e)]).unwrap();
         assert!(matches!(w, Value::Float(x) if x == 0.75));
         // Unknown points weigh zero.
@@ -440,7 +440,9 @@ mod tests {
         // (cold) and (hot) share a file but the reader gives (cold) the
         // same span 0..5 — use a distinct span via a longer expression.
         let _ = w;
-        let other = pgmp_reader::read_str("  (colder)", "api.scm").unwrap().remove(0);
+        let other = pgmp_reader::read_str("  (colder)", "api.scm")
+            .unwrap()
+            .remove(0);
         let w = call(&mut i, "profile-query", vec![Value::Syntax(other)]).unwrap();
         assert!(matches!(w, Value::Float(x) if x == 0.0));
     }
@@ -463,12 +465,28 @@ mod tests {
         let (mut i, state) = setup();
         let p = SourceObject::new("x.scm", 1, 2);
         state.borrow().counters.add(p, 10);
-        state.borrow().counters.add(SourceObject::new("x.scm", 3, 4), 5);
-        call(&mut i, "store-profile", vec![Value::string(path.to_str().unwrap())]).unwrap();
-        call(&mut i, "load-profile", vec![Value::string(path.to_str().unwrap())]).unwrap();
+        state
+            .borrow()
+            .counters
+            .add(SourceObject::new("x.scm", 3, 4), 5);
+        call(
+            &mut i,
+            "store-profile",
+            vec![Value::string(path.to_str().unwrap())],
+        )
+        .unwrap();
+        call(
+            &mut i,
+            "load-profile",
+            vec![Value::string(path.to_str().unwrap())],
+        )
+        .unwrap();
         assert_eq!(state.borrow().profile.weight(p), 1.0);
         assert_eq!(
-            state.borrow().profile.weight(SourceObject::new("x.scm", 3, 4)),
+            state
+                .borrow()
+                .profile
+                .weight(SourceObject::new("x.scm", 3, 4)),
             0.5
         );
     }
@@ -484,7 +502,12 @@ mod tests {
             .unwrap();
         let (mut i, state) = setup();
         state.borrow_mut().profile = ProfileInformation::from_weights([(p, 0.0)], 1);
-        call(&mut i, "merge-profile", vec![Value::string(path.to_str().unwrap())]).unwrap();
+        call(
+            &mut i,
+            "merge-profile",
+            vec![Value::string(path.to_str().unwrap())],
+        )
+        .unwrap();
         assert_eq!(state.borrow().profile.weight(p), 0.5);
     }
 

@@ -81,6 +81,6 @@ pub mod workflow;
 pub use api::{install_pgmp_api, PgmpState, ProfileReadLog};
 pub use engine::{AnnotateStrategy, Engine};
 pub use error::Error;
-pub use pgmp_expander::Expansion;
 pub use incremental::{CompiledUnit, IncrementalConfig, IncrementalEngine, ReuseStats};
 pub use persist::{SaveStats, WarmStart};
+pub use pgmp_expander::Expansion;
