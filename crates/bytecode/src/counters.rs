@@ -196,35 +196,6 @@ impl BlockCounters {
         }
     }
 
-    /// Re-keys every counter of chunk `old` under chunk id `new`,
-    /// registration included. Chunk ids are process-local, so block counts
-    /// collected against a chunk from a *saved* session must be carried
-    /// over to the id the warm-started process minted for the same chunk —
-    /// `pgmp::WarmStart::chunk_map` supplies exactly these `(old, new)`
-    /// pairs.
-    ///
-    /// If `new` already has counts of its own, the remapped counts are
-    /// added to them. No-op when `old == new` or `old` was never seen.
-    pub fn remap_chunk(&self, old: u32, new: u32) {
-        if old == new {
-            return;
-        }
-        let Some((base, n)) = self.inner.bases.borrow_mut().remove(&old) else {
-            return;
-        };
-        if !self.inner.bases.borrow().contains_key(&new) {
-            self.inner.bases.borrow_mut().insert(new, (base, n));
-            return;
-        }
-        for b in 0..n {
-            let c = self.inner.store.take(base + b);
-            if c > 0 {
-                let dst = self.register_chunk(new, b + 1);
-                self.inner.store.add(dst + b, c);
-            }
-        }
-    }
-
     /// Snapshot of all nonzero counts.
     pub fn snapshot(&self) -> HashMap<(u32, u32), u64> {
         let mut out = HashMap::new();
@@ -286,7 +257,7 @@ impl BlockCounters {
 /// }
 /// let lambdas = vm.compiled_chunks();
 /// let mut calls = Dataset::new();
-/// let all = chunks.iter().chain(lambdas.iter().map(|c| &**c));
+/// let all = chunks.iter().chain(&lambdas);
 /// derive_counts(all, &blocks, ProfileMode::CallsOnly, |point, n| calls.record(point, n));
 /// assert_eq!(calls.len(), 2);
 /// assert!(calls.iter().all(|(_, n)| n == 1), "each call site ran once");
@@ -306,7 +277,7 @@ pub fn derive_counts<'a>(
         let Some(&(base, n)) = bases.get(&chunk.id) else {
             continue;
         };
-        for b in 0..n.min(chunk.blocks.len() as u32) {
+        for b in 0..n.min(chunk.block_count() as u32) {
             let hits = store.get(base + b);
             if hits == 0 {
                 continue;
@@ -331,7 +302,7 @@ pub fn derive_counts<'a>(
 #[derive(Clone, Debug, Default)]
 pub struct DerivedCounts {
     blocks: BlockCounters,
-    chunks: Rc<RefCell<Vec<Rc<Chunk>>>>,
+    chunks: Rc<RefCell<Vec<Chunk>>>,
 }
 
 impl DerivedCounts {
@@ -346,7 +317,7 @@ impl DerivedCounts {
     }
 
     /// Adds `chunk` to the chunks whose block counts are derived.
-    pub fn track(&self, chunk: Rc<Chunk>) {
+    pub fn track(&self, chunk: Chunk) {
         self.chunks.borrow_mut().push(chunk);
     }
 
@@ -357,12 +328,7 @@ impl DerivedCounts {
     /// (the running one and those suspended at a call) as if it had run;
     /// those points are not counted again when they do.
     pub fn drain(&self, mode: ProfileMode, count: impl FnMut(SourceObject, u64)) {
-        derive_counts(
-            self.chunks.borrow().iter().map(|c| &**c),
-            &self.blocks,
-            mode,
-            count,
-        );
+        derive_counts(self.chunks.borrow().iter(), &self.blocks, mode, count);
         self.blocks.clear();
     }
 }
@@ -451,47 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_carries_counts_to_the_new_id() {
-        let c = BlockCounters::new();
-        c.register_chunk(4, 2);
-        c.increment(4, 0);
-        c.increment(4, 1);
-        c.increment(4, 1);
-        c.increment(4, 9); // beyond the registration: the range grows
-        c.remap_chunk(4, 40);
-        assert_eq!(c.count(4, 0), 0, "old id is empty");
-        assert_eq!(c.count(40, 0), 1);
-        assert_eq!(c.count(40, 1), 2);
-        assert_eq!(c.count(40, 9), 1);
-    }
-
-    #[test]
-    fn remap_merges_into_existing_counts() {
-        let c = BlockCounters::new();
-        c.register_chunk(1, 3);
-        c.register_chunk(2, 2);
-        c.increment(1, 0);
-        c.increment(1, 2);
-        c.increment(2, 0);
-        c.increment(2, 1);
-        c.remap_chunk(1, 2);
-        assert_eq!(c.count(2, 0), 2, "counts are summed");
-        assert_eq!(c.count(2, 1), 1);
-        assert_eq!(c.count(2, 2), 1, "the target range grows to fit");
-        assert_eq!(c.count(1, 0), 0);
-        assert_eq!(c.len(), 3);
-    }
-
-    #[test]
-    fn remap_of_unknown_or_identical_ids_is_a_noop() {
-        let c = BlockCounters::new();
-        c.increment(5, 0);
-        c.remap_chunk(9, 10);
-        c.remap_chunk(5, 5);
-        assert_eq!(c.count(5, 0), 1);
-    }
-
-    #[test]
     fn snapshot_matches_a_keyed_model() {
         let c = BlockCounters::new();
         c.register_chunk(1, 4);
@@ -538,23 +463,6 @@ mod tests {
         c.increment(9, 3);
         c.store().sample_now();
         assert_eq!(c.count(9, 3), 2);
-    }
-
-    #[test]
-    fn sampling_remap_moves_and_merges_estimates() {
-        let c = BlockCounters::with_store(SlotStore::sampling_manual());
-        let base = c.register_chunk(4, 2);
-        c.increment_at(base, 1);
-        c.store().sample_now();
-        c.remap_chunk(4, 40);
-        assert_eq!(c.count(4, 1), 0, "old id is empty");
-        assert_eq!(c.count(40, 1), 1);
-        // Remapping onto a chunk with counts of its own sums them.
-        let other = c.register_chunk(5, 2);
-        c.increment_at(other, 1);
-        c.store().sample_now();
-        c.remap_chunk(5, 40);
-        assert_eq!(c.count(40, 1), 2);
     }
 
     #[test]

@@ -5,22 +5,25 @@
 //! three-pass protocol keeping the two consistent. This crate supplies the
 //! analogous low level for our system:
 //!
-//! - [`compile_chunk`] lowers a [`pgmp_eval::Core`] expression to a control
-//!   flow graph of basic blocks ([`Chunk`]);
+//! - [`compile_chunk`] compiles a [`pgmp_eval::Core`] expression straight
+//!   to a [`Chunk`]: one contiguous stream of fixed-size decoded [`Op`]s
+//!   with side pools for their operands, cut into basic blocks by a block
+//!   table. The stream is both what the VM executes and what profiling
+//!   and layout work on; a chunk is a cheap handle to immutable code;
 //! - [`Vm`] executes chunks on a stack machine (sharing values, globals,
 //!   and natives with the tree-walking interpreter — closures created by
-//!   the VM are compiled lazily, closures applied inside higher-order
-//!   natives fall back to the tree walker, as in real mixed-mode systems);
+//!   the VM are compiled at their first call, closures applied inside
+//!   higher-order natives fall back to the tree walker, as in real
+//!   mixed-mode systems);
 //! - [`BlockCounters`] counts block executions (the block-level profile),
 //!   and [`derive_counts`] turns block counts into source-level counts
 //!   through each chunk's table of the profile points evaluated in each
 //!   block;
 //! - [`optimize_layout`] is the block-level PGO: a greedy hottest-successor
 //!   trace layout that maximizes fall-through on hot paths, measured by
-//!   [`VmMetrics`] (taken jumps vs. fall-throughs);
-//! - [`lower_chunk`] flattens a chunk (in its current layout order) into a
-//!   contiguous stream of fixed-size decoded ops ([`FlatChunk`]) that the
-//!   VM executes by index.
+//!   [`VmMetrics`] (taken jumps vs. fall-throughs). A new layout is a new
+//!   stream, its blocks' ops copied in the new order and their jumps
+//!   re-pointed.
 //!
 //! # Example
 //!
@@ -46,13 +49,11 @@
 mod chunk;
 mod compile;
 mod counters;
-mod flat;
 mod layout;
 mod vm;
 
-pub use chunk::{Block, BlockId, Chunk, Instr, Terminator, NO_POINT};
+pub use chunk::{Block, BlockId, Chunk, Code, JumpTarget, Op, Pools, NO_POINT};
 pub use compile::compile_chunk;
 pub use counters::{derive_counts, BlockCounters, DerivedCounts};
-pub use flat::{lower_chunk, FlatChunk, JumpTarget, Op};
 pub use layout::{canonical_form, optimize_layout};
 pub use vm::{DispatchMode, Vm, VmMetrics};

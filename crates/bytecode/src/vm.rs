@@ -1,19 +1,16 @@
 //! The stack VM executing basic-block bytecode.
 //!
-//! Chunks are lowered once to contiguous [`FlatChunk`] op streams
-//! ([`crate::flat`]) and executed by index — one small `Copy` op per step,
-//! constants pre-converted into a side pool. The code belongs to the
-//! program, not the VM: a chunk keeps its lowering, and a lambda keeps its
-//! chunk on its [`LambdaDef`], so a generation's code is freed with it.
-//! The block/`Terminator` form stays the profiling and layout IR: block
-//! counters and [`VmMetrics`] count its blocks and edges. The
-//! tree-walking interpreter is the semantic reference; the differential
-//! oracle in `tests/proptests.rs` holds the VM to it.
+//! A chunk's op stream runs as the compiler laid it out, by index — one
+//! small `Copy` op per step, constants pre-converted into a side pool.
+//! The code belongs to the program, not the VM: a lambda keeps its chunk
+//! on its [`LambdaDef`], so a generation's code is freed with it. Block
+//! counters and [`VmMetrics`] count the blocks and edges of the chunk's
+//! block table. The tree-walking interpreter is the semantic reference;
+//! the differential oracle in `tests/proptests.rs` holds the VM to it.
 
-use crate::chunk::{BlockId, Chunk};
+use crate::chunk::{BlockId, Chunk, Code, JumpTarget, Op};
 use crate::compile::compile_chunk;
 use crate::counters::{BlockCounters, DerivedCounts};
-use crate::flat::{self, FlatChunk, JumpTarget, Op};
 use crate::layout::optimize_layout;
 use pgmp_eval::{
     Callee, Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value,
@@ -26,7 +23,7 @@ use std::rc::{Rc, Weak};
 /// takes (and ignores) one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Lower to flat op streams and execute by index.
+    /// Execute the chunk's op stream by index.
     #[default]
     Flat,
 }
@@ -62,8 +59,8 @@ impl VmMetrics {
     }
 }
 
-struct FlatActivation {
-    code: Rc<FlatChunk>,
+struct Activation {
+    code: Chunk,
     pc: u32,
     frame: Option<Rc<Frame>>,
     /// Base of this chunk's block-counter range, resolved once per
@@ -77,52 +74,21 @@ struct FlatActivation {
     def: Option<Rc<LambdaDef>>,
 }
 
-/// The lowering of `chunk`, built at its first run and kept in the chunk,
-/// tracing the lowering as a `vm_lower` span when observability is armed.
-/// The event's `fused` field predates the single lowering and is always 0.
-fn lowering(chunk: &Chunk) -> Rc<FlatChunk> {
-    chunk
-        .lowered
-        .get_or_init(|| {
-            let t = observe::timer();
-            let code = flat::lower_chunk(chunk);
-            if t.is_some() {
-                let ops = code.ops.len() as u64;
-                observe::finish(t, |duration_us| observe::EventKind::VmLower {
-                    chunk: chunk.id,
-                    ops,
-                    fused: 0,
-                    duration_us,
-                });
-            }
-            Rc::new(code)
-        })
-        .clone()
-}
-
-/// The chunk compiled from `def`'s body, kept on the def
-/// ([`LambdaDef::code`]) so that it is freed with the def.
-fn lambda_chunk(def: &LambdaDef) -> Rc<Chunk> {
-    if let Some(chunk) = def.code.get::<Chunk>() {
-        return chunk;
-    }
-    let chunk = Rc::new(compile_chunk(&def.body));
-    def.code.set(chunk.clone());
-    chunk
-}
-
-/// The lowering of `def`'s chunk, compiled and lowered at the first call.
+/// The chunk compiled from `def`'s body, compiled at the first call and
+/// kept on the def ([`LambdaDef::code`]) so that it is freed with the def.
 #[inline]
-fn lambda_code(def: &LambdaDef) -> Rc<FlatChunk> {
-    match def.code.with(|chunk: &Chunk| chunk.lowered.get().cloned()) {
-        Some(Some(code)) => code,
-        _ => lowering(&lambda_chunk(def)),
+fn lambda_chunk(def: &LambdaDef) -> Chunk {
+    if let Some(code) = def.code.get::<Code>() {
+        return Chunk(code);
     }
+    let chunk = compile_chunk(&def.body);
+    def.code.set(chunk.0.clone());
+    chunk
 }
 
 /// The bytecode virtual machine.
 ///
-/// Owns no code: a top-level chunk keeps its own lowering, and a lambda's
+/// Owns no code: the caller holds its top-level chunks, and a lambda's
 /// chunk lives on its [`LambdaDef`], so code is freed with the program
 /// that holds it. The VM borrows an [`Interp`] per run for globals,
 /// natives, and (tree-walked) closure application inside higher-order
@@ -175,7 +141,7 @@ impl Vm {
         self.run_chunk(interp, &chunk)
     }
 
-    /// Runs an already-compiled chunk, lowering it at its first run.
+    /// Runs an already-compiled chunk.
     ///
     /// # Errors
     ///
@@ -183,7 +149,7 @@ impl Vm {
     pub fn run_chunk(&mut self, interp: &mut Interp, chunk: &Chunk) -> Result<Value, EvalError> {
         let t = observe::timer();
         let blocks_before = self.metrics.blocks_executed;
-        let out = self.exec_flat(interp, lowering(chunk));
+        let out = self.exec(interp, chunk.clone());
         // The run is over: park the sampling beacon (no-op on exact
         // registries) so samples taken between runs attribute nothing.
         if let Some(counters) = &self.block_counters {
@@ -204,11 +170,11 @@ impl Vm {
     /// The chunks of the live lambdas this VM has counted blocks of, in
     /// chunk-id order; used by the three-pass driver to check CFG
     /// stability.
-    pub fn compiled_chunks(&self) -> Vec<Rc<Chunk>> {
-        let mut chunks: Vec<Rc<Chunk>> = self
+    pub fn compiled_chunks(&self) -> Vec<Chunk> {
+        let mut chunks: Vec<Chunk> = self
             .lambdas
             .iter()
-            .filter_map(|def| def.upgrade()?.code.get::<Chunk>())
+            .filter_map(|def| def.upgrade()?.code.get::<Code>().map(Chunk))
             .collect();
         chunks.sort_by_key(|c| c.id);
         chunks.dedup_by_key(|c| c.id);
@@ -217,10 +183,9 @@ impl Vm {
 
     /// Block-level PGO in one call: re-lays-out the caller's top-level
     /// `chunks` and the chunk of every live lambda this VM has counted,
-    /// under the same `counters`. Each new layout is a new chunk, lowered
-    /// afresh at its next run; the lambdas' new chunks replace the old
-    /// ones on their defs, under the same ids. A chunk whose layout does
-    /// not change stays as it is, lowering included.
+    /// under the same `counters`. Each new layout is a new chunk; the
+    /// lambdas' new chunks replace the old ones on their defs, under the
+    /// same ids. A chunk whose layout does not change stays as it is.
     pub fn relayout(&mut self, chunks: &mut [Chunk], counters: &BlockCounters) {
         for chunk in chunks.iter_mut() {
             if let Some(new) = optimize_layout(chunk, counters) {
@@ -228,9 +193,9 @@ impl Vm {
             }
         }
         for def in self.prune_lambdas() {
-            if let Some(chunk) = def.code.get::<Chunk>() {
-                if let Some(new) = optimize_layout(&chunk, counters) {
-                    def.code.set(Rc::new(new));
+            if let Some(code) = def.code.get::<Code>() {
+                if let Some(new) = optimize_layout(&Chunk(code), counters) {
+                    def.code.set(new.0);
                 }
             }
         }
@@ -252,11 +217,11 @@ impl Vm {
     /// lambda's chunk is counted, the VM remembers the lambda (for
     /// relayout) and tracks its chunk for [`DerivedCounts`].
     #[inline]
-    fn counter_base(&mut self, code: &FlatChunk, def: Option<&Rc<LambdaDef>>) -> u32 {
+    fn counter_base(&mut self, code: &Chunk, def: Option<&Rc<LambdaDef>>) -> u32 {
         let Some(counters) = &self.block_counters else {
             return 0;
         };
-        let (base, fresh) = counters.register(code.id, code.block_count);
+        let (base, fresh) = counters.register(code.id, code.blocks.len() as u32);
         if let (true, Some(def)) = (fresh, def) {
             self.remember(def);
         }
@@ -279,13 +244,13 @@ impl Vm {
     /// lambda) under `frame`.
     fn activation(
         &mut self,
-        code: Rc<FlatChunk>,
+        code: Chunk,
         def: Option<Rc<LambdaDef>>,
         frame: Option<Rc<Frame>>,
-    ) -> FlatActivation {
+    ) -> Activation {
         let counter_base = self.counter_base(&code, def.as_ref());
-        FlatActivation {
-            pc: code.entry_pc,
+        Activation {
+            pc: 0,
             code,
             frame,
             counter_base,
@@ -293,42 +258,42 @@ impl Vm {
         }
     }
 
-    /// The engine: executes a flat op stream by index. Every op is a
+    /// The engine: executes an op stream by index. Every op is a
     /// small `Copy` read out of one contiguous `Vec`; constants come
     /// pre-converted from the pool. The loop runs against a local
     /// `VmMetrics` and a local counters handle (this wrapper writes the
     /// metrics back on every exit path), so per-step bookkeeping stays in
     /// registers instead of round-tripping through `self`. The ops the run
     /// dispatched are charged to the interpreter's fuel ([`Fuel`]).
-    fn exec_flat(&mut self, interp: &mut Interp, code: Rc<FlatChunk>) -> Result<Value, EvalError> {
+    fn exec(&mut self, interp: &mut Interp, code: Chunk) -> Result<Value, EvalError> {
         let mut m = self.metrics;
         let counters = self.block_counters.clone();
         let mut fuel = Fuel::new(interp, m.dispatches);
-        let out = self.exec_flat_inner(interp, code, &mut m, &counters, &mut fuel);
+        let out = self.exec_inner(interp, code, &mut m, &counters, &mut fuel);
         fuel.charge(interp, m.dispatches);
         self.metrics = m;
         out
     }
 
-    fn exec_flat_inner(
+    fn exec_inner(
         &mut self,
         interp: &mut Interp,
-        code: Rc<FlatChunk>,
+        code: Chunk,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
         fuel: &mut Fuel,
     ) -> Result<Value, EvalError> {
         let mut stack: Vec<Value> = Vec::with_capacity(64);
-        let mut saved: Vec<FlatActivation> = Vec::with_capacity(16);
+        let mut saved: Vec<Activation> = Vec::with_capacity(16);
         // Code read by `LocalCallee`, awaiting its call op; `None` when the
         // operator was a value, pushed on `stack` as the callee. Operands
         // nest, so each call op pops the entry its `LocalCallee` pushed.
         let mut code_callees: Vec<Option<(Rc<LambdaDef>, Rc<Frame>)>> = Vec::new();
         // The tag of every global slot this run resolves (see
-        // `FlatChunk::globals`).
+        // `Code::globals`).
         let interp_tag = u64::from(interp.id()) << 32;
         let mut cur = self.activation(code, None, None);
-        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+        enter_block_at(counters, m, cur.counter_base, 0);
         loop {
             // The dispatch counter doubles as the step budget: one counter
             // to bump, one compare per op.
@@ -339,13 +304,13 @@ impl Vm {
             let op = cur.code.ops[cur.pc as usize];
             cur.pc += 1;
             match op {
-                Op::Imm { pool } => stack.push(cur.code.imms[pool as usize].clone()),
+                Op::Imm { pool } => stack.push(cur.code.pools.imms[pool as usize].clone()),
                 Op::DatumConst { pool } => {
-                    stack.push(Value::from_datum(&cur.code.datums[pool as usize]))
+                    stack.push(Value::from_datum(&cur.code.pools.datums[pool as usize]))
                 }
-                Op::SyntaxConst { pool } => {
-                    stack.push(Value::Syntax(cur.code.syntaxes[pool as usize].clone()))
-                }
+                Op::SyntaxConst { pool } => stack.push(Value::Syntax(
+                    cur.code.pools.syntaxes[pool as usize].clone(),
+                )),
                 Op::Unspecified => stack.push(Value::Unspecified),
                 Op::LocalRef { depth, index } => {
                     let frame = cur.frame.as_ref().expect("local ref without frame");
@@ -382,7 +347,7 @@ impl Vm {
                             EvalErrorKind::Unbound,
                             format!("set!: unbound variable `{name}`"),
                         )
-                        .with_src(cur.code.srcs[src as usize]));
+                        .with_src(cur.code.pools.srcs[src as usize]));
                     }
                     let v = stack.pop().expect("stack underflow");
                     interp.define_global(name, v);
@@ -404,7 +369,7 @@ impl Vm {
                 }
                 Op::MakeClosure { pool } => {
                     stack.push(Value::Closure(Rc::new(Closure {
-                        def: cur.code.lambdas[pool as usize].clone(),
+                        def: cur.code.pools.lambdas[pool as usize].clone(),
                         env: cur.frame.clone(),
                     })));
                 }
@@ -412,7 +377,7 @@ impl Vm {
                     cur.frame
                         .as_ref()
                         .expect("letrec binding without frame")
-                        .set_code(index, cur.code.lambdas[pool as usize].clone());
+                        .set_code(index, cur.code.pools.lambdas[pool as usize].clone());
                 }
                 Op::LocalCallee { depth, index } => {
                     let frame = cur.frame.as_ref().expect("local ref without frame");
@@ -440,7 +405,7 @@ impl Vm {
                                 &mut saved,
                                 &mut cur,
                             )?;
-                            enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+                            enter_block_at(counters, m, cur.counter_base, 0);
                             continue;
                         }
                     }
@@ -459,9 +424,9 @@ impl Vm {
                     src,
                 } => {
                     let frame = cur.frame.as_ref().expect("local ref without frame");
-                    let v = cur.code.matchers[pool as usize]
+                    let v = cur.code.pools.matchers[pool as usize]
                         .dispatch(&frame.get(depth, index))
-                        .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+                        .map_err(|e| e.with_src(cur.code.pools.srcs[src as usize]))?;
                     stack.push(v);
                 }
                 Op::Pop => {
@@ -498,7 +463,7 @@ impl Vm {
                     let flow = match code {
                         Some((def, env)) => {
                             self.enter_tail_call(def, Some(env), argc, src, &mut stack, &mut cur)?;
-                            enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+                            enter_block_at(counters, m, cur.counter_base, 0);
                             None
                         }
                         None => match quick_call(&mut stack, argc) {
@@ -524,7 +489,7 @@ impl Vm {
 
     /// Non-tail call dispatch, with `[callee, args…]` on top of `stack`
     /// (quickened primitives already ruled out): closures push the current
-    /// activation and enter their flat code; anything else applies in
+    /// activation and enter their code; anything else applies in
     /// place.
     #[allow(clippy::too_many_arguments)]
     fn call_value(
@@ -533,8 +498,8 @@ impl Vm {
         argc: u16,
         src: u32,
         stack: &mut Vec<Value>,
-        saved: &mut Vec<FlatActivation>,
-        cur: &mut FlatActivation,
+        saved: &mut Vec<Activation>,
+        cur: &mut Activation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
         fuel: &mut Fuel,
@@ -543,13 +508,13 @@ impl Vm {
         let Value::Closure(c) = &stack[at] else {
             let v = fuel
                 .apply_native(interp, m.dispatches, stack, at)
-                .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+                .map_err(|e| e.with_src(cur.code.pools.srcs[src as usize]))?;
             stack.push(v);
             return Ok(());
         };
         let (def, env) = (c.def.clone(), c.env.clone());
         self.enter_call(def, env, argc, src, stack, saved, cur)?;
-        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+        enter_block_at(counters, m, cur.counter_base, 0);
         Ok(())
     }
 
@@ -564,7 +529,7 @@ impl Vm {
         argc: u16,
         src: u32,
         stack: &mut Vec<Value>,
-        cur: &mut FlatActivation,
+        cur: &mut Activation,
         m: &mut VmMetrics,
         counters: &Option<BlockCounters>,
         fuel: &mut Fuel,
@@ -573,12 +538,12 @@ impl Vm {
         let Value::Closure(c) = &stack[at] else {
             let v = fuel
                 .apply_native(interp, m.dispatches, stack, at)
-                .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
+                .map_err(|e| e.with_src(cur.code.pools.srcs[src as usize]))?;
             return Ok(Some(v));
         };
         let (def, env) = (c.def.clone(), c.env.clone());
         self.enter_tail_call(def, env, argc, src, stack, cur)?;
-        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
+        enter_block_at(counters, m, cur.counter_base, 0);
         Ok(None)
     }
 
@@ -592,12 +557,12 @@ impl Vm {
         argc: u16,
         src: u32,
         stack: &mut Vec<Value>,
-        saved: &mut Vec<FlatActivation>,
-        cur: &mut FlatActivation,
+        saved: &mut Vec<Activation>,
+        cur: &mut Activation,
     ) -> Result<(), EvalError> {
         let frame = bind_from_stack(&def, env, argc, stack)
-            .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
-        let next = self.activation(lambda_code(&def), Some(def), Some(frame));
+            .map_err(|e| e.with_src(cur.code.pools.srcs[src as usize]))?;
+        let next = self.activation(lambda_chunk(&def), Some(def), Some(frame));
         saved.push(std::mem::replace(cur, next));
         Ok(())
     }
@@ -616,24 +581,24 @@ impl Vm {
         argc: u16,
         src: u32,
         stack: &mut Vec<Value>,
-        cur: &mut FlatActivation,
+        cur: &mut Activation,
     ) -> Result<(), EvalError> {
         if tail_frame_is_reusable(&def, env.as_ref(), &cur.frame, argc) {
             let frame = cur.frame.as_ref().expect("reuse without frame");
             frame.refill_from_stack(stack);
             stack.pop().expect("callee below the arguments");
             if !cur.def.as_ref().is_some_and(|d| Rc::ptr_eq(d, &def)) {
-                let code = lambda_code(&def);
+                let code = lambda_chunk(&def);
                 cur.counter_base = self.counter_base(&code, Some(&def));
                 cur.code = code;
                 cur.def = Some(def);
             }
-            cur.pc = cur.code.entry_pc;
+            cur.pc = 0;
             return Ok(());
         }
         let frame = bind_from_stack(&def, env, argc, stack)
-            .map_err(|e| e.with_src(cur.code.srcs[src as usize]))?;
-        *cur = self.activation(lambda_code(&def), Some(def), Some(frame));
+            .map_err(|e| e.with_src(cur.code.pools.srcs[src as usize]))?;
+        *cur = self.activation(lambda_chunk(&def), Some(def), Some(frame));
         Ok(())
     }
 }

@@ -192,7 +192,7 @@ fn a_vm_reaches_only_the_lambdas_still_alive() {
     assert_eq!(relaid.len(), 1);
     assert_eq!(relaid[0].id, keep.id, "a new layout keeps the chunk id");
     assert!(
-        !std::rc::Rc::ptr_eq(&relaid[0], &keep),
+        !Chunk::ptr_eq(&relaid[0], &keep),
         "a new layout is a new chunk"
     );
     assert_eq!(canonical_form(&relaid[0]), canonical_form(&keep));
@@ -202,8 +202,7 @@ fn a_vm_reaches_only_the_lambdas_still_alive() {
 fn relayout_keeps_a_chunk_whose_layout_does_not_change() {
     // Every run takes the then-branches, which the compiled order already
     // places first: re-layout changes no order, so the top-level chunks
-    // and the lambda stay the chunks that ran, with the lowerings built
-    // at their first run.
+    // and the lambda keep the code that ran.
     let mut exp = Expander::new();
     let mut interp = fresh_interp();
     let mut vm = Vm::new();
@@ -217,16 +216,16 @@ fn relayout_keeps_a_chunk_whose_layout_does_not_change() {
     for chunk in &chunks {
         vm.run_chunk(&mut interp, chunk).unwrap();
     }
-    let blocks: Vec<_> = chunks.iter().map(|c| c.blocks.as_ptr()).collect();
+    let before = chunks.clone();
     let lambdas = vm.compiled_chunks();
     assert_eq!(lambdas.len(), 1);
     vm.relayout(&mut chunks, &counters);
-    for (chunk, before) in chunks.iter().zip(blocks) {
-        assert_eq!(chunk.blocks.as_ptr(), before, "chunk {} replaced", chunk.id);
+    for (chunk, before) in chunks.iter().zip(&before) {
+        assert!(Chunk::ptr_eq(chunk, before), "chunk {} replaced", chunk.id);
     }
     let relaid = vm.compiled_chunks();
     assert!(
-        std::rc::Rc::ptr_eq(&relaid[0], &lambdas[0]),
+        Chunk::ptr_eq(&relaid[0], &lambdas[0]),
         "lambda chunk replaced"
     );
 }
@@ -507,17 +506,9 @@ fn layout_optimization_improves_fallthrough_on_biased_branch() {
     }
 
     // Pass 2: relayout the lambda chunks the VM counted and re-run, measuring.
-    let before_chunks: Vec<String> = vm
-        .compiled_chunks()
-        .iter()
-        .map(|c| canonical_form(c))
-        .collect();
+    let before_chunks: Vec<String> = vm.compiled_chunks().iter().map(canonical_form).collect();
     vm.relayout(&mut [], &counters);
-    let after_chunks: Vec<String> = vm
-        .compiled_chunks()
-        .iter()
-        .map(|c| canonical_form(c))
-        .collect();
+    let after_chunks: Vec<String> = vm.compiled_chunks().iter().map(canonical_form).collect();
     assert_eq!(before_chunks, after_chunks, "layout must preserve the CFG");
 
     vm.block_counters = None;
@@ -555,6 +546,7 @@ fn optimize_layout_preserves_cfg_and_is_stable_unprofiled() {
     let empty = BlockCounters::new();
     let once = optimize_layout(&chunk, &empty).unwrap_or_else(|| chunk.clone());
     let twice = optimize_layout(&once, &empty).unwrap_or_else(|| once.clone());
+    assert_eq!(once.ops, twice.ops);
     assert_eq!(once.blocks, twice.blocks);
 }
 
@@ -608,7 +600,7 @@ fn profile_run(src: &str) -> BlockProfile {
     BlockProfile {
         result: last.write_string(),
         toplevel: chunks.iter().map(counts).collect(),
-        lambdas: vm.compiled_chunks().iter().map(|c| counts(c)).collect(),
+        lambdas: vm.compiled_chunks().iter().map(counts).collect(),
         metrics: vm.metrics,
     }
 }

@@ -8,7 +8,7 @@
 use crate::error::EvalError;
 use crate::interp::Interp;
 use crate::value::Value;
-use pgmp_syntax::{Syntax, SyntaxBody};
+use pgmp_syntax::{Datum, Syntax, SyntaxBody};
 use std::rc::Rc;
 
 fn want_syntax(v: &Value) -> Result<Rc<Syntax>, EvalError> {
@@ -43,8 +43,24 @@ pub fn value_to_syntax(ctx: &Syntax, v: &Value) -> Result<Syntax, EvalError> {
                         cur = next;
                     }
                     tail => {
-                        let tail = Rc::new(value_to_syntax(ctx, &tail)?);
-                        let mut out = Syntax::new(SyntaxBody::Improper(elems, tail), ctx.source);
+                        // A list-shaped syntax tail splices in: `(a . (b c))`
+                        // is `(a b c)`, and `(a . (b . c))` is `(a b . c)`.
+                        let mut tail = Rc::new(value_to_syntax(ctx, &tail)?);
+                        let body = loop {
+                            match &tail.body {
+                                SyntaxBody::List(more) => {
+                                    elems.extend(more.iter().cloned());
+                                    break SyntaxBody::List(elems);
+                                }
+                                SyntaxBody::Atom(Datum::Nil) => break SyntaxBody::List(elems),
+                                SyntaxBody::Improper(more, rest) => {
+                                    elems.extend(more.iter().cloned());
+                                    tail = rest.clone();
+                                }
+                                _ => break SyntaxBody::Improper(elems, tail),
+                            }
+                        };
+                        let mut out = Syntax::new(body, ctx.source);
                         out.marks = ctx.marks.clone();
                         return Ok(out);
                     }

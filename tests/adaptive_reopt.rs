@@ -2,9 +2,13 @@
 //! shifts mid-run, the drift detector fires, and the emitted clause order
 //! provably changes.
 
+use pgmp::{IncrementalConfig, IncrementalEngine};
 use pgmp_adaptive::{AdaptiveConfig, AdaptiveEngine};
-use pgmp_bytecode::canonical_form;
-use pgmp_case_studies::{install, Lib};
+use pgmp_bytecode::{canonical_form, DispatchMode, Vm};
+use pgmp_case_studies::{engine_with, install, Lib};
+use pgmp_observe::{self as observe, EventKind, TraceConfig, TraceEvent};
+use pgmp_profiler::ProfileInformation;
+use std::collections::HashSet;
 
 /// A tiny service: classify requests by id. With no profile (or a profile
 /// where the `< 10` clause is hot) the clauses keep source order; once the
@@ -196,4 +200,103 @@ fn hysteresis_and_cooldown_gate_recompiles_seen_by_worker_handles() {
         clause_pos(&text, "(quote high)") < clause_pos(&text, "(quote low)"),
         "after the shift the hot 'high clause must lead: {text}"
     );
+}
+
+/// `SERVICE` plus six forms no profile changes: across a
+/// re-optimization only `classify` re-expands.
+const SEVEN_FORMS: &str = "
+  (define (classify n)
+    (exclusive-cond
+      [(< n 10) 'low]
+      [(>= n 10) 'high]))
+  (define (double x) (* 2 x))
+  (define (square x) (* x x))
+  (define (inc x) (+ x 1))
+  (define (dec x) (- x 1))
+  (define (twice f x) (f (f x)))
+  (define total 0)";
+
+/// The chunks whose code was built (compiled or re-laid-out) while
+/// `events` were recorded, among `ids`.
+fn rebuilt(events: &[TraceEvent], ids: &HashSet<u32>) -> Vec<u32> {
+    events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::VmLower { chunk, .. } if ids.contains(&chunk) => Some(chunk),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_second_compile_shares_the_code_of_reused_forms() {
+    let _bus = observe::exclusive();
+    let engine = engine_with(&[Lib::Case]).expect("engine");
+    let mut incr =
+        IncrementalEngine::with_engine(engine, SEVEN_FORMS, "seven.scm", IncrementalConfig::default())
+            .expect("parse");
+    let mut vm = Vm::new();
+    let first = incr.compile(&ProfileInformation::empty()).expect("compile");
+    for chunk in &first.chunks {
+        vm.run_chunk(incr.engine_mut().interp_mut(), chunk)
+            .expect("run");
+    }
+    // Record the second compile and a run of what it hands out.
+    observe::start(TraceConfig::default()).expect("recording");
+    let second = incr.compile(&ProfileInformation::empty());
+    let ran: Result<Vec<_>, _> = match &second {
+        Ok(unit) => unit
+            .chunks
+            .iter()
+            .map(|chunk| vm.run_chunk(incr.engine_mut().interp_mut(), chunk))
+            .collect(),
+        Err(_) => Ok(Vec::new()),
+    };
+    let events = observe::stop();
+    let second = second.expect("compile");
+    ran.expect("run");
+    assert!(second.stats.all_reused(), "{:?}", second.stats);
+    let ids: HashSet<u32> = second.chunks.iter().map(|c| c.id).collect();
+    assert_eq!(ids.len(), 7);
+    assert_eq!(
+        rebuilt(&events, &ids),
+        [],
+        "reused forms' code was built again"
+    );
+}
+
+#[test]
+fn a_vm_served_reoptimization_keeps_the_code_of_reused_forms() {
+    let _bus = observe::exclusive();
+    let mut engine = AdaptiveEngine::with_setup(
+        SEVEN_FORMS,
+        "seven.scm",
+        AdaptiveConfig::default(),
+        |e| install(e, Lib::Case),
+    )
+    .expect("initial compile");
+    engine
+        .enable_vm_serving(DispatchMode::default(), false)
+        .expect("serving");
+    // The first epoch always re-optimizes; the second moves the hot
+    // branch.
+    for (lo, hi) in [(0, 10), (10, 100)] {
+        let before: HashSet<u32> = engine.chunks().map(|c| c.id).collect();
+        engine.collect_run(Some(&drive(lo, hi))).expect("collect");
+        observe::start(TraceConfig::default()).expect("recording");
+        let report = engine.tick();
+        let served = engine.vm_serve_run(Some(&drive(lo, hi)));
+        let events = observe::stop();
+        assert!(report.expect("tick").reoptimized, "epoch {lo}..{hi}");
+        served.expect("serve");
+        let after: HashSet<u32> = engine.chunks().map(|c| c.id).collect();
+        // Reused forms keep their chunk ids.
+        let reused: HashSet<u32> = before.intersection(&after).copied().collect();
+        assert_eq!(reused.len(), 6, "only `classify` re-expands");
+        assert_eq!(
+            rebuilt(&events, &reused),
+            [],
+            "epoch {lo}..{hi}: reused forms' code was built again"
+        );
+    }
 }

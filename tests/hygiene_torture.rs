@@ -216,3 +216,27 @@ fn a_dotted_tail_carries_the_use_sites_context() {
         "42"
     );
 }
+
+#[test]
+fn a_template_splices_a_list_bound_to_its_dotted_tail() {
+    // `rest` binds the list of the remaining operands, so a template
+    // ending in `. rest` continues with its elements; with `#'` and `#``
+    // alike.
+    for quote in ["#'", "#`"] {
+        let src = format!(
+            "(define-syntax (m stx)
+               (syntax-case stx ()
+                 [(_ v . rest) {quote}(let ([x v]) . rest)]))
+             (m 41 (+ 1 1))"
+        );
+        assert_eq!(run(&src), "2", "{quote}");
+    }
+    // A dotted tail of its own stays the template's tail.
+    assert_eq!(
+        run("(define-syntax (m stx)
+               (syntax-case stx ()
+                 [(_ (a . rest)) #'(quote (a . rest))]))
+             (m (1 2 . 3))"),
+        "(1 2 . 3)"
+    );
+}
