@@ -69,8 +69,8 @@ impl AtomicSlotArray {
     #[inline]
     fn counter(&self, slot: u32) -> &AtomicU64 {
         let (seg, off, len) = locate(slot);
-        let segment = self.segments[seg]
-            .get_or_init(|| (0..len).map(|_| AtomicU64::new(0)).collect());
+        let segment =
+            self.segments[seg].get_or_init(|| (0..len).map(|_| AtomicU64::new(0)).collect());
         &segment[off]
     }
 
@@ -185,7 +185,10 @@ impl ShardedCounters {
     }
 
     fn slots(&self) -> std::sync::RwLockReadGuard<'_, SlotMap> {
-        self.inner.slots.read().expect("sharded counters slot map poisoned")
+        self.inner
+            .slots
+            .read()
+            .expect("sharded counters slot map poisoned")
     }
 
     /// The dense slot for profile point `p`, interning it on first

@@ -51,9 +51,7 @@ impl std::str::FromStr for CounterImpl {
         match s {
             "dense" => Ok(CounterImpl::Dense),
             "sampling" => Ok(CounterImpl::Sampling),
-            other => Err(format!(
-                "unknown counter impl `{other}` (dense|sampling)"
-            )),
+            other => Err(format!("unknown counter impl `{other}` (dense|sampling)")),
         }
     }
 }
@@ -580,7 +578,10 @@ mod tests {
     /// thread): with no `record_hit`/`sample_now` in sight its keyed and
     /// slot APIs must behave exactly like the dense backend.
     fn all_impls() -> [Counters; 2] {
-        [Counters::new(), Counters::with_store(SlotStore::sampling_manual())]
+        [
+            Counters::new(),
+            Counters::with_store(SlotStore::sampling_manual()),
+        ]
     }
 
     #[test]
@@ -693,7 +694,10 @@ mod tests {
         let b = Counters::new();
         assert_ne!(a.map_id(), b.map_id());
         assert_ne!(a.map_id(), 0);
-        assert_ne!(Counters::with_store(SlotStore::sampling_manual()).map_id(), 0);
+        assert_ne!(
+            Counters::with_store(SlotStore::sampling_manual()).map_id(),
+            0
+        );
         assert_eq!(a.map_id(), a.clone().map_id(), "clones share the map");
     }
 

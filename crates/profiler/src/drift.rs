@@ -25,7 +25,10 @@ pub enum DriftMetric {
 }
 
 fn union_points(a: &ProfileInformation, b: &ProfileInformation) -> HashSet<SourceObject> {
-    a.iter().map(|(p, _)| p).chain(b.iter().map(|(p, _)| p)).collect()
+    a.iter()
+        .map(|(p, _)| p)
+        .chain(b.iter().map(|(p, _)| p))
+        .collect()
 }
 
 /// Distance from `a` to `b` under `metric`. Symmetric; 0.0 when both are
@@ -77,7 +80,12 @@ mod tests {
     }
 
     fn info(entries: &[(u32, u64)]) -> ProfileInformation {
-        ProfileInformation::from_dataset(&entries.iter().map(|(i, c)| (p(*i), *c)).collect::<Dataset>())
+        ProfileInformation::from_dataset(
+            &entries
+                .iter()
+                .map(|(i, c)| (p(*i), *c))
+                .collect::<Dataset>(),
+        )
     }
 
     #[test]

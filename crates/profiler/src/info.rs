@@ -122,9 +122,7 @@ impl ProfileInformation {
             weights.insert(*p, (w * n1 + w2 * n2) / total);
         }
         for (p, w2) in other.weights.iter() {
-            weights
-                .entry(*p)
-                .or_insert_with(|| (w2 * n2) / total);
+            weights.entry(*p).or_insert_with(|| (w2 * n2) / total);
         }
         ProfileInformation {
             weights,
@@ -193,8 +191,8 @@ mod tests {
     fn merge_handles_disjoint_points() {
         let d1: Dataset = [(p(0), 4)].into_iter().collect();
         let d2: Dataset = [(p(1), 8)].into_iter().collect();
-        let merged = ProfileInformation::from_dataset(&d1)
-            .merge(&ProfileInformation::from_dataset(&d2));
+        let merged =
+            ProfileInformation::from_dataset(&d1).merge(&ProfileInformation::from_dataset(&d2));
         assert_eq!(merged.weight(p(0)), 0.5);
         assert_eq!(merged.weight(p(1)), 0.5);
     }

@@ -63,12 +63,12 @@ mod store;
 pub use concurrent::{AtomicSlotArray, ShardedCounters};
 pub use counters::{CounterImpl, Counters, Dataset, SlotStore};
 pub use drift::{drift, DriftMetric};
+pub use info::ProfileInformation;
 pub use rebase::{
     rebase, MatchTier, RebaseConfig, RebaseError, RebaseOutcome, RebaseReport, RebaseResult,
 };
 pub use sampling::{Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
 pub use slots::{SlotCompat, SlotMap, SlotTableMismatch};
-pub use info::ProfileInformation;
 pub use store::{point_datum, write_atomic, ProfileStoreError, Provenance, StoredProfile};
 
 /// How the evaluator instruments a program for profiling.

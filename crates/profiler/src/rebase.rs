@@ -222,11 +222,7 @@ pub fn lcs_align(old: &[u64], new: &[u64]) -> Vec<(usize, usize)> {
 /// identical trees (the LCS tiers) this maps every node; on edited trees
 /// (the structural tier) it maps the positionally corresponding prefix —
 /// best-effort by design, since decayed weights only under-claim.
-pub fn span_map_lockstep(
-    old: &Syntax,
-    new: &Syntax,
-    map: &mut HashMap<(u32, u32), (u32, u32)>,
-) {
+pub fn span_map_lockstep(old: &Syntax, new: &Syntax, map: &mut HashMap<(u32, u32), (u32, u32)>) {
     if let (Some(a), Some(b)) = (old.source, new.source) {
         map.insert((a.bfp, a.efp), (b.bfp, b.efp));
     }
@@ -561,10 +557,8 @@ pub fn rebase(
             .filter_map(|p| moved.get(p).copied())
             .collect();
         let mut seen = HashSet::new();
-        let survivors: Vec<SourceObject> = survivors
-            .into_iter()
-            .filter(|p| seen.insert(*p))
-            .collect();
+        let survivors: Vec<SourceObject> =
+            survivors.into_iter().filter(|p| seen.insert(*p)).collect();
         if survivors.is_empty() {
             None
         } else {
@@ -572,8 +566,7 @@ pub fn rebase(
         }
     });
 
-    let weights: Vec<(SourceObject, f64)> =
-        placed.values().map(|(np, _, w)| (*np, *w)).collect();
+    let weights: Vec<(SourceObject, f64)> = placed.values().map(|(np, _, w)| (*np, *w)).collect();
     let confidences: Vec<(SourceObject, f64)> =
         placed.values().map(|(np, c, _)| (*np, *c)).collect();
     let info = ProfileInformation::from_weights(weights, old.info.dataset_count());
@@ -681,7 +674,11 @@ mod tests {
         let frac = r.report.retained_weight_fraction();
         assert!(frac > 0.5 && frac < 1.0, "retained {frac}");
         // Decayed outcomes: weight strictly shrinks, confidence recorded.
-        for o in r.outcomes.iter().filter(|o| o.tier == MatchTier::Structural) {
+        for o in r
+            .outcomes
+            .iter()
+            .filter(|o| o.tier == MatchTier::Structural)
+        {
             assert!(o.new_weight < o.old_weight);
             assert!(o.confidence < 1.0 && o.confidence >= cfg.min_confidence);
             assert_eq!(r.profile.confidence(o.new_point.unwrap()), o.confidence);
@@ -710,10 +707,7 @@ mod tests {
     #[test]
     fn foreign_points_are_carried_untouched() {
         let other = SourceObject::new("other.scm", 5, 9);
-        let old = StoredProfile::v2(
-            ProfileInformation::from_weights([(other, 0.25)], 1),
-            None,
-        );
+        let old = StoredProfile::v2(ProfileInformation::from_weights([(other, 0.25)], 1), None);
         let r = rebase(&old, OLD, OLD, "m.scm", &RebaseConfig::default()).unwrap();
         assert_eq!(r.report.carried, 1);
         assert_eq!(r.profile.info.weight(other), 0.25);
@@ -813,8 +807,14 @@ mod tests {
 
     #[test]
     fn lcs_align_is_monotone_and_maximal() {
-        assert_eq!(lcs_align(&[1, 2, 3], &[1, 2, 3]), vec![(0, 0), (1, 1), (2, 2)]);
-        assert_eq!(lcs_align(&[1, 2, 3], &[9, 1, 2, 3]), vec![(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(
+            lcs_align(&[1, 2, 3], &[1, 2, 3]),
+            vec![(0, 0), (1, 1), (2, 2)]
+        );
+        assert_eq!(
+            lcs_align(&[1, 2, 3], &[9, 1, 2, 3]),
+            vec![(0, 1), (1, 2), (2, 3)]
+        );
         assert_eq!(lcs_align(&[1, 2, 3], &[1, 3]), vec![(0, 0), (2, 1)]);
         assert_eq!(lcs_align(&[], &[1]), vec![]);
         // Duplicates stay 1:1 and ordered.

@@ -29,8 +29,8 @@
 //! one misattributed sample, which the estimator model absorbs (see
 //! DESIGN.md §4h).
 
-use pgmp_observe::{emit, metrics, EventKind};
 use crate::AtomicSlotArray;
+use pgmp_observe::{emit, metrics, EventKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;

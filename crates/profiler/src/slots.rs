@@ -286,6 +286,9 @@ mod tests {
         let err = canon.check_mergeable(&alien).unwrap_err();
         assert_eq!(err.slot, 0);
         // An empty canonical table accepts anything.
-        assert_eq!(SlotMap::new().check_mergeable(&alien), Ok(SlotCompat::Extends));
+        assert_eq!(
+            SlotMap::new().check_mergeable(&alien),
+            Ok(SlotCompat::Extends)
+        );
     }
 }

@@ -73,7 +73,10 @@ impl fmt::Display for ProfileStoreError {
             ProfileStoreError::Io(e) => write!(f, "profile file I/O error: {e}"),
             ProfileStoreError::Malformed(m) => write!(f, "malformed profile file: {m}"),
             ProfileStoreError::UnsupportedVersion(v) => {
-                write!(f, "unsupported profile format version {v} (expected 1 or 2)")
+                write!(
+                    f,
+                    "unsupported profile format version {v} (expected 1 or 2)"
+                )
             }
             ProfileStoreError::SlotTable(m) => write!(f, "invalid slot table: {m}"),
         }
@@ -318,8 +321,8 @@ impl StoredProfile {
         // Profile files are machine-written: parse straight to datums
         // (`read_datums`) instead of building source-attributed syntax
         // objects nobody will query.
-        let forms = read_datums(text, "<profile>")
-            .map_err(|e| malformed(format!("unreadable: {e}")))?;
+        let forms =
+            read_datums(text, "<profile>").map_err(|e| malformed(format!("unreadable: {e}")))?;
         let [form]: [Datum; 1] = forms
             .try_into()
             .map_err(|_| malformed("expected exactly one top-level form"))?;
@@ -379,8 +382,7 @@ impl StoredProfile {
                     let p = match args {
                         [Datum::Sym(s)] if s.as_str() == "exact" => Provenance::Exact,
                         [Datum::Sym(s), Datum::Int(hz)]
-                            if s.as_str() == "sampled"
-                                && (0..=u32::MAX as i64).contains(hz) =>
+                            if s.as_str() == "sampled" && (0..=u32::MAX as i64).contains(hz) =>
                         {
                             Provenance::Sampled { hz: *hz as u32 }
                         }
@@ -401,9 +403,7 @@ impl StoredProfile {
                 }
                 ("slots", [Datum::Int(n)]) if version == 2 && *n >= 0 => {
                     if declared_slots.replace(*n as usize).is_some() {
-                        return Err(ProfileStoreError::SlotTable(
-                            "duplicate slots entry".into(),
-                        ));
+                        return Err(ProfileStoreError::SlotTable("duplicate slots entry".into()));
                     }
                 }
                 (
@@ -707,7 +707,10 @@ mod tests {
         ] {
             let entries = read_datums(bad, "<body>").unwrap();
             let r = ProfileInformation::from_body(&entries);
-            assert!(matches!(r, Err(ProfileStoreError::Malformed(_))), "{bad}: {r:?}");
+            assert!(
+                matches!(r, Err(ProfileStoreError::Malformed(_))),
+                "{bad}: {r:?}"
+            );
         }
     }
 
@@ -882,8 +885,8 @@ mod tests {
         let sp = StoredProfile::v2(sample(), Some(sample_slots()));
         let text = sp.store_to_string();
         assert!(!text.contains("confidence"));
-        let rebased_free = StoredProfile::v2(sample(), Some(sample_slots()))
-            .with_confidences(std::iter::empty());
+        let rebased_free =
+            StoredProfile::v2(sample(), Some(sample_slots())).with_confidences(std::iter::empty());
         assert_eq!(rebased_free.store_to_string(), text);
     }
 
@@ -926,13 +929,10 @@ mod tests {
 
     #[test]
     fn integer_weights_accepted() {
-        let info =
-            ProfileInformation::load_from_str("(pgmp-profile (point \"f\" 0 1 1))").unwrap();
+        let info = ProfileInformation::load_from_str("(pgmp-profile (point \"f\" 0 1 1))").unwrap();
         assert_eq!(info.weight(SourceObject::new("f", 0, 1)), 1.0);
-        let sp = StoredProfile::load_from_str(
-            "(pgmp-profile (version 2) (slot 0 \"f\" 0 1 1))",
-        )
-        .unwrap();
+        let sp = StoredProfile::load_from_str("(pgmp-profile (version 2) (slot 0 \"f\" 0 1 1))")
+            .unwrap();
         assert_eq!(sp.info.weight(SourceObject::new("f", 0, 1)), 1.0);
     }
 

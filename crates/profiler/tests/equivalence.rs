@@ -22,7 +22,10 @@ fn point(n: u32) -> SourceObject {
 /// The two registries under test. The sampling one is manually driven (no
 /// sampler thread), so its exact ops are fully deterministic.
 fn all() -> [Counters; 2] {
-    [Counters::new(), Counters::with_store(SlotStore::sampling_manual())]
+    [
+        Counters::new(),
+        Counters::with_store(SlotStore::sampling_manual()),
+    ]
 }
 
 /// The reference model: one saturating count per point.
@@ -76,7 +79,10 @@ fn apply_model(m: &mut Model, op: &Op) {
 }
 
 fn model_dataset(m: &Model) -> Dataset {
-    m.iter().filter(|(_, c)| **c > 0).map(|(p, c)| (*p, *c)).collect()
+    m.iter()
+        .filter(|(_, c)| **c > 0)
+        .map(|(p, c)| (*p, *c))
+        .collect()
 }
 
 proptest! {

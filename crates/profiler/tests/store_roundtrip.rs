@@ -34,20 +34,16 @@ fn point(n: u32) -> SourceObject {
 /// identity property is unaffected). BTreeMap keys guarantee
 /// distinctness.
 fn weight_map() -> impl Strategy<Value = BTreeMap<u32, f64>> {
-    proptest::collection::vec((0u32..60, 0u32..1001), 0..24)
-        .prop_map(|pairs| {
-            pairs
-                .into_iter()
-                .map(|(n, w)| (n, f64::from(w) / 1000.0))
-                .collect()
-        })
+    proptest::collection::vec((0u32..60, 0u32..1001), 0..24).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(n, w)| (n, f64::from(w) / 1000.0))
+            .collect()
+    })
 }
 
 fn info_from(weights: &BTreeMap<u32, f64>, datasets: usize) -> ProfileInformation {
-    ProfileInformation::from_weights(
-        weights.iter().map(|(n, w)| (point(*n), *w)),
-        datasets,
-    )
+    ProfileInformation::from_weights(weights.iter().map(|(n, w)| (point(*n), *w)), datasets)
 }
 
 /// A slot table covering the weighted points plus some never-executed
@@ -184,17 +180,14 @@ proptest! {
 #[test]
 fn corruption_corpus_yields_specific_errors() {
     let good = StoredProfile::v2(
-        ProfileInformation::from_weights(
-            [(point(0), 0.25), (point(1), 1.0), (point(2), 0.5)],
-            2,
-        ),
+        ProfileInformation::from_weights([(point(0), 0.25), (point(1), 1.0), (point(2), 0.5)], 2),
         Some(SlotMap::from_points(vec![point(0), point(1), point(2)]).unwrap()),
     )
     .store_to_string();
 
     // Structural damage → Malformed.
     for bad in [
-        good[..good.len() - 1].to_string(),       // lost final paren
+        good[..good.len() - 1].to_string(), // lost final paren
         good.replace("pgmp-profile", "pgmp-porfile"),
         good.replace("(datasets 2)", "(datasets 2.5)"),
         good.replace("(version 2)", "(version 2)\n  (version 2)"),
@@ -236,7 +229,9 @@ fn frozen_v1_fixture_loads_byte_identically() {
     assert_eq!(loaded.version, 1);
     assert_eq!(loaded.info.dataset_count(), 3);
     assert_eq!(
-        loaded.info.lookup(SourceObject::new("classify.scm", 40, 60)),
+        loaded
+            .info
+            .lookup(SourceObject::new("classify.scm", 40, 60)),
         Some(1.0)
     );
     // Canonical re-store (integer weight normalizes to float form).

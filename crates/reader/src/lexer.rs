@@ -225,8 +225,9 @@ impl<'src> Lexer<'src> {
             }
         }
         let c = if self.pos > name_start {
-            let name: String =
-                std::iter::once(first).chain(self.src[name_start..self.pos].chars()).collect();
+            let name: String = std::iter::once(first)
+                .chain(self.src[name_start..self.pos].chars())
+                .collect();
             match name.as_str() {
                 "space" => ' ',
                 "newline" | "linefeed" => '\n',
@@ -318,54 +319,52 @@ impl<'src> Lexer<'src> {
                 self.pos += 1;
                 self.lex_string(start).map(Some)
             }
-            b'#' => {
-                match self.peek2() {
-                    Some(b'(') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::VecOpen, self.pos)))
-                    }
-                    Some(b'\'') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::SyntaxQuote, self.pos)))
-                    }
-                    Some(b'`') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Quasisyntax, self.pos)))
-                    }
-                    Some(b',') => {
-                        self.pos += 2;
-                        if self.peek() == Some(b'@') {
-                            self.pos += 1;
-                            Ok(Some(tok(TokenKind::UnsyntaxSplicing, self.pos)))
-                        } else {
-                            Ok(Some(tok(TokenKind::Unsyntax, self.pos)))
-                        }
-                    }
-                    Some(b';') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::DatumComment, self.pos)))
-                    }
-                    Some(b'\\') => {
-                        self.pos += 2;
-                        self.lex_char(start).map(Some)
-                    }
-                    Some(b't') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Atom(Datum::Bool(true)), self.pos)))
-                    }
-                    Some(b'f') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Atom(Datum::Bool(false)), self.pos)))
-                    }
-                    other => Err(LexError {
-                        message: format!(
-                            "unknown # syntax: #{}",
-                            other.map(|c| c as char).unwrap_or(' ')
-                        ),
-                        at: start as u32,
-                    }),
+            b'#' => match self.peek2() {
+                Some(b'(') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::VecOpen, self.pos)))
                 }
-            }
+                Some(b'\'') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::SyntaxQuote, self.pos)))
+                }
+                Some(b'`') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::Quasisyntax, self.pos)))
+                }
+                Some(b',') => {
+                    self.pos += 2;
+                    if self.peek() == Some(b'@') {
+                        self.pos += 1;
+                        Ok(Some(tok(TokenKind::UnsyntaxSplicing, self.pos)))
+                    } else {
+                        Ok(Some(tok(TokenKind::Unsyntax, self.pos)))
+                    }
+                }
+                Some(b';') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::DatumComment, self.pos)))
+                }
+                Some(b'\\') => {
+                    self.pos += 2;
+                    self.lex_char(start).map(Some)
+                }
+                Some(b't') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::Atom(Datum::Bool(true)), self.pos)))
+                }
+                Some(b'f') => {
+                    self.pos += 2;
+                    Ok(Some(tok(TokenKind::Atom(Datum::Bool(false)), self.pos)))
+                }
+                other => Err(LexError {
+                    message: format!(
+                        "unknown # syntax: #{}",
+                        other.map(|c| c as char).unwrap_or(' ')
+                    ),
+                    at: start as u32,
+                }),
+            },
             _ => Ok(Some(self.lex_symbol_or_number(start))),
         }
     }
@@ -507,7 +506,10 @@ mod tests {
     fn lexes_characters() {
         assert_eq!(kinds(r"#\a"), vec![TokenKind::Atom(Datum::Char('a'))]);
         assert_eq!(kinds(r"#\space"), vec![TokenKind::Atom(Datum::Char(' '))]);
-        assert_eq!(kinds(r"#\newline"), vec![TokenKind::Atom(Datum::Char('\n'))]);
+        assert_eq!(
+            kinds(r"#\newline"),
+            vec![TokenKind::Atom(Datum::Char('\n'))]
+        );
         assert_eq!(kinds(r"#\("), vec![TokenKind::Atom(Datum::Char('('))]);
         assert_eq!(kinds(r"#\)"), vec![TokenKind::Atom(Datum::Char(')'))]);
     }
@@ -524,7 +526,10 @@ mod tests {
     #[test]
     fn comments_are_atmosphere() {
         assert_eq!(kinds("; hello\n1"), vec![TokenKind::Atom(Datum::Int(1))]);
-        assert_eq!(kinds("#| multi \n line |# 2"), vec![TokenKind::Atom(Datum::Int(2))]);
+        assert_eq!(
+            kinds("#| multi \n line |# 2"),
+            vec![TokenKind::Atom(Datum::Int(2))]
+        );
         assert_eq!(
             kinds("#| nested #| inner |# outer |# 3"),
             vec![TokenKind::Atom(Datum::Int(3))]

@@ -18,7 +18,11 @@ pub struct ReadError {
 
 impl fmt::Display for ReadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "read error: {} ({}:{})", self.message, self.file, self.at)
+        write!(
+            f,
+            "read error: {} ({}:{})",
+            self.message, self.file, self.at
+        )
     }
 }
 
@@ -114,11 +118,7 @@ impl Reader {
         }
     }
 
-    fn wrap_quotation(
-        &mut self,
-        keyword: &str,
-        start: u32,
-    ) -> Result<Rc<Syntax>, ReadError> {
+    fn wrap_quotation(&mut self, keyword: &str, start: u32) -> Result<Rc<Syntax>, ReadError> {
         let inner = self.read_required(&format!("{keyword} needs a datum"), start)?;
         let end = inner.source.map(|s| s.efp).unwrap_or(start);
         let src = self.src_obj(start, end);
@@ -421,11 +421,18 @@ mod tests {
     #[test]
     fn reads_quote_forms() {
         assert_eq!(one("'x").to_datum().to_string(), "(quote x)");
-        assert_eq!(one("`(a ,b ,@c)").to_datum().to_string(),
-            "(quasiquote (a (unquote b) (unquote-splicing c)))");
-        assert_eq!(one("#'(if a b)").to_datum().to_string(), "(syntax (if a b))");
-        assert_eq!(one("#`(f #,x #,@ys)").to_datum().to_string(),
-            "(quasisyntax (f (unsyntax x) (unsyntax-splicing ys)))");
+        assert_eq!(
+            one("`(a ,b ,@c)").to_datum().to_string(),
+            "(quasiquote (a (unquote b) (unquote-splicing c)))"
+        );
+        assert_eq!(
+            one("#'(if a b)").to_datum().to_string(),
+            "(syntax (if a b))"
+        );
+        assert_eq!(
+            one("#`(f #,x #,@ys)").to_datum().to_string(),
+            "(quasisyntax (f (unsyntax x) (unsyntax-splicing ys)))"
+        );
     }
 
     #[test]

@@ -144,7 +144,9 @@ mod tests {
 
     #[test]
     fn concurrent_intern_and_read_agree() {
-        let syms: Vec<Symbol> = (0..64).map(|i| Symbol::intern(&format!("conc-{i}"))).collect();
+        let syms: Vec<Symbol> = (0..64)
+            .map(|i| Symbol::intern(&format!("conc-{i}")))
+            .collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let syms = &syms;

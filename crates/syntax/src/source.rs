@@ -130,11 +130,7 @@ impl SourceFactory {
     /// stores, so a fresh process can resume point generation from the
     /// exact state a cached expansion was produced under.
     pub fn entries(&self) -> Vec<(Symbol, u32)> {
-        let mut out: Vec<(Symbol, u32)> = self
-            .next_suffix
-            .iter()
-            .map(|(f, n)| (*f, *n))
-            .collect();
+        let mut out: Vec<(Symbol, u32)> = self.next_suffix.iter().map(|(f, n)| (*f, *n)).collect();
         out.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         out
     }

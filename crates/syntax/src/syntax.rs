@@ -111,9 +111,13 @@ impl Syntax {
                 elems.iter().map(|e| e.to_datum()).collect(),
                 tail.to_datum(),
             ),
-            SyntaxBody::Vector(elems) => {
-                Datum::Vector(elems.iter().map(|e| e.to_datum()).collect::<Vec<_>>().into())
-            }
+            SyntaxBody::Vector(elems) => Datum::Vector(
+                elems
+                    .iter()
+                    .map(|e| e.to_datum())
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
         }
     }
 
@@ -284,9 +288,15 @@ mod tests {
 
     #[test]
     fn first_source_searches_preorder() {
-        let leaf = Rc::new(Syntax::atom(Datum::Int(1), Some(SourceObject::new("l.scm", 5, 6))));
+        let leaf = Rc::new(Syntax::atom(
+            Datum::Int(1),
+            Some(SourceObject::new("l.scm", 5, 6)),
+        ));
         let parent = Syntax::list(vec![Rc::new(Syntax::ident("f", None)), leaf], None);
-        assert_eq!(parent.first_source(), Some(SourceObject::new("l.scm", 5, 6)));
+        assert_eq!(
+            parent.first_source(),
+            Some(SourceObject::new("l.scm", 5, 6))
+        );
     }
 
     #[test]
