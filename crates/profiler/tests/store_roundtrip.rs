@@ -240,3 +240,102 @@ fn frozen_v1_fixture_loads_byte_identically() {
     assert_eq!(reloaded, loaded.info);
     assert_eq!(restored, reloaded.store_to_string());
 }
+
+/// The variant of a load error, for comparing outcomes by kind.
+fn error_kind(text: &str) -> &'static str {
+    match StoredProfile::load_from_str(text) {
+        Ok(_) => "ok",
+        Err(ProfileStoreError::Io(_)) => "Io",
+        Err(ProfileStoreError::Malformed(_)) => "Malformed",
+        Err(ProfileStoreError::UnsupportedVersion(_)) => "UnsupportedVersion",
+        Err(ProfileStoreError::SlotTable(_)) => "SlotTable",
+    }
+}
+
+/// The lexical and ordering rules of `docs/PROFILE_FORMAT.md`, pinned on
+/// hand-written files: each case loads to the stated profile or fails
+/// with the stated error variant.
+#[test]
+fn lexical_and_precedence_corpus() {
+    let f = |file: &str, bfp, efp| SourceObject::new(file, bfp, efp);
+
+    // Line, block and datum comments are whitespace; a `#;`-commented
+    // entry is skipped whole.
+    let commented = "; stored by hand\n(pgmp-profile #| block |# (version 2)\n  #;(slot 0 \"x.scm\" 0 1 0.5)\n  (slot 0 \"a.scm\" 0 1 0.5) ; trailing\n  (point #| inner |# \"b.scm\" 2 3 0.25))";
+    let sp = StoredProfile::load_from_str(commented).unwrap();
+    assert_eq!(sp.slots.as_ref().unwrap().points(), [f("a.scm", 0, 1)]);
+    assert_eq!(sp.info.lookup(f("a.scm", 0, 1)), Some(0.5));
+    assert_eq!(sp.info.lookup(f("b.scm", 2, 3)), Some(0.25));
+    assert_eq!(sp.info.lookup(f("x.scm", 0, 1)), None);
+
+    // `[ ]` rows read as lists, and a closer need not match its opener's
+    // shape (the reader does not check it).
+    let bracketed =
+        "(pgmp-profile [version 1] [point \"a.scm\" 0 1 0.5] (point \"a.scm\" 2 3 1.0])";
+    let sp = StoredProfile::load_from_str(bracketed).unwrap();
+    assert_eq!(sp.info.lookup(f("a.scm", 0, 1)), Some(0.5));
+    assert_eq!(sp.info.lookup(f("a.scm", 2, 3)), Some(1.0));
+
+    // String escapes in file names.
+    let escaped = "(pgmp-profile (point \"a\\\"b.scm\" 0 1 0.5) (point \"c\\\\d.scm\" 0 1 1))";
+    let sp = StoredProfile::load_from_str(escaped).unwrap();
+    assert_eq!(sp.info.lookup(f("a\"b.scm", 0, 1)), Some(0.5));
+    assert_eq!(sp.info.lookup(f("c\\d.scm", 0, 1)), Some(1.0));
+
+    // Integer weights 0 and 1 and an exponent-form weight.
+    let numbers =
+        "(pgmp-profile (point \"n.scm\" 0 1 0) (point \"n.scm\" 1 2 1) (point \"n.scm\" 2 3 1e-3))";
+    let sp = StoredProfile::load_from_str(numbers).unwrap();
+    assert_eq!(sp.info.lookup(f("n.scm", 0, 1)), Some(0.0));
+    assert_eq!(sp.info.lookup(f("n.scm", 1, 2)), Some(1.0));
+    assert_eq!(sp.info.lookup(f("n.scm", 2, 3)), Some(0.001));
+
+    // `(version 2)` may follow the rows it governs.
+    let late_version = "(pgmp-profile (slot 0 \"a.scm\" 0 1 0.5) (slots 1) (version 2))";
+    let sp = StoredProfile::load_from_str(late_version).unwrap();
+    assert_eq!(sp.version, 2);
+    assert_eq!(sp.slots.as_ref().unwrap().points(), [f("a.scm", 0, 1)]);
+
+    for (text, want) in [
+        // NaN is not a weight in [0, 1].
+        ("(pgmp-profile (point \"a.scm\" 0 1 +nan.0))", "Malformed"),
+        // A lexical error anywhere is `Malformed`, ahead of everything.
+        (
+            "(pgmp-profile (version 2) (slot 1 \"a.scm\" 0 1) (point \"b.scm\" 0 1 #z))",
+            "Malformed",
+        ),
+        (
+            "(pgmp-profile (version 2) (slots 2) (slot 0 \"a.scm\" 0 1)) \"open",
+            "Malformed",
+        ),
+        // An unsupported version wins over a bad row before it ...
+        (
+            "(pgmp-profile (point \"a.scm\" 0 1 7.0) (version 3))",
+            "UnsupportedVersion",
+        ),
+        // ... but not over a malformed entry shape.
+        ("(pgmp-profile 5 (version 3))", "Malformed"),
+        ("(pgmp-profile (version 3) (version 3))", "Malformed"),
+        // Row errors come in file order: a slot-index error before a bad
+        // weight, and a bad weight before a slot-index error.
+        (
+            "(pgmp-profile (version 2) (slot 1 \"a.scm\" 0 1) (point \"b.scm\" 0 1 7.0))",
+            "SlotTable",
+        ),
+        (
+            "(pgmp-profile (version 2) (point \"b.scm\" 0 1 7.0) (slot 1 \"a.scm\" 0 1))",
+            "Malformed",
+        ),
+        // A row error wins over a slot-count mismatch found at the end.
+        (
+            "(pgmp-profile (version 2) (slots 3) (slot 0 \"a.scm\" 0 1) (point \"b.scm\" 0 1 7.0))",
+            "Malformed",
+        ),
+    ] {
+        assert_eq!(error_kind(text), want, "{text}");
+    }
+    match StoredProfile::load_from_str("(pgmp-profile (point \"a.scm\" 0 1 7.0) (version 3))") {
+        Err(ProfileStoreError::UnsupportedVersion(3)) => {}
+        other => panic!("expected UnsupportedVersion(3), got {other:?}"),
+    }
+}
