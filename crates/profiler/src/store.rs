@@ -515,10 +515,13 @@ fn parse_point(
             return Err(malformed(format!("weight {w} outside [0,1]")));
         }
     }
-    if bfp < 0 || efp < 0 {
-        return Err(malformed("negative file position"));
-    }
-    Ok((SourceObject::new(file, bfp as u32, efp as u32), w))
+    let (Ok(bfp), Ok(efp)) = (u32::try_from(bfp), u32::try_from(efp)) else {
+        return Err(malformed(format!(
+            "file position {bfp}-{efp} outside 0..={}",
+            u32::MAX
+        )));
+    };
+    Ok((SourceObject::new(file, bfp, efp), w))
 }
 
 /// `(point file bfp efp w)`: one weighted profile point as a datum.
@@ -553,7 +556,7 @@ impl ProfileInformation {
     /// # Errors
     ///
     /// [`ProfileStoreError::Malformed`] for a non-list or unknown entry, a
-    /// negative file position, and a weight that is not a number in
+    /// file position outside `0..=u32::MAX`, and a weight that is not a number in
     /// `[0, 1]`.
     pub fn from_body(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
         let mut dataset_count = 1usize;
@@ -712,6 +715,33 @@ mod tests {
                 "{bad}: {r:?}"
             );
         }
+    }
+
+    #[test]
+    fn positions_beyond_u32_are_malformed() {
+        // 4294967301 is 2^32 + 5: a wrapping cast would load it as `f:5-14`.
+        for text in [
+            "(pgmp-profile (point \"f\" 4294967301 4294967310 0.5))",
+            "(pgmp-profile (point \"f\" 0 4294967296 0.5))",
+            "(pgmp-profile (version 2) (slot 0 \"f\" 4294967301 4294967310 0.5))",
+        ] {
+            let r = StoredProfile::load_from_str(text);
+            assert!(
+                matches!(r, Err(ProfileStoreError::Malformed(_))),
+                "{text}: {r:?}"
+            );
+        }
+        let body = read_datums("(point \"f\" 4294967301 4294967310 0.5)", "<body>").unwrap();
+        let r = ProfileInformation::from_body(&body);
+        assert!(matches!(r, Err(ProfileStoreError::Malformed(_))), "{r:?}");
+        // The largest position still loads.
+        let max = StoredProfile::load_from_str("(pgmp-profile (point \"f\" 0 4294967295 0.5))");
+        assert_eq!(
+            max.unwrap()
+                .info
+                .lookup(SourceObject::new("f", 0, u32::MAX)),
+            Some(0.5)
+        );
     }
 
     #[test]

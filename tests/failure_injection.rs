@@ -21,6 +21,10 @@ fn malformed_profile_files_are_rejected() {
         ("bad-weight.pgmp", "(pgmp-profile (point \"f\" 0 1 7.0))"),
         ("neg-weight.pgmp", "(pgmp-profile (point \"f\" 0 1 -0.2))"),
         ("non-string.pgmp", "(pgmp-profile (point f 0 1 0.5))"),
+        (
+            "wide-position.pgmp",
+            "(pgmp-profile (point \"f\" 4294967301 4294967310 0.5))",
+        ),
         ("binaryish.pgmp", "\u{0}\u{1}\u{2}"),
         ("empty.pgmp", ""),
         ("two-forms.pgmp", "(pgmp-profile) (pgmp-profile)"),
