@@ -1,14 +1,20 @@
 //! Tokenizer for the object language.
+//!
+//! [`Lexer::next_borrowed`] is the one lexical definition: it yields atoms
+//! that borrow from the source text, with no interning and no [`Datum`].
+//! [`Lexer::next_token`] wraps it for readers that want datums.
 
 use pgmp_syntax::Datum;
+use std::borrow::Cow;
 use std::fmt;
 
-/// Kinds of lexical tokens.
+/// Kinds of lexical tokens. `A` is the atom representation: a [`Datum`]
+/// for [`Lexer::next_token`], an [`Atom`] for [`Lexer::next_borrowed`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<A = Datum> {
     /// `(` or `[`.
     LParen,
-    /// `)` or `]` — must match the opener's shape.
+    /// `)` or `]`. The readers accept either closer after either opener.
     RParen(char),
     /// `#(` — vector opener.
     VecOpen,
@@ -33,14 +39,83 @@ pub enum TokenKind {
     /// `#;` — comments out the following datum.
     DatumComment,
     /// A self-evaluating or symbol atom.
-    Atom(Datum),
+    Atom(A),
+}
+
+impl<A> TokenKind<A> {
+    /// The keyword a quotation prefix abbreviates (`'x` is `(quote x)`),
+    /// or `None` for other tokens.
+    pub fn quotation(&self) -> Option<&'static str> {
+        Some(match self {
+            TokenKind::Quote => "quote",
+            TokenKind::Quasiquote => "quasiquote",
+            TokenKind::Unquote => "unquote",
+            TokenKind::UnquoteSplicing => "unquote-splicing",
+            TokenKind::SyntaxQuote => "syntax",
+            TokenKind::Quasisyntax => "quasisyntax",
+            TokenKind::Unsyntax => "unsyntax",
+            TokenKind::UnsyntaxSplicing => "unsyntax-splicing",
+            _ => return None,
+        })
+    }
+
+    fn map_atom<B>(self, f: impl FnOnce(A) -> B) -> TokenKind<B> {
+        match self {
+            TokenKind::LParen => TokenKind::LParen,
+            TokenKind::RParen(c) => TokenKind::RParen(c),
+            TokenKind::VecOpen => TokenKind::VecOpen,
+            TokenKind::Quote => TokenKind::Quote,
+            TokenKind::Quasiquote => TokenKind::Quasiquote,
+            TokenKind::Unquote => TokenKind::Unquote,
+            TokenKind::UnquoteSplicing => TokenKind::UnquoteSplicing,
+            TokenKind::SyntaxQuote => TokenKind::SyntaxQuote,
+            TokenKind::Quasisyntax => TokenKind::Quasisyntax,
+            TokenKind::Unsyntax => TokenKind::Unsyntax,
+            TokenKind::UnsyntaxSplicing => TokenKind::UnsyntaxSplicing,
+            TokenKind::Dot => TokenKind::Dot,
+            TokenKind::DatumComment => TokenKind::DatumComment,
+            TokenKind::Atom(a) => TokenKind::Atom(f(a)),
+        }
+    }
+}
+
+/// An atom as lexed, borrowing from the source text: a symbol is its
+/// text, and a string is its text unless it has escapes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Atom<'src> {
+    /// `#t` / `#f`.
+    Bool(bool),
+    /// Exact integer.
+    Int(i64),
+    /// Inexact real, including `+inf.0`, `-inf.0` and `+nan.0`.
+    Float(f64),
+    /// Character literal.
+    Char(char),
+    /// String literal, unescaped.
+    Str(Cow<'src, str>),
+    /// Symbol, not interned.
+    Sym(&'src str),
+}
+
+impl Atom<'_> {
+    /// The atom as a datum: interns a symbol, copies a string.
+    pub fn to_datum(&self) -> Datum {
+        match self {
+            Atom::Bool(b) => Datum::Bool(*b),
+            Atom::Int(n) => Datum::Int(*n),
+            Atom::Float(x) => Datum::Float(*x),
+            Atom::Char(c) => Datum::Char(*c),
+            Atom::Str(s) => Datum::string(s),
+            Atom::Sym(s) => Datum::sym(s),
+        }
+    }
 }
 
 /// A token with its byte span in the input.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub struct Token<A = Datum> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<A>,
     /// Start byte offset.
     pub start: u32,
     /// End byte offset (exclusive).
@@ -69,9 +144,11 @@ impl std::error::Error for LexError {}
 /// # Example
 ///
 /// ```
-/// use pgmp_reader::{Lexer, TokenKind};
+/// use pgmp_reader::{Atom, Lexer, TokenKind};
 /// let mut lx = Lexer::new("(a)");
 /// assert_eq!(lx.next_token().unwrap().unwrap().kind, TokenKind::LParen);
+/// let sym = lx.next_borrowed().unwrap().unwrap().kind;
+/// assert_eq!(sym, TokenKind::Atom(Atom::Sym("a")));
 /// ```
 #[derive(Debug)]
 pub struct Lexer<'src> {
@@ -155,9 +232,12 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_string(&mut self, start: usize) -> Result<Token, LexError> {
-        // Opening quote already consumed.
-        let mut out = String::new();
+    fn lex_string(&mut self, start: usize) -> Result<Atom<'src>, LexError> {
+        // Opening quote already consumed. The text between escapes is
+        // copied only when there is an escape; `"` and `\` are ASCII, so
+        // every run ends on a character boundary.
+        let mut escaped: Option<String> = None;
+        let mut run = self.pos;
         loop {
             match self.bump() {
                 None => {
@@ -167,44 +247,46 @@ impl<'src> Lexer<'src> {
                     })
                 }
                 Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'0') => out.push('\0'),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(other) => {
-                        return Err(LexError {
-                            message: format!("unknown string escape \\{}", other as char),
-                            at: (self.pos - 1) as u32,
-                        })
-                    }
-                    None => {
-                        return Err(LexError {
-                            message: "unterminated string escape".into(),
-                            at: self.pos as u32,
-                        })
-                    }
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // Re-decode the UTF-8 character starting one byte back.
-                    let s = &self.src[self.pos - 1..];
-                    let c = s.chars().next().expect("valid utf8");
+                Some(b'\\') => {
+                    let c = match self.bump() {
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'0') => '\0',
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(other) => {
+                            return Err(LexError {
+                                message: format!("unknown string escape \\{}", other as char),
+                                at: (self.pos - 1) as u32,
+                            })
+                        }
+                        None => {
+                            return Err(LexError {
+                                message: "unterminated string escape".into(),
+                                at: self.pos as u32,
+                            })
+                        }
+                    };
+                    let out = escaped.get_or_insert_with(String::new);
+                    out.push_str(&self.src[run..self.pos - 2]);
                     out.push(c);
-                    self.pos += c.len_utf8() - 1;
+                    run = self.pos;
                 }
+                Some(_) => {}
             }
         }
-        Ok(Token {
-            kind: TokenKind::Atom(Datum::string(&out)),
-            start: start as u32,
-            end: self.pos as u32,
-        })
+        let tail = &self.src[run..self.pos - 1];
+        Ok(Atom::Str(match escaped {
+            None => Cow::Borrowed(tail),
+            Some(mut out) => {
+                out.push_str(tail);
+                Cow::Owned(out)
+            }
+        }))
     }
 
-    fn lex_char(&mut self, start: usize) -> Result<Token, LexError> {
+    fn lex_char(&mut self, start: usize) -> Result<Atom<'src>, LexError> {
         // `#\` already consumed. A character literal is either a single char
         // or a name made of symbol characters.
         let rest = &self.src[self.pos..];
@@ -225,10 +307,8 @@ impl<'src> Lexer<'src> {
             }
         }
         let c = if self.pos > name_start {
-            let name: String = std::iter::once(first)
-                .chain(self.src[name_start..self.pos].chars())
-                .collect();
-            match name.as_str() {
+            let name = &self.src[name_start - first.len_utf8()..self.pos];
+            match name {
                 "space" => ' ',
                 "newline" | "linefeed" => '\n',
                 "tab" => '\t',
@@ -244,129 +324,86 @@ impl<'src> Lexer<'src> {
         } else {
             first
         };
-        Ok(Token {
-            kind: TokenKind::Atom(Datum::Char(c)),
-            start: start as u32,
-            end: self.pos as u32,
-        })
+        Ok(Atom::Char(c))
     }
 
-    fn lex_symbol_or_number(&mut self, start: usize) -> Token {
-        while let Some(b) = self.peek() {
-            if is_symbol_char(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = &self.src[start..self.pos];
-        let kind = parse_atom(text);
-        Token {
-            kind,
-            start: start as u32,
-            end: self.pos as u32,
-        }
+    /// Lexes the next token, or `None` at end of input, with its atom as a
+    /// [`Datum`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Lexer::next_borrowed`].
+    pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+        Ok(self.next_borrowed()?.map(|t| Token {
+            kind: t.kind.map_atom(|a| a.to_datum()),
+            start: t.start,
+            end: t.end,
+        }))
     }
 
-    /// Lexes the next token, or `None` at end of input.
+    /// Lexes the next token, or `None` at end of input, with its atom
+    /// borrowed from the source text.
     ///
     /// # Errors
     ///
     /// Returns a [`LexError`] for unterminated strings/comments, bad escapes,
     /// and unknown `#` syntax.
-    pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
+    pub fn next_borrowed(&mut self) -> Result<Option<Token<Atom<'src>>>, LexError> {
         self.skip_atmosphere()?;
         let start = self.pos;
         let Some(b) = self.peek() else {
             return Ok(None);
         };
-        let tok = |kind: TokenKind, end: usize| Token {
-            kind,
-            start: start as u32,
-            end: end as u32,
-        };
-        match b {
-            b'(' | b'[' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::LParen, self.pos)))
-            }
-            b')' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::RParen(')'), self.pos)))
-            }
-            b']' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::RParen(']'), self.pos)))
-            }
-            b'\'' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::Quote, self.pos)))
-            }
-            b'`' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::Quasiquote, self.pos)))
-            }
-            b',' => {
-                self.pos += 1;
-                if self.peek() == Some(b'@') {
-                    self.pos += 1;
-                    Ok(Some(tok(TokenKind::UnquoteSplicing, self.pos)))
-                } else {
-                    Ok(Some(tok(TokenKind::Unquote, self.pos)))
-                }
-            }
+        let (kind, len) = match b {
+            b'(' | b'[' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen(')'), 1),
+            b']' => (TokenKind::RParen(']'), 1),
+            b'\'' => (TokenKind::Quote, 1),
+            b'`' => (TokenKind::Quasiquote, 1),
+            b',' if self.peek2() == Some(b'@') => (TokenKind::UnquoteSplicing, 2),
+            b',' => (TokenKind::Unquote, 1),
             b'"' => {
                 self.pos += 1;
-                self.lex_string(start).map(Some)
+                (TokenKind::Atom(self.lex_string(start)?), 0)
             }
             b'#' => match self.peek2() {
-                Some(b'(') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::VecOpen, self.pos)))
+                Some(b'(') => (TokenKind::VecOpen, 2),
+                Some(b'\'') => (TokenKind::SyntaxQuote, 2),
+                Some(b'`') => (TokenKind::Quasisyntax, 2),
+                Some(b',') if self.bytes.get(self.pos + 2) == Some(&b'@') => {
+                    (TokenKind::UnsyntaxSplicing, 3)
                 }
-                Some(b'\'') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::SyntaxQuote, self.pos)))
-                }
-                Some(b'`') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::Quasisyntax, self.pos)))
-                }
-                Some(b',') => {
-                    self.pos += 2;
-                    if self.peek() == Some(b'@') {
-                        self.pos += 1;
-                        Ok(Some(tok(TokenKind::UnsyntaxSplicing, self.pos)))
-                    } else {
-                        Ok(Some(tok(TokenKind::Unsyntax, self.pos)))
-                    }
-                }
-                Some(b';') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::DatumComment, self.pos)))
-                }
+                Some(b',') => (TokenKind::Unsyntax, 2),
+                Some(b';') => (TokenKind::DatumComment, 2),
                 Some(b'\\') => {
                     self.pos += 2;
-                    self.lex_char(start).map(Some)
+                    (TokenKind::Atom(self.lex_char(start)?), 0)
                 }
-                Some(b't') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::Atom(Datum::Bool(true)), self.pos)))
+                Some(b't') => (TokenKind::Atom(Atom::Bool(true)), 2),
+                Some(b'f') => (TokenKind::Atom(Atom::Bool(false)), 2),
+                other => {
+                    return Err(LexError {
+                        message: format!(
+                            "unknown # syntax: #{}",
+                            other.map(|c| c as char).unwrap_or(' ')
+                        ),
+                        at: start as u32,
+                    })
                 }
-                Some(b'f') => {
-                    self.pos += 2;
-                    Ok(Some(tok(TokenKind::Atom(Datum::Bool(false)), self.pos)))
-                }
-                other => Err(LexError {
-                    message: format!(
-                        "unknown # syntax: #{}",
-                        other.map(|c| c as char).unwrap_or(' ')
-                    ),
-                    at: start as u32,
-                }),
             },
-            _ => Ok(Some(self.lex_symbol_or_number(start))),
-        }
+            _ => {
+                while self.peek().is_some_and(is_symbol_char) {
+                    self.pos += 1;
+                }
+                (parse_atom(&self.src[start..self.pos]), 0)
+            }
+        };
+        self.pos += len;
+        Ok(Some(Token {
+            kind,
+            start: start as u32,
+            end: self.pos as u32,
+        }))
     }
 
     /// Lexes the whole input to a vector of tokens.
@@ -384,17 +421,17 @@ impl<'src> Lexer<'src> {
 }
 
 /// Classifies bare atom text as a number, `.`, or symbol.
-fn parse_atom(text: &str) -> TokenKind {
+fn parse_atom(text: &str) -> TokenKind<Atom<'_>> {
     if text == "." {
         return TokenKind::Dot;
     }
     if let Ok(n) = text.parse::<i64>() {
-        return TokenKind::Atom(Datum::Int(n));
+        return TokenKind::Atom(Atom::Int(n));
     }
     match text {
-        "+inf.0" => return TokenKind::Atom(Datum::Float(f64::INFINITY)),
-        "-inf.0" => return TokenKind::Atom(Datum::Float(f64::NEG_INFINITY)),
-        "+nan.0" => return TokenKind::Atom(Datum::Float(f64::NAN)),
+        "+inf.0" => return TokenKind::Atom(Atom::Float(f64::INFINITY)),
+        "-inf.0" => return TokenKind::Atom(Atom::Float(f64::NEG_INFINITY)),
+        "+nan.0" => return TokenKind::Atom(Atom::Float(f64::NAN)),
         _ => {}
     }
     // Only treat as a float when it looks like a number, so symbols like
@@ -407,10 +444,10 @@ fn parse_atom(text: &str) -> TokenKind {
         .is_some_and(|c| c.is_ascii_digit() || c == '.');
     if looks_numeric {
         if let Ok(x) = text.parse::<f64>() {
-            return TokenKind::Atom(Datum::Float(x));
+            return TokenKind::Atom(Atom::Float(x));
         }
     }
-    TokenKind::Atom(Datum::sym(text))
+    TokenKind::Atom(Atom::Sym(text))
 }
 
 #[cfg(test)]

@@ -12,6 +12,11 @@
 //! `'`, `` ` ``, `,`, `,@` as well as their syntax-object analogues `#'`,
 //! `` #` ``, `#,`, `#,@` used by meta-programs.
 //!
+//! Machine-written files (stored profiles, sessions, epoch snapshots) need
+//! no source objects: [`walk_datums`] reads them over the lexer's borrowed
+//! tokens ([`Lexer::next_borrowed`]) and shows the datums to a
+//! [`DatumVisitor`] without building them; [`read_datums`] builds them.
+//!
 //! # Example
 //!
 //! ```
@@ -26,5 +31,5 @@
 mod lexer;
 mod reader;
 
-pub use lexer::{LexError, Lexer, Token, TokenKind};
-pub use reader::{read_datums, read_str, ReadError, Reader};
+pub use lexer::{Atom, LexError, Lexer, Token, TokenKind};
+pub use reader::{read_datums, read_str, walk_datums, DatumVisitor, ReadError, Reader};

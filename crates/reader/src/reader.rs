@@ -1,6 +1,6 @@
 //! Parsing token streams into syntax objects.
 
-use crate::lexer::{LexError, Lexer, Token, TokenKind};
+use crate::lexer::{Atom, LexError, Lexer, Token, TokenKind};
 use pgmp_syntax::{Datum, SourceObject, Syntax, SyntaxBody};
 use std::fmt;
 use std::rc::Rc;
@@ -265,10 +265,12 @@ pub fn read_str(src: &str, file: &str) -> Result<Vec<Rc<Syntax>>, ReadError> {
 /// syntax-object construction entirely: no per-node [`SourceObject`], no
 /// `Rc<Syntax>` allocation, no second `to_datum` pass.
 ///
-/// Use this for machine-written s-expression files — stored profiles,
-/// persisted sessions, epoch snapshots — where source attribution is
-/// meaningless and parse latency is on the process-start path. For program
-/// source, use [`read_str`]: profile points *are* source objects there.
+/// Use this for machine-written s-expression files — persisted sessions,
+/// epoch snapshots — where source attribution is meaningless and parse
+/// latency is on the process-start path. For program source, use
+/// [`read_str`]: profile points *are* source objects there. A reader that
+/// needs no tree at all can walk the datums with [`walk_datums`], which
+/// this function is built on.
 ///
 /// # Errors
 ///
@@ -284,114 +286,280 @@ pub fn read_str(src: &str, file: &str) -> Result<Vec<Rc<Syntax>>, ReadError> {
 /// # Ok::<(), pgmp_reader::ReadError>(())
 /// ```
 pub fn read_datums(src: &str, errfile: &str) -> Result<Vec<Datum>, ReadError> {
-    let mut r = DatumReader {
+    let mut build = DatumBuilder::default();
+    walk_datums(src, errfile, &mut build)?;
+    Ok(build.out)
+}
+
+/// What [`walk_datums`] shows of the datums it reads, in order.
+///
+/// The walk resolves the reader's shorthands first: a quotation `'x`
+/// arrives as the list `(quote x)`, a `#;`-commented datum is not shown,
+/// and a dotted tail that is itself a list is spliced, so `(a . (b c))`
+/// arrives as `(a b c)` and only a non-list tail arrives after
+/// [`DatumVisitor::dot`].
+pub trait DatumVisitor<'src> {
+    /// The visitor's error; read errors convert into it.
+    type Error: From<ReadError>;
+
+    /// An atom: an element of the innermost open list or vector, or a
+    /// top-level datum.
+    fn atom(&mut self, atom: Atom<'src>) -> Result<(), Self::Error>;
+
+    /// A list (`vector` false) or a vector opens; its elements follow,
+    /// then [`DatumVisitor::close`].
+    fn open(&mut self, vector: bool) -> Result<(), Self::Error>;
+
+    /// The innermost list is improper: the next datum is its tail.
+    fn dot(&mut self) -> Result<(), Self::Error>;
+
+    /// The innermost open list or vector ends.
+    fn close(&mut self) -> Result<(), Self::Error>;
+}
+
+/// Reads every datum in `src` and shows it to `visitor`, building nothing.
+///
+/// Lexing is [`Lexer::next_borrowed`]'s, and the structure — lists,
+/// vectors, dotted tails, quotations, `#;` comments — is the one
+/// [`read_datums`] builds, so every reader of machine-written files
+/// accepts and rejects the same texts.
+///
+/// # Errors
+///
+/// The first [`ReadError`] of the text, or the first error `visitor`
+/// returns.
+pub fn walk_datums<'src, V: DatumVisitor<'src>>(
+    src: &'src str,
+    errfile: &str,
+    visitor: &mut V,
+) -> Result<(), V::Error> {
+    let mut w = Walker {
         lexer: Lexer::new(src),
         file: errfile,
     };
-    let mut out = Vec::new();
-    while let Some(d) = r.read()? {
-        out.push(d);
+    while let Some(tok) = w.next()? {
+        w.datum(tok, visitor)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Streams tokens straight out of the lexer — no token buffer, no clones;
 /// the grammar is LL(1) by token kind so no lookahead is needed.
-struct DatumReader<'a> {
-    lexer: Lexer<'a>,
-    file: &'a str,
+struct Walker<'src, 'f> {
+    lexer: Lexer<'src>,
+    file: &'f str,
 }
 
-impl DatumReader<'_> {
+type BorrowedToken<'src> = Token<Atom<'src>>;
+
+impl<'src> Walker<'src, '_> {
     fn err(&self, msg: impl Into<String>, at: u32) -> ReadError {
         ReadError::new(msg, self.file, at)
     }
 
-    fn next(&mut self) -> Result<Option<Token>, ReadError> {
+    fn next(&mut self) -> Result<Option<BorrowedToken<'src>>, ReadError> {
         self.lexer
-            .next_token()
+            .next_borrowed()
             .map_err(|e| ReadError::from((e, self.file)))
     }
 
-    fn read(&mut self) -> Result<Option<Datum>, ReadError> {
-        let Some(tok) = self.next()? else {
-            return Ok(None);
-        };
-        self.read_after(tok).map(Some)
-    }
-
-    fn read_required(&mut self, why: &str, at: u32) -> Result<Datum, ReadError> {
-        match self.read()? {
-            Some(d) => Ok(d),
-            None => Err(self.err(format!("unexpected end of input: {why}"), at)),
+    /// Reads the next datum, which must exist.
+    fn required<V: DatumVisitor<'src>>(
+        &mut self,
+        why: &str,
+        at: u32,
+        v: &mut V,
+    ) -> Result<(), V::Error> {
+        match self.next()? {
+            Some(tok) => self.datum(tok, v),
+            None => Err(self
+                .err(format!("unexpected end of input: {why}"), at)
+                .into()),
         }
     }
 
-    fn wrap(&mut self, keyword: &str, start: u32) -> Result<Datum, ReadError> {
-        let inner = self.read_required(&format!("{keyword} needs a datum"), start)?;
-        Ok(Datum::list(vec![Datum::sym(keyword), inner]))
+    /// Reads and drops the datum a `#;` at `at` comments out.
+    fn skip(&mut self, at: u32) -> Result<(), ReadError> {
+        self.required("#; needs a datum to skip", at, &mut Skip)
     }
 
-    fn read_after(&mut self, tok: Token) -> Result<Datum, ReadError> {
+    /// Reads the datum that starts with `tok`.
+    fn datum<V: DatumVisitor<'src>>(
+        &mut self,
+        tok: BorrowedToken<'src>,
+        v: &mut V,
+    ) -> Result<(), V::Error> {
+        if let Some(keyword) = tok.kind.quotation() {
+            v.open(false)?;
+            v.atom(Atom::Sym(keyword))?;
+            self.required(&format!("{keyword} needs a datum"), tok.start, v)?;
+            return v.close();
+        }
         match tok.kind {
-            TokenKind::Atom(d) => Ok(d),
-            TokenKind::Quote => self.wrap("quote", tok.start),
-            TokenKind::Quasiquote => self.wrap("quasiquote", tok.start),
-            TokenKind::Unquote => self.wrap("unquote", tok.start),
-            TokenKind::UnquoteSplicing => self.wrap("unquote-splicing", tok.start),
-            TokenKind::SyntaxQuote => self.wrap("syntax", tok.start),
-            TokenKind::Quasisyntax => self.wrap("quasisyntax", tok.start),
-            TokenKind::Unsyntax => self.wrap("unsyntax", tok.start),
-            TokenKind::UnsyntaxSplicing => self.wrap("unsyntax-splicing", tok.start),
+            TokenKind::Atom(a) => v.atom(a),
             TokenKind::DatumComment => {
-                self.read_required("#; needs a datum to skip", tok.start)?;
-                self.read_required("#; consumed the only datum", tok.start)
+                self.skip(tok.start)?;
+                self.required("#; consumed the only datum", tok.start, v)
             }
-            TokenKind::LParen => self.read_list(tok.start),
-            TokenKind::VecOpen => self.read_vector(tok.start),
-            TokenKind::RParen(_) => Err(self.err("unexpected closing paren", tok.start)),
-            TokenKind::Dot => Err(self.err("unexpected `.` outside a list", tok.start)),
-        }
-    }
-
-    fn read_list(&mut self, start: u32) -> Result<Datum, ReadError> {
-        let mut elems: Vec<Datum> = Vec::new();
-        loop {
-            let Some(tok) = self.next()? else {
-                return Err(self.err("unterminated list", start));
-            };
-            match tok.kind {
-                TokenKind::RParen(_) => return Ok(Datum::list(elems)),
-                TokenKind::Dot => {
-                    if elems.is_empty() {
-                        return Err(self.err("`.` at start of list", tok.start));
-                    }
-                    let tail = self.read_required("dotted tail", tok.start)?;
-                    let Some(close) = self.next()? else {
-                        return Err(self.err("unterminated dotted list", start));
+            TokenKind::LParen => {
+                v.open(false)?;
+                self.elements(tok.start, v)?;
+                v.close()
+            }
+            TokenKind::VecOpen => {
+                v.open(true)?;
+                loop {
+                    let Some(elem) = self.next()? else {
+                        return Err(self.err("unterminated vector", tok.start).into());
                     };
-                    if !matches!(close.kind, TokenKind::RParen(_)) {
-                        return Err(self.err("expected `)` after dotted tail", close.start));
+                    match elem.kind {
+                        TokenKind::RParen(_) => return v.close(),
+                        TokenKind::Dot => {
+                            return Err(self.err("`.` not allowed in vector", elem.start).into())
+                        }
+                        _ => self.datum(elem, v)?,
                     }
-                    return Ok(Datum::improper_list(elems, tail));
                 }
-                _ => elems.push(self.read_after(tok)?),
+            }
+            TokenKind::RParen(_) => Err(self.err("unexpected closing paren", tok.start).into()),
+            _ => Err(self.err("unexpected `.` outside a list", tok.start).into()),
+        }
+    }
+
+    /// Reads a list's elements after its opener at `start`, through its
+    /// closer.
+    fn elements<V: DatumVisitor<'src>>(&mut self, start: u32, v: &mut V) -> Result<(), V::Error> {
+        let mut empty = true;
+        loop {
+            let Some(tok) = self.next()? else {
+                return Err(self.err("unterminated list", start).into());
+            };
+            match tok.kind {
+                TokenKind::RParen(_) => return Ok(()),
+                TokenKind::Dot if empty => {
+                    return Err(self.err("`.` at start of list", tok.start).into())
+                }
+                TokenKind::Dot => return self.tail(start, tok.start, v),
+                _ => {
+                    empty = false;
+                    self.datum(tok, v)?;
+                }
             }
         }
     }
 
-    fn read_vector(&mut self, start: u32) -> Result<Datum, ReadError> {
-        let mut elems: Vec<Datum> = Vec::new();
-        loop {
-            let Some(tok) = self.next()? else {
-                return Err(self.err("unterminated vector", start));
-            };
+    /// Reads the tail after the `.` at `dot` and the closer of the list
+    /// opened at `start`. A list tail — `(…)`, or a quotation, which reads
+    /// as one — is spliced into the list.
+    fn tail<V: DatumVisitor<'src>>(
+        &mut self,
+        start: u32,
+        dot: u32,
+        v: &mut V,
+    ) -> Result<(), V::Error> {
+        let Some(tok) = self.next()? else {
+            return Err(self.err("unexpected end of input: dotted tail", dot).into());
+        };
+        if let Some(keyword) = tok.kind.quotation() {
+            v.atom(Atom::Sym(keyword))?;
+            self.required(&format!("{keyword} needs a datum"), tok.start, v)?;
+        } else {
             match tok.kind {
-                TokenKind::RParen(_) => return Ok(Datum::Vector(elems.into())),
-                TokenKind::Dot => return Err(self.err("`.` not allowed in vector", tok.start)),
-                _ => elems.push(self.read_after(tok)?),
+                TokenKind::LParen => self.elements(tok.start, v)?,
+                TokenKind::DatumComment => {
+                    self.skip(tok.start)?;
+                    return self.tail(start, tok.start, v);
+                }
+                _ => {
+                    v.dot()?;
+                    self.datum(tok, v)?;
+                }
             }
         }
+        let Some(close) = self.next()? else {
+            return Err(self.err("unterminated dotted list", start).into());
+        };
+        if !matches!(close.kind, TokenKind::RParen(_)) {
+            return Err(self
+                .err("expected `)` after dotted tail", close.start)
+                .into());
+        }
+        Ok(())
+    }
+}
+
+/// The visitor of a `#;`-commented datum: sees it, keeps nothing.
+struct Skip;
+
+impl<'src> DatumVisitor<'src> for Skip {
+    type Error = ReadError;
+    fn atom(&mut self, _: Atom<'src>) -> Result<(), ReadError> {
+        Ok(())
+    }
+    fn open(&mut self, _: bool) -> Result<(), ReadError> {
+        Ok(())
+    }
+    fn dot(&mut self) -> Result<(), ReadError> {
+        Ok(())
+    }
+    fn close(&mut self) -> Result<(), ReadError> {
+        Ok(())
+    }
+}
+
+/// Builds [`Datum`]s from a walk: one frame per open list or vector.
+#[derive(Default)]
+struct DatumBuilder {
+    frames: Vec<Frame>,
+    out: Vec<Datum>,
+}
+
+struct Frame {
+    vector: bool,
+    elems: Vec<Datum>,
+    dotted: bool,
+    tail: Datum,
+}
+
+impl DatumBuilder {
+    fn push(&mut self, d: Datum) {
+        match self.frames.last_mut() {
+            Some(f) if f.dotted => f.tail = d,
+            Some(f) => f.elems.push(d),
+            None => self.out.push(d),
+        }
+    }
+}
+
+impl<'src> DatumVisitor<'src> for DatumBuilder {
+    type Error = ReadError;
+    fn atom(&mut self, atom: Atom<'src>) -> Result<(), ReadError> {
+        self.push(atom.to_datum());
+        Ok(())
+    }
+    fn open(&mut self, vector: bool) -> Result<(), ReadError> {
+        self.frames.push(Frame {
+            vector,
+            elems: Vec::new(),
+            dotted: false,
+            tail: Datum::Nil,
+        });
+        Ok(())
+    }
+    fn dot(&mut self) -> Result<(), ReadError> {
+        if let Some(f) = self.frames.last_mut() {
+            f.dotted = true;
+        }
+        Ok(())
+    }
+    fn close(&mut self) -> Result<(), ReadError> {
+        let f = self.frames.pop().expect("close after open");
+        self.push(if f.vector {
+            Datum::Vector(f.elems.into())
+        } else {
+            Datum::improper_list(f.elems, f.tail)
+        });
+        Ok(())
     }
 }
 
@@ -506,5 +674,55 @@ mod tests {
         let a = elems[1].source.unwrap();
         let b = elems[2].source.unwrap();
         assert_ne!(a, b);
+    }
+
+    /// Fragments the datum walker and the syntax reader must agree on,
+    /// shorthands and malformed sequences included.
+    const FRAGMENTS: &[&str] = &[
+        "(",
+        ")",
+        "[",
+        "]",
+        ".",
+        "'",
+        "`",
+        ",",
+        ",@",
+        "#'",
+        "#;",
+        "#(",
+        "a",
+        "1",
+        "2.5",
+        "+nan.0",
+        "\"s\"",
+        "\"a\\\"b\"",
+        "#t",
+        "#\\x",
+        ";c\n",
+        "#|c|#",
+    ];
+
+    proptest::proptest! {
+        /// `read_datums` (a walk) reads what `read_str` reads, and fails
+        /// where it fails.
+        #[test]
+        fn walked_datums_match_read_syntax(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..14),
+        ) {
+            let src: Vec<&str> = picks.iter().map(|i| FRAGMENTS[*i]).collect();
+            let src = src.join(" ");
+            let walked = read_datums(&src, "t.scm");
+            let read = read_str(&src, "t.scm");
+            match (&walked, &read) {
+                (Ok(ds), Ok(stxs)) => {
+                    let from_syntax: Vec<Datum> = stxs.iter().map(|s| s.to_datum()).collect();
+                    // `Datum`'s equality says NaN != NaN; compare the text.
+                    proptest::prop_assert_eq!(format!("{ds:?}"), format!("{from_syntax:?}"), "{}", src);
+                }
+                (Err(_), Err(_)) => {}
+                _ => proptest::prop_assert!(false, "{src:?}: {walked:?} vs {read:?}"),
+            }
+        }
     }
 }
