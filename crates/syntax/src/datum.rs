@@ -145,7 +145,10 @@ fn write_char(c: char, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
-fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes `s` as a string literal the reader reads back as `s`: quoted,
+/// with quotes, backslashes, newlines, tabs and returns escaped.
+/// `Datum::Str`'s `Display` is this function.
+pub fn write_string(s: &str, f: &mut impl fmt::Write) -> fmt::Result {
     f.write_str("\"")?;
     for c in s.chars() {
         match c {
@@ -160,9 +163,10 @@ fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Writes a float so that the reader will read it back as a float (always
-/// includes a decimal point or exponent).
-pub(crate) fn write_float(x: f64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes a float so that the reader will read it back as the same float
+/// (always with a decimal point or exponent). `Datum::Float`'s `Display`
+/// is this function.
+pub fn write_float(x: f64, f: &mut impl fmt::Write) -> fmt::Result {
     if x.is_nan() {
         f.write_str("+nan.0")
     } else if x.is_infinite() {

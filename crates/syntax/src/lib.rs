@@ -35,7 +35,7 @@ mod mark;
 mod source;
 mod syntax;
 
-pub use datum::Datum;
+pub use datum::{write_float, write_string, Datum};
 pub use hash::{FnvHashMap, FnvHasher};
 pub use intern::Symbol;
 pub use mark::{Mark, MarkSet};
