@@ -149,7 +149,12 @@ impl SlotMap {
     pub fn from_points(
         points: impl IntoIterator<Item = SourceObject>,
     ) -> Result<SlotMap, SourceObject> {
-        let mut m = SlotMap::new();
+        let points = points.into_iter();
+        let n = points.size_hint().0;
+        let mut m = SlotMap {
+            slots: HashMap::with_capacity(n),
+            points: Vec::with_capacity(n),
+        };
         for p in points {
             let before = m.len();
             m.resolve(p);

@@ -3,7 +3,8 @@
 //! As in the Chez implementation (§4.1), what is stored is not raw counts
 //! but the computed **profile weights**, so stored files from different runs
 //! can be merged directly. The on-disk format is a single s-expression,
-//! parsed back with the system's own reader. Two format versions exist —
+//! read back in one pass over the system reader's lexer and datum walk
+//! ([`pgmp_reader::walk_datums`]). Two format versions exist —
 //! see `docs/PROFILE_FORMAT.md` at the repository root for the normative
 //! spec, merge semantics (§3.2), and compatibility rules.
 //!
@@ -39,8 +40,9 @@
 use crate::info::ProfileInformation;
 use crate::slots::SlotMap;
 use pgmp_observe as observe;
-use pgmp_reader::read_datums;
-use pgmp_syntax::{Datum, SourceObject};
+use pgmp_reader::{walk_datums, Atom, DatumVisitor, ReadError};
+use pgmp_syntax::{write_float, write_string, Datum, FnvHashMap, SourceObject, Symbol};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -95,6 +97,12 @@ impl std::error::Error for ProfileStoreError {
 impl From<std::io::Error> for ProfileStoreError {
     fn from(e: std::io::Error) -> ProfileStoreError {
         ProfileStoreError::Io(e)
+    }
+}
+
+impl From<ReadError> for ProfileStoreError {
+    fn from(e: ReadError) -> ProfileStoreError {
+        malformed(format!("unreadable: {e}"))
     }
 }
 
@@ -262,27 +270,17 @@ impl StoredProfile {
         }
         let empty = SlotMap::new();
         let slots = self.slots.as_ref().unwrap_or(&empty);
+        let mut rows = RowWriter::default();
         if !slots.is_empty() {
             let _ = writeln!(out, "  (slots {})", slots.len());
             for (i, p) in slots.points().iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "  (slot {} {} {} {}",
-                    i,
-                    Datum::string(p.file.as_str()),
-                    p.bfp,
-                    p.efp
-                );
-                match self.info.lookup(*p) {
-                    Some(w) => {
-                        let _ = write!(out, " {}", Datum::Float(w));
-                        if let Some(c) = self.confidence.get(p).filter(|c| **c < 1.0) {
-                            let _ = write!(out, " (confidence {})", Datum::Float(*c));
-                        }
-                        out.push_str(")\n");
-                    }
-                    None => out.push_str(")\n"),
+                let _ = write!(out, "  (slot {i}");
+                rows.point(&mut out, *p);
+                if let Some(w) = self.info.lookup(*p) {
+                    float(&mut out, w);
+                    self.write_confidence(&mut out, p);
                 }
+                out.push_str(")\n");
             }
         }
         let mut loose: Vec<(SourceObject, f64)> = self
@@ -292,21 +290,23 @@ impl StoredProfile {
             .collect();
         loose.sort_by_key(|a| a.0);
         for (p, w) in loose {
-            let _ = write!(
-                out,
-                "  (point {} {} {} {}",
-                Datum::string(p.file.as_str()),
-                p.bfp,
-                p.efp,
-                Datum::Float(w)
-            );
-            if let Some(c) = self.confidence.get(&p).filter(|c| **c < 1.0) {
-                let _ = write!(out, " (confidence {})", Datum::Float(*c));
-            }
+            out.push_str("  (point");
+            rows.point(&mut out, p);
+            float(&mut out, w);
+            self.write_confidence(&mut out, &p);
             out.push_str(")\n");
         }
         out.push(')');
         out
+    }
+
+    /// Appends ` (confidence c)` for a point rebased below full confidence.
+    fn write_confidence(&self, out: &mut String, p: &SourceObject) {
+        if let Some(c) = self.confidence.get(p).filter(|c| **c < 1.0) {
+            out.push_str(" (confidence");
+            float(out, *c);
+            out.push(')');
+        }
     }
 
     /// Parses either format version, sniffing `(version n)`.
@@ -318,144 +318,9 @@ impl StoredProfile {
     /// and 2, and [`ProfileStoreError::SlotTable`] for v2 files whose slot
     /// section is not a dense bijection. Never panics on hostile input.
     pub fn load_from_str(text: &str) -> Result<StoredProfile, ProfileStoreError> {
-        // Profile files are machine-written: parse straight to datums
-        // (`read_datums`) instead of building source-attributed syntax
-        // objects nobody will query.
-        let forms =
-            read_datums(text, "<profile>").map_err(|e| malformed(format!("unreadable: {e}")))?;
-        let [form]: [Datum; 1] = forms
-            .try_into()
-            .map_err(|_| malformed("expected exactly one top-level form"))?;
-        let elems = form
-            .list_elems()
-            .ok_or_else(|| malformed("top-level form must be a list"))?;
-        let mut iter = elems.into_iter();
-        let head = match iter.next() {
-            Some(Datum::Sym(s)) => s,
-            _ => return Err(malformed("missing pgmp-profile header")),
-        };
-        if head.as_str() != "pgmp-profile" {
-            return Err(malformed(format!("unexpected header `{head}`")));
-        }
-        // First pass: flatten entries, resolve the declared version.
-        let mut entries: Vec<(String, Vec<Datum>)> = Vec::new();
-        let mut version: Option<i64> = None;
-        for entry in iter {
-            let mut fields = entry
-                .list_elems()
-                .ok_or_else(|| malformed("profile entry must be a list"))?;
-            if fields.is_empty() {
-                return Err(malformed("profile entry missing tag"));
-            }
-            let tag = match fields.remove(0) {
-                Datum::Sym(s) => s,
-                _ => return Err(malformed("profile entry missing tag")),
-            };
-            let args: Vec<Datum> = fields;
-            if tag.as_str() == "version" {
-                match args.as_slice() {
-                    [Datum::Int(v)] => {
-                        if version.replace(*v).is_some() {
-                            return Err(malformed("duplicate version entry"));
-                        }
-                    }
-                    _ => return Err(malformed("malformed version entry")),
-                }
-            } else {
-                entries.push((tag.as_str().to_string(), args));
-            }
-        }
-        let version = version.unwrap_or(1);
-        if version != 1 && version != 2 {
-            return Err(ProfileStoreError::UnsupportedVersion(version));
-        }
-        let mut dataset_count: usize = 1;
-        let mut declared_slots: Option<usize> = None;
-        let mut slot_points: Vec<SourceObject> = Vec::new();
-        let mut weights: Vec<(SourceObject, f64)> = Vec::new();
-        let mut provenance: Option<Provenance> = None;
-        let mut confidence: HashMap<SourceObject, f64> = HashMap::new();
-        for (tag, args) in &entries {
-            match (tag.as_str(), args.as_slice()) {
-                ("datasets", [Datum::Int(n)]) if *n >= 0 => dataset_count = *n as usize,
-                ("provenance", args) if version == 2 => {
-                    let p = match args {
-                        [Datum::Sym(s)] if s.as_str() == "exact" => Provenance::Exact,
-                        [Datum::Sym(s), Datum::Int(hz)]
-                            if s.as_str() == "sampled" && (0..=u32::MAX as i64).contains(hz) =>
-                        {
-                            Provenance::Sampled { hz: *hz as u32 }
-                        }
-                        _ => return Err(malformed("malformed provenance entry")),
-                    };
-                    if provenance.replace(p).is_some() {
-                        return Err(malformed("duplicate provenance entry"));
-                    }
-                }
-                ("point", [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w, rest @ ..])
-                    if rest.len() <= usize::from(version == 2) =>
-                {
-                    let (p, w) = parse_point(file, *bfp, *efp, Some(w))?;
-                    if let Some(c) = rest.first() {
-                        confidence.insert(p, parse_confidence(c)?);
-                    }
-                    weights.push((p, w.expect("point weight is mandatory")));
-                }
-                ("slots", [Datum::Int(n)]) if version == 2 && *n >= 0 => {
-                    if declared_slots.replace(*n as usize).is_some() {
-                        return Err(ProfileStoreError::SlotTable("duplicate slots entry".into()));
-                    }
-                }
-                (
-                    "slot",
-                    [Datum::Int(i), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), rest @ ..],
-                ) if version == 2 && rest.len() <= 2 => {
-                    if *i != slot_points.len() as i64 {
-                        return Err(ProfileStoreError::SlotTable(format!(
-                            "slot index {i} out of order (expected {})",
-                            slot_points.len()
-                        )));
-                    }
-                    let (p, w) = parse_point(file, *bfp, *efp, rest.first())?;
-                    slot_points.push(p);
-                    if let Some(c) = rest.get(1) {
-                        // A confidence sub-entry is only meaningful on a
-                        // weighted row (enforced structurally: `rest[1]`
-                        // exists only after a weight datum in `rest[0]`).
-                        confidence.insert(p, parse_confidence(c)?);
-                    }
-                    if let Some(w) = w {
-                        weights.push((p, w));
-                    }
-                }
-                (other, _) => {
-                    return Err(malformed(format!("unknown or malformed entry `{other}`")));
-                }
-            }
-        }
-        let slots = if slot_points.is_empty() && declared_slots.unwrap_or(0) == 0 {
-            None
-        } else {
-            if let Some(n) = declared_slots {
-                if n != slot_points.len() {
-                    return Err(ProfileStoreError::SlotTable(format!(
-                        "declared {n} slots but found {}",
-                        slot_points.len()
-                    )));
-                }
-            }
-            let table = SlotMap::from_points(slot_points).map_err(|p| {
-                ProfileStoreError::SlotTable(format!("duplicate point {p} in slot table"))
-            })?;
-            Some(table)
-        };
-        Ok(StoredProfile {
-            info: ProfileInformation::from_weights(weights, dataset_count),
-            slots,
-            version: version as u32,
-            provenance: provenance.unwrap_or_default(),
-            confidence,
-        })
+        let mut loader = Loader::default();
+        walk_datums(text, "<profile>", &mut loader)?;
+        loader.finish()
     }
 
     /// Writes the profile to `path` atomically (see [`write_atomic`]).
@@ -479,49 +344,376 @@ impl StoredProfile {
     }
 }
 
-/// Validates a `(confidence c)` sub-entry: `c` must be a number in
-/// `(0, 1]` — a zero-confidence point is a dead point and must simply be
-/// absent, and values above 1 would let a rebase *amplify* weights.
-fn parse_confidence(d: &Datum) -> Result<f64, ProfileStoreError> {
-    let c = match d.list_elems().as_deref() {
-        Some([Datum::Sym(tag), c]) if tag.as_str() == "confidence" => match c {
-            Datum::Float(x) => *x,
-            Datum::Int(n) => *n as f64,
-            _ => return Err(malformed(format!("bad confidence {c}"))),
-        },
-        _ => return Err(malformed(format!("malformed confidence entry {d}"))),
-    };
-    if !(c > 0.0 && c <= 1.0) {
-        return Err(malformed(format!("confidence {c} outside (0,1]")));
-    }
-    Ok(c)
+/// One field of a profile row, as the datum walk shows it.
+enum Field<'src> {
+    Int(i64),
+    Float(f64),
+    Str(Cow<'src, str>),
+    Sym(&'src str),
+    /// A `(confidence c)` sub-entry with a numeric `c`.
+    Confidence(f64),
+    /// Anything else: a character, a boolean, a vector or another list.
+    Other,
 }
 
-/// Validates one profile point's fields; `w` is the optional weight datum.
-fn parse_point(
-    file: &str,
-    bfp: i64,
-    efp: i64,
-    w: Option<&Datum>,
-) -> Result<(SourceObject, Option<f64>), ProfileStoreError> {
-    let w = match w {
-        None => None,
-        Some(Datum::Float(x)) => Some(*x),
-        Some(Datum::Int(n)) => Some(*n as f64),
-        Some(other) => return Err(malformed(format!("bad weight {other}"))),
-    };
-    if let Some(w) = w {
-        if !(0.0..=1.0).contains(&w) {
-            return Err(malformed(format!("weight {w} outside [0,1]")));
+impl<'src> From<Atom<'src>> for Field<'src> {
+    fn from(atom: Atom<'src>) -> Field<'src> {
+        match atom {
+            Atom::Int(n) => Field::Int(n),
+            Atom::Float(x) => Field::Float(x),
+            Atom::Str(s) => Field::Str(s),
+            Atom::Sym(s) => Field::Sym(s),
+            Atom::Bool(_) | Atom::Char(_) => Field::Other,
         }
     }
-    let (Ok(bfp), Ok(efp)) = (u32::try_from(bfp), u32::try_from(efp)) else {
-        return Err(malformed(format!(
+}
+
+/// How much of `(confidence c)` a list inside a row has matched so far.
+#[derive(Clone, Copy, Default)]
+enum Sub {
+    #[default]
+    Start,
+    Tag,
+    Number(f64),
+    Other,
+}
+
+impl Sub {
+    fn then(self, atom: &Atom<'_>) -> Sub {
+        match (self, atom) {
+            (Sub::Start, Atom::Sym("confidence")) => Sub::Tag,
+            (Sub::Tag, Atom::Float(x)) => Sub::Number(*x),
+            (Sub::Tag, Atom::Int(n)) => Sub::Number(*n as f64),
+            _ => Sub::Other,
+        }
+    }
+
+    fn field<'src>(self) -> Field<'src> {
+        match self {
+            Sub::Number(c) => Field::Confidence(c),
+            _ => Field::Other,
+        }
+    }
+}
+
+/// The profile parser: reads `(pgmp-profile …)` in one pass, from the
+/// reader's datum walk straight to slot points and weights.
+///
+/// Errors keep the precedence of `docs/PROFILE_FORMAT.md`: a read error
+/// or a malformed entry shape returns at once; an unsupported version is
+/// reported when the walk ends; the first row error is recorded and the
+/// walk goes on, so both can still overrule it; the slot table is checked
+/// as a whole last.
+#[derive(Default)]
+struct Loader<'src> {
+    /// Open lists and vectors: 1 inside `(pgmp-profile …)`, 2 in a row.
+    depth: usize,
+    /// The top-level form has begun; a second one is an error.
+    begun: bool,
+    /// The `pgmp-profile` header has been read.
+    header: bool,
+    /// The fields of the row being read.
+    row: Vec<Field<'src>>,
+    /// The list being read inside the row.
+    sub: Sub,
+    version: Option<i64>,
+    /// Rows read before the version entry, checked once it is known.
+    early: Vec<Vec<Field<'src>>>,
+    rows: Rows,
+}
+
+impl<'src> DatumVisitor<'src> for Loader<'src> {
+    type Error = ProfileStoreError;
+
+    #[inline]
+    fn atom(&mut self, atom: Atom<'src>) -> Result<(), ProfileStoreError> {
+        match self.depth {
+            0 => return Err(malformed("expected one (pgmp-profile …) list")),
+            1 if self.header => return Err(malformed("profile entry must be a list")),
+            1 if atom == Atom::Sym("pgmp-profile") => self.header = true,
+            1 => return Err(malformed("missing pgmp-profile header")),
+            2 => self.row.push(atom.into()),
+            3 => self.sub = self.sub.then(&atom),
+            _ => {}
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn open(&mut self, vector: bool) -> Result<(), ProfileStoreError> {
+        match self.depth {
+            0 if self.begun || vector => {
+                return Err(malformed("expected one (pgmp-profile …) list"))
+            }
+            0 => self.begun = true,
+            1 if !self.header => return Err(malformed("missing pgmp-profile header")),
+            1 if vector => return Err(malformed("profile entry must be a list")),
+            1 => self.row.clear(),
+            2 if !vector => self.sub = Sub::Start,
+            _ => self.sub = Sub::Other,
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn dot(&mut self) -> Result<(), ProfileStoreError> {
+        match self.depth {
+            1 => Err(malformed("top-level form must be a list")),
+            2 => Err(malformed("profile entry must be a list")),
+            _ => {
+                self.sub = Sub::Other;
+                Ok(())
+            }
+        }
+    }
+
+    #[inline]
+    fn close(&mut self) -> Result<(), ProfileStoreError> {
+        self.depth -= 1;
+        match self.depth {
+            0 if !self.header => return Err(malformed("missing pgmp-profile header")),
+            1 => return self.end_row(),
+            2 => self.row.push(self.sub.field()),
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+impl<'src> Loader<'src> {
+    /// Takes the row just closed: a version entry, or a row to check now
+    /// or, while the version is unknown, later.
+    fn end_row(&mut self) -> Result<(), ProfileStoreError> {
+        let Some(Field::Sym(tag)) = self.row.first() else {
+            return Err(malformed("profile entry missing tag"));
+        };
+        if *tag != "version" {
+            match self.version {
+                Some(version) => self.rows.check(&self.row, version),
+                None => self.early.push(std::mem::take(&mut self.row)),
+            }
+            return Ok(());
+        }
+        let [_, Field::Int(version)] = self.row[..] else {
+            return Err(malformed("malformed version entry"));
+        };
+        if self.version.replace(version).is_some() {
+            return Err(malformed("duplicate version entry"));
+        }
+        for row in std::mem::take(&mut self.early) {
+            self.rows.check(&row, version);
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<StoredProfile, ProfileStoreError> {
+        if !self.begun {
+            return Err(malformed("expected one (pgmp-profile …) list"));
+        }
+        let version = self.version.unwrap_or(1);
+        if version != 1 && version != 2 {
+            return Err(ProfileStoreError::UnsupportedVersion(version));
+        }
+        for row in std::mem::take(&mut self.early) {
+            self.rows.check(&row, version);
+        }
+        self.rows.finish(version as u32)
+    }
+}
+
+/// What the rows of a profile say, checked one at a time in file order.
+#[derive(Default)]
+struct Rows {
+    dataset_count: Option<usize>,
+    declared_slots: Option<usize>,
+    slot_points: Vec<SourceObject>,
+    weights: Vec<(SourceObject, f64)>,
+    provenance: Option<Provenance>,
+    confidence: HashMap<SourceObject, f64>,
+    /// The first row error; later rows are not checked.
+    error: Option<ProfileStoreError>,
+    /// The last file name read and its symbol: rows come grouped by file,
+    /// so a name is interned only when it changes.
+    file: Option<(String, Symbol)>,
+}
+
+impl Rows {
+    fn check(&mut self, row: &[Field<'_>], version: i64) {
+        if self.error.is_none() && (version == 1 || version == 2) {
+            if let Err(e) = self.row(row, version == 2) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn row(&mut self, row: &[Field<'_>], v2: bool) -> Result<(), ProfileStoreError> {
+        let [Field::Sym(tag), args @ ..] = row else {
+            unreachable!("a row starts with its tag");
+        };
+        match (*tag, args) {
+            ("datasets", [Field::Int(n)]) if *n >= 0 => self.dataset_count = Some(*n as usize),
+            ("provenance", args) if v2 => {
+                let p = match args {
+                    [Field::Sym("exact")] => Provenance::Exact,
+                    [Field::Sym("sampled"), Field::Int(hz)] if u32::try_from(*hz).is_ok() => {
+                        Provenance::Sampled { hz: *hz as u32 }
+                    }
+                    _ => return Err(malformed("malformed provenance entry")),
+                };
+                if self.provenance.replace(p).is_some() {
+                    return Err(malformed("duplicate provenance entry"));
+                }
+            }
+            ("point", [Field::Str(file), Field::Int(bfp), Field::Int(efp), w, rest @ ..])
+                if rest.len() <= usize::from(v2) =>
+            {
+                let w = weight(w)?;
+                let p = self.point(file, *bfp, *efp)?;
+                if let Some(c) = rest.first() {
+                    self.confidence.insert(p, confidence(c)?);
+                }
+                self.weights.push((p, w));
+            }
+            ("slots", [Field::Int(n)]) if v2 && *n >= 0 => {
+                if self.declared_slots.replace(*n as usize).is_some() {
+                    return Err(ProfileStoreError::SlotTable("duplicate slots entry".into()));
+                }
+            }
+            (
+                "slot",
+                [Field::Int(i), Field::Str(file), Field::Int(bfp), Field::Int(efp), rest @ ..],
+            ) if v2 && rest.len() <= 2 => {
+                if *i != self.slot_points.len() as i64 {
+                    return Err(ProfileStoreError::SlotTable(format!(
+                        "slot index {i} out of order (expected {})",
+                        self.slot_points.len()
+                    )));
+                }
+                let w = rest.first().map(weight).transpose()?;
+                let p = self.point(file, *bfp, *efp)?;
+                self.slot_points.push(p);
+                // A confidence follows a weight: `rest[1]` exists only
+                // after a weight in `rest[0]`.
+                if let Some(c) = rest.get(1) {
+                    self.confidence.insert(p, confidence(c)?);
+                }
+                if let Some(w) = w {
+                    self.weights.push((p, w));
+                }
+            }
+            (other, _) => {
+                return Err(malformed(format!("unknown or malformed entry `{other}`")));
+            }
+        }
+        Ok(())
+    }
+
+    fn point(&mut self, file: &str, bfp: i64, efp: i64) -> Result<SourceObject, ProfileStoreError> {
+        let (bfp, efp) = span(bfp, efp)?;
+        let file = match &self.file {
+            Some((last, sym)) if last == file => *sym,
+            _ => {
+                let sym = Symbol::intern(file);
+                self.file = Some((file.to_owned(), sym));
+                sym
+            }
+        };
+        Ok(SourceObject { file, bfp, efp })
+    }
+
+    fn finish(self, version: u32) -> Result<StoredProfile, ProfileStoreError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let slots = if self.slot_points.is_empty() && self.declared_slots.unwrap_or(0) == 0 {
+            None
+        } else {
+            if let Some(n) = self.declared_slots {
+                if n != self.slot_points.len() {
+                    return Err(ProfileStoreError::SlotTable(format!(
+                        "declared {n} slots but found {}",
+                        self.slot_points.len()
+                    )));
+                }
+            }
+            let table = SlotMap::from_points(self.slot_points).map_err(|p| {
+                ProfileStoreError::SlotTable(format!("duplicate point {p} in slot table"))
+            })?;
+            Some(table)
+        };
+        Ok(StoredProfile {
+            info: ProfileInformation::from_weights(self.weights, self.dataset_count.unwrap_or(1)),
+            slots,
+            version,
+            provenance: self.provenance.unwrap_or_default(),
+            confidence: self.confidence,
+        })
+    }
+}
+
+/// A row's weight: a number in `[0, 1]`.
+fn weight(w: &Field<'_>) -> Result<f64, ProfileStoreError> {
+    match w {
+        Field::Float(x) => check_weight(*x),
+        Field::Int(n) => check_weight(*n as f64),
+        _ => Err(malformed("weight is not a number")),
+    }
+}
+
+fn check_weight(w: f64) -> Result<f64, ProfileStoreError> {
+    if (0.0..=1.0).contains(&w) {
+        Ok(w)
+    } else {
+        Err(malformed(format!("weight {w} outside [0,1]")))
+    }
+}
+
+/// A `(confidence c)` sub-entry: `c` must be a number in `(0, 1]` — a
+/// zero-confidence point is a dead point and must simply be absent, and
+/// values above 1 would let a rebase *amplify* weights.
+fn confidence(c: &Field<'_>) -> Result<f64, ProfileStoreError> {
+    match c {
+        Field::Confidence(c) if *c > 0.0 && *c <= 1.0 => Ok(*c),
+        Field::Confidence(c) => Err(malformed(format!("confidence {c} outside (0,1]"))),
+        _ => Err(malformed("malformed confidence entry")),
+    }
+}
+
+/// A point's file positions, each in `0..=u32::MAX`.
+fn span(bfp: i64, efp: i64) -> Result<(u32, u32), ProfileStoreError> {
+    match (u32::try_from(bfp), u32::try_from(efp)) {
+        (Ok(bfp), Ok(efp)) => Ok((bfp, efp)),
+        _ => Err(malformed(format!(
             "file position {bfp}-{efp} outside 0..={}",
             u32::MAX
-        )));
-    };
-    Ok((SourceObject::new(file, bfp, efp), w))
+        ))),
+    }
+}
+
+/// Writes the points of profile rows, escaping each file name once.
+#[derive(Default)]
+struct RowWriter {
+    names: FnvHashMap<Symbol, String>,
+}
+
+impl RowWriter {
+    /// Appends ` "file" bfp efp` for `p`.
+    fn point(&mut self, out: &mut String, p: SourceObject) {
+        let name = self.names.entry(p.file).or_insert_with(|| {
+            let mut name = String::new();
+            let _ = write_string(p.file.as_str(), &mut name);
+            name
+        });
+        out.push(' ');
+        out.push_str(name);
+        let _ = write!(out, " {} {}", p.bfp, p.efp);
+    }
+}
+
+/// Appends ` x`, written as `Datum::Float` writes it.
+fn float(out: &mut String, x: f64) {
+    out.push(' ');
+    let _ = write_float(x, out);
 }
 
 /// `(point file bfp efp w)`: one weighted profile point as a datum.
@@ -572,8 +764,13 @@ impl ProfileInformation {
                 [Datum::Sym(tag), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w]
                     if tag.as_str() == "point" =>
                 {
-                    let (p, w) = parse_point(file, *bfp, *efp, Some(w))?;
-                    weights.push((p, w.expect("point weight is mandatory")));
+                    let w = match w {
+                        Datum::Float(x) => check_weight(*x)?,
+                        Datum::Int(n) => check_weight(*n as f64)?,
+                        _ => return Err(malformed(format!("bad weight {w}"))),
+                    };
+                    let (bfp, efp) = span(*bfp, *efp)?;
+                    weights.push((SourceObject::new(file, bfp, efp), w));
                 }
                 _ => return Err(malformed(format!("unknown profile entry {e}"))),
             }
@@ -592,15 +789,12 @@ impl ProfileInformation {
         let mut out = String::new();
         out.push_str("(pgmp-profile\n  (version 1)\n");
         let _ = writeln!(out, "  (datasets {})", self.dataset_count());
+        let mut rows = RowWriter::default();
         for (p, w) in points {
-            let _ = writeln!(
-                out,
-                "  (point {} {} {} {})",
-                Datum::string(p.file.as_str()),
-                p.bfp,
-                p.efp,
-                Datum::Float(w)
-            );
+            out.push_str("  (point");
+            rows.point(&mut out, p);
+            float(&mut out, w);
+            out.push_str(")\n");
         }
         out.push(')');
         out
@@ -644,6 +838,12 @@ impl ProfileInformation {
 mod tests {
     use super::*;
     use crate::counters::Dataset;
+
+    /// The datums of a body text.
+    fn datums(text: &str) -> Vec<Datum> {
+        let forms = pgmp_reader::read_str(text, "<body>").unwrap();
+        forms.iter().map(|stx| stx.to_datum()).collect()
+    }
 
     fn sample() -> ProfileInformation {
         let d: Dataset = [
@@ -708,7 +908,7 @@ mod tests {
             "(datasets -1)",
             "datasets",
         ] {
-            let entries = read_datums(bad, "<body>").unwrap();
+            let entries = datums(bad);
             let r = ProfileInformation::from_body(&entries);
             assert!(
                 matches!(r, Err(ProfileStoreError::Malformed(_))),
@@ -731,7 +931,7 @@ mod tests {
                 "{text}: {r:?}"
             );
         }
-        let body = read_datums("(point \"f\" 4294967301 4294967310 0.5)", "<body>").unwrap();
+        let body = datums("(point \"f\" 4294967301 4294967310 0.5)");
         let r = ProfileInformation::from_body(&body);
         assert!(matches!(r, Err(ProfileStoreError::Malformed(_))), "{r:?}");
         // The largest position still loads.
