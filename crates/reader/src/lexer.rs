@@ -45,7 +45,7 @@ pub enum TokenKind<A = Datum> {
 impl<A> TokenKind<A> {
     /// The keyword a quotation prefix abbreviates (`'x` is `(quote x)`),
     /// or `None` for other tokens.
-    pub fn quotation(&self) -> Option<&'static str> {
+    pub(crate) fn quotation(&self) -> Option<&'static str> {
         Some(match self {
             TokenKind::Quote => "quote",
             TokenKind::Quasiquote => "quasiquote",
