@@ -27,10 +27,7 @@ pub fn matches_query(kind: &EventKind, query: &str) -> bool {
         }
         EventKind::ProfileRebase {
             point, new_point, ..
-        } => {
-            point.contains(query)
-                || new_point.as_ref().is_some_and(|p| p.contains(query))
-        }
+        } => point.contains(query) || new_point.as_ref().is_some_and(|p| p.contains(query)),
         _ => false,
     }
 }

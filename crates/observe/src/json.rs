@@ -314,8 +314,7 @@ impl<'a> Parser<'a> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let cp =
-                                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(cp)
                                 } else {
                                     return Err(self.err("lone high surrogate"));
@@ -347,8 +346,8 @@ impl<'a> Parser<'a> {
                         b if b >= 0xE0 => 3,
                         _ => 2,
                     };
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid utf-8"))?;
+                    let s =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid utf-8"))?;
                     out.push_str(s);
                     self.pos += len;
                 }

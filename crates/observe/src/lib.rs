@@ -57,9 +57,7 @@ pub use explain::{explain_query, matches_query};
 pub use expose::{render_prometheus, MetricsServer};
 pub use merge::{collapse_stacks, dedupe_events, merge_traces, MergeError, Merged};
 pub use metrics::{metrics, Histogram, MetricsSnapshot, Registry};
-pub use reader::{
-    parse_trace, parse_trace_lenient, read_trace, read_trace_lenient, TraceError,
-};
+pub use reader::{parse_trace, parse_trace_lenient, read_trace, read_trace_lenient, TraceError};
 pub use sink::{to_jsonl, write_atomic, write_trace};
 pub use stream::{BoundedWriter, WriterStats};
 
@@ -154,7 +152,9 @@ fn bus() -> &'static Mutex<Option<Recording>> {
 }
 
 fn lock_bus() -> MutexGuard<'static, Option<Recording>> {
-    bus().lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    bus()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Configuration for one recording.
@@ -216,8 +216,7 @@ pub fn start_streaming(
     path: impl AsRef<std::path::Path>,
     config: TraceConfig,
 ) -> Result<(), ObserveError> {
-    let file = std::fs::File::create(path.as_ref())
-        .map_err(|e| ObserveError::Io(e.to_string()))?;
+    let file = std::fs::File::create(path.as_ref()).map_err(|e| ObserveError::Io(e.to_string()))?;
     let writer = BoundedWriter::spawn(std::io::BufWriter::new(file), config.capacity.max(1));
     start_with(config, Some(writer))
 }
@@ -228,7 +227,11 @@ fn start_with(config: TraceConfig, stream: Option<BoundedWriter>) -> Result<(), 
         return Err(ObserveError::AlreadyRecording);
     }
     RECORDING_EPOCH.fetch_add(1, Ordering::Relaxed);
-    let ring_capacity = if stream.is_some() { 0 } else { config.capacity.min(1 << 20) };
+    let ring_capacity = if stream.is_some() {
+        0
+    } else {
+        config.capacity.min(1 << 20)
+    };
     *g = Some(Recording {
         start: Instant::now(),
         next_seq: 0,
@@ -419,7 +422,8 @@ pub fn stop_and_write(path: impl AsRef<std::path::Path>) -> std::io::Result<(usi
 /// whole suite down with it.
 pub fn exclusive() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]

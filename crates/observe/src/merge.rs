@@ -103,9 +103,7 @@ fn hello_key(e: &TraceEvent) -> Option<(u64, u64, String, u32)> {
             role,
             peer_inst,
             dataset,
-        } if e.inst != 0 && *peer_inst != 0 => {
-            Some((e.inst, *peer_inst, role.clone(), *dataset))
-        }
+        } if e.inst != 0 && *peer_inst != 0 => Some((e.inst, *peer_inst, role.clone(), *dataset)),
         _ => None,
     }
 }
@@ -285,7 +283,13 @@ fn span_label(kind: &EventKind) -> String {
     };
     label
         .chars()
-        .map(|c| if c == ';' || c.is_whitespace() { '_' } else { c })
+        .map(|c| {
+            if c == ';' || c.is_whitespace() {
+                '_'
+            } else {
+                c
+            }
+        })
         .collect()
 }
 
@@ -373,8 +377,7 @@ pub fn collapse_stacks(events: &[TraceEvent]) -> String {
                 format!("sampler({hz}hz)")
             };
             *lines.entry(format!("{root};hits")).or_insert(0) += hits.saturating_mul(period_us);
-            *lines.entry(format!("{root};idle")).or_insert(0) +=
-                missed.saturating_mul(period_us);
+            *lines.entry(format!("{root};idle")).or_insert(0) += missed.saturating_mul(period_us);
         }
     }
     let mut out = String::new();
@@ -579,6 +582,9 @@ mod tests {
             },
         );
         let text = collapse_stacks(&[tick]);
-        assert_eq!(text, "sampler(1000hz);hits 6000\nsampler(1000hz);idle 4000\n");
+        assert_eq!(
+            text,
+            "sampler(1000hz);hits 6000\nsampler(1000hz);idle 4000\n"
+        );
     }
 }

@@ -247,6 +247,11 @@ mod tests {
         };
         let text = snap.to_json();
         let v = crate::json::parse(&text).expect("snapshot must be valid JSON");
-        assert_eq!(v.get("counters").and_then(|c| c.get("a.b")).and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            v.get("counters")
+                .and_then(|c| c.get("a.b"))
+                .and_then(Json::as_u64),
+            Some(3)
+        );
     }
 }

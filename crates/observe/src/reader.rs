@@ -12,9 +12,15 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub enum TraceError {
     /// The file could not be opened or read.
-    Io { path: PathBuf, source: std::io::Error },
+    Io {
+        path: PathBuf,
+        source: std::io::Error,
+    },
     /// A line was not valid JSON (truncation lands here).
-    Json { line: usize, source: json::JsonError },
+    Json {
+        line: usize,
+        source: json::JsonError,
+    },
     /// A line parsed as JSON but was not a valid versioned event.
     Event { line: usize, source: DecodeError },
 }
@@ -64,9 +70,14 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line).map_err(|source| TraceError::Json { line: lineno, source })?;
-        let ev = TraceEvent::from_json(&v)
-            .map_err(|source| TraceError::Event { line: lineno, source })?;
+        let v = json::parse(line).map_err(|source| TraceError::Json {
+            line: lineno,
+            source,
+        })?;
+        let ev = TraceEvent::from_json(&v).map_err(|source| TraceError::Event {
+            line: lineno,
+            source,
+        })?;
         events.push(ev);
     }
     Ok(events)
@@ -84,9 +95,15 @@ pub fn parse_trace_lenient(text: &str) -> (Vec<TraceEvent>, Vec<TraceError>) {
             continue;
         }
         match json::parse(line) {
-            Err(source) => errors.push(TraceError::Json { line: lineno, source }),
+            Err(source) => errors.push(TraceError::Json {
+                line: lineno,
+                source,
+            }),
             Ok(v) => match TraceEvent::from_json(&v) {
-                Err(source) => errors.push(TraceError::Event { line: lineno, source }),
+                Err(source) => errors.push(TraceError::Event {
+                    line: lineno,
+                    source,
+                }),
                 Ok(ev) => events.push(ev),
             },
         }

@@ -168,7 +168,10 @@ mod tests {
         }
         let stats = w.close().unwrap();
         assert_eq!(stats.written, 100, "every accepted buffer is written");
-        assert_eq!(stats.dropped, rejected_tries, "each rejected try counted once");
+        assert_eq!(
+            stats.dropped, rejected_tries,
+            "each rejected try counted once"
+        );
     }
 
     #[test]

@@ -110,11 +110,20 @@ fn live_listener_serves_prometheus_text_and_json() {
     );
     // The scrape itself is counted (at least once — parallel tests in
     // this binary may also have scraped).
-    assert!(body.contains("pgmp_observe_scrapes "), "scrape counter:\n{body}");
+    assert!(
+        body.contains("pgmp_observe_scrapes "),
+        "scrape counter:\n{body}"
+    );
 
     let (head, body) = http_get(server.addr(), "/metrics.json");
-    assert!(head.contains("Content-Type: application/json"), "head: {head}");
-    assert!(body.starts_with("{\"v\":2,"), "snapshot is versioned: {body}");
+    assert!(
+        head.contains("Content-Type: application/json"),
+        "head: {head}"
+    );
+    assert!(
+        body.starts_with("{\"v\":2,"),
+        "snapshot is versioned: {body}"
+    );
     assert!(
         body.contains("\"expose.live_counter\":7"),
         "counter missing from JSON snapshot: {body}"
@@ -130,7 +139,10 @@ fn unknown_paths_and_methods_are_refused_politely() {
     let server = MetricsServer::bind("127.0.0.1:0").expect("bind ephemeral port");
     let (head, body) = http_get(server.addr(), "/debug/pprof");
     assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
-    assert!(body.contains("/metrics"), "404 should point at the real paths");
+    assert!(
+        body.contains("/metrics"),
+        "404 should point at the real paths"
+    );
 
     let (head, _) = http_request(
         server.addr(),
@@ -148,7 +160,7 @@ fn dropping_the_server_releases_the_port() {
     drop(server);
     // The listener thread has joined, so the socket is closed and the
     // exact address can be bound again immediately.
-    let rebound = MetricsServer::bind(&addr.to_string())
-        .expect("address must be rebindable after drop");
+    let rebound =
+        MetricsServer::bind(&addr.to_string()).expect("address must be rebindable after drop");
     assert_eq!(rebound.addr(), addr);
 }

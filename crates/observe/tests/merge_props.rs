@@ -33,16 +33,26 @@ fn split(history: &[(u64, EventKind)], t_us: &[u64]) -> Vec<Vec<TraceEvent>> {
     // Deterministic trace order (by instance id); the caller rotates it.
     let mut keys: Vec<u64> = traces.keys().copied().collect();
     keys.sort_unstable();
-    keys.into_iter().map(|k| traces.remove(&k).unwrap()).collect()
+    keys.into_iter()
+        .map(|k| traces.remove(&k).unwrap())
+        .collect()
 }
 
 /// A causally valid global history for `publishers` publishers,
 /// `subscribers` subscribers, and `epochs` merge rounds.
-fn fleet_history(publishers: u64, subscribers: u64, epochs: u64, noise: &[u8]) -> Vec<(u64, EventKind)> {
+fn fleet_history(
+    publishers: u64,
+    subscribers: u64,
+    epochs: u64,
+    noise: &[u8],
+) -> Vec<(u64, EventKind)> {
     let mut h: Vec<(u64, EventKind)> = Vec::new();
     let mut noise_at = 0usize;
     let mut noisy = |h: &mut Vec<(u64, EventKind)>, inst: u64| {
-        let n = noise.get(noise_at % noise.len().max(1)).copied().unwrap_or(0);
+        let n = noise
+            .get(noise_at % noise.len().max(1))
+            .copied()
+            .unwrap_or(0);
         noise_at += 1;
         for form in 0..u32::from(n) {
             h.push((inst, EventKind::CacheHit { form }));

@@ -47,8 +47,7 @@ fn arb_kind() -> BoxedStrategy<EventKind> {
             }
         }),
         (0u32..1000).prop_map(|form| EventKind::CacheHit { form }),
-        (0u32..1000, LABEL)
-            .prop_map(|(form, reason)| EventKind::CacheMiss { form, reason }),
+        (0u32..1000, LABEL).prop_map(|(form, reason)| EventKind::CacheMiss { form, reason }),
         (0u64..50, 0u64..1_000_000, 0u32..10, 0u64..100_000).prop_map(
             |(epoch, hits, streak, duration_us)| EventKind::Epoch {
                 epoch,
@@ -64,14 +63,14 @@ fn arb_kind() -> BoxedStrategy<EventKind> {
                 duration_us,
             }
         ),
-        (LABEL, LABEL, 0u64..1_000_000, 0u64..4096).prop_map(
-            |(path, kind, duration_us, bytes)| EventKind::StoreWrite {
+        (LABEL, LABEL, 0u64..1_000_000, 0u64..4096).prop_map(|(path, kind, duration_us, bytes)| {
+            EventKind::StoreWrite {
                 path,
                 kind,
                 bytes,
                 duration_us,
             }
-        ),
+        }),
         (
             "[a-z-]{1,16}",
             LABEL,

@@ -244,7 +244,10 @@ fn exemplar_events_v2() -> Vec<TraceEvent> {
 fn encoding_matches_pinned_v2_fixture() {
     let actual = to_jsonl(&exemplar_events_v2());
     if std::env::var_os("UPDATE_SCHEMA_FIXTURE").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/schema_v2.jsonl");
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/schema_v2.jsonl"
+        );
         std::fs::write(path, &actual).expect("write fixture");
     }
     assert_eq!(

@@ -89,7 +89,10 @@ fn serve(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     );
     let daemon = Daemon::new(config);
     let result = daemon.run().map_err(|e| e.to_string());
-    eprintln!("pgmp-profiled: shut down after {} epoch(s)", daemon.epochs());
+    eprintln!(
+        "pgmp-profiled: shut down after {} epoch(s)",
+        daemon.epochs()
+    );
     if trace.is_some() {
         match observe::stop_streaming() {
             Ok(summary) => eprintln!(

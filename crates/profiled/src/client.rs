@@ -72,10 +72,14 @@ impl From<io::Error> for ClientError {
 impl From<WireError> for ClientError {
     fn from(e: WireError) -> ClientError {
         match e {
-            WireError::Io(io) if matches!(
-                io.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) => ClientError::Timeout,
+            WireError::Io(io)
+                if matches!(
+                    io.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                ClientError::Timeout
+            }
             other => ClientError::Wire(other),
         }
     }

@@ -40,10 +40,10 @@
 //! it ever wrote.
 
 use crate::wire::{self, Ack, EpochUpdate, Frame, Hello, Role, WireError};
-use pgmp_profiler::{drift, DriftMetric};
 use pgmp_observe as observe;
-use pgmp_profiler::{Dataset, ProfileInformation, Provenance, SlotMap, StoredProfile};
 use pgmp_profiler::AtomicSlotArray;
+use pgmp_profiler::{drift, DriftMetric};
+use pgmp_profiler::{Dataset, ProfileInformation, Provenance, SlotMap, StoredProfile};
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -382,7 +382,9 @@ fn serve_publisher(
                     if *slot as usize >= client_slots {
                         refuse(
                             &mut stream,
-                            &format!("delta slot {slot} outside the {client_slots}-slot handshake table"),
+                            &format!(
+                                "delta slot {slot} outside the {client_slots}-slot handshake table"
+                            ),
                         );
                         return;
                     }
@@ -483,7 +485,11 @@ fn serve_subscriber(
 /// `force_write` (the shutdown path) writes the canonical profile even
 /// when no dataset has any hits yet, so the file always exists.
 fn merge_epoch(state: &Arc<State>, force_write: bool) -> Result<(), DaemonError> {
-    let table = state.table.lock().expect("slot table lock poisoned").clone();
+    let table = state
+        .table
+        .lock()
+        .expect("slot table lock poisoned")
+        .clone();
     let (arrays, meta) = {
         let datasets = state.datasets.lock().expect("datasets lock poisoned");
         let meta = state.meta.lock().expect("meta lock poisoned");

@@ -71,8 +71,16 @@ fn publish_as(
         other => panic!("expected ack to hello, got {other:?}"),
     };
     let epochs = (1..).zip(deltas);
-    let frames = epochs.map(|(epoch, counts)| Frame::Delta(Delta { epoch, counts: counts.to_vec() }));
-    let bye = Frame::Bye(ByeInfo { inst, epoch: deltas.len() as u64 });
+    let frames = epochs.map(|(epoch, counts)| {
+        Frame::Delta(Delta {
+            epoch,
+            counts: counts.to_vec(),
+        })
+    });
+    let bye = Frame::Bye(ByeInfo {
+        inst,
+        epoch: deltas.len() as u64,
+    });
     for frame in frames.chain([bye]) {
         wire::write_frame(&mut stream, &frame).map_err(|e| text(&e))?;
     }
@@ -139,7 +147,9 @@ fn fleet_merge_equals_offline_merge_and_subscribers_see_epochs() {
     // All three publishers closed behind the Bye barrier, so their
     // deltas are ingested; the next merge must reflect the whole fleet.
     let update = loop {
-        let u = subscriber.next_epoch(Duration::from_secs(10)).expect("epoch");
+        let u = subscriber
+            .next_epoch(Duration::from_secs(10))
+            .expect("epoch");
         if u.datasets == 3 {
             break u;
         }
@@ -216,7 +226,9 @@ fn slot_table_gate_remaps_reorders_and_refuses_aliens() {
         .expect("order-divergent table of the same program must be accepted");
 
     // No shared point at all: a different program; combining would alias.
-    let alien: Vec<SourceObject> = (0..2).map(|n| SourceObject::new("other.scm", n, n + 1)).collect();
+    let alien: Vec<SourceObject> = (0..2)
+        .map(|n| SourceObject::new("other.scm", n, n + 1))
+        .collect();
     let err = match Publisher::connect(&socket, &table(&alien), 8) {
         Ok(_) => panic!("alien table accepted"),
         Err(e) => e,
@@ -484,7 +496,10 @@ fn a_reconnecting_publisher_resumes_its_dataset() {
     assert_eq!(canonical.info.dataset_count(), 2);
     for point in points {
         let (live, want) = (canonical.info.weight(point), offline.weight(point));
-        assert!((live - want).abs() < 1e-9, "{point}: daemon {live} vs offline {want}");
+        assert!(
+            (live - want).abs() < 1e-9,
+            "{point}: daemon {live} vs offline {want}"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -37,12 +37,13 @@ fn arb_frame() -> BoxedStrategy<Frame> {
                     points,
                 })
             }),
-        (0u32..1000, 0u64..1 << 48, 0u64..1 << 48)
-            .prop_map(|(dataset, epoch, inst)| Frame::Ack(Ack {
+        (0u32..1000, 0u64..1 << 48, 0u64..1 << 48).prop_map(|(dataset, epoch, inst)| Frame::Ack(
+            Ack {
                 dataset,
                 epoch,
                 inst
-            })),
+            }
+        )),
         LABEL.prop_map(Frame::Error),
         (
             0u64..1 << 48,
