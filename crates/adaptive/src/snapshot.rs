@@ -35,7 +35,7 @@ pub struct EpochSnapshot {
     pub decay: f64,
     /// Epochs absorbed before the snapshot.
     pub epochs: u64,
-    /// Retained (decayed) counts, sorted by point.
+    /// Retained (decayed) counts, sorted by file name, then span.
     pub counts: Vec<(SourceObject, f64)>,
     /// Weights the serving program generation was optimized under.
     pub baseline: ProfileInformation,

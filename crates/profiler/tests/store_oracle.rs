@@ -286,7 +286,8 @@ fn stored() -> impl Strategy<Value = StoredProfile> {
 }
 
 /// The writer before rows were written directly: every file name, weight
-/// and confidence printed through `Datum`'s `Display`.
+/// and confidence printed through `Datum`'s `Display`, rows sorted by
+/// file name, then span.
 fn reference_store(sp: &StoredProfile) -> String {
     let row = |out: &mut String, tag: String, p: &SourceObject, w: Option<f64>| {
         let file = Datum::string(p.file.as_str());
@@ -300,7 +301,7 @@ fn reference_store(sp: &StoredProfile) -> String {
         out.push_str(")\n");
     };
     let mut points: Vec<(SourceObject, f64)> = sp.info.iter().collect();
-    points.sort_by_key(|a| a.0);
+    points.sort_by_key(|(p, _)| (p.file.as_str(), p.bfp, p.efp));
     let mut out = format!("(pgmp-profile\n  (version {})\n", sp.version);
     let _ = writeln!(out, "  (datasets {})", sp.info.dataset_count());
     if sp.version == 1 {

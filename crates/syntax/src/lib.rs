@@ -39,5 +39,5 @@ pub use datum::{write_float, write_string, Datum};
 pub use hash::{FnvHashMap, FnvHasher};
 pub use intern::Symbol;
 pub use mark::{Mark, MarkSet};
-pub use source::{SourceFactory, SourceObject};
+pub use source::{sort_by_location, SourceFactory, SourceObject};
 pub use syntax::{Syntax, SyntaxBody};

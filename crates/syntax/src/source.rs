@@ -12,6 +12,7 @@
 //! points are stable across compilations and their profile data can be
 //! looked up on the next run.
 
+use crate::hash::FnvHashMap;
 use crate::intern::Symbol;
 use std::collections::HashMap;
 use std::fmt;
@@ -52,6 +53,38 @@ impl SourceObject {
     pub fn is_generated(&self) -> bool {
         self.file.as_str().contains("%pgmp")
     }
+}
+
+/// Sorts `(point, value)` rows by file name, then by span (`bfp`, then
+/// `efp`).
+///
+/// `SourceObject`'s derived `Ord` compares interned name ids, which follow
+/// the order in which a process happened to intern the names. This order
+/// depends on the names alone, so rows that store equal profiles come out
+/// in the same order in every process. Each distinct name is resolved
+/// once.
+///
+/// # Example
+///
+/// ```
+/// use pgmp_syntax::{sort_by_location, SourceObject};
+/// let z = SourceObject::new("zz-sort.scm", 0, 1);
+/// let a = SourceObject::new("aa-sort.scm", 4, 5);
+/// let mut rows = vec![(z, 1), (a, 2)];
+/// sort_by_location(&mut rows);
+/// assert_eq!(rows, [(a, 2), (z, 1)]);
+/// ```
+pub fn sort_by_location<T>(rows: &mut [(SourceObject, T)]) {
+    let mut ranks: FnvHashMap<Symbol, u32> = FnvHashMap::default();
+    for (p, _) in rows.iter() {
+        ranks.entry(p.file).or_insert(0);
+    }
+    let mut names: Vec<(&str, Symbol)> = ranks.keys().map(|f| (f.as_str(), *f)).collect();
+    names.sort_unstable();
+    for (rank, (_, f)) in names.into_iter().enumerate() {
+        ranks.insert(f, rank as u32);
+    }
+    rows.sort_by_cached_key(|(p, _)| (ranks[&p.file], p.bfp, p.efp));
 }
 
 impl fmt::Display for SourceObject {
