@@ -13,8 +13,10 @@ use std::sync::{Arc, RwLock};
 /// Tuning knobs for the adaptive loop.
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Per-epoch exponential decay of the rolling profile, in `[0, 1]`:
-    /// `1.0` never forgets, `0.0` keeps only the latest epoch.
+    /// Per-epoch exponential decay of the rolling profile between
+    /// re-optimizations, in `[0, 1]`: `1.0` never forgets, `0.0` keeps
+    /// only the latest epoch. A re-optimization restarts the rolling
+    /// profile from the epoch that fired it, whatever the decay.
     pub decay: f64,
     /// Drift value above which re-optimization triggers.
     pub drift_threshold: f64,
@@ -213,9 +215,10 @@ impl VmServing {
 /// 3. a [`DriftDetector`] compares the rolling weights against the weights
 ///    the serving program was optimized under;
 /// 4. when it fires, the program is recompiled through the per-form
-///    incremental cache ([`pgmp::IncrementalEngine`]) under the new
-///    weights, and the resulting [`CompiledProgram`] is atomically swapped
-///    in for readers.
+///    incremental cache ([`pgmp::IncrementalEngine`]) under the weights of
+///    the epoch that fired it, the resulting [`CompiledProgram`] is
+///    atomically swapped in for readers, and the rolling profile restarts
+///    from that epoch.
 ///
 /// `pgmp::Engine` itself is single-threaded, so epochs and compilation run
 /// on whichever thread owns the `AdaptiveEngine`, which paces them; all
@@ -514,6 +517,15 @@ impl AdaptiveEngine {
     /// profile, let the drift detector observe the new weights, and — if
     /// it fires — recompile and swap within this call.
     ///
+    /// A firing recompiles under the weights of this epoch's traffic
+    /// alone, and once the new generation is in, the rolling profile
+    /// restarts from this epoch ([`RollingProfile::restarted`]). The
+    /// detector fires on the first epoch after a shift, when the decayed
+    /// profile is still part old, part new; rebasing onto that mixture
+    /// would let the profile converge away from the baseline and fire a
+    /// second time on the same shift. After the restart, steady traffic
+    /// reads zero drift.
+    ///
     /// # Errors
     ///
     /// Propagates re-optimization errors; the aggregation itself cannot
@@ -526,7 +538,9 @@ impl AdaptiveEngine {
         let weights = self.rolling.weights();
         let reading = self.detector.observe(&weights, hits);
         if reading.fired {
-            self.reoptimize(weights)?;
+            let restarted = self.rolling.restarted(&epoch_data);
+            self.reoptimize(restarted.weights())?;
+            self.rolling = restarted;
         }
         let report = EpochReport {
             epoch: self.rolling.epochs(),
@@ -594,6 +608,11 @@ impl AdaptiveEngine {
     /// Hysteresis and cooldown do not apply: they damp per-epoch counter
     /// noise, while a broadcast is already one merged observation over
     /// the whole fleet (the daemon's merge cadence is the damping).
+    ///
+    /// Unlike a local firing ([`AdaptiveEngine::tick`]), a fleet
+    /// re-optimization leaves the rolling profile as it is: fleet weights
+    /// are not this process's traffic, so there is no local epoch to
+    /// restart the profile from.
     ///
     /// `daemon_inst` and `epoch` are the broadcast's correlation ids: the
     /// daemon's [`pgmp_observe::instance_id`] and merge epoch from the
@@ -920,7 +939,7 @@ mod tests {
     fn failed_recompilation_keeps_serving_old_generation() {
         // A program whose macro errors once a profile point is hot (the
         // transformer calls an unbound procedure): re-optimization fails,
-        // but generation 0 must keep serving.
+        // but the old generation must keep serving.
         let booby_trap = "
           (define-syntax (trap stx)
             (syntax-case stx ()
@@ -928,7 +947,8 @@ mod tests {
                (if (> (profile-query #'e) 0.5)
                    (poison-the-hot-path)
                    #'e)]))
-          (define (f) (trap (+ 1 2)))";
+          (define (f) (trap (+ 1 2)))
+          (define (g n) (* n n))";
         let config = AdaptiveConfig {
             drift_threshold: 0.01,
             ..AdaptiveConfig::default()
@@ -940,6 +960,32 @@ mod tests {
         let program = engine.current_program();
         assert_eq!(program.generation, 0, "old generation must keep serving");
         assert!(!program.expansion.is_empty());
+
+        // Traffic that leaves the trap cold re-optimizes; the profile
+        // restarts from that epoch.
+        for _ in 0..4 {
+            engine.collect_run(Some("(g 1) (g 2) (g 3)")).unwrap();
+        }
+        let report = engine.tick().unwrap();
+        assert!(report.reoptimized, "{report:?}");
+        assert_eq!(engine.current_program().generation, 1);
+
+        // Each failed recompile leaves the rolling profile and the
+        // baseline as they were: the profile only absorbs the epoch (no
+        // restart), and the detector keeps its baseline.
+        let baseline = engine.detector.baseline().clone();
+        for _ in 0..2 {
+            engine.collect_run(Some("(f) (f) (f)")).unwrap();
+            let mut expected = engine.rolling.clone();
+            expected.absorb(&engine.handle().counters().snapshot());
+            assert!(
+                engine.tick().is_err(),
+                "poisoned recompilation must surface"
+            );
+            assert_eq!(engine.current_program().generation, 1);
+            assert_eq!(engine.rolling.entries(), expected.entries());
+            assert_eq!(engine.detector.baseline(), &baseline);
+        }
     }
 
     #[test]

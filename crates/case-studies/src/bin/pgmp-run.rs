@@ -50,7 +50,8 @@
 //!   --epochs <n>                 adaptive: number of epochs to run (default 4)
 //!   --threads <n>                adaptive: worker threads per epoch (default 2)
 //!   --drift-threshold <t>        adaptive: re-optimize when drift > t (default 0.15)
-//!   --decay <d>                  adaptive: per-epoch profile decay in [0,1] (default 0.5)
+//!   --decay <d>                  adaptive: per-epoch profile decay between
+//!                                re-optimizations, in [0,1] (default 0.5)
 //!   --hysteresis <n>             adaptive: consecutive drifting epochs before
 //!                                re-optimizing (default 1)
 //!   --cooldown <n>               adaptive: epochs to skip detection after a

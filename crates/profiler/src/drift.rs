@@ -54,15 +54,19 @@ pub fn drift(a: &ProfileInformation, b: &ProfileInformation, metric: DriftMetric
             .map(|p| (a.weight(p) - b.weight(p)).abs())
             .sum(),
         DriftMetric::TotalVariation => {
-            let mass = |w: &ProfileInformation| w.iter().map(|(_, x)| x).sum::<f64>();
+            // Both masses sum over the same points in the same order, so
+            // equal weights read exactly 0 whatever order each profile's
+            // map holds its points in.
+            let points: Vec<SourceObject> = union_points(a, b).into_iter().collect();
+            let mass = |w: &ProfileInformation| points.iter().map(|p| w.weight(*p)).sum::<f64>();
             let (ma, mb) = (mass(a), mass(b));
             match (ma > 0.0, mb > 0.0) {
                 (false, false) => 0.0,
                 (true, false) | (false, true) => 1.0,
                 (true, true) => {
-                    0.5 * union_points(a, b)
-                        .into_iter()
-                        .map(|p| (a.weight(p) / ma - b.weight(p) / mb).abs())
+                    0.5 * points
+                        .iter()
+                        .map(|p| (a.weight(*p) / ma - b.weight(*p) / mb).abs())
                         .sum::<f64>()
                 }
             }
@@ -93,6 +97,18 @@ mod tests {
         let w = info(&[(0, 5), (1, 10)]);
         assert_eq!(drift(&w, &w, DriftMetric::L1), 0.0);
         assert_eq!(drift(&w, &w, DriftMetric::TotalVariation), 0.0);
+    }
+
+    #[test]
+    fn equal_weights_in_different_map_orders_have_zero_drift() {
+        // Equal weights built through differently grown maps: the two
+        // profiles iterate their points in different orders.
+        let weights: Vec<(SourceObject, f64)> =
+            (0..200).map(|i| (p(i), 1.0 / f64::from(i + 1))).collect();
+        let a = ProfileInformation::from_weights(weights.iter().copied(), 1);
+        let b = ProfileInformation::from_weights(weights.iter().rev().copied(), 1);
+        assert_eq!(drift(&a, &b, DriftMetric::TotalVariation), 0.0);
+        assert_eq!(drift(&b, &a, DriftMetric::TotalVariation), 0.0);
     }
 
     #[test]
