@@ -12,7 +12,8 @@
 //!   paper's weight normalization and dataset-merge machinery applies
 //!   unchanged.
 //! - [`RollingProfile`] — epoch aggregation with exponential decay, so
-//!   weights track *recent* behavior and stale traffic patterns age out.
+//!   weights track *recent* behavior and stale traffic patterns age out;
+//!   each re-optimization restarts it from the epoch that fired it.
 //! - [`DriftDetector`] — the total-variation distance
 //!   ([`pgmp_profiler::drift`]) between the live weights and the weights
 //!   the running code was last optimized under, damped by

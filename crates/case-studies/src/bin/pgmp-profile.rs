@@ -25,9 +25,9 @@
 //! pgmp-profile convert --to <1|2> -o <out.pgmp> <in.pgmp>
 //!     Rewrites a profile in the requested format version. v2 → v1 drops
 //!     the slot table; v1 → v2 carries weights only unless --slots is
-//!     given, which synthesizes a dense slot table from the points in
-//!     sorted order (a process preloading it interns nothing on the warm
-//!     path).
+//!     given, which synthesizes a dense slot table from the points,
+//!     sorted by file name, then span (a process preloading it interns
+//!     nothing on the warm path).
 //!
 //! pgmp-profile diff [--top N] [--explain <trace.jsonl>] <a.pgmp> <b.pgmp>
 //!     Compares two profiles: overall drift under both of the adaptive
@@ -63,6 +63,7 @@ use pgmp_profiler::{drift, DriftMetric};
 use pgmp_observe as observe;
 use pgmp_profiler::rebase::{rebase as run_rebase, RebaseConfig};
 use pgmp_profiler::{ProfileInformation, Provenance, SlotCompat, SlotMap, StoredProfile};
+use pgmp_syntax::sort_by_location;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -152,7 +153,8 @@ fn parse_write_opts(args: &[String]) -> WriteOpts {
 }
 
 /// Builds the output profile in the requested version, synthesizing a
-/// dense slot table from the sorted points when asked.
+/// dense slot table from the points, sorted by file name, then span, when
+/// asked.
 fn assemble(
     info: ProfileInformation,
     slots: Option<SlotMap>,
@@ -163,10 +165,10 @@ fn assemble(
         return Ok(StoredProfile::v1(info));
     }
     let slots = if synthesize {
-        let mut points: Vec<_> = info.iter().map(|(p, _)| p).collect();
-        points.sort();
+        let mut points: Vec<_> = info.iter().collect();
+        sort_by_location(&mut points);
         Some(
-            SlotMap::from_points(points)
+            SlotMap::from_points(points.into_iter().map(|(p, _)| p))
                 .map_err(|p| format!("duplicate point {p} while synthesizing slot table"))?,
         )
     } else {

@@ -334,6 +334,40 @@ fn profile_tool_inspects_merges_and_converts() {
 }
 
 #[test]
+fn converted_profiles_do_not_depend_on_row_order() {
+    // Each process interns the file name of the first row first; the
+    // output orders slots and rows by name all the same.
+    let dir = tmpdir();
+    let zz = r#"(point "zz.scm" 0 1 0.5)"#;
+    let aa = r#"(point "aa.scm" 0 1 1.0)"#;
+    let mut outputs = Vec::new();
+    for (name, rows) in [("zz-first", [zz, aa]), ("aa-first", [aa, zz])] {
+        let input = dir.join(format!("{name}.pgmp"));
+        let output = dir.join(format!("{name}.v2.pgmp"));
+        let text = format!("(pgmp-profile (version 1) {} {})", rows[0], rows[1]);
+        std::fs::write(&input, text).unwrap();
+        let out = pgmp_profile(&[
+            "convert",
+            "--to",
+            "2",
+            "--slots",
+            "-o",
+            output.to_str().unwrap(),
+            input.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        outputs.push(std::fs::read_to_string(&output).unwrap());
+    }
+    let first_slot = r#"(slot 0 "aa.scm" 0 1 1.0)"#;
+    assert!(outputs[0].contains(first_slot), "{}", outputs[0]);
+    assert_eq!(outputs[0], outputs[1]);
+}
+
+#[test]
 fn adaptive_snapshot_round_trips_through_the_cli() {
     let dir = tmpdir();
     let prog = dir.join("adaptive-snap.scm");
